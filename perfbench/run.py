@@ -3,13 +3,17 @@
     python3 perfbench/run.py --workload gap|corr|cli|all --seed N --seconds S --trace 0|1
 
 Run from the repository root (the package is imported from ./src).  One
-client issues the workload's fixed batch of items back to back, repeating the
-batch as often as fits S seconds (at least MIN_BATCHES times).  Every item is
-graded against an independent oracle.  The last stdout line is a JSON object
-with `correct`, `attempted`, `failed` and `metrics`: the end-to-end metrics
-with --trace 0, the per-layer metrics with --trace 1.  The line before it is
-the full record (seed, environment, percentile used for the tail, share of
-wall time per item kind, failing items, err_max_bits and fail_frac).
+client issues BATCHES_PER_30S[workload] * S / 30 batches, rounded and at
+least MIN_BATCHES, back to back, so the batch count depends on S only, never
+on how fast the host ran.  Every batch holds the workload's fixed mix of item kinds; batch b
+draws its inputs from (seed, b).  Every item is graded against an independent
+oracle.  The last stdout line is a JSON object with `correct`, `attempted`,
+`failed` and `metrics`: the end-to-end metrics with --trace 0, the per-layer
+metrics with --trace 1.  The times listed in SPEED_SCALED are divided by the
+host speed factor that SpeedProbe measures during the run.  The line
+before it is the full record (seed, environment, speed factor and raw times,
+percentile used for the tail, share of wall time per item kind, failing
+items, err_max_bits and fail_frac).
 `--workload all` runs each workload in its own process and prints a table.
 """
 
@@ -17,9 +21,10 @@ from __future__ import annotations
 
 import os
 
-# BLAS and OpenMP pools are pinned before numpy loads, here and in every
-# subprocess, so timings do not depend on how many cores a pool grabs.
-THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+# BLAS and OpenMP pools, and ssa_lab's own campaign pool, are pinned before
+# numpy loads, here and in every subprocess, so timings do not depend on how
+# many cores a pool grabs.
+THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "SSA_LAB_THREADS")
 for _var in THREAD_VARS:
     os.environ[_var] = "1"
 
@@ -40,8 +45,21 @@ SRC = ROOT / "src"
 WORK = ROOT / "perfbench" / "_work"
 WORKLOADS = ("gap", "corr", "cli")
 MIN_BATCHES = 2
+# Batches per 30 s of --seconds.  On the baseline host (2-vCPU VM, see
+# README) that measures about 22 s of gap, 36 s of corr and 30 s of cli.
+BATCHES_PER_30S = {"gap": 2, "corr": 4, "cli": 2}
 SETUP_CHILDREN = 2
 TAIL_BEYOND = 10
+PROBE_GAP_S = 0.25
+# Times scaled by SpeedProbe, per workload: those of compute-bound work.  The
+# gap tail is left raw: it is set by the full-rank 4x4x4 states, whose cost is
+# faulting in a 268 MB array, which the probe does not follow.  cli is left
+# raw: its time is process start-up and import, and in its parent the probe
+# runs on caches a subprocess has just evicted.
+SPEED_SCALED = {
+    "gap": ("wall_s", "item_ms_p50"),
+    "corr": ("wall_s", "item_ms_p50", "item_ms_tail"),
+}
 # Seed kept out of development runs, for re-checking a claimed gain.
 HELD_OUT_SEED = 424242
 
@@ -52,35 +70,82 @@ def child_env() -> dict[str, str]:
     return env
 
 
-def setup(name: str, seed: int, workdir: Path):
-    """Import the package, build the inputs from the seed, warm up each item kind."""
+def setup(name: str, seed: int, count: int, workdir: Path):
+    """Import the package, build the inputs of `count` batches from the seed,
+    warm up each item kind."""
     t0 = time.perf_counter()
     import ssa_lab
     import workloads
 
-    wl = workloads.build(name, seed, str(workdir), child_env())
-    for item in wl.warmup:
+    wls = [workloads.build(name, seed, b, str(workdir), child_env()) for b in range(count)]
+    for item in wls[0].warmup:
         item.run()
     elapsed = time.perf_counter() - t0
     if not Path(ssa_lab.__file__).resolve().is_relative_to(SRC.resolve()):
         raise SystemExit(f"ssa_lab was imported from {ssa_lab.__file__}, not from {SRC}")
-    return elapsed, wl
+    return elapsed, wls
 
 
-def run_batches(items, seconds: float, min_batches: int, rec=None) -> list[tuple[float, list]]:
-    """Run the batch as often as fits `seconds` by the first batch's time
-    (at least `min_batches` times); one (wall, results) entry per batch."""
-    batches = [_batch(items, 0, rec)]
-    total = max(min_batches, round(seconds / batches[0][0]))
-    while len(batches) < total:
-        batches.append(_batch(items, len(batches), rec))
-    return batches
+class SpeedProbe:
+    """Host speed, from a fixed numpy kernel timed between items.
+
+    On a shared host the same code runs 10-30% slower for seconds to minutes
+    at a time.  The kernel (eigvalsh of one 8x8 matrix, the size of most
+    ssa_lab spectra) slows with it, and being the benchmark's own code it
+    does not change when ssa_lab does.  It runs before an item once
+    PROBE_GAP_S has passed since the last probe, and once after the last
+    batch; its time is left out of the batches.
+    """
+
+    CALLS = 400
+    # probe time on the baseline host, so that factor() is 1 there
+    REF_S = 0.0060
+
+    def __init__(self) -> None:
+        import numpy as np
+
+        m = np.random.default_rng(0).standard_normal((8, 8))
+        self._m = m + m.T
+        self._eigvalsh = np.linalg.eigvalsh
+        self.samples: list[tuple[float, float]] = []  # (end time, probe seconds)
+
+    def maybe(self, force: bool = False) -> float:
+        """Probe if it is due; return the seconds spent probing."""
+        t0 = time.perf_counter()
+        if not force and self.samples and t0 - self.samples[-1][0] < PROBE_GAP_S:
+            return 0.0
+        for _ in range(self.CALLS):
+            self._eigvalsh(self._m)
+        t1 = time.perf_counter()
+        self.samples.append((t1, t1 - t0))
+        return t1 - t0
+
+    def factor(self) -> float:
+        """How much slower than the baseline host this run ran: the probe
+        time averaged over the run's wall clock, so a 5 s item weighs as much
+        as the probes around it, relative to REF_S."""
+        spans = list(zip(self.samples, self.samples[1:]))
+        total = sum(t1 - t0 for (t0, _), (t1, _) in spans)
+        mean = sum((t1 - t0) * (v0 + v1) / 2 for (t0, v0), (t1, v1) in spans) / total
+        return mean / self.REF_S
 
 
-def _batch(items, b: int, rec) -> tuple[float, list]:
+def run_batches(batch_items, rec=None, probe=None) -> list[tuple[float, list]]:
+    """Run each batch once, in order; one (wall, results) entry per batch."""
+    return [_batch(items, b, rec, probe) for b, items in enumerate(batch_items)]
+
+
+def batch_count(name: str, seconds: float, minimum: int) -> int:
+    return max(minimum, round(BATCHES_PER_30S[name] * seconds / 30))
+
+
+def _batch(items, b: int, rec, probe) -> tuple[float, list]:
     results = []
+    probing = 0.0
     t_batch = time.perf_counter()
     for i, item in enumerate(items):
+        if probe is not None:
+            probing += probe.maybe()
         if rec is not None:
             rec.begin_item(f"{b}:{i}", item.kind)
         t0 = time.perf_counter()
@@ -92,18 +157,23 @@ def _batch(items, b: int, rec) -> tuple[float, list]:
         if rec is not None:
             rec.end_item()
         results.append({"kind": item.kind, "index": i, "s": dt, "checks": checks, "error": error})
-    return time.perf_counter() - t_batch, results
+    return time.perf_counter() - t_batch - probing, results
 
 
 def grade(batches) -> tuple[int, int, float, list[dict]]:
+    """Count attempted and failed items.  err_max is the worst error of the
+    checks measured in bits (|computed - oracle| or a margin violation); it
+    is inf when any of them is NaN."""
     attempted = failed = 0
     err_max = 0.0
     failures = []
     for b, (_, results) in enumerate(batches):
         for r in results:
             attempted += 1
-            bad = [c for c in r["checks"] if not c[1] <= c[2]]  # a NaN error fails too
-            err_max = max([err_max] + [c[1] for c in r["checks"]])
+            bad = [c for c in r["checks"] if not c.error <= c.tol]  # a NaN error fails too
+            for c in r["checks"]:
+                if c.bits:
+                    err_max = math.inf if math.isnan(c.error) else max(err_max, c.error)
             if r["error"] or bad:
                 failed += 1
                 if len(failures) < 20:
@@ -121,10 +191,11 @@ def percentile(values: list[float], p: float) -> float:
     return xs[lo] + (xs[hi] - xs[lo]) * (pos - lo)
 
 
-def tail_percentile(batch_len: int) -> int:
-    """Highest whole percentile with TAIL_BEYOND items beyond it in the
-    shortest run (MIN_BATCHES batches), so a workload always uses the same."""
-    return math.floor(100.0 * (1.0 - TAIL_BEYOND / (MIN_BATCHES * batch_len)))
+def tail_percentile(n_items: int) -> int:
+    """Highest whole percentile with TAIL_BEYOND of the run's items beyond it.
+    The batch count is fixed by --seconds, so for a given --seconds a
+    workload always uses the same percentile."""
+    return math.floor(100.0 * (1.0 - TAIL_BEYOND / n_items))
 
 
 def kind_shares(batches) -> dict[str, float]:
@@ -156,12 +227,12 @@ def environment() -> dict:
     }
 
 
-def setup_in_children(name: str, seed: int) -> list[float]:
+def setup_in_children(name: str, seed: int, seconds: int) -> list[float]:
     out = []
     for _ in range(SETUP_CHILDREN):
         res = subprocess.run(
             [sys.executable, str(Path(__file__).resolve()), "--setup-only",
-             "--workload", name, "--seed", str(seed)],
+             "--workload", name, "--seed", str(seed), "--seconds", str(seconds)],
             capture_output=True, text=True, env=dict(os.environ), cwd=str(ROOT), timeout=120,
         )
         if res.returncode != 0:
@@ -175,21 +246,31 @@ def metric(value: float, unit: str) -> dict:
 
 
 def end_to_end(name: str, seed: int, seconds: float, workdir: Path) -> tuple[dict, dict]:
-    setup_s, wl = setup(name, seed, workdir)
-    batches = run_batches(wl.items, seconds, MIN_BATCHES)
+    setup_s, wls = setup(name, seed, batch_count(name, seconds, MIN_BATCHES), workdir)
+    probe = SpeedProbe()
+    batches = run_batches([wl.items for wl in wls], probe=probe)
+    probe.maybe(force=True)
     self_rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     child_rss = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
     # the cli workload's memory is that of its CLI subprocesses
     peak_kb = child_rss if name == "cli" else self_rss
-    setups = [setup_s] + setup_in_children(name, seed)
+    setups = [setup_s] + setup_in_children(name, seed, seconds)
     attempted, failed, err_max, failures = grade(batches)
     times_ms = [r["s"] * 1e3 for _, results in batches for r in results]
-    p_tail = tail_percentile(len(wl.items))
+    p_tail = tail_percentile(len(times_ms))
+    raw = {
+        "wall_s": statistics.mean(w for w, _ in batches),
+        "item_ms_p50": percentile(times_ms, 50),
+        "item_ms_tail": percentile(times_ms, p_tail),
+    }
+    speed = probe.factor()
+    scaled = SPEED_SCALED.get(name, ())
+    times = {key: value / speed if key in scaled else value for key, value in raw.items()}
     metrics = {
         "setup_s": metric(statistics.median(setups), "s"),
-        "wall_s": metric(statistics.median(w for w, _ in batches), "s"),
-        "item_ms_p50": metric(percentile(times_ms, 50), "ms"),
-        "item_ms_tail": metric(percentile(times_ms, p_tail), "ms"),
+        "wall_s": metric(times["wall_s"], "s"),
+        "item_ms_p50": metric(times["item_ms_p50"], "ms"),
+        "item_ms_tail": metric(times["item_ms_tail"], "ms"),
         "peak_rss_mb": metric(peak_kb / 1024.0, "MB"),
     }
     record = {
@@ -198,8 +279,11 @@ def end_to_end(name: str, seed: int, seconds: float, workdir: Path) -> tuple[dic
         "held_out_seed": HELD_OUT_SEED,
         "seconds": seconds,
         "batches": len(batches),
-        "items_per_batch": len(wl.items),
+        "items_per_batch": len(wls[0].items),
         "tail_percentile": p_tail,
+        "speed_factor": speed,
+        "speed_scaled": list(scaled),
+        "raw": raw,
         "setup_samples_s": setups,
         "batch_wall_s": [w for w, _ in batches],
         "share_of_wall_by_kind": kind_shares(batches),
@@ -270,12 +354,12 @@ def per_layer(name: str, seed: int, seconds: float, workdir: Path) -> tuple[dict
     import tracing
     import workloads
 
-    _, wl = setup(name, seed, workdir)
-    plain = run_batches(wl.items, seconds / 2, 1)
+    _, wls = setup(name, seed, batch_count(name, seconds / 2, 1), workdir)
+    plain = run_batches([wl.items for wl in wls])
     rec = tracing.Recorder()
     rec.install()
     try:
-        traced = run_batches(wl.items + wl.traced_extra, seconds / 2, 1, rec)
+        traced = run_batches([wl.items + wl.traced_extra for wl in wls], rec)
     finally:
         rec.uninstall()
     WORK.mkdir(parents=True, exist_ok=True)
@@ -283,7 +367,7 @@ def per_layer(name: str, seed: int, seconds: float, workdir: Path) -> tuple[dict
     rec.write(str(span_file))
 
     values = tracing.layer_metrics(rec.spans, len(traced))
-    n_items = len(wl.items)
+    n_items = len(wls[0].items)
     plain_wall = statistics.median(sum(r["s"] for r in res) for _, res in plain)
     traced_wall = statistics.median(sum(r["s"] for r in res[:n_items]) for _, res in traced)
     values["bench.trace_overhead_frac"] = traced_wall / plain_wall - 1.0
@@ -357,7 +441,8 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--seconds", type=int, default=30)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
-    parser.add_argument("--setup-only", action="store_true", help=argparse.SUPPRESS)
+    parser.add_argument("--setup-only", action="store_true",
+                        help="time one set-up in this interpreter and print it (a setup_s sample)")
     args = parser.parse_args(argv)
 
     if not (SRC / "ssa_lab" / "__init__.py").is_file():
@@ -370,7 +455,8 @@ def main(argv=None) -> int:
     workdir.mkdir(parents=True, exist_ok=True)
     try:
         if args.setup_only:
-            setup_s, _ = setup(args.workload, args.seed, workdir)
+            count = batch_count(args.workload, args.seconds, MIN_BATCHES)
+            setup_s, _ = setup(args.workload, args.seed, count, workdir)
             print(json.dumps({"setup_s": setup_s}))
             return 0
         run = per_layer if args.trace else end_to_end

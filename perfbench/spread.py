@@ -4,8 +4,10 @@
 
 For every end-to-end metric in BENCHMARK.json it prints the median, the
 quartiles (statistics.quantiles(values, n=4)) and the spread (Q3 - Q1) as a
-share of the median next to the metric's bound.  With --out the summary is
-also written as JSON, which is how perfbench/baseline.json was made.
+share of the median next to the metric's bound, and for the times that are
+scaled by host speed also the spread of the unscaled values.  With --out the
+summary, with every run's value, is also written as JSON, which is how
+perfbench/baseline.json was made.
 """
 
 from __future__ import annotations
@@ -55,10 +57,17 @@ def main() -> int:
         values = [r["result"]["metrics"][name]["value"] for r in runs]
         q1, med, q3 = statistics.quantiles(values, n=4)
         spread = (q3 - q1) / med
-        summary["metrics"][name] = {"unit": spec["unit"], "median": med, "q1": q1, "q3": q3,
-                                    "spread": spread, "bound": spec["bound"]}
-        print(f"{name:14s} median {med:10.4g} {spec['unit']:3s} spread {spread:6.3f} "
+        entry = {"unit": spec["unit"], "median": med, "q1": q1, "q3": q3,
+                 "spread": spread, "bound": spec["bound"], "values": values}
+        note = ""
+        if name in runs[0]["record"]["speed_scaled"]:
+            rq1, rmed, rq3 = statistics.quantiles([r["record"]["raw"][name] for r in runs], n=4)
+            entry["unscaled_spread"] = (rq3 - rq1) / rmed
+            note = f" (unscaled {entry['unscaled_spread']:.3f})"
+        summary["metrics"][name] = entry
+        print(f"{name:14s} median {med:10.4g} {spec['unit']:3s} spread {spread:6.3f}{note} "
               f"bound {spec['bound']} (third {spec['bound'] / 3:.3f})")
+    summary["speed_factor"] = [r["record"]["speed_factor"] for r in runs]
     shares = [r["record"]["share_of_wall_by_kind"] for r in runs]
     summary["share_of_wall_by_kind"] = {
         k: round(statistics.median(s[k] for s in shares), 4) for k in shares[0]}

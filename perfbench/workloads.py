@@ -1,10 +1,19 @@
-"""The three benchmark workloads, each a fixed batch of items built from a seed.
+"""The three benchmark workloads: batches of items built from a seed.
+
+Batch b of a run is built from (seed, b), so the batches of one run have the
+same mix of item kinds but different inputs, and a run samples more states
+than one batch holds.
 
 Every item runs one unit of user-visible work and returns the checks that
 grade it against an independent oracle: a closed form (two-block gap,
 Wootters EOF), an identity (Koashi-Winter, purification duality) or an
 inequality (strong subadditivity, concavity).  The tolerances are those of
 the acceptance suite.
+
+Item counts per batch come from the tier-1 tests that exercise the same
+path: the number of cases such a test runs, divided by the workload's scale
+and rounded, so the kinds of a workload keep the ratios of their tier-1
+case counts.  A path tier-1 runs only once or twice runs once per batch.
 
 Importing this module imports numpy and ssa_lab, so the benchmark imports it
 inside the timed set-up.
@@ -20,16 +29,39 @@ import sys
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 import ssa_lab as sl
 from ssa_lab import cli as sl_cli
 
-# A check is (what, error, tolerance); it passes when error <= tolerance.
-# Inequalities report their violation (0 when satisfied) as the error.
-Check = tuple[str, float, float]
+
+class Check(NamedTuple):
+    """Passes when error <= tol.  Inequalities report their violation (0 when
+    satisfied) as the error.  `bits` marks an error in bits (a difference of
+    entropies or a margin violation); pass/fail flags and counts are not, and
+    stay out of err_max_bits."""
+
+    what: str
+    error: float
+    tol: float
+    bits: bool = True
+
+
+# Tier-1 case counts are divided by these to give the items per batch.
+# corr uses 50, the largest scale at which its rarest kind (criterion 10,
+# 50 cases) still gets one item.  gap uses 100: at 50 a run holds 40
+# full-rank 4x4x4 states, and the tail percentile lands on the eighth or
+# ninth slowest of them, right where their slow mode (see build_gap) begins,
+# so the tail flipped between the modes from run to run.  With 20 it lands
+# on the seventh or eighth slowest, inside the common mode.
+GAP_SCALE = 100
+CORR_SCALE = 50
+
+
+def _scaled(tier1_cases: int, scale: int) -> int:
+    return max(1, round(tier1_cases / scale))
 
 
 @dataclass(frozen=True)
@@ -46,17 +78,21 @@ class Workload:
     traced_extra: list[Item] = field(default_factory=list)
 
 
-def _seeds(seed: int, stream: int, n: int) -> list[int]:
-    """n item seeds for one item kind, reproducible from the workload seed."""
-    rng = np.random.default_rng([seed, stream])
+# A batch key is (workload seed, batch index).
+Key = tuple[int, int]
+
+
+def _seeds(key: Key, stream: int, n: int) -> list[int]:
+    """n item seeds for one item kind, reproducible from the batch key."""
+    rng = np.random.default_rng([*key, stream])
     return [int(s) for s in rng.integers(0, 2**31 - 1, size=n)]
 
 
-def _spread_kinds(items: list[Item], seed: int) -> list[Item]:
+def _spread_kinds(items: list[Item], key: Key) -> list[Item]:
     """Seeded shuffle of the batch.  Each kind's items then sample the whole
     batch duration, not one short stretch of it, so a percentile over them
     is not set by how busy the host was in that stretch."""
-    order = np.random.default_rng([seed, 0]).permutation(len(items))
+    order = np.random.default_rng([*key, 0]).permutation(len(items))
     return [items[i] for i in order]
 
 
@@ -69,27 +105,37 @@ def _entropy_bits(matrix: np.ndarray) -> float:
 
 # --- gap: the entropic pipeline, no optimizer --------------------------------
 
-# (dims, rank, items per batch); rank None is full rank.  The full-rank
-# 4x4x4 states build a 4096^2 outer product today, the largest working set.
-GAP_DENSITY = (
-    ((2, 2, 2), None, 2),
-    ((2, 2, 2), 2, 2),
-    ((2, 4, 4), None, 2),
-    ((2, 4, 4), 2, 2),
-    ((4, 4, 4), None, 7),
-    ((4, 4, 4), 2, 2),
+# (dims, rank) cells, rank None is full rank.  Criterion 04 runs 1000 states
+# per (dims, rank) cell; every cell gets that count, scaled.  Its dims are
+# 2x2x2, 2x2x4 and 2x4x4; 4x4x4 takes the place of 2x2x4 here, because the
+# full-rank 4x4x4 states build a 4096^2 outer product today, the largest
+# working set.  After the two sweeps they are the slowest items, so they set
+# the tail.
+GAP_DENSITY_CELLS = (
+    ((2, 2, 2), None), ((2, 2, 2), 2),
+    ((2, 4, 4), None), ((2, 4, 4), 2),
+    ((4, 4, 4), None), ((4, 4, 4), 2),
 )
-GAP_TWO_BLOCK = 40
+GAP_DENSITY_PER_CELL = _scaled(1000, GAP_SCALE)
+# criterion 01: 500 two-block states against the closed form
+GAP_TWO_BLOCK = _scaled(500, GAP_SCALE)
+# criterion 07: 200 saturating specs, cycling through these dims across the
+# batches of a run
 GAP_SATURATING_DIMS = ((2, 2, 2), (2, 3, 3), (2, 4, 4), (3, 3, 4), (2, 2, 4))
+GAP_SATURATING = _scaled(200, GAP_SCALE)
+# test_purify runs the duality on 10 states, which scales below one; one
+# item per shape keeps the 2x4x4 purifications timed as well
 GAP_DUALITY = (((2, 2, 2), 2), ((2, 2, 2), None), ((2, 4, 4), 2), ((2, 4, 4), None))
+# criterion 03: each figure once at 64 steps
 GAP_SWEEP_STEPS = 64
-GAP_CAMPAIGN_SAMPLES = 40
+# criterion 05: 500 concavity ensembles, as samples of one campaign
+GAP_CAMPAIGN_SAMPLES = _scaled(500, GAP_SCALE)
 
 
 def _gap_density(dims, rank, seed) -> list[Check]:
     rho = sl.random_density(dims, rank=rank, seed=seed)
     margin = min(sl.t_gap(rho).t_a, sl.ssa_gap_form1(rho))
-    return [("ssa margin >= -1e-9", max(0.0, -margin), 1e-9)]
+    return [Check("ssa margin >= -1e-9", max(0.0, -margin), 1e-9)]
 
 
 def _two_block_params(rng: np.random.Generator) -> sl.TwoBlockParams:
@@ -106,15 +152,15 @@ def _two_block_params(rng: np.random.Generator) -> sl.TwoBlockParams:
 def _gap_two_block(params) -> list[Check]:
     numeric = sl.t_gap(sl.two_block_state(params)).t_a
     closed = sl.gap_closed_form(params)
-    return [("t_gap vs closed form", abs(numeric - closed), 1e-8)]
+    return [Check("t_gap vs closed form", abs(numeric - closed), 1e-8)]
 
 
 def _gap_saturating(dims, seed) -> list[Check]:
     spec = sl.random_saturating_spec(dims, np.random.default_rng(seed))
     cert = sl.certify(sl.build_saturating(spec), spec)
     return [
-        ("certificate passed", 0.0 if cert.passed else 1.0, 0.0),
-        ("saturating gap <= 1e-8", max(0.0, cert.gap_witness), 1e-8),
+        Check("certificate passed", 0.0 if cert.passed else 1.0, 0.0, bits=False),
+        Check("saturating gap <= 1e-8", max(0.0, cert.gap_witness), 1e-8),
     ]
 
 
@@ -124,15 +170,15 @@ def _gap_duality(dims, rank, seed) -> list[Check]:
     s_b = _entropy_bits(sl.partial_trace(rho, {1}).data)
     s_c = _entropy_bits(sl.partial_trace(rho, {2}).data)
     return [
-        ("S(A,BE) = S(C)", abs(sl.von_neumann_entropy(ext.rho_a_btilde) - s_c), 1e-9),
-        ("S(A,CE) = S(B)", abs(sl.von_neumann_entropy(ext.rho_a_ctilde) - s_b), 1e-9),
+        Check("S(A,BE) = S(C)", abs(sl.von_neumann_entropy(ext.rho_a_btilde) - s_c), 1e-9),
+        Check("S(A,CE) = S(B)", abs(sl.von_neumann_entropy(ext.rho_a_ctilde) - s_b), 1e-9),
     ]
 
 
 def _gap_sweep(figure, steps) -> list[Check]:
     grid = sl.sweep_figure(figure, steps=steps)
     dev = float(np.max(np.abs(grid.closed_form - grid.numeric)))
-    return [(f"sweep {figure} closed vs numeric", dev, 1e-8)]
+    return [Check(f"sweep {figure} closed vs numeric", dev, 1e-8)]
 
 
 def _gap_campaign(samples, seed) -> list[Check]:
@@ -146,28 +192,34 @@ def _gap_campaign(samples, seed) -> list[Check]:
     )
     record = sl_cli.run_campaign(cfg)
     return [
-        (f"campaign {name} margin >= -1e-9", max(0.0, -entry["worst_margin"]), 1e-9)
+        Check(f"campaign {name} margin >= -1e-9", max(0.0, -entry["worst_margin"]), 1e-9)
         for name, entry in record["checks"].items()
     ]
 
 
-def build_gap(seed: int) -> Workload:
+def build_gap(key: Key) -> Workload:
+    seed = key[0]
     items: list[Item] = []
-    for k, (dims, rank, count) in enumerate(GAP_DENSITY):
-        for s in _seeds(seed, 10 + k, count):
+    for k, (dims, rank) in enumerate(GAP_DENSITY_CELLS):
+        for s in _seeds(key, 10 + k, GAP_DENSITY_PER_CELL):
             items.append(Item("random_density", partial(_gap_density, dims, rank, s)))
-    rng = np.random.default_rng([seed, 2])
+    rng = np.random.default_rng([*key, 2])
     for _ in range(GAP_TWO_BLOCK):
         items.append(Item("two_block", partial(_gap_two_block, _two_block_params(rng))))
-    for dims, s in zip(GAP_SATURATING_DIMS, _seeds(seed, 3, len(GAP_SATURATING_DIMS))):
+    for k, s in enumerate(_seeds(key, 3, GAP_SATURATING)):
+        dims = GAP_SATURATING_DIMS[(key[1] * GAP_SATURATING + k) % len(GAP_SATURATING_DIMS)]
         items.append(Item("saturating", partial(_gap_saturating, dims, s)))
-    for (dims, rank), s in zip(GAP_DUALITY, _seeds(seed, 4, len(GAP_DUALITY))):
+    for (dims, rank), s in zip(GAP_DUALITY, _seeds(key, 4, len(GAP_DUALITY))):
         items.append(Item("duality", partial(_gap_duality, dims, rank, s)))
-    for figure in ("a", "b"):
-        items.append(Item("sweep", partial(_gap_sweep, figure, GAP_SWEEP_STEPS)))
     items.append(
-        Item("campaign", partial(_gap_campaign, GAP_CAMPAIGN_SAMPLES, _seeds(seed, 5, 1)[0]))
+        Item("campaign", partial(_gap_campaign, GAP_CAMPAIGN_SAMPLES, _seeds(key, 5, 1)[0]))
     )
+    # The sweeps run after the shuffled items.  On the baseline VM a full-rank
+    # 4x4x4 state built more than about 2 s after the previous one takes 2-3x
+    # as long (the freed 268 MB has gone back to the host), and each 4 s sweep
+    # opens such a pause.  Shuffled in, the sweeps added up to four such slow
+    # states per run, at random, to the one in ten that is slow anyway.
+    sweeps = [Item("sweep", partial(_gap_sweep, f, GAP_SWEEP_STEPS)) for f in ("a", "b")]
     warmup = [
         Item("random_density", partial(_gap_density, (4, 4, 4), None, seed)),
         Item("two_block", partial(_gap_two_block, sl.DEFAULT_PARAMS)),
@@ -176,64 +228,66 @@ def build_gap(seed: int) -> Workload:
         Item("sweep", partial(_gap_sweep, "a", 2)),
         Item("campaign", partial(_gap_campaign, 2, seed)),
     ]
-    return Workload(_spread_kinds(items, seed), warmup)
+    return Workload(_spread_kinds(items, key) + sweeps, warmup)
 
 
 # --- corr: the optimizer pipeline --------------------------------------------
 
-# Optimizer settings are those of the acceptance suite: criterion 08
-# (conservation), 10 (Theorem-1 audit) and 12 (convex roof); discord uses the
-# settings of the Koashi-Winter agreement test.
-CORR_DISCORD = (20, dict(restarts=10), 1e-4)
-CORR_CONSERVATION = (3, dict(restarts=20), 2e-4)
-CORR_EOF = (7, dict(restarts=3, max_evals=800), 1e-4)
-CORR_THEOREM1 = (1, dict(restarts=4, max_evals=1000), 5e-4)
+# (items per batch, optimizer settings, tolerance).  Counts and settings are
+# those of the tier-1 tests: criterion 08 (100 conservation checks),
+# 10 (50 Theorem-1 audits) and 12 (100 convex roofs); discord those of the
+# Koashi-Winter agreement test in test_qcorr (200 discord calls).
+CORR_DISCORD = (_scaled(200, CORR_SCALE), dict(restarts=10), 1e-4)
+CORR_CONSERVATION = (_scaled(100, CORR_SCALE), dict(restarts=20), 2e-4)
+CORR_EOF = (_scaled(100, CORR_SCALE), dict(restarts=3, max_evals=800), 1e-4)
+CORR_THEOREM1 = (_scaled(50, CORR_SCALE), dict(restarts=4, max_evals=1000), 5e-4)
 # warm-up runs every code path once at minimal optimizer effort
 CORR_WARMUP = dict(restarts=1, max_evals=50)
 
 
 def _corr_discord(rho, oracle, opt, tol) -> list[Check]:
     value = sl.discord(rho, 1, sl.OptimizerConfig(**opt)).discord
-    return [("discord vs KW of purification", abs(value - oracle), tol)]
+    return [Check("discord vs KW of purification", abs(value - oracle), tol)]
 
 
 def _corr_conservation(psi, opt, tol) -> list[Check]:
     lhs, rhs = sl.conservation_check(psi, sl.OptimizerConfig(**opt))
-    return [("E(AB)+E(AC) = D(AB)+D(AC)", abs(lhs - rhs), tol)]
+    return [Check("E(AB)+E(AC) = D(AB)+D(AC)", abs(lhs - rhs), tol)]
 
 
 def _corr_eof(rho, oracle, opt, tol) -> list[Check]:
     roof = sl.eof_convex_roof(rho, config=sl.OptimizerConfig(**opt))
-    return [("convex roof vs Wootters", abs(roof - oracle), tol)]
+    return [Check("convex roof vs Wootters", abs(roof - oracle), tol)]
 
 
 def _corr_theorem1(rho, gap, opt, tol) -> list[Check]:
     audit = sl.theorem1_audit(rho, sl.OptimizerConfig(**opt))
     return [
-        ("line4 vs t_gap", abs(audit.line4 - gap), tol),
-        ("entanglement increments >= -5e-4",
-         max(0.0, -min(audit.delta_e_b, audit.delta_e_c)), tol),
+        Check("line4 vs t_gap", abs(audit.line4 - gap), tol),
+        Check("entanglement increments >= -5e-4",
+              max(0.0, -min(audit.delta_e_b, audit.delta_e_c)), tol),
     ]
 
 
-def build_corr(seed: int) -> Workload:
+def build_corr(key: Key) -> Workload:
+    seed = key[0]
     items: list[Item] = []
     count, opt, tol = CORR_DISCORD
-    for s in _seeds(seed, 20, count):
+    for s in _seeds(key, 20, count):
         rho = sl.random_density([2, 2], rank=2, seed=s)
         oracle = sl.discord_via_kw(sl.purify(rho).psi, 1)
         items.append(Item("discord", partial(_corr_discord, rho, oracle, {**opt, "seed": s}, tol)))
     count, opt, tol = CORR_CONSERVATION
-    for s in _seeds(seed, 21, count):
+    for s in _seeds(key, 21, count):
         psi = sl.random_pure([2, 2, 2], seed=s)
         items.append(Item("conservation", partial(_corr_conservation, psi, {**opt, "seed": s}, tol)))
     count, opt, tol = CORR_EOF
-    for s in _seeds(seed, 22, count):
+    for s in _seeds(key, 22, count):
         rho = sl.random_density([2, 2], rank=2, seed=s)
         oracle = sl.eof_two_qubit(rho)
         items.append(Item("eof_roof", partial(_corr_eof, rho, oracle, {**opt, "seed": s}, tol)))
     count, opt, tol = CORR_THEOREM1
-    for s in _seeds(seed, 23, count):
+    for s in _seeds(key, 23, count):
         rho = sl.random_density([2, 2, 2], rank=2, seed=s)
         gap = sl.t_gap(rho).t_a
         items.append(Item("theorem1", partial(_corr_theorem1, rho, gap, {**opt, "seed": s}, tol)))
@@ -246,7 +300,7 @@ def build_corr(seed: int) -> Workload:
         Item("eof_roof", partial(_corr_eof, rho2, 0.0, warm, 1.0)),
         Item("theorem1", partial(_corr_theorem1, rho3, 0.0, warm, 1.0)),
     ]
-    return Workload(_spread_kinds(items, seed), warmup)
+    return Workload(_spread_kinds(items, key), warmup)
 
 
 # --- cli: a fixed script of `python -m ssa_lab.cli` subprocesses ------------
@@ -268,20 +322,20 @@ class CliCall:
 
 def _json_check(what: str, key: str, oracle: float, tol: float):
     def check(stdout: str) -> list[Check]:
-        return [(what, abs(float(json.loads(stdout)[key]) - oracle), tol)]
+        return [Check(what, abs(float(json.loads(stdout)[key]) - oracle), tol)]
     return check
 
 
 def _certify_check(stdout: str) -> list[Check]:
     record = json.loads(stdout)
     return [
-        ("certificate passed", 0.0 if record["passed"] else 1.0, 0.0),
-        ("saturating gap <= 1e-8", max(0.0, float(record["gap"]["t_a"])), 1e-8),
+        Check("certificate passed", 0.0 if record["passed"] else 1.0, 0.0, bits=False),
+        Check("saturating gap <= 1e-8", max(0.0, float(record["gap"]["t_a"])), 1e-8),
     ]
 
 
 def _kw_check(stdout: str) -> list[Check]:
-    return [("KW gap of a pure state", abs(float(json.loads(stdout)["gap"])), 1e-4)]
+    return [Check("KW gap of a pure state", abs(float(json.loads(stdout)["gap"])), 1e-4)]
 
 
 def _sweep_check(steps: int):
@@ -289,8 +343,8 @@ def _sweep_check(steps: int):
         rows = stdout.strip().splitlines()[1:]
         dev = max(abs(float(c) - float(n)) for _, _, c, n in (r.split(",") for r in rows))
         return [
-            ("sweep cell count", float(abs(len(rows) - steps * steps)), 0.0),
-            ("sweep closed vs numeric", dev, 1e-8),
+            Check("sweep cell count", float(abs(len(rows) - steps * steps)), 0.0, bits=False),
+            Check("sweep closed vs numeric", dev, 1e-8),
         ]
     return check
 
@@ -298,7 +352,7 @@ def _sweep_check(steps: int):
 def _campaign_check(stdout: str) -> list[Check]:
     checks = json.loads(stdout)["checks"]
     return [
-        (f"campaign {name} margin >= -1e-9", max(0.0, -float(entry["worst_margin"])), 1e-9)
+        Check(f"campaign {name} margin >= -1e-9", max(0.0, -float(entry["worst_margin"])), 1e-9)
         for name, entry in checks.items()
     ]
 
@@ -311,11 +365,11 @@ class CliScript:
     commands, read their records.
     """
 
-    def __init__(self, seed: int, workdir: str, env: dict[str, str]):
+    def __init__(self, key: Key, workdir: str, env: dict[str, str]):
         self.workdir = workdir
         self.env = env
-        s = _seeds(seed, 30, 8)
-        rng = np.random.default_rng([seed, 31])
+        s = _seeds(key, 30, 8)
+        rng = np.random.default_rng([*key, 31])
         self.states = {
             "entropy.json": sl.random_density([2, 4], seed=s[0]),
             "discord.json": sl.random_density([2, 2], rank=2, seed=s[1]),
@@ -395,8 +449,8 @@ class CliScript:
         return call.check(stdout) if call.check else []
 
 
-def build_cli(seed: int, workdir: str, env: dict[str, str]) -> Workload:
-    script = CliScript(seed, workdir, env)
+def build_cli(key: Key, workdir: str, env: dict[str, str]) -> Workload:
+    script = CliScript(key, workdir, env)
     outputs: dict[str, str] = {}
     items = [Item("save_state", script.write_inputs)]
     items += [Item(f"proc.{c.kind}", partial(script.run_subprocess, c, outputs)) for c in script.calls]
@@ -409,9 +463,11 @@ def build_cli(seed: int, workdir: str, env: dict[str, str]) -> Workload:
     return Workload(items, warmup, traced_extra=traced_extra)
 
 
-def build(name: str, seed: int, workdir: str, env: dict[str, str]) -> Workload:
+def build(name: str, seed: int, batch: int, workdir: str, env: dict[str, str]) -> Workload:
+    """Batch `batch` of workload `name` for a run with seed `seed`."""
+    key = (seed, batch)
     if name == "gap":
-        return build_gap(seed)
+        return build_gap(key)
     if name == "corr":
-        return build_corr(seed)
-    return build_cli(seed, workdir, env)
+        return build_corr(key)
+    return build_cli(key, workdir, env)
