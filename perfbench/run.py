@@ -9,11 +9,11 @@ on how fast the host ran.  Every batch holds the workload's fixed mix of item ki
 draws its inputs from (seed, b).  Every item is graded against an independent
 oracle.  The last stdout line is a JSON object with `correct`, `attempted`,
 `failed` and `metrics`: the end-to-end metrics with --trace 0, the per-layer
-metrics with --trace 1.  The times listed in SPEED_SCALED are divided by the
-host speed factor that SpeedProbe measures during the run.  The line
-before it is the full record (seed, environment, speed factor and raw times,
-percentile used for the tail, share of wall time per item kind, failing
-items, err_max_bits and fail_frac).
+metrics with --trace 1.  The times listed in SPEED_SCALED are divided, item
+by item, by the host slowdown that SpeedProbe (StartUpProbe for cli)
+measures between items.  The line before it is the full record (seed,
+environment, speed factor and raw times, percentile used for the tail, share
+of wall time per item kind, failing items, err_max_bits and fail_frac).
 `--workload all` runs each workload in its own process and prints a table.
 """
 
@@ -50,15 +50,13 @@ MIN_BATCHES = 2
 BATCHES_PER_30S = {"gap": 2, "corr": 4, "cli": 2}
 SETUP_CHILDREN = 2
 TAIL_BEYOND = 10
-PROBE_GAP_S = 0.25
-# Times scaled by SpeedProbe, per workload: those of compute-bound work.  The
-# gap tail is left raw: it is set by the full-rank 4x4x4 states, whose cost is
-# faulting in a 268 MB array, which the probe does not follow.  cli is left
-# raw: its time is process start-up and import, and in its parent the probe
-# runs on caches a subprocess has just evicted.
+# Times scaled by the host speed probe, per workload.  The gap tail is left
+# raw: it is set by the full-rank 4x4x4 states, whose cost is faulting in a
+# 268 MB array, which the probe does not follow.
 SPEED_SCALED = {
     "gap": ("wall_s", "item_ms_p50"),
     "corr": ("wall_s", "item_ms_p50", "item_ms_tail"),
+    "cli": ("wall_s", "item_ms_p50", "item_ms_tail"),
 }
 # Seed kept out of development runs, for re-checking a claimed gain.
 HELD_OUT_SEED = 424242
@@ -92,13 +90,14 @@ class SpeedProbe:
     On a shared host the same code runs 10-30% slower for seconds to minutes
     at a time.  The kernel (eigvalsh of one 8x8 matrix, the size of most
     ssa_lab spectra) slows with it, and being the benchmark's own code it
-    does not change when ssa_lab does.  It runs before an item once
-    PROBE_GAP_S has passed since the last probe, and once after the last
-    batch; its time is left out of the batches.
+    does not change when ssa_lab does.  It runs before an item once GAP_S
+    has passed since the last probe, and once after the last batch; its time
+    is left out of the batches.
     """
 
     CALLS = 400
-    # probe time on the baseline host, so that factor() is 1 there
+    GAP_S = 0.25
+    # probe time on the baseline host, so that slowdown() is 1 there
     REF_S = 0.0060
 
     def __init__(self) -> None:
@@ -112,22 +111,77 @@ class SpeedProbe:
     def maybe(self, force: bool = False) -> float:
         """Probe if it is due; return the seconds spent probing."""
         t0 = time.perf_counter()
-        if not force and self.samples and t0 - self.samples[-1][0] < PROBE_GAP_S:
+        if not force and self.samples and t0 - self.samples[-1][0] < self.GAP_S:
             return 0.0
-        for _ in range(self.CALLS):
-            self._eigvalsh(self._m)
+        self._kernel()
         t1 = time.perf_counter()
         self.samples.append((t1, t1 - t0))
         return t1 - t0
 
-    def factor(self) -> float:
-        """How much slower than the baseline host this run ran: the probe
-        time averaged over the run's wall clock, so a 5 s item weighs as much
-        as the probes around it, relative to REF_S."""
-        spans = list(zip(self.samples, self.samples[1:]))
-        total = sum(t1 - t0 for (t0, _), (t1, _) in spans)
-        mean = sum((t1 - t0) * (v0 + v1) / 2 for (t0, v0), (t1, v1) in spans) / total
-        return mean / self.REF_S
+    def slowdown(self, times: list[float]) -> list[float]:
+        """How much slower than the baseline host the host ran at each of
+        `times`: the probe time interpolated between the probes before and
+        after it, relative to REF_S.  Each probe time is first replaced by
+        the median of it and its two neighbours, so a single slow probe
+        cannot stand for the items beside it."""
+        import numpy as np
+
+        vals = [v for _, v in self.samples]
+        smooth = []
+        for i in range(len(vals)):
+            lo = min(max(i - 1, 0), max(len(vals) - 3, 0))
+            smooth.append(statistics.median(vals[lo:lo + 3]))
+        at = np.interp(times, [t for t, _ in self.samples], smooth)
+        return [float(v) / self.REF_S for v in at]
+
+    def _kernel(self) -> None:
+        for _ in range(self.CALLS):
+            self._eigvalsh(self._m)
+
+    def close(self) -> None:
+        pass
+
+
+class StartUpProbe(SpeedProbe):
+    """Host speed for the cli workload: a fresh interpreter that imports
+    numpy and scipy.optimize, the start-up every CLI call pays before
+    ssa_lab's own code runs.  The numpy kernel does not follow process
+    start-up: in the cli parent it runs on caches a subprocess has just
+    evicted.  The interpreters are started by a helper process, so their
+    memory stays out of this process's RUSAGE_CHILDREN, which gives the cli
+    workload's peak_rss_mb.  close() stops the helper.
+    """
+
+    GAP_S = 3.0
+    REF_S = 0.83
+    HELPER = (
+        "import subprocess, sys\n"
+        "for _ in sys.stdin:\n"
+        "    subprocess.run([sys.executable, '-c', 'import numpy, scipy.optimize'], check=True, timeout=120)\n"
+        "    print('ok', flush=True)\n"
+    )
+
+    def __init__(self) -> None:
+        self.samples = []
+        self._helper = subprocess.Popen(
+            [sys.executable, "-c", self.HELPER], stdin=subprocess.PIPE,
+            stdout=subprocess.PIPE, text=True, env=child_env(), cwd=str(ROOT),
+        )
+
+    def _kernel(self) -> None:
+        self._helper.stdin.write("\n")
+        self._helper.stdin.flush()
+        if self._helper.stdout.readline().strip() != "ok":
+            raise RuntimeError("start-up probe failed")
+
+    def close(self) -> None:
+        self._helper.stdin.close()
+        try:
+            self._helper.wait(timeout=60)
+        except subprocess.TimeoutExpired:
+            self._helper.kill()
+            self._helper.wait()
+        self._helper.stdout.close()
 
 
 def run_batches(batch_items, rec=None, probe=None) -> list[tuple[float, list]]:
@@ -156,7 +210,8 @@ def _batch(items, b: int, rec, probe) -> tuple[float, list]:
         dt = time.perf_counter() - t0
         if rec is not None:
             rec.end_item()
-        results.append({"kind": item.kind, "index": i, "s": dt, "checks": checks, "error": error})
+        results.append({"kind": item.kind, "index": i, "t": t0, "s": dt, "checks": checks,
+                        "error": error})
     return time.perf_counter() - t_batch - probing, results
 
 
@@ -247,11 +302,14 @@ def metric(value: float, unit: str) -> dict:
 
 def end_to_end(name: str, seed: int, seconds: float, workdir: Path) -> tuple[dict, dict]:
     setup_s, wls = setup(name, seed, batch_count(name, seconds, MIN_BATCHES), workdir)
-    probe = SpeedProbe()
-    batches = run_batches([wl.items for wl in wls], probe=probe)
-    probe.maybe(force=True)
-    self_rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    child_rss = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
+    probe = StartUpProbe() if name == "cli" else SpeedProbe()
+    try:
+        batches = run_batches([wl.items for wl in wls], probe=probe)
+        probe.maybe(force=True)
+        self_rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        child_rss = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
+    finally:
+        probe.close()
     # the cli workload's memory is that of its CLI subprocesses
     peak_kb = child_rss if name == "cli" else self_rss
     setups = [setup_s] + setup_in_children(name, seed, seconds)
@@ -263,9 +321,23 @@ def end_to_end(name: str, seed: int, seconds: float, workdir: Path) -> tuple[dic
         "item_ms_p50": percentile(times_ms, 50),
         "item_ms_tail": percentile(times_ms, p_tail),
     }
-    speed = probe.factor()
+    # Each item is divided by the host slowdown at its midpoint, and each
+    # batch's wall time shrinks as the sum of its items does.
+    slow = probe.slowdown([r["t"] + r["s"] / 2 for _, results in batches for r in results])
+    scaled_ms = [ms / f for ms, f in zip(times_ms, slow)]
+    walls, k = [], 0
+    for wall, results in batches:
+        n = len(results)
+        walls.append(wall * sum(scaled_ms[k:k + n]) / sum(times_ms[k:k + n]))
+        k += n
+    rescaled = {
+        "wall_s": statistics.mean(walls),
+        "item_ms_p50": percentile(scaled_ms, 50),
+        "item_ms_tail": percentile(scaled_ms, p_tail),
+    }
+    speed = sum(times_ms) / sum(scaled_ms)
     scaled = SPEED_SCALED.get(name, ())
-    times = {key: value / speed if key in scaled else value for key, value in raw.items()}
+    times = {key: rescaled[key] if key in scaled else value for key, value in raw.items()}
     metrics = {
         "setup_s": metric(statistics.median(setups), "s"),
         "wall_s": metric(times["wall_s"], "s"),
@@ -282,6 +354,9 @@ def end_to_end(name: str, seed: int, seconds: float, workdir: Path) -> tuple[dic
         "items_per_batch": len(wls[0].items),
         "tail_percentile": p_tail,
         "speed_factor": speed,
+        "probe_s": {"n": len(probe.samples),
+                    "median": statistics.median(v for _, v in probe.samples),
+                    "max": max(v for _, v in probe.samples)},
         "speed_scaled": list(scaled),
         "raw": raw,
         "setup_samples_s": setups,
