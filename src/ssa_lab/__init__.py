@@ -44,7 +44,7 @@ from .entropy import (
     t_gap,
     von_neumann_entropy,
 )
-from .purify import ExtensionPair, PurificationResult, extend, purify, purify_saturating
+from .purify import ExtensionPair, PurificationResult, extend, purify
 from .qcorr import (
     DiscordResult,
     KWReport,
@@ -72,6 +72,7 @@ from .structure import (
     check_orthogonality,
     collide_embeddings,
     load_spec,
+    purify_saturating,
     random_saturating_spec,
     save_spec,
 )

@@ -5,30 +5,20 @@ Machine-readable output (a JSON record, a state file, or CSV) goes to
 stdout; a one-line human summary goes to stderr.  Exit codes: 0 on
 success, 1 on validation/parse/config failure, 2 on capability errors.
 Randomized subcommands require an explicit --seed; identical flags and
-seed produce byte-identical output.  SSA_LAB_THREADS caps campaign
-parallelism (0 = auto).
+seed produce byte-identical output.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .errors import (
-    CapabilityError,
-    ConfigError,
-    DimensionError,
-    ParseError,
-    SsaLabError,
-    ValidationError,
-)
+from .errors import CapabilityError, ConfigError, SsaLabError
 from .entropy import (
     concavity_check,
     make_ensemble,
@@ -52,6 +42,7 @@ from .qmat import (
     load_density,
     random_density,
     random_pure,
+    save_state,
 )
 from .structure import build_saturating, certify, load_spec
 from .twoblock import sweep_figure
@@ -82,27 +73,6 @@ class CampaignConfig:
             raise ConfigError(
                 f"unknown checks {unknown}; choose from {', '.join(CHECK_NAMES)}"
             )
-
-
-def _thread_count() -> int:
-    raw = os.environ.get("SSA_LAB_THREADS", "0")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ConfigError(f"SSA_LAB_THREADS must be an integer, got {raw!r}")
-    if n < 0:
-        raise ConfigError(f"SSA_LAB_THREADS must be >= 0, got {n}")
-    if n == 0:
-        return 1  # auto: per-sample work is tiny, serial avoids oversubscription
-    return n
-
-
-def _map_ordered(fn: Callable, items: Sequence) -> list:
-    workers = _thread_count()
-    if workers <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 # --- campaign checks ---------------------------------------------------------
@@ -191,7 +161,7 @@ def run_campaign(cfg: CampaignConfig) -> dict:
         if check not in cfg.checks:
             continue
         fn = _CHECK_FN[check]
-        margins = _map_ordered(lambda s: fn(cfg, s), seeds)
+        margins = [fn(cfg, s) for s in seeds]
         worst = min(margins)
         violations = sum(1 for m in margins if m < -cfg.tolerance)
         results[check] = {
@@ -259,8 +229,6 @@ def _cmd_tgap(args: argparse.Namespace) -> None:
     _emit(
         {
             "t_a": report.t_a,
-            "via_marginals": report.via_marginals,
-            "via_conditional": report.via_conditional,
             "components": report.components,
         },
         f"T^(a) = {report.t_a:.12g} bits",
@@ -315,13 +283,10 @@ def _cmd_kw(args: argparse.Namespace) -> None:
 def _cmd_build(args: argparse.Namespace) -> None:
     spec = load_spec(args.spec)
     rho = build_saturating(spec)
-    record = density_to_dict(rho)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(record, fh, sort_keys=True)
-            fh.write("\n")
+        save_state(args.out, rho)
     else:
-        sys.stdout.write(json.dumps(record, sort_keys=True) + "\n")
+        sys.stdout.write(json.dumps(density_to_dict(rho), sort_keys=True) + "\n")
     sys.stderr.write(
         f"built state on dims {list(rho.dims)} from {len(spec.blocks)} block(s)\n"
     )
@@ -453,9 +418,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     except CapabilityError as exc:
         sys.stderr.write(f"capability error: {exc}\n")
         return 2
-    except (ValidationError, DimensionError, ParseError, ConfigError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 1
     except SsaLabError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1

@@ -16,7 +16,6 @@ import numpy as np
 
 from .errors import DimensionError
 from .qmat import DensityMatrix, PureStateVector, eig_hermitian
-from .structure import SaturatingSpec
 
 RANK_TOL = 1e-12
 
@@ -70,39 +69,3 @@ def extend(rho_abc: DensityMatrix) -> ExtensionPair:
         (d_a, d_c * d_e), ace.reshape(d_a * d_c * d_e, d_a * d_c * d_e)
     )
     return ExtensionPair(rho_a_btilde=rho_a_btilde, rho_a_ctilde=rho_a_ctilde)
-
-
-def purify_saturating(spec: SaturatingSpec) -> PureStateVector:
-    """Purify a block decomposition with block-orthogonal ancilla sectors.
-
-    |Psi> = sum_k sqrt(p_k) |psi^k_AY> (x) |phi^k_ZE>, where each mixed part
-    is purified into its own ancilla sector of dimension rank(rho^k_Z).  The
-    reduced state on (A, B, C) is the spec's mixture whether or not the
-    spec's marginals are orthogonal.
-    """
-    d_a, d_b, d_c = spec.dims
-    sector_dims = []
-    sector_eigs = []
-    for blk in spec.blocks:
-        dec = eig_hermitian(blk.rho_z.data)
-        keep = dec.eigenvalues > RANK_TOL
-        sector_eigs.append((dec.eigenvalues[keep], dec.eigenvectors[:, keep]))
-        sector_dims.append(int(keep.sum()))
-    d_e = sum(sector_dims)
-    amps = np.zeros((d_a, d_b, d_c, d_e), dtype=complex)
-    offset_e = 0
-    for blk, (lam, vecs), r in zip(spec.blocks, sector_eigs, sector_dims):
-        bl, br, cl, cr = blk.partition
-        psi_t = blk.psi_ay.amps.reshape(d_a, bl, cl)
-        for i in range(r):
-            mu_t = vecs[:, i].reshape(br, cr)
-            comp = np.einsum("axc,yz->axycz", psi_t, mu_t)
-            comp = comp.reshape(d_a, bl * br, cl * cr)
-            amps[
-                :,
-                blk.embed_b : blk.embed_b + bl * br,
-                blk.embed_c : blk.embed_c + cl * cr,
-                offset_e + i,
-            ] += np.sqrt(blk.weight * lam[i]) * comp
-        offset_e += r
-    return PureStateVector((d_a, d_b, d_c, d_e), amps.reshape(-1))

@@ -50,7 +50,8 @@ def _multistart_minimize(
     winner's simplex is re-initialized at the best point and run once more,
     which unsticks the degenerate simplexes the method is prone to in ten
     or more dimensions.  Ties go to the earlier restart, so a fixed seed
-    fixes the outcome.
+    fixes the outcome.  ``converged`` is the success flag of the run, restart
+    or polish, whose point is returned.
     """
     options = {
         "maxfev": config.max_evals,
@@ -65,18 +66,15 @@ def _multistart_minimize(
     for restart in range(max(1, config.restarts)):
         x0 = np.zeros(n) if restart == 0 else rng.uniform(0.0, spread, n)
         res = minimize(objective, x0, method="Nelder-Mead", options=options)
-        converged = converged or bool(res.success)
         if res.fun < best_val:
-            best_val = float(res.fun)
-            best_x = np.asarray(res.x)
+            best_val, best_x, converged = float(res.fun), np.asarray(res.x), bool(res.success)
     for _ in range(3):
         res = minimize(objective, best_x, method="Nelder-Mead", options=options)
         if res.fun >= best_val - config.value_tol:
             if res.fun < best_val:
-                best_val, best_x = float(res.fun), np.asarray(res.x)
+                best_val, best_x, converged = float(res.fun), np.asarray(res.x), bool(res.success)
             break
-        best_val = float(res.fun)
-        best_x = np.asarray(res.x)
+        best_val, best_x, converged = float(res.fun), np.asarray(res.x), bool(res.success)
     return best_val, best_x, converged
 
 

@@ -86,6 +86,8 @@ class PureStateVector:
             raise DimensionError(
                 f"vector length {amps.shape[0]} does not match dims {dims}"
             )
+        if not np.isfinite(amps).all():
+            raise ValidationError("finiteness: vector has NaN or Inf entries")
         norm = float(np.linalg.norm(amps))
         if abs(norm - 1.0) > NORM_TOL:
             raise ValidationError(f"norm: vector has norm {norm!r}, expected 1")
@@ -237,6 +239,8 @@ def validate_density(
             f"shape: matrix {m.shape} does not match dims {dims} "
             f"(expected {side}x{side})"
         )
+    if not np.isfinite(m).all():
+        raise ValidationError("finiteness: matrix has NaN or Inf entries")
     herm_dev = float(np.max(np.abs(m - m.conj().T))) if side else 0.0
     if herm_dev > tol:
         raise ValidationError(f"hermiticity: max |m - m^dag| = {herm_dev:.3e} > {tol:.1e}")
@@ -294,10 +298,6 @@ def random_density(
 # PureStateVector: {"dims": [d0, d1, ...], "vector": [[re, im], ...]}
 #
 # Matrices are row-major and square.  NaN/Inf anywhere are rejected.
-
-
-def _reject_constant(token: str) -> float:
-    raise ParseError(f"non-finite value {token!r} in state file")
 
 
 def _complex_from_pair(pair: object, where: str) -> complex:
@@ -361,13 +361,29 @@ def pure_from_dict(obj: dict) -> PureStateVector:
     return PureStateVector(dims, amps)
 
 
-def load_state(path: str) -> DensityMatrix | PureStateVector:
-    """Load a state file, dispatching on its 'matrix'/'vector' field."""
+def read_json(path: str) -> object:
+    """Parse a state or spec file; bad JSON and NaN/Infinity raise ParseError."""
+
+    def reject_constant(token: str) -> float:
+        raise ParseError(f"{path}: non-finite value {token!r}")
+
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            obj = json.load(fh, parse_constant=_reject_constant)
+            return json.load(fh, parse_constant=reject_constant)
         except json.JSONDecodeError as exc:
             raise ParseError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+
+
+def write_json(path: str, obj: dict) -> None:
+    """Write a state or spec record as one sorted-key JSON line."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(obj, fh, sort_keys=True)
+        fh.write("\n")
+
+
+def load_state(path: str) -> DensityMatrix | PureStateVector:
+    """Load a state file, dispatching on its 'matrix'/'vector' field."""
+    obj = read_json(path)
     if not isinstance(obj, dict):
         raise ParseError(f"{path}: top level must be a JSON object")
     if "matrix" in obj:
@@ -391,6 +407,4 @@ def save_state(path: str, state: DensityMatrix | PureStateVector) -> None:
         if isinstance(state, DensityMatrix)
         else pure_to_dict(state)
     )
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, sort_keys=True)
-        fh.write("\n")
+    write_json(path, obj)

@@ -4,8 +4,9 @@ States that saturate the tripartite entropy inequality are exactly the
 mixtures of blocks |psi_AY><psi_AY| (x) rho_Z, with Y/Z a tensor-factor
 partition of each block's B and C spaces, whose B-marginals and C-marginals
 are mutually orthogonal across blocks.  This module builds such states from
-explicit block specifications, measures marginal orthogonality, and
-certifies whether a proposed decomposition reproduces a given state.
+explicit block specifications, purifies them sector by sector, measures
+marginal orthogonality, and certifies whether a proposed decomposition
+reproduces a given state.
 
 Embeddings into the global B and C spaces are explicit coordinate-subspace
 isometries (a start offset per block and side), which turns the existential
@@ -16,7 +17,6 @@ for an arbitrary input state is out of scope: the certifier validates a
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, replace
 from typing import Sequence
@@ -25,9 +25,11 @@ import numpy as np
 
 from .errors import DimensionError, ParseError, ValidationError
 from .entropy import t_gap
+from .purify import RANK_TOL
 from .qmat import (
     DensityMatrix,
     PureStateVector,
+    eig_hermitian,
     partial_trace,
     permute_subsystems,
     pure_from_dict,
@@ -36,6 +38,8 @@ from .qmat import (
     density_to_dict,
     random_density,
     random_pure,
+    read_json,
+    write_json,
 )
 
 ORTHOGONALITY_TOL = 1e-10
@@ -139,6 +143,42 @@ class SaturatingSpec:
                         )
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "blocks", blocks)
+
+
+def purify_saturating(spec: SaturatingSpec) -> PureStateVector:
+    """Purify a block decomposition with block-orthogonal ancilla sectors.
+
+    |Psi> = sum_k sqrt(p_k) |psi^k_AY> (x) |phi^k_ZE>, where each mixed part
+    is purified into its own ancilla sector of dimension rank(rho^k_Z).  The
+    reduced state on (A, B, C) is the spec's mixture whether or not the
+    spec's marginals are orthogonal.
+    """
+    d_a, d_b, d_c = spec.dims
+    sector_dims = []
+    sector_eigs = []
+    for blk in spec.blocks:
+        dec = eig_hermitian(blk.rho_z.data)
+        keep = dec.eigenvalues > RANK_TOL
+        sector_eigs.append((dec.eigenvalues[keep], dec.eigenvectors[:, keep]))
+        sector_dims.append(int(keep.sum()))
+    d_e = sum(sector_dims)
+    amps = np.zeros((d_a, d_b, d_c, d_e), dtype=complex)
+    offset_e = 0
+    for blk, (lam, vecs), r in zip(spec.blocks, sector_eigs, sector_dims):
+        bl, br, cl, cr = blk.partition
+        psi_t = blk.psi_ay.amps.reshape(d_a, bl, cl)
+        for i in range(r):
+            mu_t = vecs[:, i].reshape(br, cr)
+            comp = np.einsum("axc,yz->axycz", psi_t, mu_t)
+            comp = comp.reshape(d_a, bl * br, cl * cr)
+            amps[
+                :,
+                blk.embed_b : blk.embed_b + bl * br,
+                blk.embed_c : blk.embed_c + cl * cr,
+                offset_e + i,
+            ] += np.sqrt(blk.weight * lam[i]) * comp
+        offset_e += r
+    return PureStateVector((d_a, d_b, d_c, d_e), amps.reshape(-1))
 
 
 def build_block(
@@ -456,17 +496,8 @@ def spec_from_dict(obj: dict) -> SaturatingSpec:
 
 
 def load_spec(path: str) -> SaturatingSpec:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            obj = json.load(fh, parse_constant=lambda s: (_ for _ in ()).throw(
-                ParseError(f"non-finite value {s!r} in spec file")
-            ))
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
-    return spec_from_dict(obj)
+    return spec_from_dict(read_json(path))
 
 
 def save_spec(path: str, spec: SaturatingSpec) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(spec_to_dict(spec), fh, sort_keys=True)
-        fh.write("\n")
+    write_json(path, spec_to_dict(spec))

@@ -82,8 +82,9 @@ def _basis(dim: int, index: int) -> np.ndarray:
     return v
 
 
-def two_block_state(params: TwoBlockParams) -> DensityMatrix:
-    """Assemble the family state on dims (2, 4, 4) from its defining kets."""
+def _blocks(params: TwoBlockParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The unweighted blocks |psi1_A><psi1_A| (x) rho1_BC and
+    |psi2_AB><psi2_AB| (x) rho2_C, plus rho1_BC itself."""
     psi1_a = params.alpha1 * _basis(2, 0) + params.beta1 * _basis(2, 1)
     phi_b = params.a * _basis(4, 1) + params.b * _basis(4, 2)
     psi2_ab = params.alpha2 * np.kron(_basis(2, 0), _basis(4, 0)) + params.beta2 * np.kron(
@@ -97,6 +98,12 @@ def two_block_state(params: TwoBlockParams) -> DensityMatrix:
     rho2_c = np.diag([params.lambda2, 1.0 - params.lambda2, 0.0, 0.0])
     block1 = kron(np.outer(psi1_a, psi1_a), rho1_bc)
     block2 = kron(np.outer(psi2_ab, psi2_ab), rho2_c)
+    return block1, block2, rho1_bc
+
+
+def two_block_state(params: TwoBlockParams) -> DensityMatrix:
+    """Assemble the family state on dims (2, 4, 4) from its defining kets."""
+    block1, block2, _ = _blocks(params)
     data = params.p1 * block1 + params.p2 * block2
     return validate_density(data, (2, 4, 4))
 
@@ -158,26 +165,12 @@ def reference_states(params: TwoBlockParams = DEFAULT_PARAMS) -> list[NamedState
     maximally mixed qubit factorized from a random-ish BC state attains the
     upper bound 2*log2(d_A) = 2 bits.
     """
-    psi1_a = params.alpha1 * _basis(2, 0) + params.beta1 * _basis(2, 1)
-    phi_b = params.a * _basis(4, 1) + params.b * _basis(4, 2)
-    psi2_ab = params.alpha2 * np.kron(_basis(2, 0), _basis(4, 0)) + params.beta2 * np.kron(
-        _basis(2, 1), phi_b
-    )
-    rho1_bc = params.lambda1 * np.outer(
-        np.kron(_basis(4, 2), _basis(4, 2)), np.kron(_basis(4, 2), _basis(4, 2))
-    ) + (1.0 - params.lambda1) * np.outer(
-        np.kron(_basis(4, 3), _basis(4, 3)), np.kron(_basis(4, 3), _basis(4, 3))
-    )
-    rho2_c = np.diag([params.lambda2, 1.0 - params.lambda2, 0.0, 0.0])
-    block1 = validate_density(kron(np.outer(psi1_a, psi1_a), rho1_bc), (2, 4, 4))
-    block2 = validate_density(
-        kron(np.outer(psi2_ab, psi2_ab), rho2_c), (2, 4, 4)
-    )
-    maximizer = validate_density(kron(np.eye(2) / 2.0, rho1_bc), (2, 4, 4))
+    block1, block2, rho1_bc = _blocks(params)
+    maximizer = kron(np.eye(2) / 2.0, rho1_bc)
     return [
-        NamedState("a_factorized_block", block1, 0.0),
-        NamedState("ab_pure_block", block2, 0.0),
-        NamedState("maximally_mixed_a", maximizer, 2.0),
+        NamedState("a_factorized_block", validate_density(block1, (2, 4, 4)), 0.0),
+        NamedState("ab_pure_block", validate_density(block2, (2, 4, 4)), 0.0),
+        NamedState("maximally_mixed_a", validate_density(maximizer, (2, 4, 4)), 2.0),
     ]
 
 

@@ -5,6 +5,7 @@ import pytest
 
 import ssa_lab as sl
 from ssa_lab.errors import CapabilityError, ConfigError, DimensionError
+from ssa_lab.qcorr import _multistart_minimize
 
 from conftest import bell_phi_plus, ghz_state, grid_discord_two_qubit, w_state
 
@@ -110,6 +111,18 @@ class TestDiscord:
         rho = sl.random_density([2, 9], seed=1)
         with pytest.raises(CapabilityError):
             sl.discord(rho, 1)
+
+    def test_converged_describes_returned_point(self):
+        # Flat near the origin, so restart 0 converges; unbounded below
+        # elsewhere, so the winning restart and its polish hit maxfev.
+        def objective(x):
+            r = float(np.linalg.norm(x))
+            return 0.0 if r < 1.0 else -r
+
+        cfg = sl.OptimizerConfig(restarts=3, max_evals=200, seed=0)
+        best_val, _, converged = _multistart_minimize(objective, 2, cfg)
+        assert best_val < -1.0
+        assert converged is False
 
     def test_trivial_measured_side(self):
         rho = sl.random_density([2, 1], seed=1)

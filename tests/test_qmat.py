@@ -169,12 +169,24 @@ class TestValidateDensity:
         with pytest.raises(ValidationError, match="hermiticity"):
             sl.validate_density(m, [2])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_error(self, bad):
+        m = np.diag([bad, 0.5]).astype(complex)
+        with pytest.raises(ValidationError, match="finiteness"):
+            sl.validate_density(m, [2])
+
     def test_clips_tiny_negative_eigenvalue(self):
         m = np.diag([1.0 + 5e-11, -5e-11])
         rho = sl.validate_density(m, [2])
         w = np.linalg.eigvalsh(rho.data)
         assert w.min() >= 0.0
         assert abs(np.trace(rho.data).real - 1.0) <= 1e-14
+
+
+class TestPureStateVector:
+    def test_nan_error(self):
+        with pytest.raises(ValidationError, match="finiteness"):
+            sl.PureStateVector((2,), [np.nan, 1.0])
 
 
 class TestRandomStates:

@@ -258,3 +258,6 @@ class TestSpecFiles:
         path.write_text('{"dims": [2, 2, 2], "blocks": [{"weight": 1.0}]}')
         with pytest.raises(ParseError):
             sl.load_spec(str(path))
+        path.write_text('{"dims": [2, 2, 2], "blocks": [{"weight": NaN}]}')
+        with pytest.raises(ParseError, match="non-finite"):
+            sl.load_spec(str(path))
