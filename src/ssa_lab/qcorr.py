@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.optimize import minimize
@@ -127,28 +128,51 @@ def givens_unitary(dim: int, params: np.ndarray) -> np.ndarray:
             f"expected {n_basis_params(dim)} parameters for dim {dim}, "
             f"got {params.shape[0]}"
         )
-    u = np.eye(dim, dtype=complex)
-    k = 0
-    for i in range(dim - 1):
-        for j in range(i + 1, dim):
-            theta, phi = params[k], params[k + 1]
-            k += 2
-            c, s = math.cos(theta), math.sin(theta)
-            g = np.eye(dim, dtype=complex)
-            g[i, i] = c
-            g[j, j] = c
-            g[i, j] = -np.exp(1j * phi) * s
-            g[j, i] = np.exp(-1j * phi) * s
-            u = g @ u
+    theta, phi = params[0::2], params[1::2]
+    c, s = np.cos(theta), np.sin(theta)
+    rotations = zip(
+        _index_pairs(dim),
+        c.tolist(),
+        (-np.exp(1j * phi) * s).tolist(),
+        (np.exp(-1j * phi) * s).tolist(),
+    )
+    eye = np.eye(dim, dtype=complex)
+    u = eye
+    for (i, j), cos, upper, lower in rotations:
+        g = eye.copy()
+        g[i, i] = g[j, j] = cos
+        g[i, j] = upper
+        g[j, i] = lower
+        u = g @ u
     return u
 
 
+@lru_cache(maxsize=None)
+def _index_pairs(dim: int) -> tuple[tuple[int, int], ...]:
+    """Index pairs (i < j) in row order."""
+    return tuple((i, j) for i in range(dim - 1) for j in range(i + 1, dim))
+
+
 def _batched_entropies(mats: np.ndarray) -> np.ndarray:
-    """Entropies of a stack of small Hermitian matrices, in bits."""
-    herm = (mats + np.conj(np.transpose(mats, (0, 2, 1)))) / 2.0
+    """Entropies of a stack of small Hermitian matrices, in bits.
+
+    Eigenvalues at or below OUTCOME_CLIP are replaced by 1, whose term
+    1 * log2(1) is exactly zero.
+    """
+    herm = (mats + mats.conj().transpose(0, 2, 1)) / 2.0
     ev = np.linalg.eigvalsh(herm)
     safe = np.where(ev > OUTCOME_CLIP, ev, 1.0)
-    return -(np.where(ev > OUTCOME_CLIP, ev * np.log2(safe), 0.0)).sum(axis=1)
+    return -(safe * np.log2(safe)).sum(axis=1)
+
+
+def _weighted_entropy(mats: np.ndarray, weights: np.ndarray) -> float:
+    """sum_i w_i S(mats_i / w_i) over the members with w_i > OUTCOME_CLIP."""
+    keep = weights > OUTCOME_CLIP
+    if not keep.all():
+        mats, weights = mats[keep], weights[keep]
+    if weights.shape[0] == 0:
+        return 0.0
+    return float((weights * _batched_entropies(mats / weights[:, None, None])).sum())
 
 
 def _require_bipartite(rho: DensityMatrix, op: str) -> None:
@@ -162,18 +186,11 @@ def _cc_evaluator(rho_ab: DensityMatrix, measured: int):
     r4 = rho_ab.data.reshape(d_a, d_b, d_a, d_b)
     other = 1 - measured
     s_other = von_neumann_entropy(partial_trace(rho_ab, {other}))
+    subscripts = "ji,ajbk,ki->iab" if measured == 1 else "ai,ajbk,bi->ijk"
 
     def evaluate(vectors: np.ndarray) -> float:
-        if measured == 1:
-            conds = np.einsum("ji,ajbk,ki->iab", vectors.conj(), r4, vectors)
-        else:
-            conds = np.einsum("ai,ajbk,bi->ijk", vectors.conj(), r4, vectors)
-        probs = np.einsum("iaa->i", conds).real
-        mask = probs > OUTCOME_CLIP
-        if not mask.any():
-            return s_other
-        ent = _batched_entropies(conds[mask] / probs[mask, None, None])
-        return s_other - float((probs[mask] * ent).sum())
+        conds = np.einsum(subscripts, vectors.conj(), r4, vectors)
+        return s_other - _weighted_entropy(conds, np.einsum("iaa->i", conds).real)
 
     return evaluate
 
@@ -267,28 +284,31 @@ def eof_two_qubit(rho_ab: DensityMatrix) -> float:
 
 
 def _hermitian_from_params(dim: int, params: np.ndarray) -> np.ndarray:
-    h = np.zeros((dim, dim), dtype=complex)
-    k = 0
-    for i in range(dim):
-        h[i, i] = params[k]
-        k += 1
-    for i in range(dim - 1):
-        for j in range(i + 1, dim):
-            h[i, j] = params[k] + 1j * params[k + 1]
-            h[j, i] = params[k] - 1j * params[k + 1]
-            k += 2
-    return h
+    """Diagonal first, then (re, im) of each pair (i < j) in row order."""
+    re, im = params[dim::2], params[dim + 1::2]
+    h = np.zeros(dim * dim, dtype=complex)
+    h[_hermitian_layout(dim)] = np.concatenate((params[:dim], re + 1j * im, re - 1j * im))
+    return h.reshape(dim, dim)
+
+
+@lru_cache(maxsize=None)
+def _hermitian_layout(dim: int) -> np.ndarray:
+    """Flat positions of the diagonal, then of (i, j) and of (j, i) per pair."""
+    pairs = np.array(_index_pairs(dim), dtype=np.intp).reshape(-1, 2)
+    i, j, diag = pairs[:, 0], pairs[:, 1], np.arange(dim)
+    layout = np.concatenate((diag * dim + diag, i * dim + j, j * dim + i))
+    layout.setflags(write=False)
+    return layout
 
 
 def _isometry_from_params(m: int, r: int, params: np.ndarray) -> np.ndarray:
-    """First r columns of exp(iH); QR re-orthonormalization guards roundoff."""
-    h = _hermitian_from_params(m, params)
-    w, v = np.linalg.eigh(h)
-    u = (v * np.exp(1j * w)) @ v.conj().T
-    q, rr = np.linalg.qr(u[:, :r])
-    phases = np.diag(rr)
-    phases = np.where(np.abs(phases) > 0, phases / np.abs(phases), 1.0)
-    return q * phases
+    """First r columns of exp(iH) = V e^{iW} V^dag.
+
+    The eigenvectors from eigh are orthonormal to machine precision, so the
+    columns are too and need no re-orthonormalization.
+    """
+    w, v = np.linalg.eigh(_hermitian_from_params(m, params))
+    return (v * np.exp(1j * w)) @ v[:r].conj().T
 
 
 def eof_convex_roof(
@@ -323,12 +343,7 @@ def eof_convex_roof(
     def average_entanglement(iso: np.ndarray) -> float:
         members = (root @ iso.T).T.reshape(m, d_a, d_b)
         gram = np.einsum("iab,icb->iac", members, members.conj())
-        weights = np.einsum("iaa->i", gram).real
-        mask = weights > OUTCOME_CLIP
-        if not mask.any():
-            return 0.0
-        ent = _batched_entropies(gram[mask] / weights[mask, None, None])
-        return float((weights[mask] * ent).sum())
+        return _weighted_entropy(gram, np.einsum("iaa->i", gram).real)
 
     if rank == 1:
         return average_entanglement(np.eye(1, dtype=complex) if m == 1 else

@@ -148,6 +148,26 @@ class TestGivensChart:
         with pytest.raises(ConfigError):
             sl.qcorr.givens_unitary(3, np.zeros(4))
 
+    def test_matches_product_of_rotations(self):
+        # pairs (i < j) in row order, each rotation applied on the left
+        rng = np.random.default_rng(12)
+        for d in (1, 2, 3, 4, 5):
+            params = rng.uniform(-7.0, 7.0, d * (d - 1))
+            expected = np.eye(d, dtype=complex)
+            k = 0
+            for i in range(d - 1):
+                for j in range(i + 1, d):
+                    theta, phi = params[k], params[k + 1]
+                    k += 2
+                    g = np.eye(d, dtype=complex)
+                    g[i, i] = g[j, j] = math.cos(theta)
+                    g[i, j] = -np.exp(1j * phi) * math.sin(theta)
+                    g[j, i] = np.exp(-1j * phi) * math.sin(theta)
+                    expected = g @ expected
+            np.testing.assert_allclose(
+                sl.qcorr.givens_unitary(d, params), expected, rtol=0, atol=1e-14
+            )
+
 
 class TestWootters:
     def test_maximally_entangled(self):
@@ -189,6 +209,24 @@ class TestWootters:
 
 
 class TestConvexRoof:
+    def test_isometry_is_leading_columns_of_expm(self):
+        # the decomposition chart against scipy's matrix exponential, with
+        # parameters far outside one period so roundoff has room to grow
+        from scipy.linalg import expm
+
+        rng = np.random.default_rng(13)
+        for m in (1, 2, 3, 4, 5):
+            for r in range(1, m + 1):
+                params = rng.uniform(-50.0, 50.0, m * m)
+                h = sl.qcorr._hermitian_from_params(m, params)
+                np.testing.assert_array_equal(h, h.conj().T)
+                np.testing.assert_array_equal(np.diag(h).real, params[:m])
+                if m > 1:  # (re, im) of pair (0, 1) follow the diagonal
+                    assert h[0, 1] == complex(params[m], params[m + 1])
+                iso = sl.qcorr._isometry_from_params(m, r, params)
+                np.testing.assert_allclose(iso.conj().T @ iso, np.eye(r), atol=1e-12)
+                np.testing.assert_allclose(iso, expm(1j * h)[:, :r], atol=1e-9)
+
     def test_pure_input_is_exact(self):
         psi = sl.random_pure([2, 2], seed=10)
         rho = psi.to_density()
