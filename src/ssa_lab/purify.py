@@ -1,7 +1,7 @@
 """Canonical purification and the B -> BE, C -> CE extension transforms.
 
 The canonical purification is fixed as |psi> = sum_j sqrt(l_j) |v_j>|j_E>
-over the eigenpairs with l_j > 1e-12, eigenvalues descending with the
+over the eigenpairs with l_j > EIG_CLIP, eigenvalues descending with the
 eigensolver's deterministic tie-break.  Purifications are unique only up to
 an ancilla unitary, so pinning this form gives tests a reproducible object.
 The ancilla dimension equals the numerical rank, which keeps the extended
@@ -15,9 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError
-from .qmat import DensityMatrix, PureStateVector, eig_hermitian
-
-RANK_TOL = 1e-12
+from .qmat import EIG_CLIP, DensityMatrix, PureStateVector, eig_hermitian
 
 
 @dataclass(frozen=True)
@@ -31,7 +29,7 @@ class PurificationResult:
 def purify(rho: DensityMatrix) -> PurificationResult:
     """Canonical purification of a mixed state."""
     dec = eig_hermitian(rho.data)
-    keep = dec.eigenvalues > RANK_TOL
+    keep = dec.eigenvalues > EIG_CLIP
     lam = dec.eigenvalues[keep]
     vecs = dec.eigenvectors[:, keep]
     d_e = int(lam.shape[0])

@@ -13,22 +13,21 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .errors import CapabilityError, ConfigError, DimensionError, ValidationError
 from .entropy import (
     binary_entropy,
     conditional_entropy,
+    entropy_of_spectrum,
     mutual_information,
     t_gap,
     von_neumann_entropy,
 )
-from .purify import extend
-from .qmat import DensityMatrix, PureStateVector, eig_hermitian, partial_trace
+from .purify import extend, purify
+from .qmat import EIG_CLIP, DensityMatrix, PureStateVector, partial_trace
 
 MAX_MEASURED_DIM = 8
 MAX_EOF_DIM = 16
-OUTCOME_CLIP = 1e-12
 
 
 @dataclass(frozen=True)
@@ -54,6 +53,9 @@ def _multistart_minimize(
     fixes the outcome.  ``converged`` is the success flag of the run, restart
     or polish, whose point is returned.
     """
+    # imported here so that the optimizer-free paths never load scipy.optimize
+    from scipy.optimize import minimize
+
     options = {
         "maxfev": config.max_evals,
         "xatol": config.param_tol,
@@ -153,26 +155,16 @@ def _index_pairs(dim: int) -> tuple[tuple[int, int], ...]:
     return tuple((i, j) for i in range(dim - 1) for j in range(i + 1, dim))
 
 
-def _batched_entropies(mats: np.ndarray) -> np.ndarray:
-    """Entropies of a stack of small Hermitian matrices, in bits.
-
-    Eigenvalues at or below OUTCOME_CLIP are replaced by 1, whose term
-    1 * log2(1) is exactly zero.
-    """
-    herm = (mats + mats.conj().transpose(0, 2, 1)) / 2.0
-    ev = np.linalg.eigvalsh(herm)
-    safe = np.where(ev > OUTCOME_CLIP, ev, 1.0)
-    return -(safe * np.log2(safe)).sum(axis=1)
-
-
 def _weighted_entropy(mats: np.ndarray, weights: np.ndarray) -> float:
-    """sum_i w_i S(mats_i / w_i) over the members with w_i > OUTCOME_CLIP."""
-    keep = weights > OUTCOME_CLIP
+    """sum_i w_i S(mats_i / w_i) over the members with w_i > EIG_CLIP."""
+    keep = weights > EIG_CLIP
     if not keep.all():
         mats, weights = mats[keep], weights[keep]
     if weights.shape[0] == 0:
         return 0.0
-    return float((weights * _batched_entropies(mats / weights[:, None, None])).sum())
+    states = mats / weights[:, None, None]
+    ev = np.linalg.eigvalsh((states + states.conj().transpose(0, 2, 1)) / 2.0)
+    return float((weights * entropy_of_spectrum(ev)).sum())
 
 
 def _require_bipartite(rho: DensityMatrix, op: str) -> None:
@@ -330,15 +322,12 @@ def eof_convex_roof(
         raise CapabilityError(
             f"total dimension {d_a * d_b} exceeds the supported maximum {MAX_EOF_DIM}"
         )
-    dec = eig_hermitian(rho_ab.data)
-    keep = dec.eigenvalues > OUTCOME_CLIP
-    lam = dec.eigenvalues[keep]
-    vecs = dec.eigenvectors[:, keep]
-    rank = int(lam.shape[0])
+    canonical = purify(rho_ab)
+    rank = canonical.d_e
+    root = canonical.psi.amps.reshape(d_a * d_b, rank)  # column j = sqrt(l_j) |v_j>
     m = rank * rank if cardinality is None else int(cardinality)
     if m < rank:
         raise ConfigError(f"cardinality {m} below the state rank {rank}")
-    root = vecs * np.sqrt(lam)  # column j = sqrt(l_j) |v_j>
 
     def average_entanglement(iso: np.ndarray) -> float:
         members = (root @ iso.T).T.reshape(m, d_a, d_b)

@@ -20,9 +20,12 @@ HERMITICITY_TOL = 1e-10
 TRACE_TOL = 1e-10
 POSITIVITY_TOL = 1e-10
 NORM_TOL = 1e-10
+# Eigenvalues at or below this count as zero: in entropies, ranks and
+# purifications alike.
+EIG_CLIP = 1e-12
 
 
-def _prod(dims: Sequence[int]) -> int:
+def _prod(dims: Iterable[int]) -> int:
     out = 1
     for d in dims:
         out *= int(d)
@@ -144,6 +147,18 @@ def tensor_pure(*states: PureStateVector) -> PureStateVector:
     return PureStateVector(dims, amps)
 
 
+def trace_out(data: np.ndarray, dims: tuple[int, ...], keep: Iterable[int]) -> np.ndarray:
+    """Partial trace of a (..., side, side) stack (one state: no leading axes)
+    onto the subsystems in ``keep``, in their original relative order."""
+    lead = data.ndim - 2
+    tensor = data.reshape(data.shape[:lead] + dims + dims)
+    for idx in sorted(set(range(len(dims))) - set(keep), reverse=True):
+        half = (tensor.ndim - lead) // 2
+        tensor = np.trace(tensor, axis1=lead + idx, axis2=lead + idx + half)
+    side = _prod(dims[i] for i in set(keep))
+    return tensor.reshape(data.shape[:lead] + (side, side))
+
+
 def partial_trace(rho: DensityMatrix, keep: Iterable[int]) -> DensityMatrix:
     """Reduced state on the kept subsystems, in their original relative order."""
     n = len(rho.dims)
@@ -152,14 +167,8 @@ def partial_trace(rho: DensityMatrix, keep: Iterable[int]) -> DensityMatrix:
         raise DimensionError("keep must name at least one subsystem")
     if any(k < 0 or k >= n for k in keep_set):
         raise DimensionError(f"keep {sorted(keep_set)} out of range for {n} subsystems")
-    traced = [i for i in range(n) if i not in keep_set]
-    tensor = rho.data.reshape(rho.dims + rho.dims)
-    for idx in sorted(traced, reverse=True):
-        half = tensor.ndim // 2
-        tensor = np.trace(tensor, axis1=idx, axis2=idx + half)
     kept_dims = tuple(rho.dims[i] for i in sorted(keep_set))
-    side = _prod(kept_dims)
-    return DensityMatrix(kept_dims, tensor.reshape(side, side))
+    return DensityMatrix(kept_dims, trace_out(rho.data, rho.dims, keep_set))
 
 
 def permute_subsystems(rho: DensityMatrix, order: Sequence[int]) -> DensityMatrix:
@@ -239,24 +248,32 @@ def validate_density(
             f"shape: matrix {m.shape} does not match dims {dims} "
             f"(expected {side}x{side})"
         )
+    return DensityMatrix(dims, clean_density(m, tol))
+
+
+def clean_density(m: np.ndarray, tol: float = 1e-10) -> np.ndarray:
+    """The checks and clean-up of :func:`validate_density` on a (..., side, side)
+    stack; a violation by any member raises :class:`ValidationError`."""
     if not np.isfinite(m).all():
         raise ValidationError("finiteness: matrix has NaN or Inf entries")
-    herm_dev = float(np.max(np.abs(m - m.conj().T))) if side else 0.0
+    m_dag = np.swapaxes(m.conj(), -1, -2)
+    herm_dev = float(np.max(np.abs(m - m_dag)))
     if herm_dev > tol:
         raise ValidationError(f"hermiticity: max |m - m^dag| = {herm_dev:.3e} > {tol:.1e}")
-    h = (m + m.conj().T) / 2.0
-    tr = float(np.trace(h).real)
-    if abs(tr - 1.0) > tol:
-        raise ValidationError(f"trace: Tr(m) = {tr!r} deviates from 1 by more than {tol:.1e}")
+    h = (m + m_dag) / 2.0
+    tr = np.trace(h, axis1=-2, axis2=-1).real
+    worst = float(tr.flat[np.argmax(np.abs(tr - 1.0))])
+    if abs(worst - 1.0) > tol:
+        raise ValidationError(f"trace: Tr(m) = {worst!r} deviates from 1 by more than {tol:.1e}")
     w, v = np.linalg.eigh(h)
     if w.min() < -tol:
         raise ValidationError(
             f"positivity: smallest eigenvalue {w.min():.3e} < -{tol:.1e}"
         )
     w = np.clip(w, 0.0, None)
-    cleaned = (v * w) @ v.conj().T
-    cleaned /= np.trace(cleaned).real
-    return DensityMatrix(dims, cleaned)
+    cleaned = (v * w[..., None, :]) @ np.swapaxes(v.conj(), -1, -2)
+    cleaned /= np.trace(cleaned, axis1=-2, axis2=-1).real[..., None, None]
+    return cleaned
 
 
 def random_pure(
@@ -277,8 +294,10 @@ def random_density(
 ) -> DensityMatrix:
     """Random mixed state from the induced measure.
 
-    Partial trace of a Haar pure state on dims x [rank]; Hilbert-Schmidt
-    measure when rank equals the total dimension.  Deterministic given seed.
+    Partial trace of a Haar pure state on dims x [rank], formed as G G^dag of
+    the state's amplitudes reshaped to a side x rank (Ginibre) matrix G;
+    Hilbert-Schmidt measure when rank equals the total dimension.
+    Deterministic given seed.
     """
     dims = _as_dims(dims)
     side = _prod(dims)
@@ -287,9 +306,8 @@ def random_density(
     rank = int(rank)
     if rank < 1 or rank > side:
         raise DimensionError(f"rank must be in [1, {side}], got {rank}")
-    psi = random_pure(dims + (rank,), seed)
-    reduced = partial_trace(psi.to_density(), range(len(dims)))
-    return DensityMatrix(dims, reduced.data)
+    g = random_pure(dims + (rank,), seed).amps.reshape(side, rank)
+    return DensityMatrix(dims, g @ g.conj().T)
 
 
 # --- state file format -------------------------------------------------------

@@ -25,11 +25,10 @@ import numpy as np
 
 from .errors import DimensionError, ParseError, ValidationError
 from .entropy import t_gap
-from .purify import RANK_TOL
+from .purify import purify
 from .qmat import (
     DensityMatrix,
     PureStateVector,
-    eig_hermitian,
     partial_trace,
     permute_subsystems,
     pure_from_dict,
@@ -148,37 +147,28 @@ class SaturatingSpec:
 def purify_saturating(spec: SaturatingSpec) -> PureStateVector:
     """Purify a block decomposition with block-orthogonal ancilla sectors.
 
-    |Psi> = sum_k sqrt(p_k) |psi^k_AY> (x) |phi^k_ZE>, where each mixed part
-    is purified into its own ancilla sector of dimension rank(rho^k_Z).  The
+    |Psi> = sum_k sqrt(p_k) |psi^k_AY> (x) |phi^k_ZE>, where |phi^k_ZE> is the
+    canonical purification of rho^k_Z in its own ancilla sector.  The
     reduced state on (A, B, C) is the spec's mixture whether or not the
     spec's marginals are orthogonal.
     """
     d_a, d_b, d_c = spec.dims
-    sector_dims = []
-    sector_eigs = []
-    for blk in spec.blocks:
-        dec = eig_hermitian(blk.rho_z.data)
-        keep = dec.eigenvalues > RANK_TOL
-        sector_eigs.append((dec.eigenvalues[keep], dec.eigenvectors[:, keep]))
-        sector_dims.append(int(keep.sum()))
-    d_e = sum(sector_dims)
-    amps = np.zeros((d_a, d_b, d_c, d_e), dtype=complex)
+    sectors = [purify(blk.rho_z) for blk in spec.blocks]
+    amps = np.zeros((d_a, d_b, d_c, sum(s.d_e for s in sectors)), dtype=complex)
     offset_e = 0
-    for blk, (lam, vecs), r in zip(spec.blocks, sector_eigs, sector_dims):
+    for blk, sector in zip(spec.blocks, sectors):
         bl, br, cl, cr = blk.partition
         psi_t = blk.psi_ay.amps.reshape(d_a, bl, cl)
-        for i in range(r):
-            mu_t = vecs[:, i].reshape(br, cr)
-            comp = np.einsum("axc,yz->axycz", psi_t, mu_t)
-            comp = comp.reshape(d_a, bl * br, cl * cr)
-            amps[
-                :,
-                blk.embed_b : blk.embed_b + bl * br,
-                blk.embed_c : blk.embed_c + cl * cr,
-                offset_e + i,
-            ] += np.sqrt(blk.weight * lam[i]) * comp
-        offset_e += r
-    return PureStateVector((d_a, d_b, d_c, d_e), amps.reshape(-1))
+        phi_t = sector.psi.amps.reshape(br, cr, sector.d_e)
+        comp = np.einsum("axc,yze->axycze", psi_t, phi_t)
+        amps[
+            :,
+            blk.embed_b : blk.embed_b + bl * br,
+            blk.embed_c : blk.embed_c + cl * cr,
+            offset_e : offset_e + sector.d_e,
+        ] = np.sqrt(blk.weight) * comp.reshape(d_a, bl * br, cl * cr, sector.d_e)
+        offset_e += sector.d_e
+    return PureStateVector(spec.dims + (offset_e,), amps.reshape(-1))
 
 
 def build_block(
@@ -203,24 +193,18 @@ def build_block(
     return DensityMatrix((d_a, bl * br, cl * cr), ordered.data)
 
 
-def _embedding(global_dim: int, local_dim: int, offset: int) -> np.ndarray:
-    v = np.zeros((global_dim, local_dim))
-    v[offset : offset + local_dim, :] = np.eye(local_dim)
-    return v
-
-
 def embed_block(block: SaturatingBlock, dims: Sequence[int]) -> DensityMatrix:
     """The block's tripartite state carried into the global (A, B, C) space."""
     d_a, d_b, d_c = (int(d) for d in dims)
     local = build_block(block.psi_ay, block.rho_z, block.partition)
-    iso = np.kron(
-        np.eye(d_a),
-        np.kron(
-            _embedding(d_b, block.b_dim, block.embed_b),
-            _embedding(d_c, block.c_dim, block.embed_c),
-        ),
+    rows_b = slice(block.embed_b, block.embed_b + block.b_dim)
+    rows_c = slice(block.embed_c, block.embed_c + block.c_dim)
+    out = np.zeros((d_a, d_b, d_c) * 2, dtype=complex)
+    out[:, rows_b, rows_c, :, rows_b, rows_c] = local.data.reshape(
+        (d_a, block.b_dim, block.c_dim) * 2
     )
-    return DensityMatrix((d_a, d_b, d_c), iso @ local.data @ iso.T)
+    side = d_a * d_b * d_c
+    return DensityMatrix((d_a, d_b, d_c), out.reshape(side, side))
 
 
 def build_saturating(spec: SaturatingSpec) -> DensityMatrix:

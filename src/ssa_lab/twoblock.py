@@ -23,8 +23,8 @@ from typing import Iterable, TextIO
 import numpy as np
 
 from .errors import ConfigError, ValidationError
-from .entropy import EIG_CLIP, t_gap
-from .qmat import DensityMatrix, kron, validate_density
+from .entropy import entropy_of_spectrum, gap_entropies
+from .qmat import DensityMatrix, clean_density, kron, validate_density
 
 SWEEPABLE = ("beta2", "lambda1", "b")
 
@@ -34,7 +34,9 @@ class TwoBlockParams:
     """Free parameters of the family; all real, in [0, 1].
 
     beta1, alpha2 and a are determined by normalization from alpha1, beta2
-    and b, which rules out inconsistent parameter sets.
+    and b, which rules out inconsistent parameter sets.  A sweep row holds
+    one SWEEPABLE field as an array of values; the derived fields, the
+    blocks and the closed form then come out as arrays of that shape.
     """
 
     p1: float = 0.5
@@ -45,12 +47,14 @@ class TwoBlockParams:
     lambda2: float = 0.5
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.p1 < 1.0:
+        p1 = np.asarray(self.p1)
+        if not np.all((0.0 < p1) & (p1 < 1.0)):
             raise ValidationError(f"p1 must lie in (0, 1), got {self.p1}")
         for name in ("alpha1", "beta2", "b", "lambda1", "lambda2"):
-            value = getattr(self, name)
-            if not 0.0 <= value <= 1.0 or not math.isfinite(value):
-                raise ValidationError(f"{name} must lie in [0, 1], got {value}")
+            value = np.asarray(getattr(self, name))
+            bad = value[~((0.0 <= value) & (value <= 1.0))]
+            if bad.size:
+                raise ValidationError(f"{name} must lie in [0, 1], got {bad[0]}")
 
     @property
     def p2(self) -> float:
@@ -58,58 +62,64 @@ class TwoBlockParams:
 
     @property
     def beta1(self) -> float:
-        return math.sqrt(max(0.0, 1.0 - self.alpha1**2))
+        return np.sqrt(np.maximum(0.0, 1.0 - self.alpha1**2))
 
     @property
     def alpha2(self) -> float:
-        return math.sqrt(max(0.0, 1.0 - self.beta2**2))
+        return np.sqrt(np.maximum(0.0, 1.0 - self.beta2**2))
 
     @property
     def a(self) -> float:
-        return math.sqrt(max(0.0, 1.0 - self.b**2))
+        return np.sqrt(np.maximum(0.0, 1.0 - self.b**2))
 
     @property
     def gamma(self) -> float:
-        return math.sqrt(self.lambda1) * self.b * self.beta2
+        return np.sqrt(self.lambda1) * self.b * self.beta2
 
 
 DEFAULT_PARAMS = TwoBlockParams()
 
 
-def _basis(dim: int, index: int) -> np.ndarray:
-    v = np.zeros(dim)
-    v[index] = 1.0
-    return v
+def _pure_times_diagonal(psi, pure_index, diag, diag_index, stride: int) -> np.ndarray:
+    """Stack of |psi><psi| (x) diag(d) on (2, 4, 4): psi's entries sit on the
+    basis indices ``pure_index`` of the leading factor, d's on ``diag_index``
+    of the trailing factor of size ``stride``."""
+    values = (psi[..., None, :, None] * psi[..., None, None, :]) * diag[..., :, None, None]
+    idx = np.add.outer(diag_index, np.multiply(pure_index, stride))
+    out = np.zeros(values.shape[:-3] + (32, 32), dtype=complex)
+    out[..., idx[:, :, None], idx[:, None, :]] = values
+    return out
 
 
-def _blocks(params: TwoBlockParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _vector(*entries) -> np.ndarray:
+    """Entries stacked along a new last axis, broadcast over a sweep row."""
+    return np.stack(np.broadcast_arrays(*entries), axis=-1)
+
+
+def _blocks(p: TwoBlockParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The unweighted blocks |psi1_A><psi1_A| (x) rho1_BC and
-    |psi2_AB><psi2_AB| (x) rho2_C, plus rho1_BC itself."""
-    psi1_a = params.alpha1 * _basis(2, 0) + params.beta1 * _basis(2, 1)
-    phi_b = params.a * _basis(4, 1) + params.b * _basis(4, 2)
-    psi2_ab = params.alpha2 * np.kron(_basis(2, 0), _basis(4, 0)) + params.beta2 * np.kron(
-        _basis(2, 1), phi_b
-    )
-    rho1_bc = params.lambda1 * np.outer(
-        np.kron(_basis(4, 2), _basis(4, 2)), np.kron(_basis(4, 2), _basis(4, 2))
-    ) + (1.0 - params.lambda1) * np.outer(
-        np.kron(_basis(4, 3), _basis(4, 3)), np.kron(_basis(4, 3), _basis(4, 3))
-    )
-    rho2_c = np.diag([params.lambda2, 1.0 - params.lambda2, 0.0, 0.0])
-    block1 = kron(np.outer(psi1_a, psi1_a), rho1_bc)
-    block2 = kron(np.outer(psi2_ab, psi2_ab), rho2_c)
+    |psi2_AB><psi2_AB| (x) rho2_C, plus rho1_BC itself, with the family's
+    few nonzero amplitudes placed directly."""
+    psi1_a = _vector(p.alpha1, p.beta1)  # on |0_A>, |1_A>
+    psi2_ab = _vector(p.alpha2, p.beta2 * p.a, p.beta2 * p.b)  # on |00>, |11>, |12>
+    rho1_diag = _vector(p.lambda1, 1.0 - p.lambda1)  # on |22>, |33>
+    rho2_diag = _vector(p.lambda2, 1.0 - p.lambda2)  # on |0_C>, |1_C>
+    block1 = _pure_times_diagonal(psi1_a, (0, 1), rho1_diag, (10, 15), 16)
+    block2 = _pure_times_diagonal(psi2_ab, (0, 5, 6), rho2_diag, (0, 1), 4)
+    rho1_bc = np.zeros(rho1_diag.shape[:-1] + (16, 16), dtype=complex)
+    rho1_bc[..., [10, 15], [10, 15]] = rho1_diag
     return block1, block2, rho1_bc
 
 
-def two_block_state(params: TwoBlockParams) -> DensityMatrix:
-    """Assemble the family state on dims (2, 4, 4) from its defining kets."""
+def _mixture(params: TwoBlockParams) -> np.ndarray:
+    """The unchecked family density matrix (a stack of them for a sweep row)."""
     block1, block2, _ = _blocks(params)
-    data = params.p1 * block1 + params.p2 * block2
-    return validate_density(data, (2, 4, 4))
+    return params.p1 * block1 + params.p2 * block2
 
 
-def _plogp(x: float) -> float:
-    return x * math.log2(x) if x > EIG_CLIP else 0.0
+def two_block_state(params: TwoBlockParams) -> DensityMatrix:
+    """The family state on dims (2, 4, 4), checked by validate_density."""
+    return validate_density(_mixture(params), (2, 4, 4))
 
 
 def gap_mu_values(params: TwoBlockParams) -> tuple[float, float, float, float]:
@@ -124,9 +134,9 @@ def gap_mu_values(params: TwoBlockParams) -> tuple[float, float, float, float]:
     b2sq = params.beta2**2
     g2 = params.gamma**2
     s13 = p1 * l1 + p2
-    d13 = math.sqrt((p1 * l1 - p2) ** 2 + 4.0 * p1 * p2 * b1sq * g2)
+    d13 = np.sqrt((p1 * l1 - p2) ** 2 + 4.0 * p1 * p2 * b1sq * g2)
     s24 = p1 * l1 + p2 * b2sq
-    d24 = math.sqrt((p1 * l1 - p2 * b2sq) ** 2 + 4.0 * p1 * p2 * g2)
+    d24 = np.sqrt((p1 * l1 - p2 * b2sq) ** 2 + 4.0 * p1 * p2 * g2)
     mu1 = 0.5 * (s13 + d13)
     mu3 = 0.5 * (s13 - d13)
     mu2 = 0.5 * (s24 + d24)
@@ -137,16 +147,15 @@ def gap_mu_values(params: TwoBlockParams) -> tuple[float, float, float, float]:
 def gap_closed_form(params: TwoBlockParams) -> float:
     """Closed-form saturation gap of the family, in bits.
 
-    sum_j (-1)^j mu_j log2 mu_j - p2 b2^2 log2(p2 b2^2) + p2 log2 p2, with
-    terms below the eigenvalue clip contributing zero.  Vanishes exactly
-    when gamma = sqrt(lambda1) * b * beta2 does.
+    sum_j (-1)^j mu_j log2 mu_j - p2 b2^2 log2(p2 b2^2) + p2 log2 p2, that is
+    H(mu1, mu3, p2 b2^2) - H(mu2, mu4, p2) with H the entropy of a spectrum.
+    Vanishes exactly when gamma = sqrt(lambda1) * b * beta2 does.
     """
     mu1, mu2, mu3, mu4 = gap_mu_values(params)
     p2 = params.p2
-    b2sq = params.beta2**2
-    total = -_plogp(mu1) + _plogp(mu2) - _plogp(mu3) + _plogp(mu4)
-    total += -_plogp(p2 * b2sq) + _plogp(p2)
-    return total
+    spectra = _vector(mu1, mu3, p2 * params.beta2**2, mu2, mu4, p2)
+    entropies = entropy_of_spectrum(spectra.reshape(spectra.shape[:-1] + (2, 3)))
+    return entropies[..., 0] - entropies[..., 1]
 
 
 @dataclass(frozen=True)
@@ -236,15 +245,14 @@ def sweep_gap(
     """Evaluate closed-form and entropic gaps over a 2-parameter grid."""
     if axis1.name == axis2.name:
         raise ConfigError(f"sweep axes must differ, both are {axis1.name!r}")
-    v1 = axis1.values()
-    v2 = axis2.values()
     closed = np.zeros((axis1.steps, axis2.steps))
     numeric = np.zeros((axis1.steps, axis2.steps))
-    for i, x1 in enumerate(v1):
-        for j, x2 in enumerate(v2):
-            params = replace(fixed, **{axis1.name: float(x1), axis2.name: float(x2)})
-            closed[i, j] = gap_closed_form(params)
-            numeric[i, j] = t_gap(two_block_state(params)).t_a
+    for i, x1 in enumerate(axis1.values()):
+        row = replace(fixed, **{axis1.name: float(x1), axis2.name: axis2.values()})
+        entropies = gap_entropies(clean_density(_mixture(row)), (2, 4, 4))
+        s_ab, s_ac, s_b, s_c = np.moveaxis(entropies, -1, 0)
+        numeric[i] = s_ab + s_ac - s_b - s_c
+        closed[i] = gap_closed_form(row)
     return SweepGrid(axis1, axis2, fixed, closed, numeric)
 
 

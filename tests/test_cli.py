@@ -19,6 +19,16 @@ def run_cli(*args):
     )
 
 
+def test_import_leaves_out_scipy_optimize():
+    # the optimizer-free subcommands must not pay for scipy.optimize at startup
+    code = "import sys, ssa_lab.cli; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=300
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"
+
+
 @pytest.fixture
 def pure_state_file(tmp_path):
     psi = sl.random_pure([2, 2, 2], seed=17)

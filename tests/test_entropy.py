@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import ssa_lab as sl
+from ssa_lab.entropy import entropy_of_spectrum
 from ssa_lab.errors import DimensionError, ValidationError
 
 
@@ -33,6 +34,32 @@ class TestVonNeumannEntropy:
         bad = sl.DensityMatrix((2,), np.diag([1.5, -0.5]))
         with pytest.raises(ValidationError):
             sl.von_neumann_entropy(bad)
+
+    @pytest.mark.parametrize("where", [(0, 0), (0, 1)])
+    def test_rejects_nan(self, where):
+        # the shape-only constructor lets NaN through; the entropy path must not
+        m = np.eye(8, dtype=complex) / 8
+        m[where] = np.nan
+        bad = sl.DensityMatrix((2, 2, 2), m)
+        with pytest.raises(ValidationError, match="finiteness"):
+            sl.t_gap(bad)
+        with pytest.raises(ValidationError, match="finiteness"):
+            sl.von_neumann_entropy(bad)
+
+    def test_pure_spectra_give_positive_zero(self):
+        # a record must never print -0.0
+        pure = sl.DensityMatrix((2, 2, 2), np.diag([1.0] + [0.0] * 7))
+        values = [sl.binary_entropy(0.0), sl.binary_entropy(1.0), sl.von_neumann_entropy(pure)]
+        values += list(sl.t_gap(pure).components.values())
+        for value in values:
+            assert value == 0.0 and math.copysign(1.0, value) == 1.0
+
+    def test_stacked_spectra(self):
+        spectra = np.array([[0.5, 0.5, 0.0], [1.0, 0.0, 0.0], [0.25, 0.25, 0.5]])
+        out = entropy_of_spectrum(spectra)
+        np.testing.assert_allclose(out, [1.0, 0.0, 1.5], atol=1e-15)
+        for row, value in zip(spectra, out):
+            assert entropy_of_spectrum(row) == value
 
 
 class TestMutualInformation:

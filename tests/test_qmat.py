@@ -5,6 +5,7 @@ import pytest
 
 import ssa_lab as sl
 from ssa_lab.errors import DimensionError, ParseError, ValidationError
+from ssa_lab.qmat import trace_out
 
 
 class TestKron:
@@ -85,6 +86,15 @@ class TestPartialTrace:
         joint = sl.tensor_density(rho_a, rho_b)
         out = sl.partial_trace(joint, {0})
         np.testing.assert_allclose(out.data, rho_a.data * 1.0, atol=1e-12)
+
+    def test_stack_matches_members(self):
+        dims = (2, 3, 2)
+        stack = np.stack([sl.random_density(dims, seed=s).data for s in range(5)])
+        for keep in ({0}, {1}, {2}, {0, 2}, {1, 2}, {0, 1, 2}):
+            out = trace_out(stack.reshape(5, 1, 12, 12), dims, keep)
+            for k in range(5):
+                member = sl.partial_trace(sl.DensityMatrix(dims, stack[k]), keep)
+                np.testing.assert_array_equal(out[k, 0], member.data)
 
     def test_errors(self):
         rho = sl.random_density([2, 2], seed=1)
@@ -208,6 +218,18 @@ class TestRandomStates:
             sl.random_density([2, 2], rank=0, seed=1)
         with pytest.raises(DimensionError):
             sl.random_density([2, 2], rank=5, seed=1)
+
+    def test_random_density_is_traced_haar_state(self):
+        # oracle: the ancilla trace of the Haar state on dims x [rank] that
+        # random_density reshapes into its Ginibre factor
+        for dims in ((2, 2, 2), (2, 4, 4), (2, 2, 4)):
+            side = int(np.prod(dims))
+            for rank in (2, side):
+                for seed in range(5):
+                    psi = sl.random_pure(dims + (rank,), seed)
+                    expected = sl.partial_trace(psi.to_density(), range(len(dims)))
+                    rho = sl.random_density(dims, rank=rank, seed=seed)
+                    assert np.max(np.abs(rho.data - expected.data)) <= 1e-15
 
     def test_deterministic(self):
         a = sl.random_density([2, 2], seed=42)

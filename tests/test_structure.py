@@ -3,6 +3,7 @@ import pytest
 
 import ssa_lab as sl
 from ssa_lab.errors import DimensionError, ParseError, ValidationError
+from ssa_lab.structure import embed_block
 
 from conftest import family_blocks, family_spec
 
@@ -68,6 +69,24 @@ class TestBuildSaturating:
         assert sl.t_gap(built).t_a == pytest.approx(
             sl.gap_closed_form(params), abs=1e-8
         )
+
+    def test_embedding_matches_isometry(self, rng):
+        # oracle: the coordinate-subspace isometry I_A (x) V_B (x) V_C
+        def isometry(global_dim, local_dim, offset):
+            v = np.zeros((global_dim, local_dim))
+            v[offset : offset + local_dim, :] = np.eye(local_dim)
+            return v
+
+        for _ in range(5):
+            spec = sl.random_saturating_spec([2, 4, 6], rng, min_blocks=2)
+            for blk in spec.blocks:
+                local = sl.build_block(blk.psi_ay, blk.rho_z, blk.partition)
+                iso = np.kron(
+                    np.eye(2),
+                    np.kron(isometry(4, blk.b_dim, blk.embed_b), isometry(6, blk.c_dim, blk.embed_c)),
+                )
+                embedded = embed_block(blk, spec.dims)
+                np.testing.assert_array_equal(embedded.data, iso @ local.data @ iso.T)
 
     def test_two_orthogonal_sectors(self, rng):
         # blocks of the A-factorized and AB-pure forms in disjoint sectors

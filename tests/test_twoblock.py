@@ -1,5 +1,6 @@
 import io
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -76,6 +77,27 @@ class TestState:
         np.testing.assert_allclose(
             sl.partial_trace(rho, {0, 2}).data, rho_ac_expected, atol=1e-12
         )
+
+    def test_matches_kron_of_defining_kets(self, rng):
+        # oracle: the blocks as Kronecker products of one-hot kets; the
+        # builder places the same products, so the states agree exactly
+        def ket(dim, index):
+            return np.eye(dim)[index]
+
+        for _ in range(20):
+            p = random_two_block_params(rng)
+            psi1_a = p.alpha1 * ket(2, 0) + p.beta1 * ket(2, 1)
+            phi_b = p.a * ket(4, 1) + p.b * ket(4, 2)
+            psi2_ab = p.alpha2 * np.kron(ket(2, 0), ket(4, 0)) + p.beta2 * np.kron(ket(2, 1), phi_b)
+            rho1_bc = p.lambda1 * np.diag(np.kron(ket(4, 2), ket(4, 2))) + (
+                1.0 - p.lambda1
+            ) * np.diag(np.kron(ket(4, 3), ket(4, 3)))
+            rho2_c = np.diag([p.lambda2, 1.0 - p.lambda2, 0.0, 0.0])
+            data = p.p1 * np.kron(np.outer(psi1_a, psi1_a), rho1_bc) + p.p2 * np.kron(
+                np.outer(psi2_ab, psi2_ab), rho2_c
+            )
+            expected = sl.validate_density(data, (2, 4, 4))
+            np.testing.assert_array_equal(sl.two_block_state(p).data, expected.data)
 
     def test_invalid_params_rejected(self):
         with pytest.raises(ValidationError):
@@ -193,6 +215,21 @@ class TestSweep:
         # row-major: the second row advances the fast axis
         second = lines[2].split(",")
         assert float(second[0]) == 0.0 and float(second[1]) > 0.0
+
+    def test_cells_match_per_state_pipeline(self):
+        fixed = sl.TwoBlockParams(p1=0.3, alpha1=0.8, lambda2=0.2)
+        axis1, axis2 = sl.SweepAxis("b", steps=4), sl.SweepAxis("beta2", steps=5)
+        grid = sl.sweep_gap(axis1, axis2, fixed)
+        for i, x1 in enumerate(axis1.values()):
+            for j, x2 in enumerate(axis2.values()):
+                params = replace(fixed, b=float(x1), beta2=float(x2))
+                numeric = sl.t_gap(sl.two_block_state(params)).t_a
+                assert abs(grid.numeric[i, j] - numeric) <= 1e-12
+                assert abs(grid.closed_form[i, j] - sl.gap_closed_form(params)) <= 1e-12
+
+    def test_axis_outside_unit_interval(self):
+        with pytest.raises(ValidationError):
+            sl.sweep_gap(sl.SweepAxis("b", steps=3), sl.SweepAxis("beta2", stop=1.5, steps=3))
 
     def test_custom_axes(self):
         grid = sl.sweep_gap(
