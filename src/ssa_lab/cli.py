@@ -245,6 +245,7 @@ def _cmd_discord(args: argparse.Namespace) -> None:
             "measured": args.measured,
             "restarts_used": result.restarts_used,
             "converged": result.converged,
+            "nfev": result.nfev,
         },
         f"D = {result.discord:.12g} bits (measured side {args.measured})",
     )
@@ -338,7 +339,10 @@ def _add_optimizer_flags(parser: argparse.ArgumentParser, seed_required: bool = 
         "--seed", type=int, required=seed_required, help="random seed (required)"
     )
     parser.add_argument(
-        "--tol", type=float, default=1e-10, help="optimizer value tolerance"
+        "--tol",
+        type=float,
+        default=1e-10,
+        help="relative value decrease that ends an L-BFGS-B restart (ftol)",
     )
 
 

@@ -32,7 +32,12 @@ MAX_EOF_DIM = 16
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Multi-start settings for the derivative-free simplex searches."""
+    """Multi-start settings for the L-BFGS-B searches.
+
+    Per restart, ``max_evals`` caps the objective evaluations (``maxfun``),
+    ``value_tol`` is the relative decrease that ends a run (``ftol``) and
+    ``param_tol`` the largest gradient component that ends it (``gtol``).
+    """
 
     restarts: int = 20
     max_evals: int = 2000
@@ -44,41 +49,34 @@ class OptimizerConfig:
 def _multistart_minimize(
     objective, n: int, config: OptimizerConfig, spread: float = 2.0 * np.pi
 ):
-    """Seeded multi-start Nelder-Mead with a final polish pass.
+    """Seeded multi-start L-BFGS-B on an objective returning (value, gradient).
 
-    Restart 0 starts from the origin, the rest from uniform draws.  The
-    winner's simplex is re-initialized at the best point and run once more,
-    which unsticks the degenerate simplexes the method is prone to in ten
-    or more dimensions.  Ties go to the earlier restart, so a fixed seed
-    fixes the outcome.  ``converged`` is the success flag of the run, restart
-    or polish, whose point is returned.
+    Restart 0 starts from the origin, the rest from uniform draws in
+    [0, spread).  Ties go to the earlier restart, so a fixed seed fixes the
+    outcome.  Returns (value, point, converged, nfev): ``converged`` is the
+    success flag of the restart whose point is returned, ``nfev`` the
+    objective evaluations over all restarts.
     """
     # imported here so that the optimizer-free paths never load scipy.optimize
     from scipy.optimize import minimize
 
     options = {
-        "maxfev": config.max_evals,
-        "xatol": config.param_tol,
-        "fatol": config.value_tol,
-        "adaptive": n >= 6,
+        "maxfun": config.max_evals,
+        "ftol": config.value_tol,
+        "gtol": config.param_tol,
     }
     rng = np.random.default_rng(config.seed)
     best_val = math.inf
     best_x = np.zeros(n)
     converged = False
+    nfev = 0
     for restart in range(max(1, config.restarts)):
         x0 = np.zeros(n) if restart == 0 else rng.uniform(0.0, spread, n)
-        res = minimize(objective, x0, method="Nelder-Mead", options=options)
+        res = minimize(objective, x0, jac=True, method="L-BFGS-B", options=options)
+        nfev += int(res.nfev)
         if res.fun < best_val:
             best_val, best_x, converged = float(res.fun), np.asarray(res.x), bool(res.success)
-    for _ in range(3):
-        res = minimize(objective, best_x, method="Nelder-Mead", options=options)
-        if res.fun >= best_val - config.value_tol:
-            if res.fun < best_val:
-                best_val, best_x, converged = float(res.fun), np.asarray(res.x), bool(res.success)
-            break
-        best_val, best_x, converged = float(res.fun), np.asarray(res.x), bool(res.success)
-    return best_val, best_x, converged
+    return best_val, best_x, converged, nfev
 
 
 @dataclass(frozen=True)
@@ -124,6 +122,12 @@ def givens_unitary(dim: int, params: np.ndarray) -> np.ndarray:
     chart.  Column phases are irrelevant to the measurement the columns
     define, so the chart covers all rank-1 projective bases.
     """
+    return _givens_chain(dim, params)[0]
+
+
+def _givens_chain(dim: int, params: np.ndarray):
+    """The chart's unitary U, the stack whose entry p is the product of the
+    rotations applied before pair p, and (cos theta, sin theta, e^{i phi})."""
     params = np.asarray(params, dtype=float).reshape(-1)
     if params.shape[0] != n_basis_params(dim):
         raise ConfigError(
@@ -131,22 +135,37 @@ def givens_unitary(dim: int, params: np.ndarray) -> np.ndarray:
             f"got {params.shape[0]}"
         )
     theta, phi = params[0::2], params[1::2]
-    c, s = np.cos(theta), np.sin(theta)
-    rotations = zip(
-        _index_pairs(dim),
-        c.tolist(),
-        (-np.exp(1j * phi) * s).tolist(),
-        (np.exp(-1j * phi) * s).tolist(),
-    )
+    c, s, e = np.cos(theta), np.sin(theta), np.exp(1j * phi)
+    rotations = zip(_index_pairs(dim), c.tolist(), (-e * s).tolist(), (e.conj() * s).tolist())
     eye = np.eye(dim, dtype=complex)
+    prefixes = np.empty((theta.shape[0], dim, dim), dtype=complex)
     u = eye
-    for (i, j), cos, upper, lower in rotations:
+    for p, ((i, j), cos, upper, lower) in enumerate(rotations):
+        prefixes[p] = u
         g = eye.copy()
         g[i, i] = g[j, j] = cos
         g[i, j] = upper
         g[j, i] = lower
         u = g @ u
-    return u
+    return u, prefixes, (c, s, e)
+
+
+def _givens_pullback(u: np.ndarray, prefixes: np.ndarray, trig, gamma: np.ndarray) -> np.ndarray:
+    """Chart gradient of a real f of U from gamma = df/d(conj U).
+
+    With U = L_p g_p R_p (R_p = prefixes[p]), df = 2 Re tr(C_p^dag g_p^dag dg_p)
+    where C_p = R_p U^dag gamma R_p^dag, and g_p^dag dg_p lives on the
+    (i, j) block: [[0, -e^{i phi}], [e^{-i phi}, 0]] per unit theta and
+    -i [[s^2, e^{i phi} s c], [e^{-i phi} s c, -s^2]] per unit phi.
+    """
+    c, s, e = trig
+    blocks = prefixes @ (u.conj().T @ gamma) @ prefixes.conj().transpose(0, 2, 1)
+    b = blocks.reshape(-1)[_pair_blocks(u.shape[0])].conj()
+    b_ii, b_ij, b_ji, b_jj = b
+    grad = np.empty(2 * c.shape[0])
+    grad[0::2] = 2.0 * (b_ji * e.conj() - b_ij * e).real
+    grad[1::2] = 2.0 * (s * s * (b_ii - b_jj) + s * c * (b_ij * e + b_ji * e.conj())).imag
+    return grad
 
 
 @lru_cache(maxsize=None)
@@ -155,16 +174,41 @@ def _index_pairs(dim: int) -> tuple[tuple[int, int], ...]:
     return tuple((i, j) for i in range(dim - 1) for j in range(i + 1, dim))
 
 
-def _weighted_entropy(mats: np.ndarray, weights: np.ndarray) -> float:
-    """sum_i w_i S(mats_i / w_i) over the members with w_i > EIG_CLIP."""
-    keep = weights > EIG_CLIP
-    if not keep.all():
-        mats, weights = mats[keep], weights[keep]
-    if weights.shape[0] == 0:
-        return 0.0
-    states = mats / weights[:, None, None]
-    ev = np.linalg.eigvalsh((states + states.conj().transpose(0, 2, 1)) / 2.0)
-    return float((weights * entropy_of_spectrum(ev)).sum())
+@lru_cache(maxsize=None)
+def _pair_arrays(dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """The first and the second indices of the pairs (i < j) in row order."""
+    pairs = np.array(_index_pairs(dim), dtype=np.intp).reshape(-1, 2).T.copy()
+    pairs.setflags(write=False)
+    return pairs[0], pairs[1]
+
+
+@lru_cache(maxsize=None)
+def _pair_blocks(dim: int) -> np.ndarray:
+    """Flat positions in a (pairs, dim, dim) stack of entries (i, i), (i, j),
+    (j, i) and (j, j) of pair p in layer p, one row each."""
+    i, j = _pair_arrays(dim)
+    base = np.arange(i.shape[0]) * dim * dim
+    blocks = np.stack([base + a * dim + b for a, b in ((i, i), (i, j), (j, i), (j, j))])
+    blocks.setflags(write=False)
+    return blocks
+
+
+def _entropy_and_gradient(mats: np.ndarray) -> tuple[float, np.ndarray]:
+    """sum_i p_i S(mats_i / p_i), p_i = tr mats_i, and its gradients
+    G_i = -log2(mats_i / p_i).
+
+    The value changes by sum_i tr(G_i dmats_i) under Hermitian perturbations
+    (the terms from dp_i cancel).  Eigenvalues of mats_i / p_i at or below
+    EIG_CLIP count as zero in both, and so does a member with
+    p_i <= EIG_CLIP: it is left unnormalized, so its eigenvalues stay below
+    the cut too.
+    """
+    ev, vecs = np.linalg.eigh(mats)
+    weights = ev.sum(axis=-1)
+    ev = ev / np.where(weights > EIG_CLIP, weights, 1.0)[:, None]
+    neg_log = -np.log2(np.where(ev > EIG_CLIP, ev, 1.0))
+    grads = (vecs * neg_log[:, None, :]) @ vecs.conj().transpose(0, 2, 1)
+    return float(weights @ entropy_of_spectrum(ev)), grads
 
 
 def _require_bipartite(rho: DensityMatrix, op: str) -> None:
@@ -173,18 +217,36 @@ def _require_bipartite(rho: DensityMatrix, op: str) -> None:
 
 
 def _cc_evaluator(rho_ab: DensityMatrix, measured: int):
-    """Closure evaluating the classical correlation of one basis (as columns)."""
+    """S of the unmeasured side, and a closure giving, for one basis (as
+    columns), that side's entropy averaged over the outcomes and its
+    gradient d/d(conj basis).  The classical correlation is their difference."""
     d_a, d_b = rho_ab.dims
     r4 = rho_ab.data.reshape(d_a, d_b, d_a, d_b)
-    other = 1 - measured
-    s_other = von_neumann_entropy(partial_trace(rho_ab, {other}))
-    subscripts = "ji,ajbk,ki->iab" if measured == 1 else "ai,ajbk,bi->ijk"
+    s_other = von_neumann_entropy(partial_trace(rho_ab, {1 - measured}))
+    if measured == 1:
+        forward, backward = "ji,ajbk,ki->iab", "iba,ji,ajbk->ki"
+    else:
+        forward, backward = "ai,ajbk,bi->ijk", "ikj,ai,ajbk->bi"
 
-    def evaluate(vectors: np.ndarray) -> float:
-        conds = np.einsum(subscripts, vectors.conj(), r4, vectors)
-        return s_other - _weighted_entropy(conds, np.einsum("iaa->i", conds).real)
+    def evaluate(vectors: np.ndarray) -> tuple[float, np.ndarray]:
+        bras = vectors.conj()
+        conds = np.einsum(forward, bras, r4, vectors)
+        value, grads = _entropy_and_gradient(conds)
+        return value, np.einsum(backward, grads, bras, r4).conj()
 
-    return evaluate
+    return s_other, evaluate
+
+
+def _basis_objective(d: int, evaluate):
+    """An evaluator from ``_cc_evaluator`` over the Givens chart of a
+    d-dimensional measured side, as (value, gradient)."""
+
+    def objective(x: np.ndarray) -> tuple[float, np.ndarray]:
+        u, prefixes, trig = _givens_chain(d, x)
+        value, gamma = evaluate(u)
+        return value, _givens_pullback(u, prefixes, trig, gamma)
+
+    return objective
 
 
 def classical_correlation_at(
@@ -199,7 +261,8 @@ def classical_correlation_at(
             f"basis dimension {basis.dim} does not match measured subsystem "
             f"dimension {rho_ab.dims[measured]}"
         )
-    return _cc_evaluator(rho_ab, measured)(basis.vectors)
+    s_other, evaluate = _cc_evaluator(rho_ab, measured)
+    return s_other - evaluate(basis.vectors)[0]
 
 
 @dataclass(frozen=True)
@@ -209,6 +272,7 @@ class DiscordResult:
     optimal_basis: MeasurementBasis
     restarts_used: int
     converged: bool
+    nfev: int
 
 
 def discord(
@@ -218,10 +282,12 @@ def discord(
 ) -> DiscordResult:
     """Mutual information minus the best projective classical correlation.
 
-    Maximization runs a multi-start Nelder-Mead search over the Givens
-    chart; restart 0 always starts from the computational basis, the rest
-    from seeded uniform draws.  Results merge by best value with ties going
-    to the earlier restart, so a fixed seed fixes the outcome.
+    Maximization runs a multi-start L-BFGS-B search with the analytic
+    gradient over the Givens chart; restart 0 always starts from the
+    computational basis, the rest from seeded uniform draws.  Results merge
+    by best value with ties going to the earlier restart, so a fixed seed
+    fixes the outcome.  ``nfev`` counts objective evaluations over all
+    restarts (0 when the measured side is one-dimensional).
     """
     _require_bipartite(rho_ab, "discord")
     if measured not in (0, 1):
@@ -232,25 +298,23 @@ def discord(
             f"measured dimension {d} exceeds the supported maximum {MAX_MEASURED_DIM}"
         )
     mi = mutual_information(rho_ab)
-    evaluate = _cc_evaluator(rho_ab, measured)
     n = n_basis_params(d)
     if n == 0:
         basis = MeasurementBasis.computational(d)
-        j_best = evaluate(basis.vectors)
-        return DiscordResult(mi - j_best, j_best, basis, 0, True)
-
-    def objective(x: np.ndarray) -> float:
-        return -evaluate(givens_unitary(d, x))
-
-    best_val, best_x, converged = _multistart_minimize(objective, n, config)
-    j_best = -best_val
-    basis = MeasurementBasis.from_angles(d, best_x)
+        j_best = classical_correlation_at(rho_ab, basis, measured)
+        return DiscordResult(mi - j_best, j_best, basis, 0, True, 0)
+    s_other, evaluate = _cc_evaluator(rho_ab, measured)
+    best_val, best_x, converged, nfev = _multistart_minimize(
+        _basis_objective(d, evaluate), n, config
+    )
+    j_best = s_other - best_val
     return DiscordResult(
         discord=mi - j_best,
         classical_correlation=j_best,
-        optimal_basis=basis,
+        optimal_basis=MeasurementBasis.from_angles(d, best_x),
         restarts_used=max(1, config.restarts),
         converged=converged,
+        nfev=nfev,
     )
 
 
@@ -259,14 +323,18 @@ _SY_SY = np.kron(_SIGMA_Y, _SIGMA_Y)
 
 
 def concurrence(rho_ab: DensityMatrix) -> float:
-    """Two-qubit concurrence from the spin-flipped spectrum."""
+    """Two-qubit concurrence from the singular values of X^T (sy x sy) X.
+
+    X is the root rho = X X^dag of the canonical purification.  The singular
+    values are the square roots of the eigenvalues of rho (sy x sy) rho*
+    (sy x sy) (Wootters, PRL 80, 2245 (1998)), found without forming that
+    non-Hermitian product, whose eigenvalue roots lose half the digits.
+    """
     if rho_ab.dims != (2, 2):
         raise DimensionError(f"concurrence needs dims (2, 2), got {rho_ab.dims}")
-    r = rho_ab.data @ _SY_SY @ rho_ab.data.conj() @ _SY_SY
-    ev = np.linalg.eigvals(r).real
-    lam = np.sqrt(np.clip(ev, 0.0, None))
-    lam.sort()
-    return float(max(0.0, lam[3] - lam[2] - lam[1] - lam[0]))
+    root = purify(rho_ab).psi.amps.reshape(4, -1)
+    lam = np.linalg.svd(root.T @ _SY_SY @ root, compute_uv=False)
+    return float(max(0.0, lam[0] - lam[1:].sum()))
 
 
 def eof_two_qubit(rho_ab: DensityMatrix) -> float:
@@ -286,21 +354,68 @@ def _hermitian_from_params(dim: int, params: np.ndarray) -> np.ndarray:
 @lru_cache(maxsize=None)
 def _hermitian_layout(dim: int) -> np.ndarray:
     """Flat positions of the diagonal, then of (i, j) and of (j, i) per pair."""
-    pairs = np.array(_index_pairs(dim), dtype=np.intp).reshape(-1, 2)
-    i, j, diag = pairs[:, 0], pairs[:, 1], np.arange(dim)
+    i, j = _pair_arrays(dim)
+    diag = np.arange(dim)
     layout = np.concatenate((diag * dim + diag, i * dim + j, j * dim + i))
     layout.setflags(write=False)
     return layout
 
 
 def _isometry_from_params(m: int, r: int, params: np.ndarray) -> np.ndarray:
-    """First r columns of exp(iH) = V e^{iW} V^dag.
+    """First r columns of exp(iH) for the chart's H."""
+    return _exp_chart(m, r, params)[0]
+
+
+def _exp_chart(m: int, r: int, params: np.ndarray):
+    """First r columns of exp(iH) = V e^{iW} V^dag, with W and V.
 
     The eigenvectors from eigh are orthonormal to machine precision, so the
     columns are too and need no re-orthonormalization.
     """
     w, v = np.linalg.eigh(_hermitian_from_params(m, params))
-    return (v * np.exp(1j * w)) @ v[:r].conj().T
+    return (v * np.exp(1j * w)) @ v[:r].conj().T, w, v
+
+
+def _average_entanglement(members: np.ndarray):
+    """sum_i E(members_i) over unnormalized pure states on (m, d_a, d_b),
+    with the gradients G_i = -log2 of each normalized A-marginal."""
+    return _entropy_and_gradient(np.einsum("iab,icb->iac", members, members.conj()))
+
+
+def _roof_objective(factors: np.ndarray, m: int):
+    """Average entanglement of the m-member decomposition exp(iH)[:, :r]
+    applied to the r factors (r, d_a, d_b), over the chart of H, as
+    (value, gradient).
+
+    Member i is m_i = sum_j U_ij R_j, so with Y_i = G_i m_i the value
+    changes by 2 Re sum_ij conj(gamma_ij) dU_ij, gamma_ij = <R_j, Y_i>.
+    Then dU = V (F o V^dag dH V) V^dag with F_kl the divided differences
+    (e^{i w_k} - e^{i w_l}) / (w_k - w_l) of exp(i x) on H's eigenvalues
+    (Daleckii-Krein), which gives the gradient over H as Z =
+    V ((V^dag gamma^dag V) o F) V^dag, read off at H's layout.
+    """
+    rank, d_a, d_b = factors.shape
+    flat = factors.reshape(rank, d_a * d_b)
+    layout = _hermitian_layout(m)
+    n_pairs = (m * m - m) // 2
+
+    def objective(x: np.ndarray) -> tuple[float, np.ndarray]:
+        iso, w, v = _exp_chart(m, rank, x)
+        members = (iso @ flat).reshape(m, d_a, d_b)
+        value, grads = _average_entanglement(members)
+        gamma = (grads @ members).reshape(m, -1) @ flat.conj().T
+        half = np.exp(0.5j * w)
+        divided = 1j * np.outer(half, half) * np.sinc((w[:, None] - w) / (2.0 * np.pi))
+        z = v @ ((v[:rank].conj().T @ (gamma.conj().T @ v)) * divided) @ v.conj().T
+        z = z.reshape(-1)[layout]
+        upper, lower = z[m : m + n_pairs], z[m + n_pairs :]
+        grad = np.empty(m * m)
+        grad[:m] = 2.0 * z[:m].real
+        grad[m::2] = 2.0 * (upper + lower).real
+        grad[m + 1 :: 2] = 2.0 * (upper - lower).imag
+        return value, grad
+
+    return objective
 
 
 def eof_convex_roof(
@@ -313,8 +428,9 @@ def eof_convex_roof(
     Minimizes sum_i p_i E(psi_i) over size-m pure-state decompositions.
     Every decomposition of a rank-r state arises from an m x r isometry
     acting on the canonical eigen-ensemble, so the isometry is the search
-    variable.  The value is exact only at optimizer convergence and is
-    documented as an upper bound.
+    variable, charted as the leading columns of exp(iH) and searched by
+    multi-start L-BFGS-B with the analytic gradient.  The value is exact
+    only at optimizer convergence and is documented as an upper bound.
     """
     _require_bipartite(rho_ab, "eof_convex_roof")
     d_a, d_b = rho_ab.dims
@@ -324,26 +440,16 @@ def eof_convex_roof(
         )
     canonical = purify(rho_ab)
     rank = canonical.d_e
-    root = canonical.psi.amps.reshape(d_a * d_b, rank)  # column j = sqrt(l_j) |v_j>
+    # factor j = sqrt(l_j) |v_j> on (A, B)
+    factors = np.moveaxis(canonical.psi.amps.reshape(d_a, d_b, rank), -1, 0)
     m = rank * rank if cardinality is None else int(cardinality)
     if m < rank:
         raise ConfigError(f"cardinality {m} below the state rank {rank}")
-
-    def average_entanglement(iso: np.ndarray) -> float:
-        members = (root @ iso.T).T.reshape(m, d_a, d_b)
-        gram = np.einsum("iab,icb->iac", members, members.conj())
-        return _weighted_entropy(gram, np.einsum("iaa->i", gram).real)
-
-    if rank == 1:
-        return average_entanglement(np.eye(1, dtype=complex) if m == 1 else
-                                    _isometry_from_params(m, 1, np.zeros(m * m)))
-
-    n = m * m
-
-    def objective(x: np.ndarray) -> float:
-        return average_entanglement(_isometry_from_params(m, rank, x))
-
-    best, _, _ = _multistart_minimize(objective, n, config, spread=np.pi)
+    if rank == 1:  # a pure state is its own only decomposition
+        return _average_entanglement(factors)[0]
+    best, _, _, _ = _multistart_minimize(
+        _roof_objective(factors, m), m * m, config, spread=np.pi
+    )
     return best
 
 
@@ -448,7 +554,9 @@ def theorem1_audit(
 
     The envelope is d_A = 2, d_B, d_C <= 2 and rank <= 2, so that every
     entanglement value is either exact (two-qubit) or a tight convex-roof
-    bound on a 2x4 state, and every discord side stays optimizable.  The
+    bound on a 2x4 state, and every discord side stays optimizable.  Rank
+    counts the eigenvalues above EIG_CLIP, the ancilla levels the
+    purification keeps.  The
     pass tolerance widens to 5e-4 whenever a convex-roof value enters.
     """
     if len(rho_abc.dims) != 3:
@@ -461,7 +569,7 @@ def theorem1_audit(
             f"theorem1_audit envelope is d_A = 2, d_B, d_C <= 2; got {rho_abc.dims}"
         )
     eigs = np.linalg.eigvalsh((rho_abc.data + rho_abc.data.conj().T) / 2.0)
-    rank = int((eigs > 1e-9).sum())
+    rank = int((eigs > EIG_CLIP).sum())
     if rank > 2:
         raise CapabilityError(
             f"theorem1_audit envelope is rank <= 2, got numerical rank {rank}"

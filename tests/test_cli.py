@@ -75,6 +75,16 @@ class TestSubcommands:
         assert record["discord"] == pytest.approx(1.0, abs=1e-6)
         assert record["converged"] is True
 
+    def test_discord_reports_evaluations(self, tmp_path):
+        rho = sl.random_density([2, 2], rank=2, seed=19)
+        path = tmp_path / "mixed.json"
+        sl.save_state(str(path), rho)
+        res = run_cli("discord", str(path), "--seed", "3", "--restarts", "4")
+        assert res.returncode == 0
+        record = json.loads(res.stdout)
+        expected = sl.discord(rho, 1, sl.OptimizerConfig(restarts=4, seed=3)).nfev
+        assert record["nfev"] == expected > 4
+
     def test_eof_wootters(self, bell_file):
         res = run_cli("eof", bell_file, "--seed", "1")
         assert res.returncode == 0

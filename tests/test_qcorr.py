@@ -5,7 +5,12 @@ import pytest
 
 import ssa_lab as sl
 from ssa_lab.errors import CapabilityError, ConfigError, DimensionError
-from ssa_lab.qcorr import _multistart_minimize
+from ssa_lab.qcorr import (
+    _basis_objective,
+    _cc_evaluator,
+    _multistart_minimize,
+    _roof_objective,
+)
 
 from conftest import bell_phi_plus, ghz_state, grid_discord_two_qubit, w_state
 
@@ -114,20 +119,97 @@ class TestDiscord:
 
     def test_converged_describes_returned_point(self):
         # Flat near the origin, so restart 0 converges; unbounded below
-        # elsewhere, so the winning restart and its polish hit maxfev.
+        # elsewhere, so the winning restart does not converge.
         def objective(x):
             r = float(np.linalg.norm(x))
-            return 0.0 if r < 1.0 else -r
+            return (0.0, np.zeros_like(x)) if r < 1.0 else (-r, -x / r)
 
         cfg = sl.OptimizerConfig(restarts=3, max_evals=200, seed=0)
-        best_val, _, converged = _multistart_minimize(objective, 2, cfg)
+        best_val, _, converged, _ = _multistart_minimize(objective, 2, cfg)
         assert best_val < -1.0
         assert converged is False
+
+    def test_nfev_counts_every_evaluation(self):
+        calls = []
+
+        def objective(x):
+            calls.append(1)
+            return float(np.sum((x - 1.0) ** 2)), 2.0 * (x - 1.0)
+
+        cfg = sl.OptimizerConfig(restarts=3, seed=0)
+        best_val, best_x, converged, nfev = _multistart_minimize(objective, 3, cfg)
+        assert nfev == len(calls) >= 3
+        assert best_val <= 1e-12 and converged
+        np.testing.assert_allclose(best_x, np.ones(3), atol=1e-6)
+
+    def test_result_reports_nfev(self):
+        rho = sl.random_density([2, 2], rank=2, seed=6)
+        result = sl.discord(rho, 1, sl.OptimizerConfig(restarts=4, seed=6))
+        assert 4 <= result.nfev <= 4 * 2000
+        trivial = sl.discord(sl.random_density([2, 1], seed=1), 1)
+        assert trivial.nfev == 0
 
     def test_trivial_measured_side(self):
         rho = sl.random_density([2, 1], seed=1)
         result = sl.discord(rho, 1)
         assert abs(result.discord) <= 1e-10
+
+
+def _central_differences(objective, x, step=1e-6):
+    grad = np.empty_like(x)
+    for k in range(x.shape[0]):
+        e = np.zeros_like(x)
+        e[k] = step
+        grad[k] = (objective(x + e)[0] - objective(x - e)[0]) / (2.0 * step)
+    return grad
+
+
+class TestAnalyticGradients:
+    @pytest.mark.parametrize("measured", [0, 1])
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_discord_gradient(self, d, measured):
+        rng = np.random.default_rng(100 * d + measured)
+        dims = [3, 3]
+        dims[measured] = d
+        rho = sl.random_density(dims, seed=int(rng.integers(1 << 30)))
+        s_other, evaluate = _cc_evaluator(rho, measured)
+        objective = _basis_objective(d, evaluate)
+        for _ in range(3):
+            x = rng.uniform(-4.0, 4.0, sl.qcorr.n_basis_params(d))
+            value, grad = objective(x)
+            basis = sl.MeasurementBasis.from_angles(d, x)
+            assert s_other - value == pytest.approx(
+                sl.classical_correlation_at(rho, basis, measured), abs=1e-13
+            )
+            np.testing.assert_allclose(
+                grad, _central_differences(objective, x), rtol=0, atol=1e-8
+            )
+
+    @pytest.mark.parametrize("rank", [1, 2, 3])
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 4)])
+    def test_roof_gradient(self, dims, rank):
+        rng = np.random.default_rng(10 * rank + dims[1])
+        rho = sl.random_density(list(dims), rank=rank, seed=int(rng.integers(1 << 30)))
+        amps = sl.purify(rho).psi.amps.reshape(dims[0], dims[1], rank)
+        factors = np.moveaxis(amps, -1, 0)
+        m = rank * rank
+        objective = _roof_objective(factors, m)
+        for _ in range(3):
+            x = rng.uniform(-4.0, 4.0, m * m)
+            value, grad = objective(x)
+            # the members are the chart's isometry applied to the factors
+            iso = sl.qcorr._isometry_from_params(m, rank, x)
+            members = np.einsum("ij,jab->iab", iso, factors)
+            expected = 0.0
+            for member in members:
+                weight = float(np.vdot(member, member).real)
+                if weight > 1e-12:
+                    state = sl.DensityMatrix((dims[0],), member @ member.conj().T / weight)
+                    expected += weight * sl.von_neumann_entropy(state)
+            assert value == pytest.approx(expected, abs=1e-12)
+            np.testing.assert_allclose(
+                grad, _central_differences(objective, x), rtol=0, atol=1e-8
+            )
 
 
 class TestGivensChart:
@@ -206,6 +288,28 @@ class TestWootters:
     def test_wrong_dims(self):
         with pytest.raises(DimensionError):
             sl.concurrence(sl.random_density([2, 3], seed=1))
+
+    def test_pure_states_match_determinant_form(self):
+        worst = 0.0
+        for seed in range(2000):
+            psi = sl.random_pure([2, 2], seed=seed)
+            a = psi.amps
+            exact = 2.0 * abs(a[0] * a[3] - a[1] * a[2])
+            worst = max(worst, abs(sl.concurrence(psi.to_density()) - exact))
+        assert worst <= 1e-12
+
+    def test_mixed_states_match_eigenvalue_form(self):
+        # the spin-flipped spectrum: square roots of the eigenvalues of
+        # rho (sy x sy) rho* (sy x sy); a zero eigenvalue comes back as
+        # roundoff whose root is ~1e-8, so full-rank states only
+        sy = np.array([[0.0, -1.0j], [1.0j, 0.0]])
+        flip = np.kron(sy, sy)
+        for seed in range(200):
+            rho = sl.random_density([2, 2], seed=300 + seed)
+            ev = np.linalg.eigvals(rho.data @ flip @ rho.data.conj() @ flip).real
+            lam = np.sort(np.sqrt(np.clip(ev, 0.0, None)))[::-1]
+            expected = max(0.0, lam[0] - lam[1] - lam[2] - lam[3])
+            assert sl.concurrence(rho) == pytest.approx(expected, abs=1e-10)
 
 
 class TestConvexRoof:
@@ -387,6 +491,25 @@ class TestTheoremOneAudit:
             assert audit.delta_e_b >= -5e-4
             assert audit.delta_e_c >= -5e-4
             assert audit.tolerance == 5e-4
+
+    def test_known_local_minimum_state(self):
+        # regression case: a local minimum of one of its 2x4 discords put
+        # |line4 - gap| at 2.6e-3 at these settings
+        rho = sl.random_density([2, 2, 2], rank=2, seed=822092367)
+        audit = sl.theorem1_audit(
+            rho, sl.OptimizerConfig(restarts=4, max_evals=1000, seed=822092367)
+        )
+        assert abs(audit.line4 - sl.t_gap(rho).t_a) <= 5e-4
+
+    def test_rank_counted_at_the_purification_cutoff(self):
+        # a third eigenvalue near 2e-10 gives the purification a third
+        # ancilla level, so the state is outside the rank <= 2 envelope
+        rank2 = sl.random_density([2, 2, 2], rank=2, seed=3).data
+        pure = sl.random_pure([2, 2, 2], seed=99).to_density().data
+        rho = sl.validate_density(0.9999999995 * rank2 + 5e-10 * pure, [2, 2, 2])
+        assert sl.purify(rho).d_e == 3
+        with pytest.raises(CapabilityError):
+            sl.theorem1_audit(rho, sl.OptimizerConfig(restarts=2, seed=1))
 
     def test_envelope_errors(self):
         with pytest.raises(CapabilityError):
