@@ -73,6 +73,7 @@ class CampaignConfig:
             raise ConfigError(
                 f"unknown checks {unknown}; choose from {', '.join(CHECK_NAMES)}"
             )
+        _optimizer(self, 0)  # rejects bad optimizer settings before any sample
 
 
 # --- campaign checks ---------------------------------------------------------
@@ -253,6 +254,7 @@ def _cmd_discord(args: argparse.Namespace) -> None:
 
 def _cmd_eof(args: argparse.Namespace) -> None:
     rho = load_density(args.state)
+    config = _optimizer_from_args(args)  # bad flags fail on every method
     method = args.method
     if method == "auto":
         method = "wootters" if rho.dims == (2, 2) else "roof"
@@ -260,9 +262,7 @@ def _cmd_eof(args: argparse.Namespace) -> None:
         value = eof_two_qubit(rho)
         record = {"eof": value, "method": "wootters", "exact": True}
     else:
-        value = eof_convex_roof(
-            rho, cardinality=args.cardinality, config=_optimizer_from_args(args)
-        )
+        value = eof_convex_roof(rho, cardinality=args.cardinality, config=config)
         record = {"eof": value, "method": "convex_roof", "exact": False}
     _emit(record, f"E = {value:.12g} bits ({record['method']})")
 
@@ -342,7 +342,7 @@ def _add_optimizer_flags(parser: argparse.ArgumentParser, seed_required: bool = 
         "--tol",
         type=float,
         default=1e-10,
-        help="relative value decrease that ends an L-BFGS-B restart (ftol)",
+        help="relative value decrease that ends an L-BFGS restart",
     )
 
 

@@ -9,6 +9,7 @@ error budget of the audit tolerances.  All quantities are in bits.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -32,11 +33,12 @@ MAX_EOF_DIM = 16
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Multi-start settings for the L-BFGS-B searches.
+    """Multi-start settings for the L-BFGS searches.
 
-    Per restart, ``max_evals`` caps the objective evaluations (``maxfun``),
-    ``value_tol`` is the relative decrease that ends a run (``ftol``) and
-    ``param_tol`` the largest gradient component that ends it (``gtol``).
+    Per restart, ``max_evals`` caps the objective evaluations (a hard cap),
+    ``value_tol`` is the relative decrease that ends a run and
+    ``param_tol`` the largest gradient component that ends it; see
+    ``_lbfgs`` for the exact rules.
     """
 
     restarts: int = 20
@@ -45,38 +47,150 @@ class OptimizerConfig:
     param_tol: float = 1e-8
     value_tol: float = 1e-10
 
+    def __post_init__(self) -> None:
+        if self.restarts < 1:
+            raise ConfigError(f"restarts must be >= 1, got {self.restarts}")
+        if self.max_evals < 1:
+            raise ConfigError(f"max_evals must be >= 1, got {self.max_evals}")
+        for name in ("param_tol", "value_tol"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0.0):
+                raise ConfigError(f"{name} must be finite and >= 0, got {value}")
+
+
+LBFGS_MEMORY = 10  # curvature pairs kept, the common L-BFGS default
+_ARMIJO = 1e-3  # sufficient-decrease constant of the line search
+_CURVATURE = 0.9  # weak-Wolfe curvature constant
+_LINE_SEARCH_EVALS = 20
+_EPS = float(np.finfo(float).eps)
+
 
 def _multistart_minimize(
     objective, n: int, config: OptimizerConfig, spread: float = 2.0 * np.pi
 ):
-    """Seeded multi-start L-BFGS-B on an objective returning (value, gradient).
+    """Seeded multi-start L-BFGS on an objective returning (value, gradient).
 
     Restart 0 starts from the origin, the rest from uniform draws in
     [0, spread).  Ties go to the earlier restart, so a fixed seed fixes the
     outcome.  Returns (value, point, converged, nfev): ``converged`` is the
-    success flag of the restart whose point is returned, ``nfev`` the
-    objective evaluations over all restarts.
+    flag of the restart whose point is returned, ``nfev`` the objective
+    evaluations over all restarts.
     """
-    # imported here so that the optimizer-free paths never load scipy.optimize
-    from scipy.optimize import minimize
-
-    options = {
-        "maxfun": config.max_evals,
-        "ftol": config.value_tol,
-        "gtol": config.param_tol,
-    }
     rng = np.random.default_rng(config.seed)
-    best_val = math.inf
-    best_x = np.zeros(n)
-    converged = False
+    best = (math.inf, np.zeros(n), False)
     nfev = 0
-    for restart in range(max(1, config.restarts)):
+    for restart in range(config.restarts):
         x0 = np.zeros(n) if restart == 0 else rng.uniform(0.0, spread, n)
-        res = minimize(objective, x0, jac=True, method="L-BFGS-B", options=options)
-        nfev += int(res.nfev)
-        if res.fun < best_val:
-            best_val, best_x, converged = float(res.fun), np.asarray(res.x), bool(res.success)
-    return best_val, best_x, converged, nfev
+        value, x, converged, evals = _lbfgs(objective, x0, config)
+        nfev += evals
+        if value < best[0]:
+            best = (value, x, converged)
+    return (*best, nfev)
+
+
+def _lbfgs(objective, x: np.ndarray, config: OptimizerConfig):
+    """One L-BFGS run from x; returns (value, point, converged, nfev).
+
+    The direction is the two-loop recursion over the last LBFGS_MEMORY
+    curvature pairs (s, y), scaled by s.y / y.y of the newest pair (Liu &
+    Nocedal, Math. Prog. 45, 503 (1989); Nocedal & Wright, Alg. 7.4); a
+    pair is kept only when s.y > 0.  The step comes from ``_wolfe_step``,
+    tried first at 1/|d| while no pair is stored and at 1 after.  The run
+    stops, converged, when max|g| <= param_tol or when a step's relative
+    decrease (f_k - f_k+1) / max(|f_k|, |f_k+1|, 1) is <= value_tol, and,
+    not converged, after max_evals evaluations or when the line search along
+    -g fails.
+    """
+    value, grad = objective(x)
+    nfev = 1
+    pairs: deque = deque(maxlen=LBFGS_MEMORY)
+    gamma = 1.0
+    while not np.abs(grad).max() <= config.param_tol:
+        if nfev >= config.max_evals:
+            return value, x, False, nfev
+        direction = _two_loop(grad, pairs, gamma)
+        if not grad.dot(direction) < 0.0:  # descent lost to roundoff
+            pairs.clear()
+            direction = -grad
+        first = 1.0 if pairs else 1.0 / math.sqrt(direction.dot(direction))
+        budget = min(_LINE_SEARCH_EVALS, config.max_evals - nfev)
+        step, evals = _wolfe_step(objective, x, value, grad, direction, first, budget)
+        nfev += evals
+        if step is None:
+            if not pairs:
+                return value, x, False, nfev
+            pairs.clear()
+            continue
+        x_new, value_new, grad_new = step
+        s, y = x_new - x, grad_new - grad
+        sy, yy = s.dot(y), y.dot(y)
+        if sy > _EPS * yy:
+            pairs.append((s, y, 1.0 / sy))
+            gamma = sy / yy
+        decrease = (value - value_new) / max(abs(value), abs(value_new), 1.0)
+        x, value, grad = x_new, value_new, grad_new
+        if decrease <= config.value_tol:
+            break
+    return value, x, True, nfev
+
+
+def _two_loop(grad: np.ndarray, pairs, gamma: float) -> np.ndarray:
+    """-H grad for the L-BFGS inverse Hessian H of the stored pairs (s, y,
+    1 / s.y), oldest first, with gamma I as the initial H."""
+    q = -grad
+    alphas = []
+    for s, y, rho in reversed(pairs):
+        alpha = rho * s.dot(q)
+        q -= alpha * y
+        alphas.append(alpha)
+    q *= gamma
+    for (s, y, rho), alpha in zip(pairs, reversed(alphas)):
+        q += (alpha - rho * y.dot(q)) * s
+    return q
+
+
+def _wolfe_step(objective, x, value, grad, direction, step, budget):
+    """Weak-Wolfe line search along a descent direction.
+
+    Accepts the first trial step t with f(x + t d) <= f + _ARMIJO t g.d and
+    g(x + t d).d >= _CURVATURE g.d.  A step too long for the first rule
+    bounds the bracket from above, one too short for the second from below;
+    the next trial is the safeguarded minimizer of the cubic through both
+    ends, or four times the step while there is no upper end.  Returns
+    ((point, value, gradient), evaluations), falling back after ``budget``
+    evaluations to the longest step that met the first rule, or to None.
+    """
+    slope = grad.dot(direction)
+    lo, hi, accepted = (0.0, value, slope), None, None
+    for evals in range(1, budget + 1):
+        point = x + step * direction
+        f, g = objective(point)
+        trial = (step, f, g.dot(direction))
+        if not f <= value + _ARMIJO * step * slope:
+            hi = trial
+        elif trial[2] >= _CURVATURE * slope:
+            return (point, f, g), evals
+        else:
+            lo, accepted = trial, (point, f, g)
+        step = 4.0 * step if hi is None else _cubic_step(lo, hi)
+    return accepted, budget
+
+
+def _cubic_step(lo, hi) -> float:
+    """Minimizer of the cubic matching value and slope at both bracket ends
+    (Nocedal & Wright, eq. 3.59), kept in the middle 80% of the bracket;
+    the midpoint when the cubic has no minimizer there."""
+    (a, fa, da), (b, fb, db) = lo, hi
+    d1 = da + db - 3.0 * (fa - fb) / (a - b)
+    disc = d1 * d1 - da * db
+    width = b - a
+    if not disc >= 0.0:
+        return a + 0.5 * width
+    d2 = math.copysign(math.sqrt(disc), width)
+    t = b - width * (db + d2 - d1) / (db - da + 2.0 * d2)
+    if not math.isfinite(t):
+        return a + 0.5 * width
+    return min(max(t, a + 0.1 * width), b - 0.1 * width)
 
 
 @dataclass(frozen=True)
@@ -282,7 +396,7 @@ def discord(
 ) -> DiscordResult:
     """Mutual information minus the best projective classical correlation.
 
-    Maximization runs a multi-start L-BFGS-B search with the analytic
+    Maximization runs a multi-start L-BFGS search with the analytic
     gradient over the Givens chart; restart 0 always starts from the
     computational basis, the rest from seeded uniform draws.  Results merge
     by best value with ties going to the earlier restart, so a fixed seed
@@ -312,7 +426,7 @@ def discord(
         discord=mi - j_best,
         classical_correlation=j_best,
         optimal_basis=MeasurementBasis.from_angles(d, best_x),
-        restarts_used=max(1, config.restarts),
+        restarts_used=config.restarts,
         converged=converged,
         nfev=nfev,
     )
@@ -429,7 +543,7 @@ def eof_convex_roof(
     Every decomposition of a rank-r state arises from an m x r isometry
     acting on the canonical eigen-ensemble, so the isometry is the search
     variable, charted as the leading columns of exp(iH) and searched by
-    multi-start L-BFGS-B with the analytic gradient.  The value is exact
+    multi-start L-BFGS with the analytic gradient.  The value is exact
     only at optimizer convergence and is documented as an upper bound.
     """
     _require_bipartite(rho_ab, "eof_convex_roof")

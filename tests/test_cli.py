@@ -1,6 +1,8 @@
 import json
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,13 +22,21 @@ def run_cli(*args):
 
 
 def test_import_leaves_out_scipy_optimize():
-    # the optimizer-free subcommands must not pay for scipy.optimize at startup
+    # no subcommand pays for importing scipy.optimize at startup
     code = "import sys, ssa_lab.cli; print('scipy.optimize' in sys.modules)"
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, timeout=300
     )
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "False"
+
+
+def test_runtime_dependencies_are_numpy_only():
+    tomllib = pytest.importorskip("tomllib")
+    with open(Path(__file__).resolve().parents[1] / "pyproject.toml", "rb") as fh:
+        project = tomllib.load(fh)["project"]
+    names = [re.match(r"[A-Za-z0-9_.-]+", dep).group(0) for dep in project["dependencies"]]
+    assert names == ["numpy"]
 
 
 @pytest.fixture
@@ -165,6 +175,31 @@ class TestSubcommands:
         assert record["checks"]["kw"]["violations"] == 0
 
 
+class TestWithoutScipy:
+    # `import scipy` raises ImportError in the child, so any scipy use fails
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("discord", "{mixed}", "--seed", "3", "--restarts", "4"),
+            ("eof", "{mixed}", "--method", "roof", "--seed", "1", "--restarts", "3"),
+            ("kw", "{pure}", "--seed", "2", "--restarts", "4"),
+        ],
+    )
+    def test_optimizer_subcommands_run(self, args, tmp_path, pure_state_file):
+        mixed = tmp_path / "mixed.json"
+        sl.save_state(str(mixed), sl.random_density([2, 2], rank=2, seed=1))
+        code = (
+            "import sys; sys.modules['scipy'] = None; "
+            "from ssa_lab.cli import main; sys.exit(main(sys.argv[1:]))"
+        )
+        argv = [a.format(mixed=mixed, pure=pure_state_file) for a in args]
+        res = subprocess.run(
+            [sys.executable, "-c", code, *argv], capture_output=True, text=True, timeout=300
+        )
+        assert res.returncode == 0, res.stderr
+        assert isinstance(json.loads(res.stdout), dict)
+
+
 class TestDeterminism:
     def test_discord_byte_identical(self, bell_file):
         args = ("discord", bell_file, "--seed", "5", "--restarts", "4")
@@ -226,6 +261,36 @@ class TestExitCodes:
 
     def test_bad_flag_exits_one(self, bell_file):
         res = run_cli("discord", bell_file, "--seed", "1", "--measured", "7")
+        assert res.returncode == 1
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ("--tol", "-1"),
+            ("--tol", "nan"),
+            ("--max-evals", "0"),
+            ("--max-evals", "-5"),
+            ("--restarts", "0"),
+            ("--restarts", "-3"),
+        ],
+    )
+    def test_bad_optimizer_settings_exit_one(self, tmp_path, flags):
+        path = tmp_path / "mixed.json"
+        sl.save_state(str(path), sl.random_density([2, 2], rank=2, seed=1))
+        res = run_cli("discord", str(path), "--seed", "1", *flags)
+        assert res.returncode == 1
+        assert res.stdout == ""
+        assert "error" in res.stderr
+
+    def test_bad_optimizer_settings_exit_one_on_wootters_eof(self, bell_file):
+        res = run_cli("eof", bell_file, "--seed", "1", "--restarts", "0")
+        assert res.returncode == 1
+
+    @pytest.mark.parametrize("flags", [("--restarts", "-1"), ("--max-evals", "0")])
+    def test_bad_campaign_optimizer_settings_exit_one(self, flags):
+        res = run_cli(
+            "campaign", "--checks", "sa", "--n", "2", "--dims", "2,2", "--seed", "1", *flags
+        )
         assert res.returncode == 1
 
     def test_seed_required(self, bell_file):

@@ -155,6 +155,80 @@ class TestDiscord:
         assert abs(result.discord) <= 1e-10
 
 
+def _rosenbrock(x):
+    a, b = x[:-1], x[1:]
+    r = b - a * a
+    grad = np.zeros_like(x)
+    grad[:-1] = -400.0 * a * r - 2.0 * (1.0 - a)
+    grad[1:] += 200.0 * r
+    return float(np.sum(100.0 * r * r + (1.0 - a) ** 2)), grad
+
+
+class TestLBFGS:
+    @pytest.mark.parametrize("n", [2, 10])
+    def test_rosenbrock(self, n):
+        value, x, converged, _ = _multistart_minimize(
+            _rosenbrock, n, sl.OptimizerConfig(restarts=1)
+        )
+        assert value <= 1e-10 and converged
+        np.testing.assert_allclose(x, np.ones(n), atol=1e-4)
+
+    def test_max_evals_is_a_hard_cap(self):
+        calls = []
+
+        def objective(x):
+            calls.append(1)
+            return _rosenbrock(x)
+
+        cfg = sl.OptimizerConfig(restarts=3, max_evals=5, seed=2)
+        _, _, converged, nfev = _multistart_minimize(objective, 10, cfg)
+        assert nfev == len(calls) == 5 * 3
+        assert converged is False
+
+    def test_quadratic_stops_on_the_gradient_rule(self):
+        # value_tol = 0 leaves only the gradient rule to end a run that
+        # still lowers the value
+        scales = np.arange(1.0, 7.0)
+
+        def objective(x):
+            return float(0.5 * np.sum(scales * (x - 0.5) ** 2)), scales * (x - 0.5)
+
+        cfg = sl.OptimizerConfig(restarts=2, seed=4, param_tol=1e-9, value_tol=0.0)
+        _, x, converged, _ = _multistart_minimize(objective, 6, cfg)
+        assert converged
+        assert np.max(np.abs(objective(x)[1])) <= 1e-9
+
+    def test_seeded_runs_are_bit_identical(self):
+        cfg = sl.OptimizerConfig(restarts=4, seed=9)
+        first = _multistart_minimize(_rosenbrock, 4, cfg)
+        second = _multistart_minimize(_rosenbrock, 4, cfg)
+        assert first[0] == second[0] and first[3] == second[3]
+        assert np.array_equal(first[1], second[1])
+
+
+class TestOptimizerConfig:
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("restarts", 0),
+            ("restarts", -3),
+            ("max_evals", 0),
+            ("max_evals", -5),
+            ("param_tol", -1e-8),
+            ("param_tol", math.nan),
+            ("value_tol", -1.0),
+            ("value_tol", math.inf),
+        ],
+    )
+    def test_bad_settings_rejected(self, field, value):
+        with pytest.raises(ConfigError):
+            sl.OptimizerConfig(**{field: value})
+
+    def test_zero_tolerances_allowed(self):
+        cfg = sl.OptimizerConfig(restarts=1, max_evals=1, param_tol=0.0, value_tol=0.0)
+        assert cfg.restarts == cfg.max_evals == 1
+
+
 def _central_differences(objective, x, step=1e-6):
     grad = np.empty_like(x)
     for k in range(x.shape[0]):
