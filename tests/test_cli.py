@@ -48,6 +48,13 @@ def pure_state_file(tmp_path):
 
 
 @pytest.fixture
+def mixed_state_file(tmp_path):
+    path = tmp_path / "mixed.json"
+    sl.save_state(str(path), sl.random_density([2, 2], rank=2, seed=1))
+    return str(path)
+
+
+@pytest.fixture
 def bell_file(tmp_path):
     path = tmp_path / "bell.json"
     sl.save_state(str(path), bell_phi_plus().to_density())
@@ -185,14 +192,12 @@ class TestWithoutScipy:
             ("kw", "{pure}", "--seed", "2", "--restarts", "4"),
         ],
     )
-    def test_optimizer_subcommands_run(self, args, tmp_path, pure_state_file):
-        mixed = tmp_path / "mixed.json"
-        sl.save_state(str(mixed), sl.random_density([2, 2], rank=2, seed=1))
+    def test_optimizer_subcommands_run(self, args, mixed_state_file, pure_state_file):
         code = (
             "import sys; sys.modules['scipy'] = None; "
             "from ssa_lab.cli import main; sys.exit(main(sys.argv[1:]))"
         )
-        argv = [a.format(mixed=mixed, pure=pure_state_file) for a in args]
+        argv = [a.format(mixed=mixed_state_file, pure=pure_state_file) for a in args]
         res = subprocess.run(
             [sys.executable, "-c", code, *argv], capture_output=True, text=True, timeout=300
         )
@@ -274,10 +279,8 @@ class TestExitCodes:
             ("--restarts", "-3"),
         ],
     )
-    def test_bad_optimizer_settings_exit_one(self, tmp_path, flags):
-        path = tmp_path / "mixed.json"
-        sl.save_state(str(path), sl.random_density([2, 2], rank=2, seed=1))
-        res = run_cli("discord", str(path), "--seed", "1", *flags)
+    def test_bad_optimizer_settings_exit_one(self, mixed_state_file, flags):
+        res = run_cli("discord", mixed_state_file, "--seed", "1", *flags)
         assert res.returncode == 1
         assert res.stdout == ""
         assert "error" in res.stderr
