@@ -66,7 +66,6 @@ from .structure import (
     OrthogonalityReport,
     SaturatingBlock,
     SaturatingSpec,
-    build_block,
     build_saturating,
     certify,
     check_orthogonality,

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 from typing import Sequence
@@ -66,6 +67,8 @@ class CampaignConfig:
     def __post_init__(self) -> None:
         if self.samples < 1:
             raise ConfigError(f"sample count must be >= 1, got {self.samples}")
+        if not (math.isfinite(self.tolerance) and self.tolerance >= 0.0):
+            raise ConfigError(f"tolerance must be finite and >= 0, got {self.tolerance}")
         if not self.checks:
             raise ConfigError("check set must not be empty")
         unknown = [c for c in self.checks if c not in CHECK_NAMES]

@@ -35,16 +35,14 @@ MAX_EOF_DIM = 16
 class OptimizerConfig:
     """Multi-start settings for the L-BFGS searches.
 
-    Per restart, ``max_evals`` caps the objective evaluations (a hard cap),
-    ``value_tol`` is the relative decrease that ends a run and
-    ``param_tol`` the largest gradient component that ends it; see
+    Per restart, ``max_evals`` caps the objective evaluations (a hard cap)
+    and ``value_tol`` is the relative decrease that ends a run; see
     ``_lbfgs`` for the exact rules.
     """
 
     restarts: int = 20
     max_evals: int = 2000
     seed: int = 0
-    param_tol: float = 1e-8
     value_tol: float = 1e-10
 
     def __post_init__(self) -> None:
@@ -52,13 +50,12 @@ class OptimizerConfig:
             raise ConfigError(f"restarts must be >= 1, got {self.restarts}")
         if self.max_evals < 1:
             raise ConfigError(f"max_evals must be >= 1, got {self.max_evals}")
-        for name in ("param_tol", "value_tol"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value >= 0.0):
-                raise ConfigError(f"{name} must be finite and >= 0, got {value}")
+        if not (math.isfinite(self.value_tol) and self.value_tol >= 0.0):
+            raise ConfigError(f"value_tol must be finite and >= 0, got {self.value_tol}")
 
 
 LBFGS_MEMORY = 10  # curvature pairs kept, the common L-BFGS default
+_GRAD_TOL = 1e-8  # largest gradient component that ends a run, converged
 _ARMIJO = 1e-3  # sufficient-decrease constant of the line search
 _CURVATURE = 0.9  # weak-Wolfe curvature constant
 _LINE_SEARCH_EVALS = 20
@@ -96,7 +93,7 @@ def _lbfgs(objective, x: np.ndarray, config: OptimizerConfig):
     Nocedal, Math. Prog. 45, 503 (1989); Nocedal & Wright, Alg. 7.4); a
     pair is kept only when s.y > 0.  The step comes from ``_wolfe_step``,
     tried first at 1/|d| while no pair is stored and at 1 after.  The run
-    stops, converged, when max|g| <= param_tol or when a step's relative
+    stops, converged, when max|g| <= _GRAD_TOL or when a step's relative
     decrease (f_k - f_k+1) / max(|f_k|, |f_k+1|, 1) is <= value_tol, and,
     not converged, after max_evals evaluations or when the line search along
     -g fails.
@@ -105,7 +102,7 @@ def _lbfgs(objective, x: np.ndarray, config: OptimizerConfig):
     nfev = 1
     pairs: deque = deque(maxlen=LBFGS_MEMORY)
     gamma = 1.0
-    while not np.abs(grad).max() <= config.param_tol:
+    while not np.abs(grad).max() <= _GRAD_TOL:
         if nfev >= config.max_evals:
             return value, x, False, nfev
         direction = _two_loop(grad, pairs, gamma)
@@ -475,11 +472,6 @@ def _hermitian_layout(dim: int) -> np.ndarray:
     return layout
 
 
-def _isometry_from_params(m: int, r: int, params: np.ndarray) -> np.ndarray:
-    """First r columns of exp(iH) for the chart's H."""
-    return _exp_chart(m, r, params)[0]
-
-
 def _exp_chart(m: int, r: int, params: np.ndarray):
     """First r columns of exp(iH) = V e^{iW} V^dag, with W and V.
 
@@ -669,9 +661,9 @@ def theorem1_audit(
     The envelope is d_A = 2, d_B, d_C <= 2 and rank <= 2, so that every
     entanglement value is either exact (two-qubit) or a tight convex-roof
     bound on a 2x4 state, and every discord side stays optimizable.  Rank
-    counts the eigenvalues above EIG_CLIP, the ancilla levels the
-    purification keeps.  The
-    pass tolerance widens to 5e-4 whenever a convex-roof value enters.
+    is the ancilla dimension of the canonical purification, which keeps the
+    eigenvalues above EIG_CLIP.  The pass tolerance widens to 5e-4 whenever
+    a convex-roof value enters.
     """
     if len(rho_abc.dims) != 3:
         raise DimensionError(
@@ -682,15 +674,14 @@ def theorem1_audit(
         raise CapabilityError(
             f"theorem1_audit envelope is d_A = 2, d_B, d_C <= 2; got {rho_abc.dims}"
         )
-    eigs = np.linalg.eigvalsh((rho_abc.data + rho_abc.data.conj().T) / 2.0)
-    rank = int((eigs > EIG_CLIP).sum())
+    ext = extend(rho_abc)
+    rank = ext.rho_a_btilde.dims[1] // d_b  # BE has d_B * d_E levels
     if rank > 2:
         raise CapabilityError(
             f"theorem1_audit envelope is rank <= 2, got numerical rank {rank}"
         )
     rho_ab = partial_trace(rho_abc, {0, 1})
     rho_ac = partial_trace(rho_abc, {0, 2})
-    ext = extend(rho_abc)
     eof_ab, exact_ab = _eof_auto(rho_ab, config)
     eof_ac, exact_ac = _eof_auto(rho_ac, config)
     eof_ab_ext, exact_ab_ext = _eof_auto(ext.rho_a_btilde, config)

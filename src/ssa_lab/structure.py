@@ -23,14 +23,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DimensionError, ParseError, ValidationError
+from .errors import ConfigError, DimensionError, ParseError, ValidationError
 from .entropy import t_gap
 from .purify import purify
 from .qmat import (
     DensityMatrix,
     PureStateVector,
-    partial_trace,
-    permute_subsystems,
     pure_from_dict,
     pure_to_dict,
     density_from_dict,
@@ -144,87 +142,71 @@ class SaturatingSpec:
         object.__setattr__(self, "blocks", blocks)
 
 
+def _saturating_root(spec: SaturatingSpec) -> tuple[np.ndarray, list[slice]]:
+    """The weighted root T on (A, B, C, E) and each block's ancilla sector.
+
+    T = sum_k sqrt(p_k) |psi^k_AY> (x) |phi^k_ZE>, where |phi^k_ZE> is the
+    canonical purification of rho^k_Z in sector k of E; block k fills the
+    (A, B^L B^R, C^L C^R) entries at its B and C offsets.  Tracing E out of
+    T T^dag gives the spec's mixture, and tracing E out of sector k alone
+    gives p_k times block k.
+    """
+    d_a, d_b, d_c = spec.dims
+    purifications = [purify(blk.rho_z) for blk in spec.blocks]
+    ends = np.cumsum([0] + [p.d_e for p in purifications])
+    sectors = [slice(lo, hi) for lo, hi in zip(ends[:-1], ends[1:])]
+    root = np.zeros((d_a, d_b, d_c, int(ends[-1])), dtype=complex)
+    for blk, sector, purification in zip(spec.blocks, sectors, purifications):
+        bl, br, cl, cr = blk.partition
+        psi = blk.psi_ay.amps.reshape(d_a, bl, cl)
+        phi = purification.psi.amps.reshape(br, cr, purification.d_e)
+        amps = np.einsum("axc,yze->axycze", psi, phi)
+        root[
+            :,
+            blk.embed_b : blk.embed_b + blk.b_dim,
+            blk.embed_c : blk.embed_c + blk.c_dim,
+            sector,
+        ] = np.sqrt(blk.weight) * amps.reshape(d_a, blk.b_dim, blk.c_dim, -1)
+    return root, sectors
+
+
 def purify_saturating(spec: SaturatingSpec) -> PureStateVector:
     """Purify a block decomposition with block-orthogonal ancilla sectors.
 
-    |Psi> = sum_k sqrt(p_k) |psi^k_AY> (x) |phi^k_ZE>, where |phi^k_ZE> is the
-    canonical purification of rho^k_Z in its own ancilla sector.  The
-    reduced state on (A, B, C) is the spec's mixture whether or not the
+    The reduced state on (A, B, C) is the spec's mixture whether or not the
     spec's marginals are orthogonal.
     """
-    d_a, d_b, d_c = spec.dims
-    sectors = [purify(blk.rho_z) for blk in spec.blocks]
-    amps = np.zeros((d_a, d_b, d_c, sum(s.d_e for s in sectors)), dtype=complex)
-    offset_e = 0
-    for blk, sector in zip(spec.blocks, sectors):
-        bl, br, cl, cr = blk.partition
-        psi_t = blk.psi_ay.amps.reshape(d_a, bl, cl)
-        phi_t = sector.psi.amps.reshape(br, cr, sector.d_e)
-        comp = np.einsum("axc,yze->axycze", psi_t, phi_t)
-        amps[
-            :,
-            blk.embed_b : blk.embed_b + bl * br,
-            blk.embed_c : blk.embed_c + cl * cr,
-            offset_e : offset_e + sector.d_e,
-        ] = np.sqrt(blk.weight) * comp.reshape(d_a, bl * br, cl * cr, sector.d_e)
-        offset_e += sector.d_e
-    return PureStateVector(spec.dims + (offset_e,), amps.reshape(-1))
-
-
-def build_block(
-    psi_ay: PureStateVector,
-    rho_z: DensityMatrix,
-    partition: Sequence[int],
-) -> DensityMatrix:
-    """|psi_AY><psi_AY| (x) rho_Z rearranged into (A, B^L B^R, C^L C^R) order."""
-    bl, br, cl, cr = (int(d) for d in partition)
-    if len(psi_ay.dims) != 3 or psi_ay.dims[1:] != (bl, cl):
-        raise DimensionError(
-            f"pure part dims {psi_ay.dims} inconsistent with partition {partition}"
-        )
-    if rho_z.dims != (br, cr):
-        raise DimensionError(
-            f"mixed part dims {rho_z.dims} inconsistent with partition {partition}"
-        )
-    d_a = psi_ay.dims[0]
-    prod = np.kron(psi_ay.to_density().data, rho_z.data)
-    five = DensityMatrix((d_a, bl, cl, br, cr), prod)
-    ordered = permute_subsystems(five, (0, 1, 3, 2, 4))
-    return DensityMatrix((d_a, bl * br, cl * cr), ordered.data)
-
-
-def embed_block(block: SaturatingBlock, dims: Sequence[int]) -> DensityMatrix:
-    """The block's tripartite state carried into the global (A, B, C) space."""
-    d_a, d_b, d_c = (int(d) for d in dims)
-    local = build_block(block.psi_ay, block.rho_z, block.partition)
-    rows_b = slice(block.embed_b, block.embed_b + block.b_dim)
-    rows_c = slice(block.embed_c, block.embed_c + block.c_dim)
-    out = np.zeros((d_a, d_b, d_c) * 2, dtype=complex)
-    out[:, rows_b, rows_c, :, rows_b, rows_c] = local.data.reshape(
-        (d_a, block.b_dim, block.c_dim) * 2
-    )
-    side = d_a * d_b * d_c
-    return DensityMatrix((d_a, d_b, d_c), out.reshape(side, side))
+    root, _ = _saturating_root(spec)
+    return PureStateVector(spec.dims + (root.shape[3],), root.reshape(-1))
 
 
 def build_saturating(spec: SaturatingSpec) -> DensityMatrix:
     """Mixture of the spec's embedded blocks on the spec's global dims."""
-    data = sum(
-        blk.weight * embed_block(blk, spec.dims).data for blk in spec.blocks
-    )
-    return DensityMatrix(spec.dims, data)
+    root, _ = _saturating_root(spec)
+    g = root.reshape(-1, root.shape[3])
+    return DensityMatrix(spec.dims, g @ g.conj().T)
 
 
 def block_marginals(
     spec: SaturatingSpec,
 ) -> tuple[list[DensityMatrix], list[DensityMatrix]]:
     """Per-block B- and C-marginals of the embedded blocks."""
+    root, sectors = _saturating_root(spec)
+    _, d_b, d_c = spec.dims
     margs_b, margs_c = [], []
-    for blk in spec.blocks:
-        state = embed_block(blk, spec.dims)
-        margs_b.append(partial_trace(state, {1}))
-        margs_c.append(partial_trace(state, {2}))
+    for blk, sector in zip(spec.blocks, sectors):
+        part = root[..., sector] / np.sqrt(blk.weight)
+        margs_b.append(DensityMatrix((d_b,), np.einsum("abce,axce->bx", part, part.conj())))
+        margs_c.append(DensityMatrix((d_c,), np.einsum("abce,abxe->cx", part, part.conj())))
     return margs_b, margs_c
+
+
+def _max_off_diagonal(*overlaps: np.ndarray) -> float:
+    """Largest off-diagonal entry of equal-size square matrices (0 if 1x1)."""
+    k = overlaps[0].shape[0]
+    if k < 2:
+        return 0.0
+    return float(np.stack(overlaps)[:, ~np.eye(k, dtype=bool)].max())
 
 
 @dataclass(frozen=True)
@@ -236,27 +218,12 @@ class OrthogonalityReport:
     orthogonal: bool
 
     def max_off_diagonal(self) -> float:
-        k = self.pairwise_overlaps_b.shape[0]
-        if k < 2:
-            return 0.0
-        mask = ~np.eye(k, dtype=bool)
-        return float(
-            max(
-                self.pairwise_overlaps_b[mask].max(),
-                self.pairwise_overlaps_c[mask].max(),
-            )
-        )
+        return _max_off_diagonal(self.pairwise_overlaps_b, self.pairwise_overlaps_c)
 
 
 def _overlap_matrix(states: Sequence[DensityMatrix]) -> np.ndarray:
-    k = len(states)
-    out = np.zeros((k, k))
-    for i in range(k):
-        for j in range(i, k):
-            out[i, j] = out[j, i] = float(
-                np.linalg.norm(states[i].data @ states[j].data)
-            )
-    return out
+    stack = np.stack([m.data for m in states])
+    return np.linalg.norm(stack[:, None] @ stack[None], axis=(2, 3))
 
 
 def check_orthogonality(
@@ -275,10 +242,7 @@ def check_orthogonality(
             raise DimensionError("marginals within one family must share dims")
     ov_b = _overlap_matrix(marginals_b)
     ov_c = _overlap_matrix(marginals_c)
-    k = len(marginals_b)
-    mask = ~np.eye(k, dtype=bool)
-    ok = bool(k < 2 or (ov_b[mask].max() <= tol and ov_c[mask].max() <= tol))
-    return OrthogonalityReport(ov_b, ov_c, ok)
+    return OrthogonalityReport(ov_b, ov_c, _max_off_diagonal(ov_b, ov_c) <= tol)
 
 
 @dataclass(frozen=True)
@@ -318,7 +282,9 @@ def certify(
     rho_abc: DensityMatrix, spec: SaturatingSpec, tol: float = 1e-8
 ) -> Certificate:
     """Check a proposed decomposition against a state; failures are reported,
-    never raised."""
+    never raised.  ``tol`` must be finite and >= 0."""
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ConfigError(f"certify tolerance must be finite and >= 0, got {tol}")
     if rho_abc.dims != spec.dims:
         raise DimensionError(
             f"state dims {rho_abc.dims} do not match spec dims {spec.dims}"

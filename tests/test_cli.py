@@ -289,12 +289,31 @@ class TestExitCodes:
         res = run_cli("eof", bell_file, "--seed", "1", "--restarts", "0")
         assert res.returncode == 1
 
-    @pytest.mark.parametrize("flags", [("--restarts", "-1"), ("--max-evals", "0")])
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ("--restarts", "-1"),
+            ("--max-evals", "0"),
+            ("--tol", "nan"),
+            ("--tol", "-1"),
+            ("--tol", "inf"),
+        ],
+    )
     def test_bad_campaign_optimizer_settings_exit_one(self, flags):
         res = run_cli(
             "campaign", "--checks", "sa", "--n", "2", "--dims", "2,2", "--seed", "1", *flags
         )
         assert res.returncode == 1
+        assert res.stdout == ""
+
+    @pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
+    def test_bad_certify_tolerance_exits_one(self, tmp_path, spec_file, tol):
+        state = tmp_path / "state.json"
+        sl.save_state(str(state), sl.build_saturating(sl.load_spec(spec_file)))
+        res = run_cli("certify", str(state), spec_file, "--tol", tol)
+        assert res.returncode == 1
+        assert res.stdout == ""
+        assert "error" in res.stderr
 
     def test_seed_required(self, bell_file):
         res = run_cli("discord", bell_file)

@@ -193,10 +193,10 @@ class TestLBFGS:
         def objective(x):
             return float(0.5 * np.sum(scales * (x - 0.5) ** 2)), scales * (x - 0.5)
 
-        cfg = sl.OptimizerConfig(restarts=2, seed=4, param_tol=1e-9, value_tol=0.0)
+        cfg = sl.OptimizerConfig(restarts=2, seed=4, value_tol=0.0)
         _, x, converged, _ = _multistart_minimize(objective, 6, cfg)
         assert converged
-        assert np.max(np.abs(objective(x)[1])) <= 1e-9
+        assert np.max(np.abs(objective(x)[1])) <= 1e-8
 
     def test_seeded_runs_are_bit_identical(self):
         cfg = sl.OptimizerConfig(restarts=4, seed=9)
@@ -214,8 +214,6 @@ class TestOptimizerConfig:
             ("restarts", -3),
             ("max_evals", 0),
             ("max_evals", -5),
-            ("param_tol", -1e-8),
-            ("param_tol", math.nan),
             ("value_tol", -1.0),
             ("value_tol", math.inf),
         ],
@@ -225,7 +223,7 @@ class TestOptimizerConfig:
             sl.OptimizerConfig(**{field: value})
 
     def test_zero_tolerances_allowed(self):
-        cfg = sl.OptimizerConfig(restarts=1, max_evals=1, param_tol=0.0, value_tol=0.0)
+        cfg = sl.OptimizerConfig(restarts=1, max_evals=1, value_tol=0.0)
         assert cfg.restarts == cfg.max_evals == 1
 
 
@@ -272,7 +270,7 @@ class TestAnalyticGradients:
             x = rng.uniform(-4.0, 4.0, m * m)
             value, grad = objective(x)
             # the members are the chart's isometry applied to the factors
-            iso = sl.qcorr._isometry_from_params(m, rank, x)
+            iso = sl.qcorr._exp_chart(m, rank, x)[0]
             members = np.einsum("ij,jab->iab", iso, factors)
             expected = 0.0
             for member in members:
@@ -401,7 +399,7 @@ class TestConvexRoof:
                 np.testing.assert_array_equal(np.diag(h).real, params[:m])
                 if m > 1:  # (re, im) of pair (0, 1) follow the diagonal
                     assert h[0, 1] == complex(params[m], params[m + 1])
-                iso = sl.qcorr._isometry_from_params(m, r, params)
+                iso = sl.qcorr._exp_chart(m, r, params)[0]
                 np.testing.assert_allclose(iso.conj().T @ iso, np.eye(r), atol=1e-12)
                 np.testing.assert_allclose(iso, expm(1j * h)[:, :r], atol=1e-9)
 

@@ -3,16 +3,48 @@ import pytest
 
 import ssa_lab as sl
 from ssa_lab.errors import DimensionError, ParseError, ValidationError
-from ssa_lab.structure import embed_block
+from ssa_lab.structure import block_marginals
 
 from conftest import family_blocks, family_spec
+
+
+def _block_oracle(blk):
+    """|psi_AY><psi_AY| (x) rho_Z by Kronecker product, reordered from
+    (A, B^L, C^L, B^R, C^R) to (A, B^L B^R, C^L C^R)."""
+    bl, br, cl, cr = blk.partition
+    prod = np.kron(blk.psi_ay.to_density().data, blk.rho_z.data)
+    five = sl.DensityMatrix((blk.d_a, bl, cl, br, cr), prod)
+    return sl.permute_subsystems(five, (0, 1, 3, 2, 4)).data
+
+
+def _isometry(global_dim, local_dim, offset):
+    v = np.zeros((global_dim, local_dim))
+    v[offset : offset + local_dim, :] = np.eye(local_dim)
+    return v
+
+
+def _embedded_oracle(blk, dims):
+    """The block carried into the global space by I_A (x) V_B (x) V_C."""
+    d_a, d_b, d_c = dims
+    iso = np.kron(
+        np.eye(d_a),
+        np.kron(_isometry(d_b, blk.b_dim, blk.embed_b), _isometry(d_c, blk.c_dim, blk.embed_c)),
+    )
+    return iso @ _block_oracle(blk) @ iso.T
+
+
+def _build_one_block(psi, rho_z, partition):
+    blk = sl.SaturatingBlock(1.0, psi, rho_z, partition)
+    out = sl.build_saturating(sl.SaturatingSpec((blk.d_a, blk.b_dim, blk.c_dim), (blk,)))
+    np.testing.assert_allclose(out.data, _block_oracle(blk), rtol=0, atol=1e-14)
+    return out
 
 
 class TestBuildBlock:
     def test_fully_pure_block(self):
         psi = sl.random_pure([2, 2, 2], seed=1)
         rho_z = sl.validate_density(np.array([[1.0]]), [1, 1])
-        out = sl.build_block(psi, rho_z, (2, 1, 2, 1))
+        out = _build_one_block(psi, rho_z, (2, 1, 2, 1))
         assert out.dims == (2, 2, 2)
         np.testing.assert_allclose(out.data, psi.to_density().data, atol=1e-12)
         assert sl.t_gap(out).t_a <= 1e-9
@@ -21,7 +53,7 @@ class TestBuildBlock:
         # |psi_A> (x) rho_BC: Y trivial beyond A
         psi_a = sl.random_pure([2, 1, 1], seed=2)
         rho_bc = sl.random_density([2, 2], seed=3)
-        out = sl.build_block(psi_a, rho_bc, (1, 2, 1, 2))
+        out = _build_one_block(psi_a, rho_bc, (1, 2, 1, 2))
         assert out.dims == (2, 2, 2)
         a_only = sl.PureStateVector((2,), psi_a.amps)
         expected = sl.tensor_density(a_only.to_density(), rho_bc)
@@ -32,7 +64,7 @@ class TestBuildBlock:
         # |psi_AB><psi_AB| (x) rho_C
         psi_ab = sl.random_pure([2, 2, 1], seed=4)
         rho_c = sl.random_density([1, 2], seed=5)
-        out = sl.build_block(psi_ab, rho_c, (2, 1, 1, 2))
+        out = _build_one_block(psi_ab, rho_c, (2, 1, 1, 2))
         assert out.dims == (2, 2, 2)
         ab_only = sl.PureStateVector((2, 2), psi_ab.amps)
         c_only = sl.DensityMatrix((2,), rho_c.data)
@@ -44,15 +76,17 @@ class TestBuildBlock:
         # nontrivial Y and Z on both sides
         psi = sl.random_pure([2, 2, 2], seed=6)
         rho_z = sl.random_density([2, 2], seed=7)
-        out = sl.build_block(psi, rho_z, (2, 2, 2, 2))
+        out = _build_one_block(psi, rho_z, (2, 2, 2, 2))
         assert out.dims == (2, 4, 4)
         assert sl.t_gap(out).t_a <= 1e-9
 
     def test_dim_mismatch(self):
         psi = sl.random_pure([2, 2, 2], seed=1)
         rho_z = sl.random_density([2, 2], seed=2)
-        with pytest.raises(DimensionError):
-            sl.build_block(psi, rho_z, (2, 2, 3, 2))
+        with pytest.raises(DimensionError, match="pure block"):
+            sl.SaturatingBlock(1.0, psi, rho_z, (2, 2, 3, 2))
+        with pytest.raises(DimensionError, match="mixed block"):
+            sl.SaturatingBlock(1.0, psi, rho_z, (2, 3, 2, 1))
 
 
 class TestBuildSaturating:
@@ -71,22 +105,27 @@ class TestBuildSaturating:
         )
 
     def test_embedding_matches_isometry(self, rng):
-        # oracle: the coordinate-subspace isometry I_A (x) V_B (x) V_C
-        def isometry(global_dim, local_dim, offset):
-            v = np.zeros((global_dim, local_dim))
-            v[offset : offset + local_dim, :] = np.eye(local_dim)
-            return v
-
-        for _ in range(5):
-            spec = sl.random_saturating_spec([2, 4, 6], rng, min_blocks=2)
-            for blk in spec.blocks:
-                local = sl.build_block(blk.psi_ay, blk.rho_z, blk.partition)
-                iso = np.kron(
-                    np.eye(2),
-                    np.kron(isometry(4, blk.b_dim, blk.embed_b), isometry(6, blk.c_dim, blk.embed_c)),
+        # oracle: each block by Kronecker product, carried into the global
+        # space by the coordinate-subspace isometry I_A (x) V_B (x) V_C;
+        # single-block specs first, then specs of two or three blocks
+        for min_blocks, max_blocks in [(1, 1)] * 5 + [(2, 3)] * 5:
+            spec = sl.random_saturating_spec(
+                [2, 4, 6], rng, min_blocks=min_blocks, max_blocks=max_blocks
+            )
+            embedded = [_embedded_oracle(blk, spec.dims) for blk in spec.blocks]
+            mixture = sum(blk.weight * e for blk, e in zip(spec.blocks, embedded))
+            np.testing.assert_allclose(
+                sl.build_saturating(spec).data, mixture, rtol=0, atol=1e-14
+            )
+            margs_b, margs_c = block_marginals(spec)
+            for e, m_b, m_c in zip(embedded, margs_b, margs_c):
+                state = sl.DensityMatrix(spec.dims, e)
+                np.testing.assert_allclose(
+                    m_b.data, sl.partial_trace(state, {1}).data, rtol=0, atol=1e-14
                 )
-                embedded = embed_block(blk, spec.dims)
-                np.testing.assert_array_equal(embedded.data, iso @ local.data @ iso.T)
+                np.testing.assert_allclose(
+                    m_c.data, sl.partial_trace(state, {2}).data, rtol=0, atol=1e-14
+                )
 
     def test_two_orthogonal_sectors(self, rng):
         # blocks of the A-factorized and AB-pure forms in disjoint sectors
@@ -125,8 +164,6 @@ class TestCheckOrthogonality:
         # B-marginal overlap lambda1 * b * beta2^2; C-marginals orthogonal
         params = sl.DEFAULT_PARAMS
         spec = family_spec(params)
-        from ssa_lab.structure import block_marginals
-
         margs_b, margs_c = block_marginals(spec)
         report = sl.check_orthogonality(margs_b, margs_c)
         assert not report.orthogonal
