@@ -14,7 +14,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -48,12 +48,11 @@ from .qmat import (
 from .structure import build_saturating, certify, load_spec
 from .twoblock import sweep_figure
 
-CHECK_NAMES = ("sa", "ssa", "concavity", "kw", "conservation", "theorem1")
-
 
 @dataclass(frozen=True)
 class CampaignConfig:
-    """Settings for one randomized property campaign."""
+    """Settings for one randomized property campaign.  Each sample runs
+    ``optimizer`` with the sample's own seed plus one."""
 
     samples: int
     dims: tuple[int, ...]
@@ -61,8 +60,7 @@ class CampaignConfig:
     seed: int
     tolerance: float
     checks: tuple[str, ...]
-    optimizer_restarts: int = 20
-    optimizer_max_evals: int = 2000
+    optimizer: OptimizerConfig = OptimizerConfig()
 
     def __post_init__(self) -> None:
         if self.samples < 1:
@@ -76,7 +74,12 @@ class CampaignConfig:
             raise ConfigError(
                 f"unknown checks {unknown}; choose from {', '.join(CHECK_NAMES)}"
             )
-        _optimizer(self, 0)  # rejects bad optimizer settings before any sample
+        for check in self.checks:
+            arities = _CHECKS[check][0]
+            if len(self.dims) not in arities:
+                raise ConfigError(
+                    f"check {check!r} needs dims of arity {arities}, got {self.dims}"
+                )
 
 
 # --- campaign checks ---------------------------------------------------------
@@ -88,14 +91,6 @@ class CampaignConfig:
 
 def _sample_state(cfg: CampaignConfig, seed: int) -> DensityMatrix:
     return random_density(cfg.dims, rank=cfg.rank, seed=seed)
-
-
-def _optimizer(cfg: CampaignConfig, seed: int) -> OptimizerConfig:
-    return OptimizerConfig(
-        restarts=cfg.optimizer_restarts,
-        max_evals=cfg.optimizer_max_evals,
-        seed=seed + 1,
-    )
 
 
 def _check_sa(cfg: CampaignConfig, seed: int) -> float:
@@ -123,48 +118,41 @@ def _check_concavity(cfg: CampaignConfig, seed: int) -> float:
 
 def _check_kw(cfg: CampaignConfig, seed: int) -> float:
     rho = _sample_state(cfg, seed)
-    return kw_gap(rho, _optimizer(cfg, seed)).gap
+    return kw_gap(rho, replace(cfg.optimizer, seed=seed + 1)).gap
 
 
 def _check_conservation(cfg: CampaignConfig, seed: int) -> float:
     psi = random_pure(cfg.dims, seed)
-    lhs, rhs = conservation_check(psi, _optimizer(cfg, seed))
+    lhs, rhs = conservation_check(psi, replace(cfg.optimizer, seed=seed + 1))
     return cfg.tolerance - abs(lhs - rhs)
 
 
 def _check_theorem1(cfg: CampaignConfig, seed: int) -> float:
     rho = _sample_state(cfg, seed)
-    audit = theorem1_audit(rho, _optimizer(cfg, seed))
+    audit = theorem1_audit(rho, replace(cfg.optimizer, seed=seed + 1))
     margin = cfg.tolerance - abs(audit.line4 - audit.t_a)
     return min(margin, audit.delta_e_b, audit.delta_e_c)
 
 
-_CHECK_FN = {
-    "sa": _check_sa,
-    "ssa": _check_ssa,
-    "concavity": _check_concavity,
-    "kw": _check_kw,
-    "conservation": _check_conservation,
-    "theorem1": _check_theorem1,
+# check name -> (accepted dims arities, margin function), in report order
+_CHECKS = {
+    "sa": ((2, 3), _check_sa),
+    "ssa": ((3,), _check_ssa),
+    "concavity": ((3,), _check_concavity),
+    "kw": ((3,), _check_kw),
+    "conservation": ((3,), _check_conservation),
+    "theorem1": ((3,), _check_theorem1),
 }
-
-_ARITY = {"sa": (2, 3), "ssa": (3,), "concavity": (3,), "kw": (3,),
-          "conservation": (3,), "theorem1": (3,)}
+CHECK_NAMES = tuple(_CHECKS)
 
 
 def run_campaign(cfg: CampaignConfig) -> dict:
     """Run the configured checks over seeded samples; deterministic output."""
-    for check in cfg.checks:
-        if len(cfg.dims) not in _ARITY[check]:
-            raise ConfigError(
-                f"check {check!r} needs dims of arity {_ARITY[check]}, got {cfg.dims}"
-            )
     seeds = [int(s) for s in np.random.SeedSequence(cfg.seed).generate_state(cfg.samples)]
     results = {}
-    for check in CHECK_NAMES:
+    for check, (_, fn) in _CHECKS.items():
         if check not in cfg.checks:
             continue
-        fn = _CHECK_FN[check]
         margins = [fn(cfg, s) for s in seeds]
         worst = min(margins)
         violations = sum(1 for m in margins if m < -cfg.tolerance)
@@ -210,12 +198,7 @@ def _parse_dims(text: str) -> tuple[int, ...]:
 
 
 def _optimizer_from_args(args: argparse.Namespace) -> OptimizerConfig:
-    return OptimizerConfig(
-        restarts=args.restarts,
-        max_evals=args.max_evals,
-        seed=args.seed,
-        value_tol=args.tol,
-    )
+    return OptimizerConfig(restarts=args.restarts, max_evals=args.max_evals, seed=args.seed)
 
 
 def _cmd_entropy(args: argparse.Namespace) -> None:
@@ -265,7 +248,7 @@ def _cmd_eof(args: argparse.Namespace) -> None:
         value = eof_two_qubit(rho)
         record = {"eof": value, "method": "wootters", "exact": True}
     else:
-        value = eof_convex_roof(rho, cardinality=args.cardinality, config=config)
+        value = eof_convex_roof(rho, config=config)
         record = {"eof": value, "method": "convex_roof", "exact": False}
     _emit(record, f"E = {value:.12g} bits ({record['method']})")
 
@@ -325,28 +308,24 @@ def _cmd_campaign(args: argparse.Namespace) -> None:
         seed=args.seed,
         tolerance=args.tol,
         checks=tuple(part.strip() for part in args.checks.split(",") if part.strip()),
-        optimizer_restarts=args.restarts,
-        optimizer_max_evals=args.max_evals,
+        optimizer=_optimizer_from_args(args),
     )
     record = run_campaign(cfg)
     total = sum(entry["violations"] for entry in record["checks"].values())
     _emit(record, f"campaign: {total} violation(s) over {cfg.samples} sample(s)")
 
 
-def _add_optimizer_flags(parser: argparse.ArgumentParser, seed_required: bool = True) -> None:
-    parser.add_argument("--restarts", type=int, default=20, help="optimizer restarts")
+def _add_optimizer_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
-        "--max-evals", type=int, default=2000, help="objective evaluations per restart"
+        "--restarts", type=int, default=OptimizerConfig.restarts, help="optimizer restarts"
     )
     parser.add_argument(
-        "--seed", type=int, required=seed_required, help="random seed (required)"
+        "--max-evals",
+        type=int,
+        default=OptimizerConfig.max_evals,
+        help="objective evaluations per restart",
     )
-    parser.add_argument(
-        "--tol",
-        type=float,
-        default=1e-10,
-        help="relative value decrease that ends an L-BFGS restart",
-    )
+    parser.add_argument("--seed", type=int, required=True, help="random seed (required)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -370,7 +349,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eof", help="entanglement of formation of a bipartite state")
     p.add_argument("state")
     p.add_argument("--method", choices=("auto", "wootters", "roof"), default="auto")
-    p.add_argument("--cardinality", type=int, default=None, help="decomposition size")
     _add_optimizer_flags(p)
     p.set_defaults(handler=_cmd_eof)
 
@@ -401,17 +379,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True, help="sample count")
     p.add_argument("--dims", required=True, help="comma-separated subsystem dimensions")
     p.add_argument("--rank", type=int, default=None)
-    p.add_argument("--seed", type=int, required=True, help="random seed (required)")
     p.add_argument(
         "--tol",
         type=float,
         default=1e-9,
         help="check tolerance (use ~1e-4 for the optimizer-backed checks)",
     )
-    p.add_argument("--restarts", type=int, default=20, help="optimizer restarts")
-    p.add_argument(
-        "--max-evals", type=int, default=2000, help="objective evaluations per restart"
-    )
+    _add_optimizer_flags(p)
     p.set_defaults(handler=_cmd_campaign)
 
     return parser

@@ -35,27 +35,24 @@ MAX_EOF_DIM = 16
 class OptimizerConfig:
     """Multi-start settings for the L-BFGS searches.
 
-    Per restart, ``max_evals`` caps the objective evaluations (a hard cap)
-    and ``value_tol`` is the relative decrease that ends a run; see
-    ``_lbfgs`` for the exact rules.
+    Per restart, ``max_evals`` caps the objective evaluations (a hard cap);
+    the stopping rules are fixed constants, see ``_lbfgs``.
     """
 
     restarts: int = 20
     max_evals: int = 2000
     seed: int = 0
-    value_tol: float = 1e-10
 
     def __post_init__(self) -> None:
         if self.restarts < 1:
             raise ConfigError(f"restarts must be >= 1, got {self.restarts}")
         if self.max_evals < 1:
             raise ConfigError(f"max_evals must be >= 1, got {self.max_evals}")
-        if not (math.isfinite(self.value_tol) and self.value_tol >= 0.0):
-            raise ConfigError(f"value_tol must be finite and >= 0, got {self.value_tol}")
 
 
 LBFGS_MEMORY = 10  # curvature pairs kept, the common L-BFGS default
 _GRAD_TOL = 1e-8  # largest gradient component that ends a run, converged
+_VALUE_TOL = 1e-10  # relative decrease of a step that ends a run, converged
 _ARMIJO = 1e-3  # sufficient-decrease constant of the line search
 _CURVATURE = 0.9  # weak-Wolfe curvature constant
 _LINE_SEARCH_EVALS = 20
@@ -94,7 +91,7 @@ def _lbfgs(objective, x: np.ndarray, config: OptimizerConfig):
     pair is kept only when s.y > 0.  The step comes from ``_wolfe_step``,
     tried first at 1/|d| while no pair is stored and at 1 after.  The run
     stops, converged, when max|g| <= _GRAD_TOL or when a step's relative
-    decrease (f_k - f_k+1) / max(|f_k|, |f_k+1|, 1) is <= value_tol, and,
+    decrease (f_k - f_k+1) / max(|f_k|, |f_k+1|, 1) is <= _VALUE_TOL, and,
     not converged, after max_evals evaluations or when the line search along
     -g fails.
     """
@@ -126,7 +123,7 @@ def _lbfgs(objective, x: np.ndarray, config: OptimizerConfig):
             gamma = sy / yy
         decrease = (value - value_new) / max(abs(value), abs(value_new), 1.0)
         x, value, grad = x_new, value_new, grad_new
-        if decrease <= config.value_tol:
+        if decrease <= _VALUE_TOL:
             break
     return value, x, True, nfev
 
@@ -525,18 +522,18 @@ def _roof_objective(factors: np.ndarray, m: int):
 
 
 def eof_convex_roof(
-    rho_ab: DensityMatrix,
-    cardinality: int | None = None,
-    config: OptimizerConfig = OptimizerConfig(),
+    rho_ab: DensityMatrix, config: OptimizerConfig = OptimizerConfig()
 ) -> float:
     """Upper bound on the entanglement of formation by decomposition search.
 
-    Minimizes sum_i p_i E(psi_i) over size-m pure-state decompositions.
-    Every decomposition of a rank-r state arises from an m x r isometry
-    acting on the canonical eigen-ensemble, so the isometry is the search
-    variable, charted as the leading columns of exp(iH) and searched by
-    multi-start L-BFGS with the analytic gradient.  The value is exact
-    only at optimizer convergence and is documented as an upper bound.
+    Minimizes sum_i p_i E(psi_i) over pure-state decompositions of m = r^2
+    members for a rank-r state, enough to reach the roof (Uhlmann, Open
+    Syst. Inf. Dyn. 5, 209 (1998)).  Every such decomposition arises from
+    an m x r isometry acting on the canonical eigen-ensemble, so the
+    isometry is the search variable, charted as the leading columns of
+    exp(iH) and searched by multi-start L-BFGS with the analytic gradient.
+    The value is exact only at optimizer convergence and is documented as
+    an upper bound.
     """
     _require_bipartite(rho_ab, "eof_convex_roof")
     d_a, d_b = rho_ab.dims
@@ -548,9 +545,7 @@ def eof_convex_roof(
     rank = canonical.d_e
     # factor j = sqrt(l_j) |v_j> on (A, B)
     factors = np.moveaxis(canonical.psi.amps.reshape(d_a, d_b, rank), -1, 0)
-    m = rank * rank if cardinality is None else int(cardinality)
-    if m < rank:
-        raise ConfigError(f"cardinality {m} below the state rank {rank}")
+    m = rank * rank
     if rank == 1:  # a pure state is its own only decomposition
         return _average_entanglement(factors)[0]
     best, _, _, _ = _multistart_minimize(

@@ -25,13 +25,6 @@ NORM_TOL = 1e-10
 EIG_CLIP = 1e-12
 
 
-def _prod(dims: Iterable[int]) -> int:
-    out = 1
-    for d in dims:
-        out *= int(d)
-    return out
-
-
 def _as_dims(dims: Iterable[int]) -> tuple[int, ...]:
     out = tuple(int(d) for d in dims)
     if not out:
@@ -57,7 +50,7 @@ class DensityMatrix:
     def __post_init__(self) -> None:
         dims = _as_dims(self.dims)
         data = np.array(self.data, dtype=complex)
-        side = _prod(dims)
+        side = math.prod(dims)
         if data.ndim != 2 or data.shape != (side, side):
             raise DimensionError(
                 f"matrix shape {data.shape} does not match dims {dims} "
@@ -85,7 +78,7 @@ class PureStateVector:
     def __post_init__(self) -> None:
         dims = _as_dims(self.dims)
         amps = np.array(self.amps, dtype=complex).reshape(-1)
-        if amps.shape[0] != _prod(dims):
+        if amps.shape[0] != math.prod(dims):
             raise DimensionError(
                 f"vector length {amps.shape[0]} does not match dims {dims}"
             )
@@ -155,7 +148,7 @@ def trace_out(data: np.ndarray, dims: tuple[int, ...], keep: Iterable[int]) -> n
     for idx in sorted(set(range(len(dims))) - set(keep), reverse=True):
         half = (tensor.ndim - lead) // 2
         tensor = np.trace(tensor, axis1=lead + idx, axis2=lead + idx + half)
-    side = _prod(dims[i] for i in set(keep))
+    side = math.prod(dims[i] for i in set(keep))
     return tensor.reshape(data.shape[:lead] + (side, side))
 
 
@@ -180,7 +173,7 @@ def permute_subsystems(rho: DensityMatrix, order: Sequence[int]) -> DensityMatri
     tensor = rho.data.reshape(rho.dims + rho.dims)
     perm = order + tuple(i + n for i in order)
     new_dims = tuple(rho.dims[i] for i in order)
-    side = _prod(new_dims)
+    side = math.prod(new_dims)
     return DensityMatrix(new_dims, tensor.transpose(perm).reshape(side, side))
 
 
@@ -231,44 +224,47 @@ def eig_hermitian(m: np.ndarray) -> EigDecomposition:
     return EigDecomposition(w, v)
 
 
-def validate_density(
-    m: np.ndarray, dims: Iterable[int], tol: float = 1e-10
-) -> DensityMatrix:
+def validate_density(m: np.ndarray, dims: Iterable[int]) -> DensityMatrix:
     """Check density-matrix invariants and return a cleaned-up state.
 
-    The Hermitian part of ``m`` is taken, eigenvalues in [-tol, 0) are
-    clipped to zero and the matrix renormalized to unit trace.  Violations
-    beyond ``tol`` raise :class:`ValidationError` naming the invariant.
+    The Hermitian part of ``m`` is taken, eigenvalues in
+    [-POSITIVITY_TOL, 0) are clipped to zero and the matrix renormalized to
+    unit trace.  A deviation beyond HERMITICITY_TOL, TRACE_TOL or
+    POSITIVITY_TOL raises :class:`ValidationError` naming the invariant.
     """
     dims = _as_dims(dims)
     m = np.asarray(m, dtype=complex)
-    side = _prod(dims)
+    side = math.prod(dims)
     if m.ndim != 2 or m.shape != (side, side):
         raise ValidationError(
             f"shape: matrix {m.shape} does not match dims {dims} "
             f"(expected {side}x{side})"
         )
-    return DensityMatrix(dims, clean_density(m, tol))
+    return DensityMatrix(dims, clean_density(m))
 
 
-def clean_density(m: np.ndarray, tol: float = 1e-10) -> np.ndarray:
+def clean_density(m: np.ndarray) -> np.ndarray:
     """The checks and clean-up of :func:`validate_density` on a (..., side, side)
     stack; a violation by any member raises :class:`ValidationError`."""
     if not np.isfinite(m).all():
         raise ValidationError("finiteness: matrix has NaN or Inf entries")
     m_dag = np.swapaxes(m.conj(), -1, -2)
     herm_dev = float(np.max(np.abs(m - m_dag)))
-    if herm_dev > tol:
-        raise ValidationError(f"hermiticity: max |m - m^dag| = {herm_dev:.3e} > {tol:.1e}")
+    if herm_dev > HERMITICITY_TOL:
+        raise ValidationError(
+            f"hermiticity: max |m - m^dag| = {herm_dev:.3e} > {HERMITICITY_TOL:.1e}"
+        )
     h = (m + m_dag) / 2.0
     tr = np.trace(h, axis1=-2, axis2=-1).real
     worst = float(tr.flat[np.argmax(np.abs(tr - 1.0))])
-    if abs(worst - 1.0) > tol:
-        raise ValidationError(f"trace: Tr(m) = {worst!r} deviates from 1 by more than {tol:.1e}")
-    w, v = np.linalg.eigh(h)
-    if w.min() < -tol:
+    if abs(worst - 1.0) > TRACE_TOL:
         raise ValidationError(
-            f"positivity: smallest eigenvalue {w.min():.3e} < -{tol:.1e}"
+            f"trace: Tr(m) = {worst!r} deviates from 1 by more than {TRACE_TOL:.1e}"
+        )
+    w, v = np.linalg.eigh(h)
+    if w.min() < -POSITIVITY_TOL:
+        raise ValidationError(
+            f"positivity: smallest eigenvalue {w.min():.3e} < -{POSITIVITY_TOL:.1e}"
         )
     w = np.clip(w, 0.0, None)
     cleaned = (v * w[..., None, :]) @ np.swapaxes(v.conj(), -1, -2)
@@ -282,7 +278,7 @@ def random_pure(
     """Haar-distributed pure state: normalized complex-Gaussian vector."""
     dims = _as_dims(dims)
     rng = np.random.default_rng(seed)
-    n = _prod(dims)
+    n = math.prod(dims)
     z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     return PureStateVector(dims, z / np.linalg.norm(z))
 
@@ -300,7 +296,7 @@ def random_density(
     Deterministic given seed.
     """
     dims = _as_dims(dims)
-    side = _prod(dims)
+    side = math.prod(dims)
     if rank is None:
         rank = side
     rank = int(rank)
@@ -318,11 +314,21 @@ def random_density(
 # Matrices are row-major and square.  NaN/Inf anywhere are rejected.
 
 
+def is_json_int(value: object) -> bool:
+    """A JSON integer; Python's bool is an int, JSON's true is not."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def is_json_number(value: object) -> bool:
+    """A JSON number (integer or float), not a bool."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _complex_from_pair(pair: object, where: str) -> complex:
     if (
         not isinstance(pair, (list, tuple))
         or len(pair) != 2
-        or not all(isinstance(x, (int, float)) for x in pair)
+        or not all(is_json_number(x) for x in pair)
     ):
         raise ParseError(f"{where}: expected [re, im] pair, got {pair!r}")
     re, im = float(pair[0]), float(pair[1])
@@ -331,10 +337,12 @@ def _complex_from_pair(pair: object, where: str) -> complex:
     return complex(re, im)
 
 
-def _dims_from_obj(obj: dict, where: str) -> tuple[int, ...]:
+def _dims_from_obj(obj: object, where: str) -> tuple[int, ...]:
+    if not isinstance(obj, dict):
+        raise ParseError(f"{where}: expected a JSON object, got {type(obj).__name__}")
     dims = obj.get("dims")
     if not isinstance(dims, list) or not dims or not all(
-        isinstance(d, int) and d >= 1 for d in dims
+        is_json_int(d) and d >= 1 for d in dims
     ):
         raise ParseError(f"{where}: field 'dims' must be a list of integers >= 1")
     return tuple(dims)
@@ -347,10 +355,10 @@ def density_to_dict(rho: DensityMatrix) -> dict:
     return {"dims": list(rho.dims), "matrix": matrix}
 
 
-def density_from_dict(obj: dict, tol: float = 1e-10) -> DensityMatrix:
+def density_from_dict(obj: dict) -> DensityMatrix:
     dims = _dims_from_obj(obj, "density state")
     rows = obj.get("matrix")
-    side = _prod(dims)
+    side = math.prod(dims)
     if not isinstance(rows, list) or len(rows) != side:
         raise ParseError(f"field 'matrix': expected {side} rows")
     data = np.empty((side, side), dtype=complex)
@@ -359,7 +367,7 @@ def density_from_dict(obj: dict, tol: float = 1e-10) -> DensityMatrix:
             raise ParseError(f"field 'matrix' row {i}: expected {side} entries")
         for j, pair in enumerate(row):
             data[i, j] = _complex_from_pair(pair, f"matrix[{i}][{j}]")
-    return validate_density(data, dims, tol=tol)
+    return validate_density(data, dims)
 
 
 def pure_to_dict(psi: PureStateVector) -> dict:
@@ -370,7 +378,7 @@ def pure_to_dict(psi: PureStateVector) -> dict:
 def pure_from_dict(obj: dict) -> PureStateVector:
     dims = _dims_from_obj(obj, "pure state")
     vec = obj.get("vector")
-    n = _prod(dims)
+    n = math.prod(dims)
     if not isinstance(vec, list) or len(vec) != n:
         raise ParseError(f"field 'vector': expected {n} entries")
     amps = np.empty(n, dtype=complex)

@@ -33,6 +33,8 @@ from .qmat import (
     pure_to_dict,
     density_from_dict,
     density_to_dict,
+    is_json_int,
+    is_json_number,
     random_density,
     random_pure,
     read_json,
@@ -180,18 +182,16 @@ def purify_saturating(spec: SaturatingSpec) -> PureStateVector:
     return PureStateVector(spec.dims + (root.shape[3],), root.reshape(-1))
 
 
-def build_saturating(spec: SaturatingSpec) -> DensityMatrix:
-    """Mixture of the spec's embedded blocks on the spec's global dims."""
-    root, _ = _saturating_root(spec)
+def _root_mixture(spec: SaturatingSpec, root: np.ndarray) -> DensityMatrix:
+    """The spec's mixture G G^dag, with G = T reshaped to side x d_E."""
     g = root.reshape(-1, root.shape[3])
     return DensityMatrix(spec.dims, g @ g.conj().T)
 
 
-def block_marginals(
-    spec: SaturatingSpec,
+def _sector_marginals(
+    spec: SaturatingSpec, root: np.ndarray, sectors: list[slice]
 ) -> tuple[list[DensityMatrix], list[DensityMatrix]]:
-    """Per-block B- and C-marginals of the embedded blocks."""
-    root, sectors = _saturating_root(spec)
+    """Block k's B- and C-marginals, read from its sector of T over p_k."""
     _, d_b, d_c = spec.dims
     margs_b, margs_c = [], []
     for blk, sector in zip(spec.blocks, sectors):
@@ -199,6 +199,18 @@ def block_marginals(
         margs_b.append(DensityMatrix((d_b,), np.einsum("abce,axce->bx", part, part.conj())))
         margs_c.append(DensityMatrix((d_c,), np.einsum("abce,abxe->cx", part, part.conj())))
     return margs_b, margs_c
+
+
+def build_saturating(spec: SaturatingSpec) -> DensityMatrix:
+    """Mixture of the spec's embedded blocks on the spec's global dims."""
+    return _root_mixture(spec, _saturating_root(spec)[0])
+
+
+def block_marginals(
+    spec: SaturatingSpec,
+) -> tuple[list[DensityMatrix], list[DensityMatrix]]:
+    """Per-block B- and C-marginals of the embedded blocks."""
+    return _sector_marginals(spec, *_saturating_root(spec))
 
 
 def _max_off_diagonal(*overlaps: np.ndarray) -> float:
@@ -227,22 +239,24 @@ def _overlap_matrix(states: Sequence[DensityMatrix]) -> np.ndarray:
 
 
 def check_orthogonality(
-    marginals_b: Sequence[DensityMatrix],
-    marginals_c: Sequence[DensityMatrix],
-    tol: float = ORTHOGONALITY_TOL,
+    marginals_b: Sequence[DensityMatrix], marginals_c: Sequence[DensityMatrix]
 ) -> OrthogonalityReport:
-    """Measure mutual orthogonality of two marginal families."""
+    """Measure mutual orthogonality of two marginal families; they count as
+    orthogonal when no off-diagonal overlap exceeds ORTHOGONALITY_TOL."""
     if len(marginals_b) != len(marginals_c):
         raise DimensionError(
             f"{len(marginals_b)} B-marginals vs {len(marginals_c)} C-marginals"
         )
+    if not marginals_b:
+        raise DimensionError("marginal families must not be empty")
     for family in (marginals_b, marginals_c):
         dims = family[0].dims
         if any(m.dims != dims for m in family):
             raise DimensionError("marginals within one family must share dims")
     ov_b = _overlap_matrix(marginals_b)
     ov_c = _overlap_matrix(marginals_c)
-    return OrthogonalityReport(ov_b, ov_c, _max_off_diagonal(ov_b, ov_c) <= tol)
+    orthogonal = _max_off_diagonal(ov_b, ov_c) <= ORTHOGONALITY_TOL
+    return OrthogonalityReport(ov_b, ov_c, orthogonal)
 
 
 @dataclass(frozen=True)
@@ -289,10 +303,10 @@ def certify(
         raise DimensionError(
             f"state dims {rho_abc.dims} do not match spec dims {spec.dims}"
         )
-    built = build_saturating(spec)
+    root, sectors = _saturating_root(spec)
+    built = _root_mixture(spec, root)
     rebuild_witness = float(np.max(np.abs(rho_abc.data - built.data)))
-    margs_b, margs_c = block_marginals(spec)
-    report = check_orthogonality(margs_b, margs_c, tol=ORTHOGONALITY_TOL)
+    report = check_orthogonality(*_sector_marginals(spec, root, sectors))
     gap_witness = t_gap(rho_abc).t_a
     return Certificate(
         rebuild_ok=rebuild_witness <= tol,
@@ -406,7 +420,7 @@ def spec_from_dict(obj: dict) -> SaturatingSpec:
     if (
         not isinstance(dims, list)
         or len(dims) != 3
-        or not all(isinstance(d, int) and d >= 1 for d in dims)
+        or not all(is_json_int(d) and d >= 1 for d in dims)
     ):
         raise ParseError("spec: field 'dims' must be three integers >= 1")
     raw_blocks = obj.get("blocks")
@@ -419,25 +433,29 @@ def spec_from_dict(obj: dict) -> SaturatingSpec:
     for i, raw in enumerate(raw_blocks):
         if not isinstance(raw, dict):
             raise ParseError(f"spec: block {i} must be an object")
-        try:
-            weight = float(raw["weight"])
-            partition = tuple(int(x) for x in raw["partition"])
-            psi = pure_from_dict(raw["psi"])
-            rho_z = density_from_dict(raw["rhoZ"])
-            embed_b = int(raw.get("embedB", 0))
-            embed_c = int(raw.get("embedC", 0))
-        except KeyError as exc:
-            raise ParseError(f"spec: block {i} missing field {exc}") from exc
-        if len(partition) != 4:
-            raise ParseError(f"spec: block {i} partition must have 4 entries")
+        missing = [f for f in ("weight", "partition", "psi", "rhoZ") if f not in raw]
+        if missing:
+            raise ParseError(f"spec: block {i} missing field {missing[0]!r}")
+        weight, partition = raw["weight"], raw["partition"]
+        embed_b, embed_c = raw.get("embedB", 0), raw.get("embedC", 0)
+        if not is_json_number(weight):
+            raise ParseError(f"spec: block {i} weight must be a number")
         if not math.isfinite(weight):
             raise ParseError(f"spec: block {i} has non-finite weight")
+        if not (
+            isinstance(partition, list)
+            and len(partition) == 4
+            and all(is_json_int(x) for x in partition)
+        ):
+            raise ParseError(f"spec: block {i} partition must be 4 integers")
+        if not (is_json_int(embed_b) and is_json_int(embed_c)):
+            raise ParseError(f"spec: block {i} embedB/embedC must be integers")
         blocks.append(
             SaturatingBlock(
-                weight=weight,
-                psi_ay=psi,
-                rho_z=rho_z,
-                partition=partition,  # type: ignore[arg-type]
+                weight=float(weight),
+                psi_ay=pure_from_dict(raw["psi"]),
+                rho_z=density_from_dict(raw["rhoZ"]),
+                partition=tuple(partition),  # type: ignore[arg-type]
                 embed_b=embed_b,
                 embed_c=embed_c,
             )

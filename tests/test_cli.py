@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 
 import ssa_lab as sl
+from ssa_lab.cli import CampaignConfig
+from ssa_lab.errors import ConfigError
 
 from conftest import bell_phi_plus
 
@@ -271,8 +273,8 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "flags",
         [
-            ("--tol", "-1"),
-            ("--tol", "nan"),
+            ("--max-evals", "1.5"),
+            ("--restarts", "many"),
             ("--max-evals", "0"),
             ("--max-evals", "-5"),
             ("--restarts", "0"),
@@ -284,6 +286,21 @@ class TestExitCodes:
         assert res.returncode == 1
         assert res.stdout == ""
         assert "error" in res.stderr
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("discord", "{mixed}", "--seed", "1", "--tol", "1e-10"),
+            ("kw", "{pure}", "--seed", "1", "--tol", "1e-10"),
+            ("eof", "{mixed}", "--seed", "1", "--method", "roof", "--cardinality", "4"),
+        ],
+    )
+    def test_removed_flags_exit_one(self, args, mixed_state_file, pure_state_file):
+        argv = [a.format(mixed=mixed_state_file, pure=pure_state_file) for a in args]
+        res = run_cli(*argv)
+        assert res.returncode == 1
+        assert res.stdout == ""
+        assert "unrecognized arguments" in res.stderr
 
     def test_bad_optimizer_settings_exit_one_on_wootters_eof(self, bell_file):
         res = run_cli("eof", bell_file, "--seed", "1", "--restarts", "0")
@@ -325,6 +342,12 @@ class TestExitCodes:
         )
         assert res.returncode == 1
 
+    def test_wrong_arity_rejected_at_construction(self):
+        with pytest.raises(ConfigError, match="arity"):
+            CampaignConfig(
+                samples=2, dims=(2, 2), rank=None, seed=1, tolerance=1e-9, checks=("ssa",)
+            )
+
     def test_wrong_arity_for_check(self):
         res = run_cli(
             "campaign", "--checks", "ssa", "--n", "2", "--dims", "2,2", "--seed", "1"
@@ -334,3 +357,75 @@ class TestExitCodes:
     def test_tgap_on_bipartite_is_validation_error(self, bell_file):
         res = run_cli("tgap", bell_file)
         assert res.returncode == 1
+
+
+class TestMalformedFiles:
+    # malformed fields must end as a one-line `error:` and exit 1, with no
+    # traceback and nothing on stdout
+
+    @pytest.fixture
+    def one_block_spec(self):
+        # weight 1 on dims (1, 2, 2): loosely typed variants of its fields
+        # still describe a buildable spec
+        spec = sl.random_saturating_spec([1, 2, 2], np.random.default_rng(3), max_blocks=1)
+        return sl.structure.spec_to_dict(spec)
+
+    @staticmethod
+    def _assert_parse_failure(res):
+        assert res.returncode == 1
+        assert res.stdout == ""
+        assert res.stderr.startswith("error:")
+        assert "Traceback" not in res.stderr
+
+    def test_one_block_spec_builds(self, tmp_path, one_block_spec):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(one_block_spec))
+        assert run_cli("build", str(path)).returncode == 0
+
+    @pytest.mark.parametrize(
+        "field, bad",
+        [
+            ("weight", lambda w: [w]),
+            ("weight", lambda w: str(w)),
+            ("weight", lambda w: True),
+            ("partition", lambda p: 5),
+            ("partition", lambda p: ["a"] + p[1:]),
+            ("partition", lambda p: [float(x) for x in p]),
+            ("embedB", lambda o: "x"),
+            ("embedB", lambda o: 0.7),
+            ("embedC", lambda o: False),
+            ("psi", lambda s: [1, 2]),
+            ("rhoZ", lambda s: "state"),
+        ],
+        ids=[
+            "weight-list", "weight-string", "weight-bool", "partition-int",
+            "partition-string-entry", "partition-floats", "embedB-string",
+            "embedB-float", "embedC-bool", "psi-list", "rhoZ-string",
+        ],
+    )
+    def test_bad_spec_block_field(self, tmp_path, one_block_spec, field, bad):
+        block = one_block_spec["blocks"][0]
+        block[field] = bad(block[field])
+        path = tmp_path / "bad_spec.json"
+        path.write_text(json.dumps(one_block_spec))
+        self._assert_parse_failure(run_cli("build", str(path)))
+
+    def test_bool_spec_dims(self, tmp_path, one_block_spec):
+        one_block_spec["dims"][0] = True
+        path = tmp_path / "bad_spec.json"
+        path.write_text(json.dumps(one_block_spec))
+        self._assert_parse_failure(run_cli("build", str(path)))
+
+    @pytest.mark.parametrize(
+        "state",
+        [
+            {"dims": [True, 2], "matrix": [[[0.5, 0], [0, 0]], [[0, 0], [0.5, 0]]]},
+            {"dims": [2], "matrix": [[[0.5, 0], [0, 0]], [[0, 0], [0.5, False]]]},
+            {"dims": [2], "vector": [[True, 0], [0, 0]]},
+        ],
+        ids=["bool-dims", "bool-matrix-entry", "bool-vector-entry"],
+    )
+    def test_bad_state_field(self, tmp_path, state):
+        path = tmp_path / "bad_state.json"
+        path.write_text(json.dumps(state))
+        self._assert_parse_failure(run_cli("entropy", str(path)))

@@ -187,6 +187,10 @@ class TestCheckOrthogonality:
         with pytest.raises(DimensionError):
             sl.check_orthogonality([a], [a, a])
 
+    def test_empty_families(self):
+        with pytest.raises(DimensionError, match="empty"):
+            sl.check_orthogonality([], [])
+
 
 class TestCertify:
     def test_round_trip(self, rng):
@@ -228,6 +232,20 @@ class TestCertify:
         spec = sl.random_saturating_spec([2, 3, 3], rng)
         with pytest.raises(DimensionError):
             sl.certify(sl.random_density([2, 2, 2], seed=1), spec)
+
+    def test_witnesses_match_build_and_marginals(self, rng):
+        # certify reads one root; its witnesses equal those computed from
+        # build_saturating and block_marginals, on passing and collided specs
+        for _ in range(5):
+            spec = sl.random_saturating_spec([2, 4, 4], rng, min_blocks=2)
+            for candidate in (spec, sl.collide_embeddings(spec)):
+                rho = sl.random_density([2, 4, 4], seed=rng)
+                cert = sl.certify(rho, candidate)
+                built = sl.build_saturating(candidate).data
+                report = sl.check_orthogonality(*block_marginals(candidate))
+                assert cert.rebuild_witness == float(np.max(np.abs(rho.data - built)))
+                assert cert.orthogonality_witness == report.max_off_diagonal()
+                assert cert.orthogonality_ok == report.orthogonal
 
 
 class TestRandomSpecCampaigns:
