@@ -16,9 +16,7 @@ from .errors import (
 )
 from .qmat import (
     DensityMatrix,
-    EigDecomposition,
     PureStateVector,
-    eig_hermitian,
     kron,
     load_density,
     load_state,

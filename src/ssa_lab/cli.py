@@ -65,6 +65,8 @@ class CampaignConfig:
     def __post_init__(self) -> None:
         if self.samples < 1:
             raise ConfigError(f"sample count must be >= 1, got {self.samples}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if not (math.isfinite(self.tolerance) and self.tolerance >= 0.0):
             raise ConfigError(f"tolerance must be finite and >= 0, got {self.tolerance}")
         if not self.checks:

@@ -13,7 +13,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import DimensionError, ValidationError
-from .qmat import EIG_CLIP, DensityMatrix, partial_trace, trace_out
+from .qmat import EIG_CLIP, DensityMatrix, _require_arity, partial_trace, trace_out
 
 
 def entropy_of_spectrum(eigenvalues: np.ndarray) -> np.ndarray:
@@ -48,16 +48,9 @@ def von_neumann_entropy(rho: DensityMatrix) -> float:
     return float(entropy_of_spectrum(_spectrum(rho.data)))
 
 
-def _require_arity(rho: DensityMatrix, arity: int, op: str) -> None:
-    if len(rho.dims) != arity:
-        raise DimensionError(
-            f"{op} needs a state with {arity} subsystems, got dims {rho.dims}"
-        )
-
-
 def mutual_information(rho_ab: DensityMatrix) -> float:
     """S(A) + S(B) - S(AB); zero exactly when the state is a product."""
-    _require_arity(rho_ab, 2, "mutual_information")
+    _require_arity(rho_ab.dims, 2, "mutual_information")
     s_a = von_neumann_entropy(partial_trace(rho_ab, {0}))
     s_b = von_neumann_entropy(partial_trace(rho_ab, {1}))
     return s_a + s_b - von_neumann_entropy(rho_ab)
@@ -65,7 +58,7 @@ def mutual_information(rho_ab: DensityMatrix) -> float:
 
 def conditional_entropy(rho_ab: DensityMatrix, conditioned_on: int) -> float:
     """S(AB) - S(conditioning side); can be negative for entangled states."""
-    _require_arity(rho_ab, 2, "conditional_entropy")
+    _require_arity(rho_ab.dims, 2, "conditional_entropy")
     if conditioned_on not in (0, 1):
         raise DimensionError(f"conditioned_on must be 0 or 1, got {conditioned_on}")
     s_cond = von_neumann_entropy(partial_trace(rho_ab, {conditioned_on}))
@@ -103,7 +96,7 @@ def gap_entropies(data: np.ndarray, dims: tuple[int, int, int]) -> np.ndarray:
 
 def t_gap(rho_abc: DensityMatrix) -> TGapReport:
     """Gap S(AB) + S(AC) - S(B) - S(C) of a tripartite state, in bits."""
-    _require_arity(rho_abc, 3, "t_gap")
+    _require_arity(rho_abc.dims, 3, "t_gap")
     s_ab, s_ac, s_b, s_c = gap_entropies(rho_abc.data, rho_abc.dims).tolist()
     return TGapReport(
         t_a=s_ab + s_ac - s_b - s_c,
@@ -116,7 +109,7 @@ def t_gap(rho_abc: DensityMatrix) -> TGapReport:
 
 def ssa_gap_form1(rho_abc: DensityMatrix) -> float:
     """Gap S(AC) + S(BC) - S(ABC) - S(C) of the global form of the inequality."""
-    _require_arity(rho_abc, 3, "ssa_gap_form1")
+    _require_arity(rho_abc.dims, 3, "ssa_gap_form1")
     s_ac = von_neumann_entropy(partial_trace(rho_abc, {0, 2}))
     s_bc = von_neumann_entropy(partial_trace(rho_abc, {1, 2}))
     s_c = von_neumann_entropy(partial_trace(rho_abc, {2}))
@@ -139,9 +132,9 @@ class Ensemble:
             raise ValidationError(
                 f"{weights.shape[0]} weights for {len(members)} members"
             )
-        if weights.min() < -1e-12:
+        if not weights.min() >= -1e-12:
             raise ValidationError(f"weights must be nonnegative, got {weights}")
-        if abs(weights.sum() - 1.0) > 1e-10:
+        if not abs(weights.sum() - 1.0) <= 1e-10:
             raise ValidationError(f"weights sum to {weights.sum()!r}, expected 1")
         dims = members[0].dims
         for k, member in enumerate(members):
@@ -186,10 +179,7 @@ def concavity_check(ensemble: Ensemble) -> tuple[float, float]:
     Equality holds when the members' B- and C-marginals are mutually
     orthogonal.
     """
-    if len(ensemble.dims) != 3:
-        raise DimensionError(
-            f"concavity_check needs tripartite members, got dims {ensemble.dims}"
-        )
+    _require_arity(ensemble.dims, 3, "concavity_check")
     lhs = t_gap(ensemble.mixture()).t_a
     rhs = float(
         sum(

@@ -1,11 +1,14 @@
 """Canonical purification and the B -> BE, C -> CE extension transforms.
 
 The canonical purification is fixed as |psi> = sum_j sqrt(l_j) |v_j>|j_E>
-over the eigenpairs with l_j > EIG_CLIP, eigenvalues descending with the
-eigensolver's deterministic tie-break.  Purifications are unique only up to
-an ancilla unitary, so pinning this form gives tests a reproducible object.
-The ancilla dimension equals the numerical rank, which keeps the extended
-BE / CE spaces as small as the discord optimizer needs them to be.
+over the eigenpairs with l_j > EIG_CLIP, eigenvalues descending and each
+|v_j> phased so that its first largest-modulus entry is real and >= 0.
+Exactly equal eigenvalues keep eigh's order: no order inside a degenerate
+eigenspace is canonical, and no entropy, EOF or discord depends on it.
+Purifications are unique only up to an ancilla unitary, so pinning this
+form gives tests a reproducible object.  The ancilla dimension equals the
+numerical rank, which keeps the extended BE / CE spaces as small as the
+discord optimizer needs them to be.
 """
 
 from __future__ import annotations
@@ -14,8 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError
-from .qmat import EIG_CLIP, DensityMatrix, PureStateVector, eig_hermitian
+from .qmat import EIG_CLIP, DensityMatrix, PureStateVector, _require_arity
 
 
 @dataclass(frozen=True)
@@ -28,11 +30,13 @@ class PurificationResult:
 
 def purify(rho: DensityMatrix) -> PurificationResult:
     """Canonical purification of a mixed state."""
-    dec = eig_hermitian(rho.data)
-    keep = dec.eigenvalues > EIG_CLIP
-    lam = dec.eigenvalues[keep]
-    vecs = dec.eigenvectors[:, keep]
+    w, v = np.linalg.eigh((rho.data + rho.data.conj().T) / 2.0)
+    order = np.argsort(-w, kind="stable")
+    keep = order[w[order] > EIG_CLIP]
+    lam, vecs = w[keep], v[:, keep]
     d_e = int(lam.shape[0])
+    lead = vecs[np.argmax(np.abs(vecs), axis=0), np.arange(d_e)]
+    vecs = vecs * (lead.conj() / np.abs(lead))
     # amps[(i, j)] = sqrt(lam_j) * v_j[i]  with the ancilla index fastest
     amps = (vecs * np.sqrt(lam)).reshape(-1)
     psi = PureStateVector(rho.dims + (d_e,), amps)
@@ -49,10 +53,7 @@ class ExtensionPair:
 
 def extend(rho_abc: DensityMatrix) -> ExtensionPair:
     """Purify a tripartite state and regroup into the two extended bipartitions."""
-    if len(rho_abc.dims) != 3:
-        raise DimensionError(
-            f"extend needs a tripartite state, got dims {rho_abc.dims}"
-        )
+    _require_arity(rho_abc.dims, 3, "extend")
     result = purify(rho_abc)
     d_a, d_b, d_c = rho_abc.dims
     d_e = result.d_e

@@ -1,4 +1,4 @@
-"""Complex-matrix core: states, Kronecker products, partial traces, eigensolver.
+"""Complex-matrix core: states, Kronecker products, partial traces.
 
 Index convention, fixed globally: subsystem 0 is the slowest-varying tensor
 index (big-endian), so a basis label (i0, i1, ..., in) maps to the flat row
@@ -32,6 +32,14 @@ def _as_dims(dims: Iterable[int]) -> tuple[int, ...]:
     if any(d < 1 for d in out):
         raise DimensionError(f"subsystem dimensions must be >= 1, got {out}")
     return out
+
+
+def _require_arity(dims: tuple[int, ...], arity: int, op: str) -> None:
+    """Raise DimensionError unless ``dims`` names ``arity`` subsystems."""
+    if len(dims) != arity:
+        raise DimensionError(
+            f"{op} needs a state with {arity} subsystems, got dims {dims}"
+        )
 
 
 @dataclass(frozen=True)
@@ -99,18 +107,6 @@ class PureStateVector:
         return DensityMatrix(self.dims, np.outer(self.amps, self.amps.conj()))
 
 
-@dataclass(frozen=True)
-class EigDecomposition:
-    """Hermitian eigendecomposition with eigenvalues sorted descending."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-    def reconstruct(self) -> np.ndarray:
-        v = self.eigenvectors
-        return (v * self.eigenvalues) @ v.conj().T
-
-
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Kronecker product of two complex matrices."""
     return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
@@ -175,53 +171,6 @@ def permute_subsystems(rho: DensityMatrix, order: Sequence[int]) -> DensityMatri
     new_dims = tuple(rho.dims[i] for i in order)
     side = math.prod(new_dims)
     return DensityMatrix(new_dims, tensor.transpose(perm).reshape(side, side))
-
-
-def _canonical_phase(vectors: np.ndarray) -> np.ndarray:
-    """Fix each column's phase so its largest-modulus entry is real >= 0."""
-    out = np.array(vectors)
-    for j in range(out.shape[1]):
-        col = out[:, j]
-        idx = int(np.argmax(np.abs(col)))
-        z = col[idx]
-        if abs(z) > 0:
-            out[:, j] = col * (z.conj() / abs(z))
-    return out
-
-
-def eig_hermitian(m: np.ndarray) -> EigDecomposition:
-    """Eigendecomposition of a (nearly) Hermitian matrix.
-
-    The input is symmetrized as (m + m†)/2 first, which absorbs 1e-10-level
-    asymmetry from accumulated arithmetic.  Eigenvalues come back sorted
-    descending; each eigenvector's phase is fixed so that its first
-    largest-modulus component is real and nonnegative, and exactly degenerate
-    eigenvalues order their vectors lexicographically.
-    """
-    m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise DimensionError(f"eig_hermitian needs a square matrix, got {m.shape}")
-    h = (m + m.conj().T) / 2.0
-    w, v = np.linalg.eigh(h)
-    order = np.argsort(-w, kind="stable")
-    w = w[order]
-    v = _canonical_phase(v[:, order])
-    # deterministic order inside exactly repeated eigenvalues
-    i = 0
-    while i < len(w):
-        j = i + 1
-        while j < len(w) and w[j] == w[i]:
-            j += 1
-        if j - i > 1:
-            cols = sorted(
-                range(i, j),
-                key=lambda k: tuple(np.round(v[:, k].real, 12))
-                + tuple(np.round(v[:, k].imag, 12)),
-                reverse=True,
-            )
-            v[:, i:j] = v[:, cols]
-        i = j
-    return EigDecomposition(w, v)
 
 
 def validate_density(m: np.ndarray, dims: Iterable[int]) -> DensityMatrix:

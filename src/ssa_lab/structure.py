@@ -60,7 +60,7 @@ class SaturatingBlock:
     def __post_init__(self) -> None:
         bl, br, cl, cr = (int(d) for d in self.partition)
         object.__setattr__(self, "partition", (bl, br, cl, cr))
-        if self.weight <= 0:
+        if not self.weight > 0:
             raise ValidationError(f"block weight must be > 0, got {self.weight}")
         if len(self.psi_ay.dims) != 3 or self.psi_ay.dims[1:] != (bl, cl):
             raise DimensionError(
@@ -108,7 +108,7 @@ class SaturatingSpec:
         if not blocks:
             raise ValidationError("spec must contain at least one block")
         total = sum(b.weight for b in blocks)
-        if abs(total - 1.0) > 1e-10:
+        if not abs(total - 1.0) <= 1e-10:
             raise ValidationError(f"block weights sum to {total!r}, expected 1")
         d_a, d_b, d_c = dims
         for k, blk in enumerate(blocks):

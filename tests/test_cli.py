@@ -342,6 +342,27 @@ class TestExitCodes:
         )
         assert res.returncode == 1
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("discord", "{mixed}", "--seed", "-5"),
+            ("campaign", "--checks", "ssa", "--n", "2", "--dims", "2,2,2", "--seed", "-1"),
+        ],
+        ids=["discord", "campaign"],
+    )
+    def test_negative_seed_exits_one(self, args, mixed_state_file):
+        res = run_cli(*[a.format(mixed=mixed_state_file) for a in args])
+        assert res.returncode == 1
+        assert res.stdout == ""
+        assert res.stderr.startswith("error:")
+        assert "Traceback" not in res.stderr
+
+    def test_negative_seed_rejected_at_construction(self):
+        with pytest.raises(ConfigError, match="seed"):
+            CampaignConfig(
+                samples=2, dims=(2, 2), rank=None, seed=-1, tolerance=1e-9, checks=("sa",)
+            )
+
     def test_wrong_arity_rejected_at_construction(self):
         with pytest.raises(ConfigError, match="arity"):
             CampaignConfig(

@@ -234,6 +234,11 @@ class TestHolevo:
         with pytest.raises(ValidationError):
             sl.make_ensemble([0.5, 0.5], [rho, sl.random_density([3], seed=2)])
 
+    def test_nan_weight_rejected(self):
+        rho = sl.random_density([2], seed=1)
+        with pytest.raises(ValidationError, match="weights"):
+            sl.make_ensemble([float("nan"), 0.5], [rho, rho])
+
 
 class TestConcavity:
     def test_single_member(self):

@@ -215,6 +215,7 @@ class TestOptimizerConfig:
             ("restarts", -3),
             ("max_evals", 0),
             ("max_evals", -5),
+            ("seed", -1),
         ],
     )
     def test_bad_settings_rejected(self, field, value):
@@ -527,7 +528,6 @@ class TestTheoremOneAudit:
         assert audit.t_a == pytest.approx(0.0, abs=1e-9)
         for line in (audit.line1, audit.line2, audit.line3, audit.line4):
             assert abs(line) <= 5e-4
-        assert not audit.violations
 
     def test_a_factorized_block(self):
         psi_a = sl.random_pure([2], seed=23)
@@ -558,7 +558,6 @@ class TestTheoremOneAudit:
             assert abs(audit.line4 - audit.t_a) <= 5e-4
             assert audit.delta_e_b >= -5e-4
             assert audit.delta_e_c >= -5e-4
-            assert audit.tolerance == 5e-4
 
     def test_known_local_minimum_state(self):
         # regression case: a local minimum of one of its 2x4 discords put

@@ -119,42 +119,30 @@ class TestPermute:
 
 
 class TestEigHermitian:
+    """The canonical Hermitian eigenbasis, which ``purify`` now owns.
+
+    Column j of ``purify(rho).psi.amps`` reshaped to (d, d_E) is
+    sqrt(l_j) v_j, so its squared norms are the spectrum in purify's order.
+    """
+
     def test_diagonal(self):
-        dec = sl.eig_hermitian(np.diag([3.0, 1.0, 2.0]))
-        np.testing.assert_allclose(dec.eigenvalues, [3.0, 2.0, 1.0])
+        rho = sl.validate_density(np.diag([3.0, 1.0, 2.0]) / 6, [3])
+        cols = sl.purify(rho).psi.amps.reshape(3, 3)
+        np.testing.assert_allclose(
+            np.sum(np.abs(cols) ** 2, axis=0), [0.5, 1 / 3, 1 / 6], atol=1e-12
+        )
 
     def test_pauli_x(self):
-        x = np.array([[0.0, 1.0], [1.0, 0.0]])
-        dec = sl.eig_hermitian(x)
-        np.testing.assert_allclose(dec.eigenvalues, [1.0, -1.0], atol=1e-12)
-        np.testing.assert_allclose(
-            np.abs(dec.eigenvectors), np.full((2, 2), 1 / np.sqrt(2)), atol=1e-12
-        )
-        # phase convention: leading largest-modulus component real nonnegative
-        assert dec.eigenvectors[0, 0].real > 0
-        assert dec.eigenvectors[0, 1].real > 0
-
-    def test_reconstruction_random(self, rng):
-        m = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
-        h = (m + m.conj().T) / 2
-        dec = sl.eig_hermitian(h)
-        assert np.max(np.abs(dec.reconstruct() - h)) <= 1e-9
-
-    def test_orthonormal_columns(self, rng):
-        m = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
-        dec = sl.eig_hermitian((m + m.conj().T) / 2)
-        gram = dec.eigenvectors.conj().T @ dec.eigenvectors
-        assert np.max(np.abs(gram - np.eye(6))) <= 1e-10
-
-    def test_density_spectrum_sums_to_one(self):
-        rho = sl.random_density([2, 3], seed=31)
-        dec = sl.eig_hermitian(rho.data)
-        assert abs(dec.eigenvalues.sum() - 1.0) <= 1e-10
-        assert dec.eigenvalues.min() >= -1e-10
-
-    def test_non_square(self):
-        with pytest.raises(DimensionError):
-            sl.eig_hermitian(np.zeros((2, 3)))
+        # (I + P/2) / 2 for P = X, Y has spectrum (0.75, 0.25)
+        for pauli in ([[0.0, 1.0], [1.0, 0.0]], [[0.0, -1.0j], [1.0j, 0.0]]):
+            rho = sl.validate_density((np.eye(2) + 0.5 * np.array(pauli)) / 2, [2])
+            cols = sl.purify(rho).psi.amps.reshape(2, 2)
+            np.testing.assert_allclose(
+                np.abs(cols), np.sqrt([[0.375, 0.125], [0.375, 0.125]]), atol=1e-12
+            )
+            # phase convention: first largest-modulus entry real and > 0
+            lead = cols[np.argmax(np.abs(cols), axis=0), [0, 1]]
+            assert np.all(lead.imag == 0.0) and np.all(lead.real > 0.0)
 
 
 class TestValidateDensity:
@@ -287,3 +275,31 @@ class TestStateFiles:
         path.write_text("{not json")
         with pytest.raises(ParseError):
             sl.load_state(str(path))
+
+
+_BIPARTITE = sl.random_density([2, 2], seed=1)
+_TRIPARTITE = sl.random_density([2, 2, 2], seed=2)
+
+# each operation on a state of the wrong number of subsystems
+_WRONG_ARITY = {
+    "mutual_information": lambda: sl.mutual_information(_TRIPARTITE),
+    "conditional_entropy": lambda: sl.conditional_entropy(_TRIPARTITE, 1),
+    "t_gap": lambda: sl.t_gap(_BIPARTITE),
+    "ssa_gap_form1": lambda: sl.ssa_gap_form1(_BIPARTITE),
+    "concavity_check": lambda: sl.concavity_check(sl.make_ensemble([1.0], [_BIPARTITE])),
+    "extend": lambda: sl.extend(_BIPARTITE),
+    "discord": lambda: sl.discord(_TRIPARTITE, 1),
+    "classical_correlation_at": lambda: sl.classical_correlation_at(
+        _TRIPARTITE, sl.MeasurementBasis.computational(2), 1
+    ),
+    "eof_convex_roof": lambda: sl.eof_convex_roof(_TRIPARTITE),
+    "discord_via_kw": lambda: sl.discord_via_kw(sl.random_pure([2, 2], seed=3), 1),
+    "kw_gap": lambda: sl.kw_gap(_BIPARTITE),
+    "theorem1_audit": lambda: sl.theorem1_audit(_BIPARTITE),
+}
+
+
+@pytest.mark.parametrize("op", list(_WRONG_ARITY))
+def test_wrong_arity_raises_dimension_error(op):
+    with pytest.raises(DimensionError, match=f"{op} needs a state with"):
+        _WRONG_ARITY[op]()

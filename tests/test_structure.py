@@ -151,6 +151,12 @@ class TestBuildSaturating:
         with pytest.raises(ValidationError, match="sum"):
             sl.SaturatingSpec((2, 2, 1), (blk,))
 
+    def test_nan_weight_rejected(self):
+        psi = sl.random_pure([2, 2, 1], seed=1)
+        rho_z = sl.validate_density(np.array([[1.0]]), [1, 1])
+        with pytest.raises(ValidationError, match="weight"):
+            sl.SaturatingBlock(float("nan"), psi, rho_z, (2, 1, 1, 1))
+
 
 class TestCheckOrthogonality:
     def test_disjoint_projectors(self):
