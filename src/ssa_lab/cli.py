@@ -39,13 +39,15 @@ from .qcorr import (
 )
 from .qmat import (
     DensityMatrix,
+    _as_dims,
+    _as_int,
     density_to_dict,
     load_density,
     random_density,
     random_pure,
     save_state,
 )
-from .structure import build_saturating, certify, load_spec
+from .structure import CERTIFY_TOL, build_saturating, certify, load_spec
 from .twoblock import sweep_figure
 
 
@@ -63,10 +65,11 @@ class CampaignConfig:
     optimizer: OptimizerConfig = OptimizerConfig()
 
     def __post_init__(self) -> None:
-        if self.samples < 1:
-            raise ConfigError(f"sample count must be >= 1, got {self.samples}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        object.__setattr__(self, "samples", _as_int(self.samples, "sample count", 1, ConfigError))
+        object.__setattr__(self, "seed", _as_int(self.seed, "seed", 0, ConfigError))
+        object.__setattr__(self, "dims", _as_dims(self.dims))
+        if self.rank is not None:
+            object.__setattr__(self, "rank", _as_int(self.rank, "rank", 1, ConfigError))
         if not (math.isfinite(self.tolerance) and self.tolerance >= 0.0):
             raise ConfigError(f"tolerance must be finite and >= 0, got {self.tolerance}")
         if not self.checks:
@@ -191,12 +194,9 @@ def _emit(record: dict, summary: str) -> None:
 
 def _parse_dims(text: str) -> tuple[int, ...]:
     try:
-        dims = tuple(int(part) for part in text.split(","))
+        return tuple(int(part) for part in text.split(","))
     except ValueError:
         raise ConfigError(f"--dims expects comma-separated integers, got {text!r}")
-    if not dims or any(d < 1 for d in dims):
-        raise ConfigError(f"--dims entries must be >= 1, got {text!r}")
-    return dims
 
 
 def _optimizer_from_args(args: argparse.Namespace) -> OptimizerConfig:
@@ -272,13 +272,12 @@ def _cmd_kw(args: argparse.Namespace) -> None:
 def _cmd_build(args: argparse.Namespace) -> None:
     spec = load_spec(args.spec)
     rho = build_saturating(spec)
+    summary = f"built state on dims {list(rho.dims)} from {len(spec.blocks)} block(s)"
     if args.out:
         save_state(args.out, rho)
+        sys.stderr.write(summary + "\n")
     else:
-        sys.stdout.write(json.dumps(density_to_dict(rho), sort_keys=True) + "\n")
-    sys.stderr.write(
-        f"built state on dims {list(rho.dims)} from {len(spec.blocks)} block(s)\n"
-    )
+        _emit(density_to_dict(rho), summary)
 
 
 def _cmd_certify(args: argparse.Namespace) -> None:
@@ -367,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("certify", help="certify a block decomposition against a state")
     p.add_argument("state")
     p.add_argument("spec")
-    p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument("--tol", type=float, default=CERTIFY_TOL)
     p.set_defaults(handler=_cmd_certify)
 
     p = sub.add_parser("sweep", help="emit a 2-parameter gap sweep as CSV")

@@ -13,7 +13,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import DimensionError, ValidationError
-from .qmat import EIG_CLIP, DensityMatrix, _require_arity, partial_trace, trace_out
+from .qmat import EIG_CLIP, DensityMatrix, _as_int, _require_arity, partial_trace, trace_out
 
 
 def entropy_of_spectrum(eigenvalues: np.ndarray) -> np.ndarray:
@@ -59,7 +59,8 @@ def mutual_information(rho_ab: DensityMatrix) -> float:
 def conditional_entropy(rho_ab: DensityMatrix, conditioned_on: int) -> float:
     """S(AB) - S(conditioning side); can be negative for entangled states."""
     _require_arity(rho_ab.dims, 2, "conditional_entropy")
-    if conditioned_on not in (0, 1):
+    conditioned_on = _as_int(conditioned_on, "conditioned_on", 0)
+    if conditioned_on > 1:
         raise DimensionError(f"conditioned_on must be 0 or 1, got {conditioned_on}")
     s_cond = von_neumann_entropy(partial_trace(rho_ab, {conditioned_on}))
     return von_neumann_entropy(rho_ab) - s_cond

@@ -25,7 +25,7 @@ from .entropy import (
     von_neumann_entropy,
 )
 from .purify import extend, purify
-from .qmat import EIG_CLIP, DensityMatrix, PureStateVector, _require_arity, partial_trace
+from .qmat import EIG_CLIP, DensityMatrix, PureStateVector, _as_int, _require_arity, partial_trace
 
 MAX_MEASURED_DIM = 8
 MAX_EOF_DIM = 16
@@ -44,12 +44,9 @@ class OptimizerConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.restarts < 1:
-            raise ConfigError(f"restarts must be >= 1, got {self.restarts}")
-        if self.max_evals < 1:
-            raise ConfigError(f"max_evals must be >= 1, got {self.max_evals}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        for name, low in (("restarts", 1), ("max_evals", 1), ("seed", 0)):
+            value = _as_int(getattr(self, name), name, low, ConfigError)
+            object.__setattr__(self, name, value)
 
 
 LBFGS_MEMORY = 10  # curvature pairs kept, the common L-BFGS default
@@ -359,7 +356,8 @@ def classical_correlation_at(
 ) -> float:
     """Entropy reduction of the unmeasured side under one projective basis."""
     _require_arity(rho_ab.dims, 2, "classical_correlation_at")
-    if measured not in (0, 1):
+    measured = _as_int(measured, "measured", 0)
+    if measured > 1:
         raise DimensionError(f"measured must be 0 or 1, got {measured}")
     if basis.dim != rho_ab.dims[measured]:
         raise DimensionError(
@@ -395,7 +393,8 @@ def discord(
     restarts (0 when the measured side is one-dimensional).
     """
     _require_arity(rho_ab.dims, 2, "discord")
-    if measured not in (0, 1):
+    measured = _as_int(measured, "measured", 0)
+    if measured > 1:
         raise DimensionError(f"measured must be 0 or 1, got {measured}")
     d = rho_ab.dims[measured]
     if d > MAX_MEASURED_DIM:
@@ -567,7 +566,8 @@ def discord_via_kw(psi: PureStateVector, measured: int) -> float:
     complement pair must be two-qubit so the closed form applies.
     """
     _require_arity(psi.dims, 3, "discord_via_kw")
-    if measured not in (1, 2):
+    measured = _as_int(measured, "measured", 1)
+    if measured > 2:
         raise DimensionError(f"measured must be subsystem 1 or 2, got {measured}")
     complement = 3 - measured
     rho = psi.to_density()
@@ -596,14 +596,9 @@ def kw_gap(
 ) -> KWReport:
     """Evaluate the monogamy inequality on a tripartite state."""
     _require_arity(rho_abc.dims, 3, "kw_gap")
-    d_a, d_b, d_c = rho_abc.dims
-    if (d_a, d_b) != (2, 2):
+    if rho_abc.dims[:2] != (2, 2):
         raise CapabilityError(
             f"kw_gap needs two-dimensional A and B (exact closed-form EOF), got {rho_abc.dims}"
-        )
-    if d_c > MAX_MEASURED_DIM:
-        raise CapabilityError(
-            f"C dimension {d_c} exceeds the supported maximum {MAX_MEASURED_DIM}"
         )
     rho_ab = partial_trace(rho_abc, {0, 1})
     rho_ac = partial_trace(rho_abc, {0, 2})

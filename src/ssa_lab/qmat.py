@@ -3,12 +3,18 @@
 Index convention, fixed globally: subsystem 0 is the slowest-varying tensor
 index (big-endian), so a basis label (i0, i1, ..., in) maps to the flat row
 index i0*d1*...*dn + i1*d2*...*dn + ... + in.
+
+Each value rule has one home, in the type or function that holds the value:
+``_as_int`` is the one integer rule (a Python or numpy integer, never a
+float or a bool), ``_as_dims`` applies it to every subsystem dimension, and
+the state types check finiteness.  The file parsers check JSON shape only.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -25,12 +31,23 @@ NORM_TOL = 1e-10
 EIG_CLIP = 1e-12
 
 
+def _as_int(value: object, what: str, low: int, error: type = DimensionError) -> int:
+    """``value`` as a Python int >= ``low``; anything else raises ``error``."""
+    if type(value) is not bool:
+        try:
+            number = operator.index(value)
+        except TypeError:
+            pass
+        else:
+            if number >= low:
+                return number
+    raise error(f"{what} must be an integer >= {low}, got {value!r}")
+
+
 def _as_dims(dims: Iterable[int]) -> tuple[int, ...]:
-    out = tuple(int(d) for d in dims)
+    out = tuple([_as_int(d, "subsystem dimensions", 1) for d in dims])
     if not out:
         raise DimensionError("dims must contain at least one subsystem")
-    if any(d < 1 for d in out):
-        raise DimensionError(f"subsystem dimensions must be >= 1, got {out}")
     return out
 
 
@@ -151,10 +168,10 @@ def trace_out(data: np.ndarray, dims: tuple[int, ...], keep: Iterable[int]) -> n
 def partial_trace(rho: DensityMatrix, keep: Iterable[int]) -> DensityMatrix:
     """Reduced state on the kept subsystems, in their original relative order."""
     n = len(rho.dims)
-    keep_set = set(int(k) for k in keep)
+    keep_set = {_as_int(k, "keep entry", 0) for k in keep}
     if not keep_set:
         raise DimensionError("keep must name at least one subsystem")
-    if any(k < 0 or k >= n for k in keep_set):
+    if max(keep_set) >= n:
         raise DimensionError(f"keep {sorted(keep_set)} out of range for {n} subsystems")
     kept_dims = tuple(rho.dims[i] for i in sorted(keep_set))
     return DensityMatrix(kept_dims, trace_out(rho.data, rho.dims, keep_set))
@@ -163,7 +180,7 @@ def partial_trace(rho: DensityMatrix, keep: Iterable[int]) -> DensityMatrix:
 def permute_subsystems(rho: DensityMatrix, order: Sequence[int]) -> DensityMatrix:
     """Reorder tensor legs; ``order[i]`` names the old position of new leg i."""
     n = len(rho.dims)
-    order = tuple(int(i) for i in order)
+    order = tuple([_as_int(i, "order entry", 0) for i in order])
     if sorted(order) != list(range(n)):
         raise DimensionError(f"order {order} is not a permutation of 0..{n - 1}")
     tensor = rho.data.reshape(rho.dims + rho.dims)
@@ -246,10 +263,8 @@ def random_density(
     """
     dims = _as_dims(dims)
     side = math.prod(dims)
-    if rank is None:
-        rank = side
-    rank = int(rank)
-    if rank < 1 or rank > side:
+    rank = side if rank is None else _as_int(rank, "rank", 1)
+    if rank > side:
         raise DimensionError(f"rank must be in [1, {side}], got {rank}")
     g = random_pure(dims + (rank,), seed).amps.reshape(side, rank)
     return DensityMatrix(dims, g @ g.conj().T)
@@ -260,12 +275,8 @@ def random_density(
 # DensityMatrix: {"dims": [d0, d1, ...], "matrix": [[[re, im], ...], ...]}
 # PureStateVector: {"dims": [d0, d1, ...], "vector": [[re, im], ...]}
 #
-# Matrices are row-major and square.  NaN/Inf anywhere are rejected.
-
-
-def is_json_int(value: object) -> bool:
-    """A JSON integer; Python's bool is an int, JSON's true is not."""
-    return isinstance(value, int) and not isinstance(value, bool)
+# Matrices are row-major and square.  The parsers check JSON shape only; the
+# state types check the values (dims, finiteness, invariants).
 
 
 def is_json_number(value: object) -> bool:
@@ -280,21 +291,19 @@ def _complex_from_pair(pair: object, where: str) -> complex:
         or not all(is_json_number(x) for x in pair)
     ):
         raise ParseError(f"{where}: expected [re, im] pair, got {pair!r}")
-    re, im = float(pair[0]), float(pair[1])
-    if not (math.isfinite(re) and math.isfinite(im)):
-        raise ParseError(f"{where}: non-finite entry {pair!r}")
-    return complex(re, im)
+    return complex(float(pair[0]), float(pair[1]))
 
 
 def _dims_from_obj(obj: object, where: str) -> tuple[int, ...]:
     if not isinstance(obj, dict):
         raise ParseError(f"{where}: expected a JSON object, got {type(obj).__name__}")
     dims = obj.get("dims")
-    if not isinstance(dims, list) or not dims or not all(
-        is_json_int(d) and d >= 1 for d in dims
-    ):
-        raise ParseError(f"{where}: field 'dims' must be a list of integers >= 1")
-    return tuple(dims)
+    if not isinstance(dims, list):
+        raise ParseError(f"{where}: field 'dims' must be a list")
+    try:
+        return _as_dims(dims)
+    except DimensionError as exc:
+        raise ParseError(f"{where}: {exc}") from exc
 
 
 def density_to_dict(rho: DensityMatrix) -> dict:

@@ -13,35 +13,32 @@ isometries (a start offset per block and side), which turns the existential
 orthogonality condition into a checkable one.  Discovering a decomposition
 for an arbitrary input state is out of scope: the certifier validates a
 *given* spec, it does not canonicalize or search.
+
+Each block checks its own fields (integer partition and offsets, a weight
+in (0, 1]) and the spec checks its dims and the block layout; the spec-file
+parser checks JSON shape only and reports a constructor's error as a
+ParseError naming the block.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError, ParseError, ValidationError
+from .errors import ConfigError, DimensionError, ParseError, SsaLabError, ValidationError
 from .entropy import t_gap
 from .purify import purify
 from .qmat import (
-    DensityMatrix,
-    PureStateVector,
-    pure_from_dict,
-    pure_to_dict,
-    density_from_dict,
-    density_to_dict,
-    is_json_int,
-    is_json_number,
-    random_density,
-    random_pure,
-    read_json,
-    write_json,
+    DensityMatrix, PureStateVector, _as_dims, _as_int, _require_arity, density_from_dict,
+    density_to_dict, pure_from_dict, pure_to_dict, random_density, random_pure, read_json, write_json,
 )
 
 ORTHOGONALITY_TOL = 1e-10
+CERTIFY_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -58,10 +55,16 @@ class SaturatingBlock:
     embed_c: int = 0
 
     def __post_init__(self) -> None:
-        bl, br, cl, cr = (int(d) for d in self.partition)
-        object.__setattr__(self, "partition", (bl, br, cl, cr))
-        if not self.weight > 0:
-            raise ValidationError(f"block weight must be > 0, got {self.weight}")
+        weight = self.weight
+        if type(weight) is bool or not isinstance(weight, numbers.Real) or not 0 < weight <= 1:
+            raise ValidationError(f"block weight must be a number in (0, 1], got {weight!r}")
+        partition = _as_dims(self.partition)
+        _require_arity(partition, 4, "a block partition")
+        bl, br, cl, cr = partition
+        object.__setattr__(self, "weight", float(weight))
+        object.__setattr__(self, "partition", partition)
+        object.__setattr__(self, "embed_b", _as_int(self.embed_b, "embed_b", 0))
+        object.__setattr__(self, "embed_c", _as_int(self.embed_c, "embed_c", 0))
         if len(self.psi_ay.dims) != 3 or self.psi_ay.dims[1:] != (bl, cl):
             raise DimensionError(
                 f"pure block dims {self.psi_ay.dims} do not match partition "
@@ -71,8 +74,6 @@ class SaturatingBlock:
             raise DimensionError(
                 f"mixed block dims {self.rho_z.dims} do not match partition ({br}, {cr})"
             )
-        if self.embed_b < 0 or self.embed_c < 0:
-            raise DimensionError("embedding offsets must be nonnegative")
 
     @property
     def d_a(self) -> int:
@@ -101,9 +102,8 @@ class SaturatingSpec:
     orthogonal: bool = True
 
     def __post_init__(self) -> None:
-        dims = tuple(int(d) for d in self.dims)
-        if len(dims) != 3 or any(d < 1 for d in dims):
-            raise DimensionError(f"spec dims must be three dimensions >= 1, got {dims}")
+        dims = _as_dims(self.dims)
+        _require_arity(dims, 3, "SaturatingSpec")
         blocks = tuple(self.blocks)
         if not blocks:
             raise ValidationError("spec must contain at least one block")
@@ -293,7 +293,7 @@ class Certificate:
 
 
 def certify(
-    rho_abc: DensityMatrix, spec: SaturatingSpec, tol: float = 1e-8
+    rho_abc: DensityMatrix, spec: SaturatingSpec, tol: float = CERTIFY_TOL
 ) -> Certificate:
     """Check a proposed decomposition against a state; failures are reported,
     never raised.  ``tol`` must be finite and >= 0."""
@@ -345,7 +345,7 @@ def random_saturating_spec(
     min_blocks: int = 1,
 ) -> SaturatingSpec:
     """Random block decomposition with disjoint (orthogonal) embeddings."""
-    d_a, d_b, d_c = (int(d) for d in dims)
+    d_a, d_b, d_c = _as_dims(dims)
     k_max = min(max_blocks, d_b, d_c)
     k_min = min(min_blocks, k_max)
     k = int(rng.integers(k_min, k_max + 1))
@@ -417,12 +417,8 @@ def spec_from_dict(obj: dict) -> SaturatingSpec:
     if not isinstance(obj, dict):
         raise ParseError("spec: top level must be a JSON object")
     dims = obj.get("dims")
-    if (
-        not isinstance(dims, list)
-        or len(dims) != 3
-        or not all(is_json_int(d) and d >= 1 for d in dims)
-    ):
-        raise ParseError("spec: field 'dims' must be three integers >= 1")
+    if not isinstance(dims, list):
+        raise ParseError("spec: field 'dims' must be a list")
     raw_blocks = obj.get("blocks")
     if not isinstance(raw_blocks, list) or not raw_blocks:
         raise ParseError("spec: field 'blocks' must be a nonempty list")
@@ -436,31 +432,25 @@ def spec_from_dict(obj: dict) -> SaturatingSpec:
         missing = [f for f in ("weight", "partition", "psi", "rhoZ") if f not in raw]
         if missing:
             raise ParseError(f"spec: block {i} missing field {missing[0]!r}")
-        weight, partition = raw["weight"], raw["partition"]
-        embed_b, embed_c = raw.get("embedB", 0), raw.get("embedC", 0)
-        if not is_json_number(weight):
-            raise ParseError(f"spec: block {i} weight must be a number")
-        if not math.isfinite(weight):
-            raise ParseError(f"spec: block {i} has non-finite weight")
-        if not (
-            isinstance(partition, list)
-            and len(partition) == 4
-            and all(is_json_int(x) for x in partition)
-        ):
-            raise ParseError(f"spec: block {i} partition must be 4 integers")
-        if not (is_json_int(embed_b) and is_json_int(embed_c)):
-            raise ParseError(f"spec: block {i} embedB/embedC must be integers")
-        blocks.append(
-            SaturatingBlock(
-                weight=float(weight),
-                psi_ay=pure_from_dict(raw["psi"]),
-                rho_z=density_from_dict(raw["rhoZ"]),
-                partition=tuple(partition),  # type: ignore[arg-type]
-                embed_b=embed_b,
-                embed_c=embed_c,
+        if not isinstance(raw["partition"], list):
+            raise ParseError(f"spec: block {i} partition must be a list")
+        try:
+            blocks.append(
+                SaturatingBlock(
+                    weight=raw["weight"],
+                    psi_ay=pure_from_dict(raw["psi"]),
+                    rho_z=density_from_dict(raw["rhoZ"]),
+                    partition=tuple(raw["partition"]),  # type: ignore[arg-type]
+                    embed_b=raw.get("embedB", 0),
+                    embed_c=raw.get("embedC", 0),
+                )
             )
-        )
-    return SaturatingSpec(tuple(dims), tuple(blocks), orthogonal=orthogonal)
+        except SsaLabError as exc:
+            raise ParseError(f"spec: block {i}: {exc}") from exc
+    try:
+        return SaturatingSpec(tuple(dims), tuple(blocks), orthogonal=orthogonal)
+    except SsaLabError as exc:
+        raise ParseError(f"spec: {exc}") from exc
 
 
 def load_spec(path: str) -> SaturatingSpec:

@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import ConfigError, ValidationError
 from .entropy import entropy_of_spectrum, gap_entropies
-from .qmat import DensityMatrix, clean_density, kron, validate_density
+from .qmat import DensityMatrix, _as_int, clean_density, kron, validate_density
 
 SWEEPABLE = ("beta2", "lambda1", "b")
 
@@ -195,8 +195,7 @@ class SweepAxis:
             raise ConfigError(
                 f"unknown sweep parameter {self.name!r}; choose from {SWEEPABLE}"
             )
-        if self.steps < 2:
-            raise ConfigError(f"sweep needs at least 2 steps, got {self.steps}")
+        object.__setattr__(self, "steps", _as_int(self.steps, "sweep steps", 2, ConfigError))
 
     def values(self) -> np.ndarray:
         return np.linspace(self.start, self.stop, self.steps)

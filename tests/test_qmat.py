@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import ssa_lab as sl
-from ssa_lab.errors import DimensionError, ParseError, ValidationError
+from ssa_lab.cli import CampaignConfig
+from ssa_lab.errors import ConfigError, DimensionError, ParseError, ValidationError
 from ssa_lab.qmat import trace_out
 
 
@@ -303,3 +304,70 @@ _WRONG_ARITY = {
 def test_wrong_arity_raises_dimension_error(op):
     with pytest.raises(DimensionError, match=f"{op} needs a state with"):
         _WRONG_ARITY[op]()
+
+
+def _campaign(**changes):
+    fields = dict(samples=2, dims=(2, 2, 2), rank=None, seed=1, tolerance=1e-9, checks=("ssa",))
+    return CampaignConfig(**{**fields, **changes})
+
+
+def _block(**changes):
+    fields = dict(
+        weight=1.0,
+        psi_ay=sl.random_pure((2, 1, 1), seed=1),
+        rho_z=sl.random_density((2, 2), seed=2),
+        partition=(1, 2, 1, 2),
+    )
+    return sl.SaturatingBlock(**{**fields, **changes})
+
+
+# each non-integer (or out-of-range) value where an integer is due, and the
+# error its owner raises; floats and bools are never coerced
+_BAD_VALUES = {
+    "optimizer-restarts-float": (ConfigError, lambda: sl.OptimizerConfig(restarts=2.5)),
+    "optimizer-seed-float": (ConfigError, lambda: sl.OptimizerConfig(seed=1.5)),
+    "optimizer-max-evals-float": (ConfigError, lambda: sl.OptimizerConfig(max_evals=1e3)),
+    "random-density-rank-float": (
+        DimensionError, lambda: sl.random_density([2, 2], rank=1.5, seed=1)
+    ),
+    "random-density-dims-float": (DimensionError, lambda: sl.random_density([2.7, 2])),
+    "density-dims-float": (DimensionError, lambda: sl.DensityMatrix((2.5,), np.eye(2) / 2)),
+    "campaign-samples-float": (ConfigError, lambda: _campaign(samples=2.5)),
+    "campaign-seed-float": (ConfigError, lambda: _campaign(seed=1.5)),
+    "campaign-rank-float": (ConfigError, lambda: _campaign(rank=1.5)),
+    "campaign-dims-zero": (DimensionError, lambda: _campaign(dims=(2, 0, 2))),
+    "sweep-steps-float": (ConfigError, lambda: sl.SweepAxis("beta2", steps=2.5)),
+    "block-partition-float": (DimensionError, lambda: _block(partition=(1.5, 2, 1, 2))),
+    "block-embed-float": (DimensionError, lambda: _block(embed_b=0.5)),
+    "block-weight-above-one": (ValidationError, lambda: _block(weight=2.0)),
+    "discord-measured-float": (DimensionError, lambda: sl.discord(_BIPARTITE, 1.0)),
+    "classical-correlation-measured-float": (
+        DimensionError,
+        lambda: sl.classical_correlation_at(
+            _BIPARTITE, sl.MeasurementBasis.computational(2), 1.0
+        ),
+    ),
+    "discord-via-kw-measured-float": (
+        DimensionError, lambda: sl.discord_via_kw(sl.random_pure([2, 2, 2], seed=3), 1.0)
+    ),
+    "conditional-entropy-float": (DimensionError, lambda: sl.conditional_entropy(_BIPARTITE, 1.0)),
+    "partial-trace-keep-float": (DimensionError, lambda: sl.partial_trace(_BIPARTITE, {1.5})),
+    "permute-order-float": (
+        DimensionError, lambda: sl.permute_subsystems(_BIPARTITE, (1.0, 0))
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(_BAD_VALUES))
+def test_non_integer_values_rejected(case):
+    error, call = _BAD_VALUES[case]
+    with pytest.raises(error):
+        call()
+
+
+def test_numpy_integers_accepted():
+    rho = sl.random_density(np.array([2, 2]), rank=np.int64(2), seed=1)
+    assert rho.dims == (2, 2) and all(type(d) is int for d in rho.dims)
+    block = _block(rho_z=rho, partition=np.array([1, 2, 1, 2]))
+    assert block.partition == (1, 2, 1, 2)
+    assert all(type(d) is int for d in block.partition)
