@@ -61,28 +61,48 @@ _EPS = float(np.finfo(float).eps)
 def _multistart_minimize(
     objective, n: int, config: OptimizerConfig, spread: float = 2.0 * np.pi
 ):
-    """Seeded multi-start L-BFGS on an objective returning (value, gradient).
+    """Seeded multi-start L-BFGS, all restarts in lockstep.
 
-    Restart 0 starts from the origin, the rest from uniform draws in
-    [0, spread).  Ties go to the earlier restart, so a fixed seed fixes the
+    ``objective`` maps a (k, n) stack of points to their values (k,) and
+    gradients (k, n).  Restart 0 starts from the origin, the rest from
+    uniform draws in [0, spread), drawn in restart order.  Each restart is
+    an ``_lbfgs`` coroutine; every round stacks the pending points of the
+    restarts still running, makes one objective call and sends row i back
+    to its restart, so each restart takes the same path it would take
+    alone.  Ties go to the earlier restart, so a fixed seed fixes the
     outcome.  Returns (value, point, converged, nfev): ``converged`` is the
     flag of the restart whose point is returned, ``nfev`` the objective
-    evaluations over all restarts.
+    evaluations (rows) over all restarts.
     """
     rng = np.random.default_rng(config.seed)
+    runs = [
+        _lbfgs(np.zeros(n) if restart == 0 else rng.uniform(0.0, spread, n), config)
+        for restart in range(config.restarts)
+    ]
+    pending = {restart: next(run) for restart, run in enumerate(runs)}
+    results = [None] * config.restarts
+    while pending:
+        active = list(pending)
+        values, grads = objective(np.stack([pending[r] for r in active]))
+        for restart, value, grad in zip(active, values.tolist(), grads):
+            try:
+                pending[restart] = runs[restart].send((value, grad))
+            except StopIteration as stop:
+                del pending[restart]
+                results[restart] = stop.value
     best = (math.inf, np.zeros(n), False)
     nfev = 0
-    for restart in range(config.restarts):
-        x0 = np.zeros(n) if restart == 0 else rng.uniform(0.0, spread, n)
-        value, x, converged, evals = _lbfgs(objective, x0, config)
+    for value, x, converged, evals in results:
         nfev += evals
         if value < best[0]:
             best = (value, x, converged)
     return (*best, nfev)
 
 
-def _lbfgs(objective, x: np.ndarray, config: OptimizerConfig):
-    """One L-BFGS run from x; returns (value, point, converged, nfev).
+def _lbfgs(x: np.ndarray, config: OptimizerConfig):
+    """One L-BFGS run from x, as a coroutine: it yields each point to
+    evaluate, is sent back (value, gradient) and returns (value, point,
+    converged, nfev).
 
     The direction is the two-loop recursion over the last LBFGS_MEMORY
     curvature pairs (s, y), scaled by s.y / y.y of the newest pair (Liu &
@@ -94,7 +114,7 @@ def _lbfgs(objective, x: np.ndarray, config: OptimizerConfig):
     not converged, after max_evals evaluations or when the line search along
     -g fails.
     """
-    value, grad = objective(x)
+    value, grad = yield x
     nfev = 1
     pairs: deque = deque(maxlen=LBFGS_MEMORY)
     gamma = 1.0
@@ -107,7 +127,7 @@ def _lbfgs(objective, x: np.ndarray, config: OptimizerConfig):
             direction = -grad
         first = 1.0 if pairs else 1.0 / math.sqrt(direction.dot(direction))
         budget = min(_LINE_SEARCH_EVALS, config.max_evals - nfev)
-        step, evals = _wolfe_step(objective, x, value, grad, direction, first, budget)
+        step, evals = yield from _wolfe_step(x, value, grad, direction, first, budget)
         nfev += evals
         if step is None:
             if not pairs:
@@ -142,8 +162,9 @@ def _two_loop(grad: np.ndarray, pairs, gamma: float) -> np.ndarray:
     return q
 
 
-def _wolfe_step(objective, x, value, grad, direction, step, budget):
-    """Weak-Wolfe line search along a descent direction.
+def _wolfe_step(x, value, grad, direction, step, budget):
+    """Weak-Wolfe line search along a descent direction, as a coroutine
+    like ``_lbfgs``.
 
     Accepts the first trial step t with f(x + t d) <= f + _ARMIJO t g.d and
     g(x + t d).d >= _CURVATURE g.d.  A step too long for the first rule
@@ -157,7 +178,7 @@ def _wolfe_step(objective, x, value, grad, direction, step, budget):
     lo, hi, accepted = (0.0, value, slope), None, None
     for evals in range(1, budget + 1):
         point = x + step * direction
-        f, g = objective(point)
+        f, g = yield point
         trial = (step, f, g.dot(direction))
         if not f <= value + _ARMIJO * step * slope:
             hi = trial
@@ -229,36 +250,35 @@ def givens_unitary(dim: int, params: np.ndarray) -> np.ndarray:
     chart.  Column phases are irrelevant to the measurement the columns
     define, so the chart covers all rank-1 projective bases.
     """
-    return _givens_chain(dim, params)[0]
+    params = np.asarray(params, dtype=float).reshape(1, -1)
+    return _givens_chain(dim, params)[0][0]
 
 
 def _givens_chain(dim: int, params: np.ndarray):
-    """The chart's unitary U, the stack whose entry p is the product of the
-    rotations applied before pair p, and (cos theta, sin theta, e^{i phi})."""
-    params = np.asarray(params, dtype=float).reshape(-1)
-    if params.shape[0] != n_basis_params(dim):
+    """For a (k, n) stack of charts: the unitaries U (k, d, d), the stack
+    (k, pairs, d, d) whose entry p is the product of the rotations applied
+    before pair p, and (cos theta, sin theta, e^{i phi}), each (k, pairs)."""
+    k, n = params.shape
+    if n != n_basis_params(dim):
         raise ConfigError(
-            f"expected {n_basis_params(dim)} parameters for dim {dim}, "
-            f"got {params.shape[0]}"
+            f"expected {n_basis_params(dim)} parameters for dim {dim}, got {n}"
         )
-    theta, phi = params[0::2], params[1::2]
+    theta, phi = params[:, 0::2], params[:, 1::2]
     c, s, e = np.cos(theta), np.sin(theta), np.exp(1j * phi)
-    rotations = zip(_index_pairs(dim), c.tolist(), (-e * s).tolist(), (e.conj() * s).tolist())
-    eye = np.eye(dim, dtype=complex)
-    prefixes = np.empty((theta.shape[0], dim, dim), dtype=complex)
-    u = eye
-    for p, ((i, j), cos, upper, lower) in enumerate(rotations):
-        prefixes[p] = u
-        g = eye.copy()
-        g[i, i] = g[j, j] = cos
-        g[i, j] = upper
-        g[j, i] = lower
-        u = g @ u
-    return u, prefixes, (c, s, e)
+    n_pairs = theta.shape[1]
+    rotations = np.zeros((k, n_pairs, dim, dim), dtype=complex)
+    rotations[..., range(dim), range(dim)] = 1.0
+    rotations.reshape(k, -1)[:, _pair_blocks(dim)] = np.stack((c, -e * s, e.conj() * s, c), 1)
+    chain = np.empty((k, n_pairs + 1, dim, dim), dtype=complex)
+    chain[:, 0] = np.eye(dim)
+    for p in range(n_pairs):
+        np.matmul(rotations[:, p], chain[:, p], out=chain[:, p + 1])
+    return chain[:, n_pairs], chain[:, :n_pairs], (c, s, e)
 
 
 def _givens_pullback(u: np.ndarray, prefixes: np.ndarray, trig, gamma: np.ndarray) -> np.ndarray:
-    """Chart gradient of a real f of U from gamma = df/d(conj U).
+    """Chart gradients (k, n) of a real f of U from gamma = df/d(conj U),
+    both (k, d, d).
 
     With U = L_p g_p R_p (R_p = prefixes[p]), df = 2 Re tr(C_p^dag g_p^dag dg_p)
     where C_p = R_p U^dag gamma R_p^dag, and g_p^dag dg_p lives on the
@@ -266,12 +286,14 @@ def _givens_pullback(u: np.ndarray, prefixes: np.ndarray, trig, gamma: np.ndarra
     -i [[s^2, e^{i phi} s c], [e^{-i phi} s c, -s^2]] per unit phi.
     """
     c, s, e = trig
-    blocks = prefixes @ (u.conj().T @ gamma) @ prefixes.conj().transpose(0, 2, 1)
-    b = blocks.reshape(-1)[_pair_blocks(u.shape[0])].conj()
-    b_ii, b_ij, b_ji, b_jj = b
-    grad = np.empty(2 * c.shape[0])
-    grad[0::2] = 2.0 * (b_ji * e.conj() - b_ij * e).real
-    grad[1::2] = 2.0 * (s * s * (b_ii - b_jj) + s * c * (b_ij * e + b_ji * e.conj())).imag
+    k, d = u.shape[:2]
+    pulled = (u.conj().transpose(0, 2, 1) @ gamma)[:, None]
+    blocks = prefixes @ pulled @ prefixes.conj().transpose(0, 1, 3, 2)
+    b = blocks.reshape(k, -1)[:, _pair_blocks(d)].conj()
+    b_ii, b_ij, b_ji, b_jj = b.transpose(1, 0, 2)
+    grad = np.empty((k, 2 * c.shape[1]))
+    grad[:, 0::2] = 2.0 * (b_ji * e.conj() - b_ij * e).real
+    grad[:, 1::2] = 2.0 * (s * s * (b_ii - b_jj) + s * c * (b_ij * e + b_ji * e.conj())).imag
     return grad
 
 
@@ -300,9 +322,9 @@ def _pair_blocks(dim: int) -> np.ndarray:
     return blocks
 
 
-def _entropy_and_gradient(mats: np.ndarray) -> tuple[float, np.ndarray]:
-    """sum_i p_i S(mats_i / p_i), p_i = tr mats_i, and its gradients
-    G_i = -log2(mats_i / p_i).
+def _entropy_and_gradient(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per row of a (k, members, d, d) stack, sum_i p_i S(mats_i / p_i),
+    p_i = tr mats_i, as (k,), and the gradients G_i = -log2(mats_i / p_i).
 
     The value changes by sum_i tr(G_i dmats_i) under Hermitian perturbations
     (the terms from dp_i cancel).  Eigenvalues of mats_i / p_i at or below
@@ -312,25 +334,29 @@ def _entropy_and_gradient(mats: np.ndarray) -> tuple[float, np.ndarray]:
     """
     ev, vecs = np.linalg.eigh(mats)
     weights = ev.sum(axis=-1)
-    ev = ev / np.where(weights > EIG_CLIP, weights, 1.0)[:, None]
+    ev = ev / np.where(weights > EIG_CLIP, weights, 1.0)[..., None]
     neg_log = -np.log2(np.where(ev > EIG_CLIP, ev, 1.0))
-    grads = (vecs * neg_log[:, None, :]) @ vecs.conj().transpose(0, 2, 1)
-    return float(weights @ entropy_of_spectrum(ev)), grads
+    grads = (vecs * neg_log[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
+    # one (1, members) @ (members, 1) product per row sums in the order of
+    # a 1-D dot product; a plain sum of the products would round differently
+    values = weights[..., None, :] @ entropy_of_spectrum(ev)[..., :, None]
+    return values[..., 0, 0], grads
 
 
 def _cc_evaluator(rho_ab: DensityMatrix, measured: int):
-    """S of the unmeasured side, and a closure giving, for one basis (as
-    columns), that side's entropy averaged over the outcomes and its
-    gradient d/d(conj basis).  The classical correlation is their difference."""
+    """S of the unmeasured side, and a closure giving, for a (k, d, d) stack
+    of bases (as columns), that side's entropy averaged over the outcomes
+    (k,) and its gradient d/d(conj basis).  The classical correlation is
+    their difference."""
     d_a, d_b = rho_ab.dims
     r4 = rho_ab.data.reshape(d_a, d_b, d_a, d_b)
     s_other = von_neumann_entropy(partial_trace(rho_ab, {1 - measured}))
     if measured == 1:
-        forward, backward = "ji,ajbk,ki->iab", "iba,ji,ajbk->ki"
+        forward, backward = "xji,ajbk,xki->xiab", "xiba,xji,ajbk->xki"
     else:
-        forward, backward = "ai,ajbk,bi->ijk", "ikj,ai,ajbk->bi"
+        forward, backward = "xai,ajbk,xbi->xijk", "xikj,xai,ajbk->xbi"
 
-    def evaluate(vectors: np.ndarray) -> tuple[float, np.ndarray]:
+    def evaluate(vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         bras = vectors.conj()
         conds = np.einsum(forward, bras, r4, vectors)
         value, grads = _entropy_and_gradient(conds)
@@ -341,9 +367,9 @@ def _cc_evaluator(rho_ab: DensityMatrix, measured: int):
 
 def _basis_objective(d: int, evaluate):
     """An evaluator from ``_cc_evaluator`` over the Givens chart of a
-    d-dimensional measured side, as (value, gradient)."""
+    d-dimensional measured side, as (values, gradients) of a (k, n) stack."""
 
-    def objective(x: np.ndarray) -> tuple[float, np.ndarray]:
+    def objective(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         u, prefixes, trig = _givens_chain(d, x)
         value, gamma = evaluate(u)
         return value, _givens_pullback(u, prefixes, trig, gamma)
@@ -365,7 +391,7 @@ def classical_correlation_at(
             f"dimension {rho_ab.dims[measured]}"
         )
     s_other, evaluate = _cc_evaluator(rho_ab, measured)
-    return s_other - evaluate(basis.vectors)[0]
+    return s_other - float(evaluate(basis.vectors[None])[0][0])
 
 
 @dataclass(frozen=True)
@@ -448,11 +474,14 @@ def eof_two_qubit(rho_ab: DensityMatrix) -> float:
 
 
 def _hermitian_from_params(dim: int, params: np.ndarray) -> np.ndarray:
-    """Diagonal first, then (re, im) of each pair (i < j) in row order."""
-    re, im = params[dim::2], params[dim + 1::2]
-    h = np.zeros(dim * dim, dtype=complex)
-    h[_hermitian_layout(dim)] = np.concatenate((params[:dim], re + 1j * im, re - 1j * im))
-    return h.reshape(dim, dim)
+    """Diagonal first, then (re, im) of each pair (i < j) in row order; a
+    (k, dim^2) stack of parameters gives a (k, dim, dim) stack."""
+    re, im = params[..., dim::2], params[..., dim + 1::2]
+    h = np.zeros(params.shape[:-1] + (dim * dim,), dtype=complex)
+    h[..., _hermitian_layout(dim)] = np.concatenate(
+        (params[..., :dim], re + 1j * im, re - 1j * im), axis=-1
+    )
+    return h.reshape(params.shape[:-1] + (dim, dim))
 
 
 @lru_cache(maxsize=None)
@@ -466,25 +495,27 @@ def _hermitian_layout(dim: int) -> np.ndarray:
 
 
 def _exp_chart(m: int, r: int, params: np.ndarray):
-    """First r columns of exp(iH) = V e^{iW} V^dag, with W and V.
+    """First r columns of exp(iH) = V e^{iW} V^dag, with W and V, for one
+    parameter vector or a stack of them.
 
     The eigenvectors from eigh are orthonormal to machine precision, so the
     columns are too and need no re-orthonormalization.
     """
     w, v = np.linalg.eigh(_hermitian_from_params(m, params))
-    return (v * np.exp(1j * w)) @ v[:r].conj().T, w, v
+    return (v * np.exp(1j * w)[..., None, :]) @ v[..., :r, :].conj().swapaxes(-1, -2), w, v
 
 
 def _average_entanglement(members: np.ndarray):
-    """sum_i E(members_i) over unnormalized pure states on (m, d_a, d_b),
-    with the gradients G_i = -log2 of each normalized A-marginal."""
-    return _entropy_and_gradient(np.einsum("iab,icb->iac", members, members.conj()))
+    """sum_i E(members_i) over unnormalized pure states, per row of a
+    (k, m, d_a, d_b) stack, with the gradients G_i = -log2 of each
+    normalized A-marginal."""
+    return _entropy_and_gradient(np.einsum("xiab,xicb->xiac", members, members.conj()))
 
 
 def _roof_objective(factors: np.ndarray, m: int):
     """Average entanglement of the m-member decomposition exp(iH)[:, :r]
     applied to the r factors (r, d_a, d_b), over the chart of H, as
-    (value, gradient).
+    (values, gradients) of a (k, m^2) stack.
 
     Member i is m_i = sum_j U_ij R_j, so with Y_i = G_i m_i the value
     changes by 2 Re sum_ij conj(gamma_ij) dU_ij, gamma_ij = <R_j, Y_i>.
@@ -498,20 +529,25 @@ def _roof_objective(factors: np.ndarray, m: int):
     layout = _hermitian_layout(m)
     n_pairs = (m * m - m) // 2
 
-    def objective(x: np.ndarray) -> tuple[float, np.ndarray]:
+    def objective(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        k = x.shape[0]
         iso, w, v = _exp_chart(m, rank, x)
-        members = (iso @ flat).reshape(m, d_a, d_b)
+        members = (iso @ flat).reshape(k, m, d_a, d_b)
         value, grads = _average_entanglement(members)
-        gamma = (grads @ members).reshape(m, -1) @ flat.conj().T
+        gamma = (grads @ members).reshape(k, m, -1) @ flat.conj().T
         half = np.exp(0.5j * w)
-        divided = 1j * np.outer(half, half) * np.sinc((w[:, None] - w) / (2.0 * np.pi))
-        z = v @ ((v[:rank].conj().T @ (gamma.conj().T @ v)) * divided) @ v.conj().T
-        z = z.reshape(-1)[layout]
-        upper, lower = z[m : m + n_pairs], z[m + n_pairs :]
-        grad = np.empty(m * m)
-        grad[:m] = 2.0 * z[:m].real
-        grad[m::2] = 2.0 * (upper + lower).real
-        grad[m + 1 :: 2] = 2.0 * (upper - lower).imag
+        divided = (  # outer product first: the order fixes the rounding
+            1j * (half[:, :, None] * half[:, None, :])
+            * np.sinc((w[:, :, None] - w[:, None, :]) / (2.0 * np.pi))
+        )
+        v_h = v.conj().swapaxes(1, 2)
+        z = v @ ((v_h[:, :, :rank] @ (gamma.conj().swapaxes(1, 2) @ v)) * divided) @ v_h
+        z = z.reshape(k, -1)[:, layout]
+        upper, lower = z[:, m : m + n_pairs], z[:, m + n_pairs :]
+        grad = np.empty((k, m * m))
+        grad[:, :m] = 2.0 * z[:, :m].real
+        grad[:, m::2] = 2.0 * (upper + lower).real
+        grad[:, m + 1 :: 2] = 2.0 * (upper - lower).imag
         return value, grad
 
     return objective
@@ -543,7 +579,7 @@ def eof_convex_roof(
     factors = np.moveaxis(canonical.psi.amps.reshape(d_a, d_b, rank), -1, 0)
     m = rank * rank
     if rank == 1:  # a pure state is its own only decomposition
-        return _average_entanglement(factors)[0]
+        return float(_average_entanglement(factors[None])[0][0])
     best, _, _, _ = _multistart_minimize(
         _roof_objective(factors, m), m * m, config, spread=np.pi
     )

@@ -6,8 +6,9 @@ index i0*d1*...*dn + i1*d2*...*dn + ... + in.
 
 Each value rule has one home, in the type or function that holds the value:
 ``_as_int`` is the one integer rule (a Python or numpy integer, never a
-float or a bool), ``_as_dims`` applies it to every subsystem dimension, and
-the state types check finiteness.  The file parsers check JSON shape only.
+float or a bool), ``_as_ints`` applies it to every entry of a sequence
+(``_as_dims`` to every subsystem dimension), and the state types check
+finiteness.  The file parsers check JSON shape only.
 """
 
 from __future__ import annotations
@@ -44,8 +45,19 @@ def _as_int(value: object, what: str, low: int, error: type = DimensionError) ->
     raise error(f"{what} must be an integer >= {low}, got {value!r}")
 
 
+def _as_ints(values: Iterable[int], what: str, low: int) -> tuple[int, ...]:
+    """Each entry of the sequence ``what`` through ``_as_int``; a
+    non-iterable raises DimensionError."""
+    try:
+        entries = list(values)
+    except TypeError:
+        raise DimensionError(f"{what} must be a sequence of integers, got {values!r}") from None
+    entry = f"each of {what}"
+    return tuple([_as_int(v, entry, low) for v in entries])
+
+
 def _as_dims(dims: Iterable[int]) -> tuple[int, ...]:
-    out = tuple([_as_int(d, "subsystem dimensions", 1) for d in dims])
+    out = _as_ints(dims, "dims", 1)
     if not out:
         raise DimensionError("dims must contain at least one subsystem")
     return out
@@ -168,7 +180,7 @@ def trace_out(data: np.ndarray, dims: tuple[int, ...], keep: Iterable[int]) -> n
 def partial_trace(rho: DensityMatrix, keep: Iterable[int]) -> DensityMatrix:
     """Reduced state on the kept subsystems, in their original relative order."""
     n = len(rho.dims)
-    keep_set = {_as_int(k, "keep entry", 0) for k in keep}
+    keep_set = set(_as_ints(keep, "keep", 0))
     if not keep_set:
         raise DimensionError("keep must name at least one subsystem")
     if max(keep_set) >= n:
@@ -180,7 +192,7 @@ def partial_trace(rho: DensityMatrix, keep: Iterable[int]) -> DensityMatrix:
 def permute_subsystems(rho: DensityMatrix, order: Sequence[int]) -> DensityMatrix:
     """Reorder tensor legs; ``order[i]`` names the old position of new leg i."""
     n = len(rho.dims)
-    order = tuple([_as_int(i, "order entry", 0) for i in order])
+    order = _as_ints(order, "order", 0)
     if sorted(order) != list(range(n)):
         raise DimensionError(f"order {order} is not a permutation of 0..{n - 1}")
     tensor = rho.data.reshape(rho.dims + rho.dims)
@@ -291,7 +303,10 @@ def _complex_from_pair(pair: object, where: str) -> complex:
         or not all(is_json_number(x) for x in pair)
     ):
         raise ParseError(f"{where}: expected [re, im] pair, got {pair!r}")
-    return complex(float(pair[0]), float(pair[1]))
+    try:
+        return complex(float(pair[0]), float(pair[1]))
+    except OverflowError:
+        raise ParseError(f"{where}: entry too large for a float") from None
 
 
 def _dims_from_obj(obj: object, where: str) -> tuple[int, ...]:

@@ -345,7 +345,9 @@ def random_saturating_spec(
     min_blocks: int = 1,
 ) -> SaturatingSpec:
     """Random block decomposition with disjoint (orthogonal) embeddings."""
-    d_a, d_b, d_c = _as_dims(dims)
+    dims = _as_dims(dims)
+    _require_arity(dims, 3, "random_saturating_spec")
+    d_a, d_b, d_c = dims
     k_max = min(max_blocks, d_b, d_c)
     k_min = min(min_blocks, k_max)
     k = int(rng.integers(k_min, k_max + 1))

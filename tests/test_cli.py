@@ -214,6 +214,18 @@ class TestDeterminism:
         second = run_cli(*args)
         assert first.stdout == second.stdout
 
+    def test_roof_eof_byte_identical(self, mixed_state_file):
+        args = ("eof", mixed_state_file, "--method", "roof", "--seed", "5", "--restarts", "3")
+        first = run_cli(*args)
+        assert first.returncode == 0, first.stderr
+        assert first.stdout == run_cli(*args).stdout
+
+    def test_kw_byte_identical(self, pure_state_file):
+        args = ("kw", pure_state_file, "--seed", "5", "--restarts", "4")
+        first = run_cli(*args)
+        assert first.returncode == 0, first.stderr
+        assert first.stdout == run_cli(*args).stdout
+
     def test_campaign_byte_identical(self):
         args = (
             "campaign", "--checks", "ssa", "--n", "10", "--dims", "2,2,2", "--seed", "3"
@@ -241,6 +253,14 @@ class TestExitCodes:
         path.write_text('{"dims": [2], "vector": [[NaN, 0.0], [0.0, 0.0]]}')
         res = run_cli("entropy", str(path))
         assert res.returncode == 1
+
+    def test_huge_integer_entry_rejected(self, tmp_path):
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"dims": [1], "matrix": [[[10**400, 0]]]}))
+        res = run_cli("entropy", str(path))
+        assert res.returncode == 1
+        assert "Traceback" not in res.stderr
+        assert res.stdout == ""
 
     def test_nan_spec_rejected(self, tmp_path):
         path = tmp_path / "nan_spec.json"

@@ -8,11 +8,22 @@ from ssa_lab.errors import CapabilityError, ConfigError, DimensionError
 from ssa_lab.qcorr import (
     _basis_objective,
     _cc_evaluator,
+    _lbfgs,
     _multistart_minimize,
     _roof_objective,
 )
 
 from conftest import bell_phi_plus, ghz_state, grid_discord_two_qubit, w_state
+
+
+def _rows(point_objective):
+    """The stacked objective that evaluates ``point_objective`` once per row."""
+
+    def objective(x):
+        rows = [point_objective(row) for row in x]
+        return np.array([value for value, _ in rows]), np.array([grad for _, grad in rows])
+
+    return objective
 
 
 class TestClassicalCorrelation:
@@ -125,7 +136,7 @@ class TestDiscord:
             return (0.0, np.zeros_like(x)) if r < 1.0 else (-r, -x / r)
 
         cfg = sl.OptimizerConfig(restarts=3, max_evals=200, seed=0)
-        best_val, _, converged, _ = _multistart_minimize(objective, 2, cfg)
+        best_val, _, converged, _ = _multistart_minimize(_rows(objective), 2, cfg)
         assert best_val < -1.0
         assert converged is False
 
@@ -137,7 +148,7 @@ class TestDiscord:
             return float(np.sum((x - 1.0) ** 2)), 2.0 * (x - 1.0)
 
         cfg = sl.OptimizerConfig(restarts=3, seed=0)
-        best_val, best_x, converged, nfev = _multistart_minimize(objective, 3, cfg)
+        best_val, best_x, converged, nfev = _multistart_minimize(_rows(objective), 3, cfg)
         assert nfev == len(calls) >= 3
         assert best_val <= 1e-12 and converged
         np.testing.assert_allclose(best_x, np.ones(3), atol=1e-6)
@@ -168,7 +179,7 @@ class TestLBFGS:
     @pytest.mark.parametrize("n", [2, 10])
     def test_rosenbrock(self, n):
         value, x, converged, _ = _multistart_minimize(
-            _rosenbrock, n, sl.OptimizerConfig(restarts=1)
+            _rows(_rosenbrock), n, sl.OptimizerConfig(restarts=1)
         )
         assert value <= 1e-10 and converged
         np.testing.assert_allclose(x, np.ones(n), atol=1e-4)
@@ -181,7 +192,7 @@ class TestLBFGS:
             return _rosenbrock(x)
 
         cfg = sl.OptimizerConfig(restarts=3, max_evals=5, seed=2)
-        _, _, converged, nfev = _multistart_minimize(objective, 10, cfg)
+        _, _, converged, nfev = _multistart_minimize(_rows(objective), 10, cfg)
         assert nfev == len(calls) == 5 * 3
         assert converged is False
 
@@ -195,14 +206,14 @@ class TestLBFGS:
             return float(0.5 * np.sum(scales * (x - 0.5) ** 2)), scales * (x - 0.5)
 
         cfg = sl.OptimizerConfig(restarts=2, seed=4)
-        _, x, converged, _ = _multistart_minimize(objective, 6, cfg)
+        _, x, converged, _ = _multistart_minimize(_rows(objective), 6, cfg)
         assert converged
         assert np.max(np.abs(objective(x)[1])) <= 1e-8
 
     def test_seeded_runs_are_bit_identical(self):
         cfg = sl.OptimizerConfig(restarts=4, seed=9)
-        first = _multistart_minimize(_rosenbrock, 4, cfg)
-        second = _multistart_minimize(_rosenbrock, 4, cfg)
+        first = _multistart_minimize(_rows(_rosenbrock), 4, cfg)
+        second = _multistart_minimize(_rows(_rosenbrock), 4, cfg)
         assert first[0] == second[0] and first[3] == second[3]
         assert np.array_equal(first[1], second[1])
 
@@ -227,13 +238,73 @@ class TestOptimizerConfig:
         assert cfg.restarts == cfg.max_evals == 1
 
 
+def _serial_minimize(objective, n, config, spread=2.0 * np.pi):
+    """Each restart's L-BFGS run alone with 1-row objective calls, on the
+    draws of ``_multistart_minimize``: (best value, converged, summed nfev)."""
+    rng = np.random.default_rng(config.seed)
+    best, converged, nfev = math.inf, False, 0
+    for restart in range(config.restarts):
+        run = _lbfgs(np.zeros(n) if restart == 0 else rng.uniform(0.0, spread, n), config)
+        point = next(run)
+        while True:
+            values, grads = objective(point[None])
+            try:
+                point = run.send((float(values[0]), grads[0]))
+            except StopIteration as stop:
+                value, _, flag, evals = stop.value
+                break
+        nfev += evals
+        if value < best:
+            best, converged = value, flag
+    return best, converged, nfev
+
+
+def _discord_search(dims, seed):
+    rho = sl.random_density(list(dims), seed=seed)
+    objective = _basis_objective(dims[1], _cc_evaluator(rho, 1)[1])
+    return objective, sl.qcorr.n_basis_params(dims[1]), 2.0 * np.pi
+
+
+def _roof_search(dims, seed):
+    rho = sl.random_density(list(dims), rank=2, seed=seed)
+    factors = np.moveaxis(sl.purify(rho).psi.amps.reshape(dims[0], dims[1], 2), -1, 0)
+    return _roof_objective(factors, 4), 16, np.pi
+
+
+class TestLockstep:
+    @pytest.mark.parametrize(
+        "search, dims, config",
+        [
+            (_discord_search, (2, 2), sl.OptimizerConfig(restarts=6, seed=21)),
+            (_discord_search, (2, 4), sl.OptimizerConfig(restarts=4, max_evals=1000, seed=22)),
+            (_roof_search, (2, 2), sl.OptimizerConfig(restarts=3, max_evals=800, seed=23)),
+        ],
+        ids=["discord-2x2", "discord-2x4", "roof-rank2"],
+    )
+    def test_lockstep_matches_serial(self, search, dims, config):
+        objective, n, spread = search(dims, config.seed)
+        value, _, converged, nfev = _multistart_minimize(objective, n, config, spread)
+        serial_value, serial_converged, serial_nfev = _serial_minimize(
+            objective, n, config, spread
+        )
+        assert abs(value - serial_value) <= 1e-12
+        assert converged == serial_converged
+        assert nfev == serial_nfev
+
+
 def _central_differences(objective, x, step=1e-6):
-    grad = np.empty_like(x)
-    for k in range(x.shape[0]):
-        e = np.zeros_like(x)
-        e[k] = step
-        grad[k] = (objective(x + e)[0] - objective(x - e)[0]) / (2.0 * step)
-    return grad
+    """Central differences of a stacked objective at one point, from one
+    call on the 2n probe points."""
+    probes = step * np.eye(x.shape[0])
+    values = objective(np.concatenate((x + probes, x - probes)))[0]
+    return (values[: x.shape[0]] - values[x.shape[0] :]) / (2.0 * step)
+
+
+def _assert_rows_match_single_calls(objective, x, values, grads):
+    for row, value, grad in zip(x, values, grads):
+        single_value, single_grad = objective(row[None])
+        assert abs(single_value[0] - value) <= 1e-14
+        np.testing.assert_allclose(single_grad[0], grad, rtol=0, atol=1e-14)
 
 
 class TestAnalyticGradients:
@@ -246,15 +317,16 @@ class TestAnalyticGradients:
         rho = sl.random_density(dims, seed=int(rng.integers(1 << 30)))
         s_other, evaluate = _cc_evaluator(rho, measured)
         objective = _basis_objective(d, evaluate)
-        for _ in range(3):
-            x = rng.uniform(-4.0, 4.0, sl.qcorr.n_basis_params(d))
-            value, grad = objective(x)
-            basis = sl.MeasurementBasis.from_angles(d, x)
+        x = rng.uniform(-4.0, 4.0, (3, sl.qcorr.n_basis_params(d)))
+        values, grads = objective(x)
+        _assert_rows_match_single_calls(objective, x, values, grads)
+        for row, value, grad in zip(x, values, grads):
+            basis = sl.MeasurementBasis.from_angles(d, row)
             assert s_other - value == pytest.approx(
                 sl.classical_correlation_at(rho, basis, measured), abs=1e-13
             )
             np.testing.assert_allclose(
-                grad, _central_differences(objective, x), rtol=0, atol=1e-8
+                grad, _central_differences(objective, row), rtol=0, atol=1e-8
             )
 
     @pytest.mark.parametrize("rank", [1, 2, 3])
@@ -266,11 +338,12 @@ class TestAnalyticGradients:
         factors = np.moveaxis(amps, -1, 0)
         m = rank * rank
         objective = _roof_objective(factors, m)
-        for _ in range(3):
-            x = rng.uniform(-4.0, 4.0, m * m)
-            value, grad = objective(x)
+        x = rng.uniform(-4.0, 4.0, (3, m * m))
+        values, grads = objective(x)
+        _assert_rows_match_single_calls(objective, x, values, grads)
+        for row, value, grad in zip(x, values, grads):
             # the members are the chart's isometry applied to the factors
-            iso = sl.qcorr._exp_chart(m, rank, x)[0]
+            iso = sl.qcorr._exp_chart(m, rank, row)[0]
             members = np.einsum("ij,jab->iab", iso, factors)
             expected = 0.0
             for member in members:
@@ -280,7 +353,7 @@ class TestAnalyticGradients:
                     expected += weight * sl.von_neumann_entropy(state)
             assert value == pytest.approx(expected, abs=1e-12)
             np.testing.assert_allclose(
-                grad, _central_differences(objective, x), rtol=0, atol=1e-8
+                grad, _central_differences(objective, row), rtol=0, atol=1e-8
             )
 
 

@@ -322,7 +322,9 @@ def _block(**changes):
 
 
 # each non-integer (or out-of-range) value where an integer is due, and the
-# error its owner raises; floats and bools are never coerced
+# error its owner raises; floats and bools are never coerced.  The last four
+# rows are values of the wrong shape or range that would otherwise surface
+# as raw Python errors (OverflowError, ValueError, TypeError).
 _BAD_VALUES = {
     "optimizer-restarts-float": (ConfigError, lambda: sl.OptimizerConfig(restarts=2.5)),
     "optimizer-seed-float": (ConfigError, lambda: sl.OptimizerConfig(seed=1.5)),
@@ -355,6 +357,15 @@ _BAD_VALUES = {
     "permute-order-float": (
         DimensionError, lambda: sl.permute_subsystems(_BIPARTITE, (1.0, 0))
     ),
+    "state-entry-huge-int": (
+        ParseError,
+        lambda: sl.qmat.density_from_dict({"dims": [1], "matrix": [[[10**400, 0]]]}),
+    ),
+    "saturating-spec-two-dims": (
+        DimensionError, lambda: sl.random_saturating_spec([2, 2], np.random.default_rng(1))
+    ),
+    "density-dims-not-iterable": (DimensionError, lambda: sl.DensityMatrix(2, np.eye(2) / 2)),
+    "partial-trace-keep-not-iterable": (DimensionError, lambda: sl.partial_trace(_BIPARTITE, 1)),
 }
 
 
