@@ -318,7 +318,11 @@ def _cmd_campaign(args: argparse.Namespace) -> None:
 
 def _add_optimizer_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
-        "--restarts", type=int, default=OptimizerConfig.restarts, help="optimizer restarts"
+        "--restarts",
+        type=int,
+        default=OptimizerConfig.restarts,
+        help="optimizer restarts; a discord on a qubit measured side polishes at "
+        "most this many local minima of a fixed Bloch grid and draws no random starts",
     )
     parser.add_argument(
         "--max-evals",

@@ -59,28 +59,31 @@ _EPS = float(np.finfo(float).eps)
 
 
 def _multistart_minimize(
-    objective, n: int, config: OptimizerConfig, spread: float = 2.0 * np.pi
+    objective, n: int, config: OptimizerConfig, spread: float = 2.0 * np.pi, starts=None
 ):
     """Seeded multi-start L-BFGS, all restarts in lockstep.
 
     ``objective`` maps a (k, n) stack of points to their values (k,) and
-    gradients (k, n).  Restart 0 starts from the origin, the rest from
-    uniform draws in [0, spread), drawn in restart order.  Each restart is
-    an ``_lbfgs`` coroutine; every round stacks the pending points of the
-    restarts still running, makes one objective call and sends row i back
-    to its restart, so each restart takes the same path it would take
-    alone.  Ties go to the earlier restart, so a fixed seed fixes the
+    gradients (k, n).  The runs start from the rows of ``starts`` when it
+    is given; otherwise ``config.restarts`` runs start, run 0 from the
+    origin and the rest from uniform draws in [0, spread), drawn in run
+    order.  Each run is an ``_lbfgs`` coroutine; every round stacks the
+    pending points of the runs still going, makes one objective call and
+    sends row i back to its run, so each run takes the same path it would
+    take alone.  Ties go to the earlier run, so a fixed seed fixes the
     outcome.  Returns (value, point, converged, nfev): ``converged`` is the
-    flag of the restart whose point is returned, ``nfev`` the objective
-    evaluations (rows) over all restarts.
+    flag of the run whose point is returned, ``nfev`` the objective
+    evaluations (rows) over all runs.
     """
-    rng = np.random.default_rng(config.seed)
-    runs = [
-        _lbfgs(np.zeros(n) if restart == 0 else rng.uniform(0.0, spread, n), config)
-        for restart in range(config.restarts)
-    ]
+    if starts is None:
+        rng = np.random.default_rng(config.seed)
+        starts = [
+            np.zeros(n) if restart == 0 else rng.uniform(0.0, spread, n)
+            for restart in range(config.restarts)
+        ]
+    runs = [_lbfgs(x, config) for x in starts]
     pending = {restart: next(run) for restart, run in enumerate(runs)}
-    results = [None] * config.restarts
+    results = [None] * len(runs)
     while pending:
         active = list(pending)
         values, grads = objective(np.stack([pending[r] for r in active]))
@@ -377,6 +380,51 @@ def _basis_objective(d: int, evaluate):
     return objective
 
 
+# The fixed Bloch grid scored on a qubit measured side: Givens theta at the
+# centres of GRID_THETA equal steps over (0, pi/4), phi at GRID_PHI equal
+# steps over [0, 2 pi).  theta is half the polar angle, so this is the
+# hemisphere: n and -n give the same basis.
+GRID_THETA = 8
+GRID_PHI = 16
+
+
+def _qubit_grid() -> np.ndarray:
+    """The origin, then the GRID_THETA x GRID_PHI cells in row order, as
+    (1 + GRID_THETA * GRID_PHI, 2) chart points."""
+    theta = (np.arange(GRID_THETA) + 0.5) * (0.25 * np.pi / GRID_THETA)
+    phi = np.arange(GRID_PHI) * (2.0 * np.pi / GRID_PHI)
+    cells = np.stack(np.meshgrid(theta, phi, indexing="ij"), axis=-1).reshape(-1, 2)
+    grid = np.concatenate((np.zeros((1, 2)), cells))
+    grid.setflags(write=False)
+    return grid
+
+
+_QUBIT_GRID = _qubit_grid()
+
+
+def _grid_starts(values: np.ndarray, limit: int) -> np.ndarray:
+    """Rows of ``_QUBIT_GRID`` to polish, given its values: the points no
+    worse than their neighbours, best first, ties in grid order, at most
+    ``limit``.
+
+    A cell's neighbours are the cells one step away in theta and phi, with
+    theta clamped at its edges and phi periodic; the origin's are the
+    first theta row, the cells around the pole.  The best point is always
+    among them.
+    """
+    origin, cells = values[0], values[1:].reshape(GRID_THETA, GRID_PHI)
+    rows = np.pad(cells, ((1, 1), (0, 0)), mode="edge")
+    minima = (
+        (cells <= rows[:-2])
+        & (cells <= rows[2:])
+        & (cells <= np.roll(cells, 1, axis=1))
+        & (cells <= np.roll(cells, -1, axis=1))
+    )
+    candidates = np.flatnonzero(np.concatenate(([origin <= cells[0].min()], minima.ravel())))
+    best_first = candidates[np.argsort(values[candidates], kind="stable")]
+    return _QUBIT_GRID[best_first[:limit]]
+
+
 def classical_correlation_at(
     rho_ab: DensityMatrix, basis: MeasurementBasis, measured: int
 ) -> float:
@@ -412,11 +460,22 @@ def discord(
     """Mutual information minus the best projective classical correlation.
 
     Maximization runs a multi-start L-BFGS search with the analytic
-    gradient over the Givens chart; restart 0 always starts from the
-    computational basis, the rest from seeded uniform draws.  Results merge
-    by best value with ties going to the earlier restart, so a fixed seed
-    fixes the outcome.  ``nfev`` counts objective evaluations over all
-    restarts (0 when the measured side is one-dimensional).
+    gradient over the Givens chart.  Results merge by best value with ties
+    going to the earlier run.  ``nfev`` counts objective evaluations over
+    all runs (0 when the measured side is one-dimensional).
+
+    On a measured side of dimension 3 or more, ``config.restarts`` runs
+    start, run 0 from the computational basis and the rest from seeded
+    uniform draws, so a fixed seed fixes the outcome; ``restarts_used`` is
+    ``config.restarts``.
+
+    On a qubit side, the computational basis and the GRID_THETA x GRID_PHI
+    Bloch grid are scored in one call, and runs start from the grid's
+    local minima (``_grid_starts``), best first.  There ``config.restarts``
+    caps the number of runs and ``restarts_used`` is the number made,
+    between 1 and that cap; ``nfev`` counts the grid points plus every
+    run's evaluations; ``config.max_evals`` caps each run, not the grid;
+    and ``config.seed`` is unused.
     """
     _require_arity(rho_ab.dims, 2, "discord")
     measured = _as_int(measured, "measured", 0)
@@ -434,17 +493,22 @@ def discord(
         j_best = classical_correlation_at(rho_ab, basis, measured)
         return DiscordResult(mi - j_best, j_best, basis, 0, True, 0)
     s_other, evaluate = _cc_evaluator(rho_ab, measured)
+    objective = _basis_objective(d, evaluate)
+    starts, grid_evals = None, 0
+    if d == 2:
+        starts = _grid_starts(objective(_QUBIT_GRID)[0], config.restarts)
+        grid_evals = len(_QUBIT_GRID)
     best_val, best_x, converged, nfev = _multistart_minimize(
-        _basis_objective(d, evaluate), n, config
+        objective, n, config, starts=starts
     )
     j_best = s_other - best_val
     return DiscordResult(
         discord=mi - j_best,
         classical_correlation=j_best,
         optimal_basis=MeasurementBasis.from_angles(d, best_x),
-        restarts_used=config.restarts,
+        restarts_used=config.restarts if starts is None else len(starts),
         converged=converged,
-        nfev=nfev,
+        nfev=grid_evals + nfev,
     )
 
 

@@ -241,7 +241,7 @@ def test_criterion_11_discord_vs_brute_force():
     _report(
         11,
         worst <= 1e-5,
-        f"20-restart discord vs 400x400 grid optimum, worst |diff| = {worst:.3e}",
+        f"discord (restarts=20) vs 400x400 grid optimum, worst |diff| = {worst:.3e}",
     )
 
 

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import ssa_lab as sl
 from ssa_lab.errors import CapabilityError, ConfigError, DimensionError
@@ -116,12 +117,15 @@ class TestDiscord:
         assert d_b > 0.05
 
     def test_optimal_basis_is_valid(self):
-        rho = sl.random_density([2, 2], seed=5)
-        result = sl.discord(rho, 1, sl.OptimizerConfig(restarts=4, seed=5))
-        gram = result.optimal_basis.vectors.conj().T @ result.optimal_basis.vectors
-        assert np.max(np.abs(gram - np.eye(2))) <= 1e-10
-        assert result.restarts_used == 4
-        assert result.converged
+        # a qubit side polishes the grid's local minima, at most `restarts`
+        # of them; a larger side runs exactly `restarts`
+        for dims, used in (((2, 2), range(1, 5)), ((2, 3), [4])):
+            rho = sl.random_density(list(dims), seed=5)
+            result = sl.discord(rho, 1, sl.OptimizerConfig(restarts=4, seed=5))
+            vectors = result.optimal_basis.vectors
+            assert np.max(np.abs(vectors.conj().T @ vectors - np.eye(dims[1]))) <= 1e-10
+            assert result.restarts_used in used
+            assert result.converged
 
     def test_capability_limit(self):
         rho = sl.random_density([2, 9], seed=1)
@@ -164,6 +168,113 @@ class TestDiscord:
         rho = sl.random_density([2, 1], seed=1)
         result = sl.discord(rho, 1)
         assert abs(result.discord) <= 1e-10
+
+
+N_GRID = 1 + sl.qcorr.GRID_THETA * sl.qcorr.GRID_PHI  # the origin and the cells
+
+
+def _qubit_search(rho, measured):
+    """S of the unmeasured side and the stacked objective over the qubit chart."""
+    s_other, evaluate = _cc_evaluator(rho, measured)
+    return s_other, _basis_objective(2, evaluate)
+
+
+def _random_restart_discord(rho, measured, config):
+    """Discord from ``_multistart_minimize``'s random starts alone."""
+    s_other, objective = _qubit_search(rho, measured)
+    value = _multistart_minimize(objective, 2, config)[0]
+    return sl.mutual_information(rho) - (s_other - value)
+
+
+def _haar_unitary(d, rng):
+    z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    q, r = np.linalg.qr(z)
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+class TestQubitGrid:
+    def test_matches_twenty_random_restarts(self):
+        cases = []
+        for seed in range(15):  # AB marginals of Haar pure 3-qubit states
+            psi = sl.random_pure([2, 2, 2], seed=1300 + seed)
+            cases.append((sl.partial_trace(psi.to_density(), {0, 1}), 1))
+        for seed in range(10):  # full-rank 2x2 on either side, 4x2 on the qubit
+            cases.append((sl.random_density([2, 2], seed=1400 + seed), 0))
+            cases.append((sl.random_density([2, 2], seed=1450 + seed), 1))
+            cases.append((sl.random_density([4, 2], rank=2, seed=1500 + seed), 1))
+        worst = 0.0
+        for k, (rho, measured) in enumerate(cases):
+            grid = sl.discord(rho, measured, sl.OptimizerConfig(seed=k)).discord
+            oracle = _random_restart_discord(
+                rho, measured, sl.OptimizerConfig(restarts=20, seed=1600 + k)
+            )
+            worst = max(worst, abs(grid - oracle))
+        assert worst <= 1e-10
+
+    def test_result_does_not_depend_on_seed(self):
+        rho = sl.random_density([2, 2], seed=41)
+        first, second = (
+            sl.discord(rho, 1, sl.OptimizerConfig(restarts=4, seed=seed)) for seed in (1, 2)
+        )
+        assert first.discord == second.discord
+        assert (first.nfev, first.restarts_used) == (second.nfev, second.restarts_used)
+        assert np.array_equal(first.optimal_basis.vectors, second.optimal_basis.vectors)
+
+    def test_nfev_counts_the_grid(self):
+        for measured in (0, 1):
+            result = sl.discord(sl.random_density([2, 2], seed=42), measured)
+            assert result.nfev >= N_GRID + result.restarts_used
+
+    def test_one_restart_polishes_the_best_cell(self):
+        rho = sl.random_density([2, 2], seed=43)
+        config = sl.OptimizerConfig(restarts=1)
+        result = sl.discord(rho, 1, config)
+        s_other, objective = _qubit_search(rho, 1)
+        values = objective(sl.qcorr._QUBIT_GRID)[0]
+        best = sl.qcorr._QUBIT_GRID[np.argmin(values)]
+        value, _, _, nfev = _multistart_minimize(objective, 2, config, starts=best[None])
+        assert result.restarts_used == 1
+        assert result.nfev == N_GRID + nfev
+        assert result.classical_correlation == s_other - value >= s_other - values.min()
+
+    def test_one_evaluation_per_run_returns_a_valid_basis(self):
+        rho = sl.random_density([2, 2], seed=44)
+        result = sl.discord(rho, 1, sl.OptimizerConfig(max_evals=1))
+        vectors = result.optimal_basis.vectors
+        assert np.max(np.abs(vectors.conj().T @ vectors - np.eye(2))) <= 1e-10
+        assert result.nfev == N_GRID + result.restarts_used
+        s_other, objective = _qubit_search(rho, 1)
+        best = s_other - objective(sl.qcorr._QUBIT_GRID)[0].min()
+        assert result.classical_correlation == pytest.approx(best, abs=1e-14)
+        assert sl.classical_correlation_at(rho, result.optimal_basis, 1) == pytest.approx(
+            best, abs=1e-12
+        )
+
+    def test_best_point_is_always_a_start(self):
+        # random values with many ties: the first start is the first best point
+        rng = np.random.default_rng(45)
+        for _ in range(200):
+            values = rng.integers(0, 6, N_GRID).astype(float)
+            starts = sl.qcorr._grid_starts(values, 20)
+            np.testing.assert_array_equal(starts[0], sl.qcorr._QUBIT_GRID[np.argmin(values)])
+            assert 1 <= len(starts) <= 20
+
+    @settings(max_examples=40, derandomize=True, database=None, deadline=None)
+    @given(
+        side=st.sampled_from([((2, 2), 1), ((2, 2), 0), ((4, 2), 1), ((2, 3), 0)]),
+        rank=st.sampled_from([None, 2]),
+        state_seed=st.integers(0, 2**32 - 1),
+        rotation_seed=st.integers(0, 2**32 - 1),
+    )
+    def test_local_unitary_invariance(self, side, rank, state_seed, rotation_seed):
+        # V on the measured qubit moves the optimum off the grid cells
+        (d_a, d_b), measured = side
+        rho = sl.random_density([d_a, d_b], rank=rank, seed=state_seed)
+        rng = np.random.default_rng(rotation_seed)
+        u = np.kron(_haar_unitary(d_a, rng), _haar_unitary(d_b, rng))
+        rotated = sl.DensityMatrix((d_a, d_b), u @ rho.data @ u.conj().T)
+        base = sl.discord(rho, measured).discord
+        assert sl.discord(rotated, measured).discord == pytest.approx(base, abs=1e-9)
 
 
 def _rosenbrock(x):
