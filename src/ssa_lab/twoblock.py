@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import ConfigError, ValidationError
 from .entropy import entropy_of_spectrum, gap_entropies
-from .qmat import DensityMatrix, _as_int, clean_density, kron, validate_density
+from .qmat import DensityMatrix, _as_int, kron
 
 SWEEPABLE = ("beta2", "lambda1", "b")
 
@@ -112,14 +112,15 @@ def _blocks(p: TwoBlockParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _mixture(params: TwoBlockParams) -> np.ndarray:
-    """The unchecked family density matrix (a stack of them for a sweep row)."""
+    """The family density matrix (a stack of them for a sweep row), valid by
+    construction: real amplitudes placed symmetrically, weights >= 0 summing to 1."""
     block1, block2, _ = _blocks(params)
     return params.p1 * block1 + params.p2 * block2
 
 
 def two_block_state(params: TwoBlockParams) -> DensityMatrix:
-    """The family state on dims (2, 4, 4), checked by validate_density."""
-    return validate_density(_mixture(params), (2, 4, 4))
+    """The family state on dims (2, 4, 4); valid by construction, not re-checked."""
+    return DensityMatrix((2, 4, 4), _mixture(params))
 
 
 def gap_mu_values(params: TwoBlockParams) -> tuple[float, float, float, float]:
@@ -172,14 +173,14 @@ def reference_states(params: TwoBlockParams = DEFAULT_PARAMS) -> list[NamedState
 
     The A-factorized block and the AB-pure block both have zero gap; the
     maximally mixed qubit factorized from a random-ish BC state attains the
-    upper bound 2*log2(d_A) = 2 bits.
+    upper bound 2*log2(d_A) = 2 bits.  All three are built valid, not re-checked.
     """
     block1, block2, rho1_bc = _blocks(params)
     maximizer = kron(np.eye(2) / 2.0, rho1_bc)
     return [
-        NamedState("a_factorized_block", validate_density(block1, (2, 4, 4)), 0.0),
-        NamedState("ab_pure_block", validate_density(block2, (2, 4, 4)), 0.0),
-        NamedState("maximally_mixed_a", validate_density(maximizer, (2, 4, 4)), 2.0),
+        NamedState("a_factorized_block", DensityMatrix((2, 4, 4), block1), 0.0),
+        NamedState("ab_pure_block", DensityMatrix((2, 4, 4), block2), 0.0),
+        NamedState("maximally_mixed_a", DensityMatrix((2, 4, 4), maximizer), 2.0),
     ]
 
 
@@ -241,14 +242,15 @@ def sweep_gap(
     axis2: SweepAxis,
     fixed: TwoBlockParams = DEFAULT_PARAMS,
 ) -> SweepGrid:
-    """Evaluate closed-form and entropic gaps over a 2-parameter grid."""
+    """Evaluate closed-form and entropic gaps over a 2-parameter grid.  Each
+    row is one stack of family states, passed unchecked to gap_entropies."""
     if axis1.name == axis2.name:
         raise ConfigError(f"sweep axes must differ, both are {axis1.name!r}")
     closed = np.zeros((axis1.steps, axis2.steps))
     numeric = np.zeros((axis1.steps, axis2.steps))
     for i, x1 in enumerate(axis1.values()):
         row = replace(fixed, **{axis1.name: float(x1), axis2.name: axis2.values()})
-        entropies = gap_entropies(clean_density(_mixture(row)), (2, 4, 4))
+        entropies = gap_entropies(_mixture(row), (2, 4, 4))
         s_ab, s_ac, s_b, s_c = np.moveaxis(entropies, -1, 0)
         numeric[i] = s_ab + s_ac - s_b - s_c
         closed[i] = gap_closed_form(row)

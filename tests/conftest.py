@@ -89,7 +89,7 @@ def _grid_classical_correlation(
     r4 = rho.data.reshape(2, 2, 2, 2)
 
     def avg_conditional_entropy(b):
-        m = np.einsum("xyj,ajbk,xyk->xyab", b.conj(), r4, b)
+        m = np.einsum("xyj,ajbk,xyk->xyab", b.conj(), r4, b, optimize=True)
         p = np.einsum("xyaa->xy", m).real
         det = (m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]).real
         disc = np.sqrt(np.clip(p**2 - 4 * det, 0.0, None))

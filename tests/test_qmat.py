@@ -253,6 +253,19 @@ class TestStateFiles:
         assert isinstance(back, sl.PureStateVector)
         np.testing.assert_allclose(back.amps, psi.amps, atol=1e-12)
 
+    def test_written_text(self, tmp_path):
+        # exact zeros and negative zeros are written as they are held
+        rho = sl.DensityMatrix((2,), [[0.75, complex(-0.0, 0.1)], [complex(0.0, -0.1), 0.25]])
+        psi = sl.PureStateVector((2,), [0.6, complex(-0.0, -0.8)])
+        path = tmp_path / "state.json"
+        sl.save_state(str(path), rho)
+        assert path.read_text() == (
+            '{"dims": [2], "matrix": [[[0.75, 0.0], [-0.0, 0.1]], '
+            '[[0.0, -0.1], [0.25, 0.0]]]}\n'
+        )
+        sl.save_state(str(path), psi)
+        assert path.read_text() == '{"dims": [2], "vector": [[0.6, 0.0], [-0.0, -0.8]]}\n'
+
     def test_rejects_nan(self, tmp_path):
         path = tmp_path / "nan.json"
         path.write_text('{"dims": [2], "vector": [[NaN, 0.0], [0.0, 0.0]]}')

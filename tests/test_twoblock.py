@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import ssa_lab as sl
-from ssa_lab.errors import ConfigError, ValidationError
+from ssa_lab.errors import ConfigError, DimensionError, ValidationError
 
 from conftest import min_eig_partial_transpose, random_two_block_params
 
@@ -36,10 +36,21 @@ class TestParams:
 
 
 class TestState:
-    def test_valid_density_on_244(self):
-        rho = sl.two_block_state(sl.DEFAULT_PARAMS)
-        assert rho.dims == (2, 4, 4)
-        sl.validate_density(rho.data, rho.dims)
+    def test_valid_density_on_244(self, rng):
+        # the builder's guarantee: states come out valid by construction, so
+        # validate_density, run here and not in the builder, has nothing to fix
+        params = [sl.DEFAULT_PARAMS] + [random_two_block_params(rng) for _ in range(50)]
+        for name in ("alpha1", "beta2", "b", "lambda1", "lambda2"):
+            params += [replace(sl.DEFAULT_PARAMS, **{name: edge}) for edge in (0.0, 1.0)]
+        params += [replace(sl.DEFAULT_PARAMS, p1=p1) for p1 in (1e-12, 1.0 - 1e-12)]
+        for p in params:
+            for rho in [sl.two_block_state(p)] + [n.state for n in sl.reference_states(p)]:
+                assert rho.dims == (2, 4, 4)
+                np.testing.assert_array_equal(rho.data, rho.data.conj().T)
+                assert abs(np.trace(rho.data) - 1.0) <= 1e-14
+                assert np.linalg.eigvalsh(rho.data).min() >= -1e-14
+                cleaned = sl.validate_density(rho.data, rho.dims)
+                assert np.max(np.abs(cleaned.data - rho.data)) <= 1e-14
 
     def test_rank_four_at_default_point(self):
         rho = sl.two_block_state(sl.DEFAULT_PARAMS)
@@ -96,12 +107,16 @@ class TestState:
             data = p.p1 * np.kron(np.outer(psi1_a, psi1_a), rho1_bc) + p.p2 * np.kron(
                 np.outer(psi2_ab, psi2_ab), rho2_c
             )
-            expected = sl.validate_density(data, (2, 4, 4))
-            np.testing.assert_array_equal(sl.two_block_state(p).data, expected.data)
+            np.testing.assert_array_equal(sl.two_block_state(p).data, data)
 
     def test_invalid_params_rejected(self):
         with pytest.raises(ValidationError):
             sl.two_block_state(sl.TwoBlockParams(lambda1=1.2))
+
+    def test_sweep_row_is_not_one_state(self):
+        row = replace(sl.DEFAULT_PARAMS, beta2=np.linspace(0.0, 1.0, 3))
+        with pytest.raises(DimensionError):
+            sl.two_block_state(row)
 
 
 class TestClosedForm:
