@@ -7,12 +7,11 @@ index i0*d1*...*dn + i1*d2*...*dn + ... + in.
 Each value rule has one home, in the type or function that holds the value:
 ``_as_int`` is the one integer rule (a Python or numpy integer, never a
 float or a bool), ``_as_ints`` applies it to every entry of a sequence
-(``_as_dims`` to every subsystem dimension), and the state types check
-finiteness.  The file parsers check JSON shape only.
-
-``validate_density`` is for outside input (state and spec files, arrays a
-caller passes); states the package builds are valid by construction and are
-not re-checked.
+(``_as_dims`` to every subsystem dimension).  ``DensityMatrix`` checks shape
+only, as states the package builds are valid by construction and are not
+re-checked.  ``validate_density`` checks outside input (state and spec files,
+arrays a caller passes), finiteness included.  ``entropy._spectrum`` guards
+every spectrum, sweep stacks included.  The file parsers check JSON shape only.
 """
 
 from __future__ import annotations
@@ -284,8 +283,8 @@ def random_density(
 # DensityMatrix: {"dims": [d0, d1, ...], "matrix": [[[re, im], ...], ...]}
 # PureStateVector: {"dims": [d0, d1, ...], "vector": [[re, im], ...]}
 #
-# Matrices are row-major and square.  The parsers check JSON shape only; the
-# state types check the values (dims, finiteness, invariants).
+# Matrices are row-major and square.  The parsers check JSON shape only;
+# validate_density and PureStateVector check dims, finiteness and invariants.
 
 
 def is_json_number(value: object) -> bool:

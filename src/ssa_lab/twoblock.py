@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import ConfigError, ValidationError
 from .entropy import entropy_of_spectrum, gap_entropies
-from .qmat import DensityMatrix, _as_int, kron
+from .qmat import DensityMatrix, _as_int
 
 SWEEPABLE = ("beta2", "lambda1", "b")
 
@@ -80,14 +80,17 @@ class TwoBlockParams:
 DEFAULT_PARAMS = TwoBlockParams()
 
 
-def _pure_times_diagonal(psi, pure_index, diag, diag_index, stride: int) -> np.ndarray:
-    """Stack of |psi><psi| (x) diag(d) on (2, 4, 4): psi's entries sit on the
-    basis indices ``pure_index`` of the leading factor, d's on ``diag_index``
-    of the trailing factor of size ``stride``."""
-    values = (psi[..., None, :, None] * psi[..., None, None, :]) * diag[..., :, None, None]
-    idx = np.add.outer(diag_index, np.multiply(pure_index, stride))
-    out = np.zeros(values.shape[:-3] + (32, 32), dtype=complex)
-    out[..., idx[:, :, None], idx[:, None, :]] = values
+def _place(*blocks) -> np.ndarray:
+    """One zeroed real (..., 32, 32) stack holding the blocks w |psi><psi| (x)
+    diag(d), given as (w, support, psi, d), each written straight into place:
+    entry w d_k psi_i psi_j at row support[k, i] and column support[k, j]."""
+    entries = [
+        (s, (psi[..., None, :, None] * psi[..., None, None, :]) * d[..., :, None, None] * w)
+        for w, s, psi, d in blocks
+    ]
+    out = np.zeros(np.broadcast_shapes(*(e.shape[:-3] for _, e in entries)) + (32, 32))
+    for s, e in entries:
+        out[..., s[:, :, None], s[:, None, :]] = e
     return out
 
 
@@ -96,30 +99,30 @@ def _vector(*entries) -> np.ndarray:
     return np.stack(np.broadcast_arrays(*entries), axis=-1)
 
 
-def _blocks(p: TwoBlockParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _blocks(p: TwoBlockParams) -> tuple[tuple, tuple]:
     """The unweighted blocks |psi1_A><psi1_A| (x) rho1_BC and
-    |psi2_AB><psi2_AB| (x) rho2_C, plus rho1_BC itself, with the family's
-    few nonzero amplitudes placed directly."""
+    |psi2_AB><psi2_AB| (x) rho2_C as (support, psi, d) terms for _place.  A
+    support holds flat indices 16a + 4b + c, [k, i] for d_k and psi_i."""
     psi1_a = _vector(p.alpha1, p.beta1)  # on |0_A>, |1_A>
     psi2_ab = _vector(p.alpha2, p.beta2 * p.a, p.beta2 * p.b)  # on |00>, |11>, |12>
     rho1_diag = _vector(p.lambda1, 1.0 - p.lambda1)  # on |22>, |33>
     rho2_diag = _vector(p.lambda2, 1.0 - p.lambda2)  # on |0_C>, |1_C>
-    block1 = _pure_times_diagonal(psi1_a, (0, 1), rho1_diag, (10, 15), 16)
-    block2 = _pure_times_diagonal(psi2_ab, (0, 5, 6), rho2_diag, (0, 1), 4)
-    rho1_bc = np.zeros(rho1_diag.shape[:-1] + (16, 16), dtype=complex)
-    rho1_bc[..., [10, 15], [10, 15]] = rho1_diag
-    return block1, block2, rho1_bc
+    support1 = np.array([[10, 26], [15, 31]])  # disjoint from support2
+    support2 = np.array([[0, 20, 24], [1, 21, 25]])
+    return (support1, psi1_a, rho1_diag), (support2, psi2_ab, rho2_diag)
 
 
 def _mixture(params: TwoBlockParams) -> np.ndarray:
-    """The family density matrix (a stack of them for a sweep row), valid by
-    construction: real amplitudes placed symmetrically, weights >= 0 summing to 1."""
-    block1, block2, _ = _blocks(params)
-    return params.p1 * block1 + params.p2 * block2
+    """The family density matrix (a stack of them for a sweep row): p1 block1
+    and p2 block2 placed into one real array.  Valid by construction: real
+    amplitudes placed symmetrically, weights >= 0 summing to 1."""
+    block1, block2 = _blocks(params)
+    return _place((params.p1, *block1), (params.p2, *block2))
 
 
 def two_block_state(params: TwoBlockParams) -> DensityMatrix:
-    """The family state on dims (2, 4, 4); valid by construction, not re-checked."""
+    """The family state on dims (2, 4, 4): the real _mixture, cast to complex.
+    Valid by construction, not re-checked."""
     return DensityMatrix((2, 4, 4), _mixture(params))
 
 
@@ -175,11 +178,13 @@ def reference_states(params: TwoBlockParams = DEFAULT_PARAMS) -> list[NamedState
     maximally mixed qubit factorized from a random-ish BC state attains the
     upper bound 2*log2(d_A) = 2 bits.  All three are built valid, not re-checked.
     """
-    block1, block2, rho1_bc = _blocks(params)
-    maximizer = kron(np.eye(2) / 2.0, rho1_bc)
+    block1, block2 = _blocks(params)
+    support1, _, rho1_diag = block1
+    maximizer = np.zeros((32, 32))  # I/2 (x) rho1_BC, on block 1's diagonal
+    maximizer[support1, support1] = 0.5 * rho1_diag[:, None]
     return [
-        NamedState("a_factorized_block", DensityMatrix((2, 4, 4), block1), 0.0),
-        NamedState("ab_pure_block", DensityMatrix((2, 4, 4), block2), 0.0),
+        NamedState("a_factorized_block", DensityMatrix((2, 4, 4), _place((1.0, *block1))), 0.0),
+        NamedState("ab_pure_block", DensityMatrix((2, 4, 4), _place((1.0, *block2))), 0.0),
         NamedState("maximally_mixed_a", DensityMatrix((2, 4, 4), maximizer), 2.0),
     ]
 
@@ -217,13 +222,9 @@ class SweepGrid:
     numeric: np.ndarray
 
     def rows(self) -> Iterable[tuple[float, float, float, float]]:
-        v1 = self.axis1.values()
-        v2 = self.axis2.values()
-        for i, x1 in enumerate(v1):
-            for j, x2 in enumerate(v2):
-                yield float(x1), float(x2), float(self.closed_form[i, j]), float(
-                    self.numeric[i, j]
-                )
+        for x1, closed_row, numeric_row in zip(self.axis1.values(), self.closed_form, self.numeric):
+            for x2, closed, numeric in zip(self.axis2.values(), closed_row, numeric_row):
+                yield float(x1), float(x2), float(closed), float(numeric)
 
     def write_csv(self, stream: TextIO) -> None:
         stream.write("param1,param2,t_closed,t_numeric\n")
@@ -242,18 +243,18 @@ def sweep_gap(
     axis2: SweepAxis,
     fixed: TwoBlockParams = DEFAULT_PARAMS,
 ) -> SweepGrid:
-    """Evaluate closed-form and entropic gaps over a 2-parameter grid.  Each
-    row is one stack of family states, passed unchecked to gap_entropies."""
+    """Evaluate closed-form and entropic gaps over a 2-parameter grid.  The
+    closed form takes the whole broadcast grid in one call; each row of the
+    entropic gap is one real _mixture stack, passed unchecked to gap_entropies."""
     if axis1.name == axis2.name:
         raise ConfigError(f"sweep axes must differ, both are {axis1.name!r}")
-    closed = np.zeros((axis1.steps, axis2.steps))
-    numeric = np.zeros((axis1.steps, axis2.steps))
+    grid = replace(fixed, **{axis1.name: axis1.values()[:, None], axis2.name: axis2.values()})
+    closed = gap_closed_form(grid)
+    numeric = np.zeros_like(closed)
     for i, x1 in enumerate(axis1.values()):
         row = replace(fixed, **{axis1.name: float(x1), axis2.name: axis2.values()})
-        entropies = gap_entropies(_mixture(row), (2, 4, 4))
-        s_ab, s_ac, s_b, s_c = np.moveaxis(entropies, -1, 0)
+        s_ab, s_ac, s_b, s_c = gap_entropies(_mixture(row), (2, 4, 4)).T
         numeric[i] = s_ab + s_ac - s_b - s_c
-        closed[i] = gap_closed_form(row)
     return SweepGrid(axis1, axis2, fixed, closed, numeric)
 
 

@@ -6,6 +6,7 @@ import pytest
 import ssa_lab as sl
 from ssa_lab.cli import CampaignConfig
 from ssa_lab.errors import ConfigError, DimensionError, ParseError, ValidationError
+from ssa_lab.entropy import gap_entropies
 from ssa_lab.qmat import trace_out
 
 
@@ -180,6 +181,20 @@ class TestValidateDensity:
         w = np.linalg.eigvalsh(rho.data)
         assert w.min() >= 0.0
         assert abs(np.trace(rho.data).real - 1.0) <= 1e-14
+
+
+class TestDensityMatrix:
+    def test_shape_only_so_nan_raises_at_first_entropy(self):
+        # DensityMatrix checks shape only; entropy._spectrum guards every
+        # spectrum, a built state's and a real sweep stack's alike
+        rho = sl.DensityMatrix((2,), [[np.nan, 0], [0, 0.5]])
+        assert np.isnan(rho.data[0, 0])
+        with pytest.raises(ValidationError, match="finiteness"):
+            sl.von_neumann_entropy(rho)
+        stack = np.zeros((3, 8, 8))
+        stack[1, 2, 2] = np.nan
+        with pytest.raises(ValidationError, match="finiteness"):
+            gap_entropies(stack, (2, 2, 2))
 
 
 class TestPureStateVector:

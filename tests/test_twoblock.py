@@ -242,6 +242,23 @@ class TestSweep:
                 assert abs(grid.numeric[i, j] - numeric) <= 1e-12
                 assert abs(grid.closed_form[i, j] - sl.gap_closed_form(params)) <= 1e-12
 
+    @pytest.mark.parametrize("figure", ["a", "b"])
+    def test_figure_cells_match_per_state_pipeline(self, figure):
+        # the real row stacks and the one-call closed form at figure scale,
+        # against the complex one-state path; row 0 is the beta2 = 0 edge,
+        # column 0 the lambda1 = 0 (figure a) or b = 0 (figure b) edge
+        grid = sl.sweep_figure(figure, steps=64)
+        v1, v2 = grid.axis1.values(), grid.axis2.values()
+        cells = [(0, 0), (0, 21), (0, 42), (0, 63), (21, 0), (42, 0), (63, 0), (63, 63)]
+        cells += [tuple(c) for c in np.random.default_rng(64).integers(1, 64, size=(24, 2))]
+        for i, j in cells:
+            params = replace(
+                grid.fixed, **{grid.axis1.name: float(v1[i]), grid.axis2.name: float(v2[j])}
+            )
+            numeric = sl.t_gap(sl.two_block_state(params)).t_a
+            assert abs(grid.numeric[i, j] - numeric) <= 1e-14
+            assert abs(grid.closed_form[i, j] - sl.gap_closed_form(params)) <= 1e-14
+
     def test_axis_outside_unit_interval(self):
         with pytest.raises(ValidationError):
             sl.sweep_gap(sl.SweepAxis("b", steps=3), sl.SweepAxis("beta2", stop=1.5, steps=3))
