@@ -17,7 +17,6 @@ from .errors import (
 from .qmat import (
     DensityMatrix,
     PureStateVector,
-    kron,
     load_density,
     load_state,
     partial_trace,
@@ -26,7 +25,6 @@ from .qmat import (
     random_pure,
     save_state,
     tensor_density,
-    tensor_pure,
     validate_density,
 )
 from .entropy import (
@@ -35,8 +33,6 @@ from .entropy import (
     binary_entropy,
     concavity_check,
     conditional_entropy,
-    holevo_chi,
-    make_ensemble,
     mutual_information,
     ssa_gap_form1,
     t_gap,
@@ -67,7 +63,6 @@ from .structure import (
     build_saturating,
     certify,
     check_orthogonality,
-    collide_embeddings,
     load_spec,
     purify_saturating,
     random_saturating_spec,
@@ -75,13 +70,11 @@ from .structure import (
 )
 from .twoblock import (
     DEFAULT_PARAMS,
-    NamedState,
     SweepAxis,
     SweepGrid,
     TwoBlockParams,
     gap_closed_form,
     gap_mu_values,
-    reference_states,
     sweep_figure,
     sweep_gap,
     two_block_state,

@@ -21,8 +21,8 @@ import numpy as np
 
 from .errors import CapabilityError, ConfigError, SsaLabError
 from .entropy import (
+    Ensemble,
     concavity_check,
-    make_ensemble,
     mutual_information,
     ssa_gap_form1,
     t_gap,
@@ -117,7 +117,7 @@ def _check_concavity(cfg: CampaignConfig, seed: int) -> float:
         random_density(cfg.dims, rank=cfg.rank, seed=rng) for _ in range(2)
     ]
     w = float(rng.uniform(0.05, 0.95))
-    lhs, rhs = concavity_check(make_ensemble([w, 1.0 - w], members))
+    lhs, rhs = concavity_check(Ensemble([w, 1.0 - w], members))
     return lhs - rhs
 
 

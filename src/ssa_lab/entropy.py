@@ -1,5 +1,6 @@
 """Entropic functionals: von Neumann entropy, mutual information, conditional
-entropy, both forms of the strong-subadditivity gap, and the Holevo quantity.
+entropy, both forms of the strong-subadditivity gap, and the gap's concavity
+under mixing.
 
 Everything is in bits (base-2 logarithms), so the tripartite gap of a state
 with a maximally mixed, factorized qubit on the first slot reads exactly 2.0.
@@ -8,7 +9,6 @@ with a maximally mixed, factorized qubit on the first slot reads exactly 2.0.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -156,22 +156,6 @@ class Ensemble:
             p * member.data for p, member in zip(self.weights, self.members)
         )
         return DensityMatrix(self.dims, data)
-
-
-def make_ensemble(
-    weights: Iterable[float], members: Sequence[DensityMatrix]
-) -> Ensemble:
-    return Ensemble(np.asarray(list(weights), dtype=float), tuple(members))
-
-
-def holevo_chi(ensemble: Ensemble) -> float:
-    """S(sum_k p_k rho_k) - sum_k p_k S(rho_k), bounded by H(p)."""
-    mix = von_neumann_entropy(ensemble.mixture())
-    avg = sum(
-        p * von_neumann_entropy(member)
-        for p, member in zip(ensemble.weights, ensemble.members)
-    )
-    return mix - avg
 
 
 def concavity_check(ensemble: Ensemble) -> tuple[float, float]:

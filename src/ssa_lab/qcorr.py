@@ -301,24 +301,10 @@ def _givens_pullback(u: np.ndarray, prefixes: np.ndarray, trig, gamma: np.ndarra
 
 
 @lru_cache(maxsize=None)
-def _index_pairs(dim: int) -> tuple[tuple[int, int], ...]:
-    """Index pairs (i < j) in row order."""
-    return tuple((i, j) for i in range(dim - 1) for j in range(i + 1, dim))
-
-
-@lru_cache(maxsize=None)
-def _pair_arrays(dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """The first and the second indices of the pairs (i < j) in row order."""
-    pairs = np.array(_index_pairs(dim), dtype=np.intp).reshape(-1, 2).T.copy()
-    pairs.setflags(write=False)
-    return pairs[0], pairs[1]
-
-
-@lru_cache(maxsize=None)
 def _pair_blocks(dim: int) -> np.ndarray:
     """Flat positions in a (pairs, dim, dim) stack of entries (i, i), (i, j),
     (j, i) and (j, j) of pair p in layer p, one row each."""
-    i, j = _pair_arrays(dim)
+    i, j = np.triu_indices(dim, 1)
     base = np.arange(i.shape[0]) * dim * dim
     blocks = np.stack([base + a * dim + b for a, b in ((i, i), (i, j), (j, i), (j, j))])
     blocks.setflags(write=False)
@@ -551,7 +537,7 @@ def _hermitian_from_params(dim: int, params: np.ndarray) -> np.ndarray:
 @lru_cache(maxsize=None)
 def _hermitian_layout(dim: int) -> np.ndarray:
     """Flat positions of the diagonal, then of (i, j) and of (j, i) per pair."""
-    i, j = _pair_arrays(dim)
+    i, j = np.triu_indices(dim, 1)
     diag = np.arange(dim)
     layout = np.concatenate((diag * dim + diag, i * dim + j, j * dim + i))
     layout.setflags(write=False)

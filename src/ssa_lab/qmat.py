@@ -1,4 +1,4 @@
-"""Complex-matrix core: states, Kronecker products, partial traces.
+"""Complex-matrix core: states, tensor products, partial traces.
 
 Index convention, fixed globally: subsystem 0 is the slowest-varying tensor
 index (big-endian), so a basis label (i0, i1, ..., in) maps to the flat row
@@ -139,11 +139,6 @@ class PureStateVector:
         return DensityMatrix(self.dims, np.outer(self.amps, self.amps.conj()))
 
 
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product of two complex matrices."""
-    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
-
-
 def tensor_density(*states: DensityMatrix) -> DensityMatrix:
     """Tensor product of density matrices; dims lists concatenate."""
     if not states:
@@ -154,18 +149,6 @@ def tensor_density(*states: DensityMatrix) -> DensityMatrix:
         data = np.kron(data, s.data)
         dims = dims + s.dims
     return DensityMatrix(dims, data)
-
-
-def tensor_pure(*states: PureStateVector) -> PureStateVector:
-    """Tensor product of pure states; dims lists concatenate."""
-    if not states:
-        raise DimensionError("tensor_pure needs at least one state")
-    amps = states[0].amps
-    dims: tuple[int, ...] = states[0].dims
-    for s in states[1:]:
-        amps = np.kron(amps, s.amps)
-        dims = dims + s.dims
-    return PureStateVector(dims, amps)
 
 
 def trace_out(data: np.ndarray, dims: tuple[int, ...], keep: Iterable[int]) -> np.ndarray:
@@ -355,7 +338,8 @@ def pure_from_dict(obj: dict) -> PureStateVector:
 
 
 def read_json(path: str) -> object:
-    """Parse a state or spec file; bad JSON and NaN/Infinity raise ParseError."""
+    """Parse a state or spec file; bad JSON, NaN/Infinity, text that is not
+    UTF-8 and nesting too deep to parse raise ParseError."""
 
     def reject_constant(token: str) -> float:
         raise ParseError(f"{path}: non-finite value {token!r}")
@@ -365,6 +349,10 @@ def read_json(path: str) -> object:
             return json.load(fh, parse_constant=reject_constant)
         except json.JSONDecodeError as exc:
             raise ParseError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path}: not UTF-8 text at byte {exc.start}") from None
+        except RecursionError:
+            raise ParseError(f"{path}: JSON nested too deeply to parse") from None
 
 
 def write_json(path: str, obj: dict) -> None:

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -95,11 +95,12 @@ class SaturatingSpec:
     When ``orthogonal`` is declared the embedding ranges must be pairwise
     disjoint on both the B and the C side, which forces the block marginals
     into orthogonal subspaces and hence a vanishing gap for the built state.
+    It defaults to False, as for a spec file without the field.
     """
 
     dims: tuple[int, int, int]
     blocks: tuple[SaturatingBlock, ...]
-    orthogonal: bool = True
+    orthogonal: bool = False
 
     def __post_init__(self) -> None:
         dims = _as_dims(self.dims)
@@ -375,19 +376,6 @@ def random_saturating_spec(
         off_b += sizes_b[i]
         off_c += sizes_c[i]
     return SaturatingSpec((d_a, d_b, d_c), tuple(blocks), orthogonal=True)
-
-
-def collide_embeddings(spec: SaturatingSpec) -> SaturatingSpec:
-    """Orthogonality-violating perturbation: move every block's B-embedding
-    onto the first block's range (the C side is left untouched)."""
-    if len(spec.blocks) < 2:
-        raise ValidationError("need at least two blocks to collide embeddings")
-    target = spec.blocks[0].embed_b
-    d_b = spec.dims[1]
-    moved = tuple(
-        replace(b, embed_b=min(target, d_b - b.b_dim)) for b in spec.blocks
-    )
-    return SaturatingSpec(spec.dims, moved, orthogonal=False)
 
 
 # --- spec file format --------------------------------------------------------

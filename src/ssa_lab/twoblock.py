@@ -163,37 +163,11 @@ def gap_closed_form(params: TwoBlockParams) -> float:
 
 
 @dataclass(frozen=True)
-class NamedState:
-    """A fixture state annotated with its expected saturation gap."""
-
-    name: str
-    state: DensityMatrix
-    expected_gap: float
-
-
-def reference_states(params: TwoBlockParams = DEFAULT_PARAMS) -> list[NamedState]:
-    """The family's two building blocks plus the gap-maximizing state.
-
-    The A-factorized block and the AB-pure block both have zero gap; the
-    maximally mixed qubit factorized from a random-ish BC state attains the
-    upper bound 2*log2(d_A) = 2 bits.  All three are built valid, not re-checked.
-    """
-    block1, block2 = _blocks(params)
-    support1, _, rho1_diag = block1
-    maximizer = np.zeros((32, 32))  # I/2 (x) rho1_BC, on block 1's diagonal
-    maximizer[support1, support1] = 0.5 * rho1_diag[:, None]
-    return [
-        NamedState("a_factorized_block", DensityMatrix((2, 4, 4), _place((1.0, *block1))), 0.0),
-        NamedState("ab_pure_block", DensityMatrix((2, 4, 4), _place((1.0, *block2))), 0.0),
-        NamedState("maximally_mixed_a", DensityMatrix((2, 4, 4), maximizer), 2.0),
-    ]
-
-
-@dataclass(frozen=True)
 class SweepAxis:
+    """One swept parameter, at ``steps`` evenly spaced values over [0, 1]
+    (every SWEEPABLE parameter lives in [0, 1])."""
+
     name: str
-    start: float = 0.0
-    stop: float = 1.0
     steps: int = 64
 
     def __post_init__(self) -> None:
@@ -204,7 +178,7 @@ class SweepAxis:
         object.__setattr__(self, "steps", _as_int(self.steps, "sweep steps", 2, ConfigError))
 
     def values(self) -> np.ndarray:
-        return np.linspace(self.start, self.stop, self.steps)
+        return np.linspace(0.0, 1.0, self.steps)
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import functools
+from dataclasses import dataclass, replace
+
 import numpy as np
 import pytest
 
@@ -22,6 +25,12 @@ def w_state() -> sl.PureStateVector:
     amps = np.zeros(8)
     amps[1] = amps[2] = amps[4] = 1.0 / np.sqrt(3.0)
     return sl.PureStateVector((2, 2, 2), amps)
+
+
+def tensor_pure(*states: sl.PureStateVector) -> sl.PureStateVector:
+    """Tensor product of pure states; dims lists concatenate."""
+    amps = functools.reduce(np.kron, [s.amps for s in states])
+    return sl.PureStateVector(sum((s.dims for s in states), ()), amps)
 
 
 def random_two_block_params(rng: np.random.Generator) -> sl.TwoBlockParams:
@@ -65,6 +74,45 @@ def family_blocks(params: sl.TwoBlockParams):
 def family_spec(params: sl.TwoBlockParams) -> sl.SaturatingSpec:
     """The family's natural two-block decomposition (overlapping B sectors)."""
     return sl.SaturatingSpec((2, 4, 4), family_blocks(params), orthogonal=False)
+
+
+@dataclass(frozen=True)
+class NamedState:
+    """A fixture state annotated with its expected saturation gap."""
+
+    name: str
+    state: sl.DensityMatrix
+    expected_gap: float
+
+
+def reference_states(params: sl.TwoBlockParams = sl.DEFAULT_PARAMS) -> list[NamedState]:
+    """The family's two building blocks plus the gap-maximizing state, built
+    by another route than two_block_state: each block of family_blocks alone,
+    as a one-block spec of weight 1, through build_saturating, and the
+    maximizer as I/2 (x) rho1_BC, which attains 2*log2(d_A) = 2 bits."""
+    block1, block2 = family_blocks(params)
+    alone = [
+        sl.build_saturating(sl.SaturatingSpec((2, 4, 4), (replace(blk, weight=1.0),)))
+        for blk in (block1, block2)
+    ]
+    maximizer = sl.tensor_density(sl.DensityMatrix((2,), np.eye(2) / 2.0), block1.rho_z)
+    return [
+        NamedState("a_factorized_block", alone[0], 0.0),
+        NamedState("ab_pure_block", alone[1], 0.0),
+        NamedState("maximally_mixed_a", maximizer, 2.0),
+    ]
+
+
+def collide_embeddings(spec: sl.SaturatingSpec) -> sl.SaturatingSpec:
+    """Orthogonality-violating perturbation: move every block's B-embedding
+    onto the first block's range (the C side is left untouched)."""
+    assert len(spec.blocks) >= 2, "need at least two blocks to collide embeddings"
+    target = spec.blocks[0].embed_b
+    d_b = spec.dims[1]
+    moved = tuple(
+        replace(b, embed_b=min(target, d_b - b.b_dim)) for b in spec.blocks
+    )
+    return sl.SaturatingSpec(spec.dims, moved, orthogonal=False)
 
 
 def min_eig_partial_transpose(rho: sl.DensityMatrix) -> float:

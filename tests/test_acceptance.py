@@ -8,7 +8,7 @@ import numpy as np
 
 import ssa_lab as sl
 
-from conftest import grid_discord_two_qubit, random_two_block_params
+from conftest import collide_embeddings, grid_discord_two_qubit, random_two_block_params
 
 
 def _report(num: int, ok: bool, detail: str) -> None:
@@ -108,7 +108,7 @@ def test_criterion_05_concavity():
     for _ in range(500):
         members = [sl.random_density([2, 2, 2], seed=rng) for _ in range(2)]
         w = float(rng.uniform(0.05, 0.95))
-        lhs, rhs = sl.concavity_check(sl.make_ensemble([w, 1 - w], members))
+        lhs, rhs = sl.concavity_check(sl.Ensemble([w, 1 - w], members))
         worst_gap = min(worst_gap, lhs - rhs)
 
     def embedded(offset, seed):
@@ -122,7 +122,7 @@ def test_criterion_05_concavity():
     for _ in range(100):
         members = [embedded(0, rng), embedded(2, rng)]
         w = float(rng.uniform(0.05, 0.95))
-        lhs, rhs = sl.concavity_check(sl.make_ensemble([w, 1 - w], members))
+        lhs, rhs = sl.concavity_check(sl.Ensemble([w, 1 - w], members))
         worst_eq = max(worst_eq, abs(lhs - rhs))
     _report(
         5,
@@ -166,7 +166,7 @@ def test_criterion_07_theorem2_soundness():
         spec = sl.random_saturating_spec(
             dims_cycle[k % len(dims_cycle)], rng, min_blocks=2
         )
-        bad = sl.collide_embeddings(spec)
+        bad = collide_embeddings(spec)
         if sl.t_gap(sl.build_saturating(bad)).t_a > 1e-5:
             broken += 1
     _report(

@@ -458,6 +458,23 @@ class TestMalformedFiles:
         self._assert_parse_failure(run_cli("build", str(path)))
 
     @pytest.mark.parametrize(
+        "command, text",
+        [
+            ("entropy", b"\xff\xfe{}"),
+            ("entropy", b"[" * 100000 + b"]" * 100000),
+            ("build", b"\xff\xfe{}"),
+            ("build", b'{"dims": [2, 2, 2], "blocks": ' + b"[" * 100000 + b"]" * 100000 + b"}"),
+        ],
+        ids=["state-not-utf8", "state-nested-deep", "spec-not-utf8", "spec-nested-deep"],
+    )
+    def test_unparseable_file(self, tmp_path, command, text):
+        path = tmp_path / "unparseable.json"
+        path.write_bytes(text)
+        res = run_cli(command, str(path))
+        self._assert_parse_failure(res)
+        assert str(path) in res.stderr
+
+    @pytest.mark.parametrize(
         "state",
         [
             {"dims": [True, 2], "matrix": [[[0.5, 0], [0, 0]], [[0, 0], [0.5, 0]]]},

@@ -171,79 +171,26 @@ class TestSsaGapForm1:
             sl.ssa_gap_form1(sl.random_density([2, 2], seed=1))
 
 
-class TestHolevo:
-    def test_orthogonal_pure_members(self):
-        e = sl.make_ensemble(
-            [0.5, 0.5],
-            [
-                sl.validate_density(np.diag([1.0, 0.0]), [2]),
-                sl.validate_density(np.diag([0.0, 1.0]), [2]),
-            ],
-        )
-        assert sl.holevo_chi(e) == pytest.approx(1.0, abs=1e-10)
-
-    def test_identical_members(self):
-        rho = sl.random_density([2], seed=9)
-        e = sl.make_ensemble([0.5, 0.5], [rho, rho])
-        assert sl.holevo_chi(e) == pytest.approx(0.0, abs=1e-10)
-
-    def test_joint_dominates_marginal(self):
-        # chi of an ensemble of bipartite states >= chi of its B-marginals
-        rng = np.random.default_rng(7)
-        for _ in range(500):
-            members = [sl.random_density([2, 2], seed=rng) for _ in range(2)]
-            w = float(rng.uniform(0.1, 0.9))
-            joint = sl.make_ensemble([w, 1 - w], members)
-            margs = sl.make_ensemble(
-                [w, 1 - w], [sl.partial_trace(m, {1}) for m in members]
-            )
-            assert sl.holevo_chi(joint) >= sl.holevo_chi(margs) - 1e-9
-
-    def test_bounded_by_weight_entropy(self):
-        rng = np.random.default_rng(8)
-        # generic members: strict inequality
-        for _ in range(50):
-            members = [sl.random_density([2], seed=rng) for _ in range(2)]
-            w = float(rng.uniform(0.2, 0.8))
-            chi = sl.holevo_chi(sl.make_ensemble([w, 1 - w], members))
-            bound = sl.binary_entropy(w)
-            assert chi <= bound + 1e-9
-            assert chi < bound - 1e-6
-        # orthogonal members: equality
-        for _ in range(20):
-            w = float(rng.uniform(0.2, 0.8))
-            a = sl.random_density([2], seed=rng)
-            b = sl.random_density([2], seed=rng)
-            top = sl.validate_density(
-                np.block([[a.data, np.zeros((2, 2))], [np.zeros((2, 2)), np.zeros((2, 2))]]),
-                [4],
-            )
-            bot = sl.validate_density(
-                np.block([[np.zeros((2, 2)), np.zeros((2, 2))], [np.zeros((2, 2)), b.data]]),
-                [4],
-            )
-            chi = sl.holevo_chi(sl.make_ensemble([w, 1 - w], [top, bot]))
-            assert chi == pytest.approx(sl.binary_entropy(w), abs=1e-9)
-
+class TestEnsemble:
     def test_ensemble_validation(self):
         rho = sl.random_density([2], seed=1)
         with pytest.raises(ValidationError):
-            sl.make_ensemble([0.7, 0.7], [rho, rho])
+            sl.Ensemble([0.7, 0.7], [rho, rho])
         with pytest.raises(ValidationError):
-            sl.make_ensemble([1.0], [rho, sl.random_density([2], seed=2)])
+            sl.Ensemble([1.0], [rho, sl.random_density([2], seed=2)])
         with pytest.raises(ValidationError):
-            sl.make_ensemble([0.5, 0.5], [rho, sl.random_density([3], seed=2)])
+            sl.Ensemble([0.5, 0.5], [rho, sl.random_density([3], seed=2)])
 
     def test_nan_weight_rejected(self):
         rho = sl.random_density([2], seed=1)
         with pytest.raises(ValidationError, match="weights"):
-            sl.make_ensemble([float("nan"), 0.5], [rho, rho])
+            sl.Ensemble([float("nan"), 0.5], [rho, rho])
 
 
 class TestConcavity:
     def test_single_member(self):
         rho = sl.random_density([2, 2, 2], seed=1)
-        lhs, rhs = sl.concavity_check(sl.make_ensemble([1.0], [rho]))
+        lhs, rhs = sl.concavity_check(sl.Ensemble([1.0], [rho]))
         assert lhs == pytest.approx(rhs, abs=1e-12)
 
     def test_orthogonal_marginals_give_equality(self, rng):
@@ -259,7 +206,7 @@ class TestConcavity:
         for _ in range(10):
             members = [embedded_member(0, rng), embedded_member(2, rng)]
             w = float(rng.uniform(0.2, 0.8))
-            lhs, rhs = sl.concavity_check(sl.make_ensemble([w, 1 - w], members))
+            lhs, rhs = sl.concavity_check(sl.Ensemble([w, 1 - w], members))
             assert rhs > 1e-3  # generic members carry a real gap
             assert abs(lhs - rhs) <= 1e-9
 
@@ -267,10 +214,10 @@ class TestConcavity:
         for _ in range(100):
             members = [sl.random_density([2, 2, 2], seed=rng) for _ in range(2)]
             w = float(rng.uniform(0.1, 0.9))
-            lhs, rhs = sl.concavity_check(sl.make_ensemble([w, 1 - w], members))
+            lhs, rhs = sl.concavity_check(sl.Ensemble([w, 1 - w], members))
             assert lhs >= rhs - 1e-9
 
     def test_arity_error(self):
-        e = sl.make_ensemble([1.0], [sl.random_density([2, 2], seed=1)])
+        e = sl.Ensemble([1.0], [sl.random_density([2, 2], seed=1)])
         with pytest.raises(DimensionError):
             sl.concavity_check(e)

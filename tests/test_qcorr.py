@@ -14,7 +14,7 @@ from ssa_lab.qcorr import (
     _roof_objective,
 )
 
-from conftest import bell_phi_plus, ghz_state, grid_discord_two_qubit, w_state
+from conftest import bell_phi_plus, ghz_state, grid_discord_two_qubit, tensor_pure, w_state
 
 
 def _rows(point_objective):
@@ -638,7 +638,7 @@ class TestDiscordViaKW:
         assert val == pytest.approx(0.0, abs=1e-9)
 
     def test_product_pure(self):
-        psi = sl.tensor_pure(
+        psi = tensor_pure(
             sl.random_pure([2], seed=1),
             sl.random_pure([2], seed=2),
             sl.random_pure([2], seed=3),
@@ -781,7 +781,7 @@ class TestConservation:
         assert lhs > 1.0  # W state carries nontrivial pairwise entanglement
 
     def test_product_pure(self):
-        psi = sl.tensor_pure(
+        psi = tensor_pure(
             sl.random_pure([2], seed=4),
             sl.random_pure([2], seed=5),
             sl.random_pure([2], seed=6),

@@ -10,38 +10,6 @@ from ssa_lab.entropy import gap_entropies
 from ssa_lab.qmat import trace_out
 
 
-class TestKron:
-    def test_identities(self):
-        np.testing.assert_array_equal(sl.kron(np.eye(2), np.eye(2)), np.eye(4))
-
-    def test_basis_projectors(self):
-        out = sl.kron(np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))
-        np.testing.assert_allclose(out, np.diag([0.0, 1.0, 0.0, 0.0]))
-
-    def test_matches_index_formula(self, rng):
-        # oracle: entry ((i,k),(j,l)) = a[i,j] * b[k,l]
-        a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-        b = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-        out = sl.kron(a, b)
-        for i in range(2):
-            for j in range(2):
-                for k in range(2):
-                    for l in range(2):
-                        assert out[2 * i + k, 2 * j + l] == pytest.approx(
-                            a[i, j] * b[k, l]
-                        )
-
-    def test_associativity(self, rng):
-        for _ in range(10):
-            mats = [
-                rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-                for _ in range(3)
-            ]
-            left = sl.kron(sl.kron(mats[0], mats[1]), mats[2])
-            right = sl.kron(mats[0], sl.kron(mats[1], mats[2]))
-            assert np.max(np.abs(left - right)) <= 1e-14
-
-
 class TestPartialTrace:
     def test_maximally_entangled_marginal(self):
         rho = sl.PureStateVector((2, 2), np.array([1, 0, 0, 1]) / np.sqrt(2)).to_density()
@@ -315,7 +283,7 @@ _WRONG_ARITY = {
     "conditional_entropy": lambda: sl.conditional_entropy(_TRIPARTITE, 1),
     "t_gap": lambda: sl.t_gap(_BIPARTITE),
     "ssa_gap_form1": lambda: sl.ssa_gap_form1(_BIPARTITE),
-    "concavity_check": lambda: sl.concavity_check(sl.make_ensemble([1.0], [_BIPARTITE])),
+    "concavity_check": lambda: sl.concavity_check(sl.Ensemble([1.0], [_BIPARTITE])),
     "extend": lambda: sl.extend(_BIPARTITE),
     "discord": lambda: sl.discord(_TRIPARTITE, 1),
     "classical_correlation_at": lambda: sl.classical_correlation_at(

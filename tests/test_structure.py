@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,7 @@ import ssa_lab as sl
 from ssa_lab.errors import DimensionError, ParseError, ValidationError
 from ssa_lab.structure import block_marginals
 
-from conftest import family_blocks, family_spec
+from conftest import collide_embeddings, family_blocks, family_spec
 
 
 def _block_oracle(blk):
@@ -244,7 +246,7 @@ class TestCertify:
         # build_saturating and block_marginals, on passing and collided specs
         for _ in range(5):
             spec = sl.random_saturating_spec([2, 4, 4], rng, min_blocks=2)
-            for candidate in (spec, sl.collide_embeddings(spec)):
+            for candidate in (spec, collide_embeddings(spec)):
                 rho = sl.random_density([2, 4, 4], seed=rng)
                 cert = sl.certify(rho, candidate)
                 built = sl.build_saturating(candidate).data
@@ -268,7 +270,7 @@ class TestRandomSpecCampaigns:
         total = 30
         for _ in range(total):
             spec = sl.random_saturating_spec([2, 4, 4], rng, min_blocks=2)
-            bad = sl.collide_embeddings(spec)
+            bad = collide_embeddings(spec)
             gap = sl.t_gap(sl.build_saturating(bad)).t_a
             if gap > 1e-5:
                 positive += 1
@@ -284,7 +286,7 @@ class TestRandomSpecCampaigns:
         broken = 0
         for _ in range(10):
             spec = sl.random_saturating_spec([2, 4, 4], rng, min_blocks=2, max_blocks=2)
-            bad = sl.collide_embeddings(spec)
+            bad = collide_embeddings(spec)
             if sl.t_gap(sl.build_saturating(bad)).t_a > 1e-4:
                 broken += 1
         assert broken >= 8
@@ -329,6 +331,21 @@ class TestSpecFiles:
         np.testing.assert_allclose(
             sl.build_saturating(back).data, sl.build_saturating(spec).data, atol=1e-9
         )
+
+    def test_orthogonal_defaults_to_false(self, tmp_path):
+        # the type and a spec file without the field agree: the family's
+        # overlapping blocks load, and certify reports the overlap
+        params = sl.DEFAULT_PARAMS
+        by_type = sl.SaturatingSpec((2, 4, 4), family_blocks(params))
+        record = sl.structure.spec_to_dict(by_type)
+        del record["orthogonal"]
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(record))
+        by_file = sl.load_spec(str(path))
+        rho = sl.two_block_state(params)
+        for spec in (by_type, by_file):
+            assert not spec.orthogonal
+            assert not sl.certify(rho, spec).orthogonality_ok
 
     def test_parse_errors(self, tmp_path):
         path = tmp_path / "bad.json"
