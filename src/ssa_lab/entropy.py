@@ -13,7 +13,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, ValidationError
-from .qmat import EIG_CLIP, DensityMatrix, _as_int, _require_arity, partial_trace, trace_out
+from .qmat import (
+    EIG_CLIP,
+    DensityMatrix,
+    _as_array,
+    _as_int,
+    _require_arity,
+    partial_trace,
+    trace_out,
+)
 
 
 def entropy_of_spectrum(eigenvalues: np.ndarray) -> np.ndarray:
@@ -125,7 +133,7 @@ class Ensemble:
     members: tuple[DensityMatrix, ...]
 
     def __post_init__(self) -> None:
-        weights = np.asarray(self.weights, dtype=float).reshape(-1)
+        weights = _as_array(self.weights, "weights", float).reshape(-1)
         members = tuple(self.members)
         if len(members) == 0:
             raise ValidationError("ensemble must have at least one member")

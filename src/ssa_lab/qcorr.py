@@ -25,7 +25,15 @@ from .entropy import (
     von_neumann_entropy,
 )
 from .purify import extend, purify
-from .qmat import EIG_CLIP, DensityMatrix, PureStateVector, _as_int, _require_arity, partial_trace
+from .qmat import (
+    EIG_CLIP,
+    DensityMatrix,
+    PureStateVector,
+    _as_array,
+    _as_int,
+    _require_arity,
+    partial_trace,
+)
 
 MAX_MEASURED_DIM = 8
 MAX_EOF_DIM = 16
@@ -58,27 +66,25 @@ _LINE_SEARCH_EVALS = 20
 _EPS = float(np.finfo(float).eps)
 
 
-def _multistart_minimize(
-    objective, n: int, config: OptimizerConfig, spread: float = 2.0 * np.pi, starts=None
-):
+def _multistart_minimize(objective, n: int, config: OptimizerConfig, starts=None):
     """Seeded multi-start L-BFGS, all restarts in lockstep.
 
     ``objective`` maps a (k, n) stack of points to their values (k,) and
     gradients (k, n).  The runs start from the rows of ``starts`` when it
     is given; otherwise ``config.restarts`` runs start, run 0 from the
-    origin and the rest from uniform draws in [0, spread), drawn in run
-    order.  Each run is an ``_lbfgs`` coroutine; every round stacks the
-    pending points of the runs still going, makes one objective call and
-    sends row i back to its run, so each run takes the same path it would
-    take alone.  Ties go to the earlier run, so a fixed seed fixes the
-    outcome.  Returns (value, point, converged, nfev): ``converged`` is the
-    flag of the run whose point is returned, ``nfev`` the objective
-    evaluations (rows) over all runs.
+    origin and the rest from uniform draws in [0, pi) on the exp(iH)
+    charts, drawn in run order.  Each run is an ``_lbfgs`` coroutine; every
+    round stacks the pending points of the runs still going, makes one
+    objective call and sends row i back to its run, so each run takes the
+    same path it would take alone.  Ties go to the earlier run, so a fixed
+    seed fixes the outcome.  Returns (value, point, converged, nfev):
+    ``converged`` is the flag of the run whose point is returned, ``nfev``
+    the objective evaluations (rows) over all runs.
     """
     if starts is None:
         rng = np.random.default_rng(config.seed)
         starts = [
-            np.zeros(n) if restart == 0 else rng.uniform(0.0, spread, n)
+            np.zeros(n) if restart == 0 else rng.uniform(0.0, np.pi, n)
             for restart in range(config.restarts)
         ]
     runs = [_lbfgs(x, config) for x in starts]
@@ -217,7 +223,7 @@ class MeasurementBasis:
     vectors: np.ndarray
 
     def __post_init__(self) -> None:
-        v = np.array(self.vectors, dtype=complex)
+        v = _as_array(self.vectors, "basis", complex)
         if v.ndim != 2 or v.shape[0] != v.shape[1]:
             raise DimensionError(f"basis must be a square column set, got {v.shape}")
         gram = v.conj().T @ v
@@ -241,74 +247,97 @@ class MeasurementBasis:
 
 
 def n_basis_params(dim: int) -> int:
-    """Chart size: one rotation and one phase per index pair."""
+    """Chart size: two real parameters per index pair (i < j)."""
     return dim * (dim - 1)
 
 
 def givens_unitary(dim: int, params: np.ndarray) -> np.ndarray:
-    """Unitary from a chain of two-level Givens rotations with phases.
+    """Product of two-level Givens rotations with phases, for building a
+    basis from angles (``discord`` searches ``_basis_chart`` instead).
 
     The d(d-1)/2 index pairs (i < j) are visited in row order, consuming a
-    (theta, phi) pair each; for a qubit this is exactly the Bloch-sphere
-    chart.  Column phases are irrelevant to the measurement the columns
-    define, so the chart covers all rank-1 projective bases.
+    (theta, phi) pair each; rotation [[cos theta, -e^{i phi} sin theta],
+    [e^{-i phi} sin theta, cos theta]] on rows i and j multiplies the
+    product so far on the left.  For a qubit this is the Bloch-sphere chart.
     """
-    params = np.asarray(params, dtype=float).reshape(1, -1)
-    return _givens_chain(dim, params)[0][0]
-
-
-def _givens_chain(dim: int, params: np.ndarray):
-    """For a (k, n) stack of charts: the unitaries U (k, d, d), the stack
-    (k, pairs, d, d) whose entry p is the product of the rotations applied
-    before pair p, and (cos theta, sin theta, e^{i phi}), each (k, pairs)."""
-    k, n = params.shape
-    if n != n_basis_params(dim):
+    params = _as_array(params, "angles", float).reshape(-1)
+    if params.shape[0] != n_basis_params(dim):
         raise ConfigError(
-            f"expected {n_basis_params(dim)} parameters for dim {dim}, got {n}"
+            f"expected {n_basis_params(dim)} parameters for dim {dim}, got {params.shape[0]}"
         )
-    theta, phi = params[:, 0::2], params[:, 1::2]
-    c, s, e = np.cos(theta), np.sin(theta), np.exp(1j * phi)
-    n_pairs = theta.shape[1]
-    rotations = np.zeros((k, n_pairs, dim, dim), dtype=complex)
-    rotations[..., range(dim), range(dim)] = 1.0
-    rotations.reshape(k, -1)[:, _pair_blocks(dim)] = np.stack((c, -e * s, e.conj() * s, c), 1)
-    chain = np.empty((k, n_pairs + 1, dim, dim), dtype=complex)
-    chain[:, 0] = np.eye(dim)
-    for p in range(n_pairs):
-        np.matmul(rotations[:, p], chain[:, p], out=chain[:, p + 1])
-    return chain[:, n_pairs], chain[:, :n_pairs], (c, s, e)
+    theta, phi = params[0::2], params[1::2]
+    trig = np.cos(theta).tolist(), np.sin(theta).tolist(), np.exp(1j * phi).tolist()
+    pairs = ((i, j) for i in range(dim) for j in range(i + 1, dim))
+    u = np.eye(dim, dtype=complex)
+    for (i, j), c, s, e in zip(pairs, *trig):
+        rows = slice(i, j + 1, j - i)  # rows i and j
+        u[rows] = np.array([[c, -e * s], [e.conjugate() * s, c]]) @ u[rows]
+    return u
 
 
-def _givens_pullback(u: np.ndarray, prefixes: np.ndarray, trig, gamma: np.ndarray) -> np.ndarray:
-    """Chart gradients (k, n) of a real f of U from gamma = df/d(conj U),
-    both (k, d, d).
-
-    With U = L_p g_p R_p (R_p = prefixes[p]), df = 2 Re tr(C_p^dag g_p^dag dg_p)
-    where C_p = R_p U^dag gamma R_p^dag, and g_p^dag dg_p lives on the
-    (i, j) block: [[0, -e^{i phi}], [e^{-i phi}, 0]] per unit theta and
-    -i [[s^2, e^{i phi} s c], [e^{-i phi} s c, -s^2]] per unit phi.
-    """
-    c, s, e = trig
-    k, d = u.shape[:2]
-    pulled = (u.conj().transpose(0, 2, 1) @ gamma)[:, None]
-    blocks = prefixes @ pulled @ prefixes.conj().transpose(0, 1, 3, 2)
-    b = blocks.reshape(k, -1)[:, _pair_blocks(d)].conj()
-    b_ii, b_ij, b_ji, b_jj = b.transpose(1, 0, 2)
-    grad = np.empty((k, 2 * c.shape[1]))
-    grad[:, 0::2] = 2.0 * (b_ji * e.conj() - b_ij * e).real
-    grad[:, 1::2] = 2.0 * (s * s * (b_ii - b_jj) + s * c * (b_ij * e + b_ji * e.conj())).imag
-    return grad
+def _hermitian_from_params(dim: int, params: np.ndarray) -> np.ndarray:
+    """Diagonal first, then (re, im) of each pair (i < j) in row order; a
+    (k, dim^2) stack of parameters gives a (k, dim, dim) stack."""
+    re, im = params[..., dim::2], params[..., dim + 1::2]
+    h = np.zeros(params.shape[:-1] + (dim * dim,), dtype=complex)
+    h[..., _hermitian_layout(dim)] = np.concatenate(
+        (params[..., :dim], re + 1j * im, re - 1j * im), axis=-1
+    )
+    return h.reshape(params.shape[:-1] + (dim, dim))
 
 
 @lru_cache(maxsize=None)
-def _pair_blocks(dim: int) -> np.ndarray:
-    """Flat positions in a (pairs, dim, dim) stack of entries (i, i), (i, j),
-    (j, i) and (j, j) of pair p in layer p, one row each."""
+def _hermitian_layout(dim: int) -> np.ndarray:
+    """Flat positions of the diagonal, then of (i, j) and of (j, i) per pair."""
     i, j = np.triu_indices(dim, 1)
-    base = np.arange(i.shape[0]) * dim * dim
-    blocks = np.stack([base + a * dim + b for a, b in ((i, i), (i, j), (j, i), (j, j))])
-    blocks.setflags(write=False)
-    return blocks
+    diag = np.arange(dim)
+    layout = np.concatenate((diag * dim + diag, i * dim + j, j * dim + i))
+    layout.setflags(write=False)
+    return layout
+
+
+def _exp_chart(m: int, r: int, params: np.ndarray):
+    """First r columns of exp(iH) = V e^{iW} V^dag, with W and V, for one
+    parameter vector or a stack of them.
+
+    The eigenvectors from eigh are orthonormal to machine precision, so the
+    columns are too and need no re-orthonormalization.
+    """
+    w, v = np.linalg.eigh(_hermitian_from_params(m, params))
+    return (v * np.exp(1j * w)[..., None, :]) @ v[..., :r, :].conj().swapaxes(-1, -2), w, v
+
+
+def _exp_gradient(m: int, w: np.ndarray, v: np.ndarray, gamma: np.ndarray) -> np.ndarray:
+    """Chart gradients (k, m^2) of a real f of U = exp(iH)[:, :r], from
+    w and V of ``_exp_chart`` and gamma = df/d(conj U), (k, m, r).
+
+    f changes by 2 Re sum_ij conj(gamma_ij) dU_ij, and dU = V (F o V^dag dH
+    V) V^dag with F_kl the divided differences (e^{i w_k} - e^{i w_l}) /
+    (w_k - w_l) of exp(i x) on H's eigenvalues (Daleckii-Krein), which gives
+    the gradient over H as Z = V ((V^dag gamma^dag V) o F) V^dag, read off
+    at H's layout.
+    """
+    k, rank = gamma.shape[0], gamma.shape[-1]
+    n_pairs = (m * m - m) // 2
+    half = np.exp(0.5j * w)
+    divided = (  # outer product first: the order fixes the rounding
+        1j * (half[:, :, None] * half[:, None, :])
+        * np.sinc((w[:, :, None] - w[:, None, :]) / (2.0 * np.pi))
+    )
+    v_h = v.conj().swapaxes(1, 2)
+    z = v @ ((v_h[:, :, :rank] @ (gamma.conj().swapaxes(1, 2) @ v)) * divided) @ v_h
+    z = z.reshape(k, -1)[:, _hermitian_layout(m)]
+    upper, lower = z[:, m : m + n_pairs], z[:, m + n_pairs :]
+    grad = np.empty((k, m * m))
+    grad[:, :m] = 2.0 * z[:, :m].real
+    grad[:, m::2] = 2.0 * (upper + lower).real
+    grad[:, m + 1 :: 2] = 2.0 * (upper - lower).imag
+    return grad
+
+
+def _basis_chart(d: int, x: np.ndarray):
+    """``_exp_chart`` of all d columns, H zero on the diagonal, x its pairs."""
+    return _exp_chart(d, d, np.concatenate((np.zeros(x.shape[:-1] + (d,)), x), axis=-1))
 
 
 def _entropy_and_gradient(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -355,37 +384,42 @@ def _cc_evaluator(rho_ab: DensityMatrix, measured: int):
 
 
 def _basis_objective(d: int, evaluate):
-    """An evaluator from ``_cc_evaluator`` over the Givens chart of a
-    d-dimensional measured side, as (values, gradients) of a (k, n) stack."""
+    """An evaluator from ``_cc_evaluator`` over the basis chart of a
+    d-dimensional measured side, as (values, gradients) of a (k, d(d-1))
+    stack: the convex roof's gradient with the diagonal of H left out."""
 
     def objective(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        u, prefixes, trig = _givens_chain(d, x)
+        u, w, v = _basis_chart(d, x)
         value, gamma = evaluate(u)
-        return value, _givens_pullback(u, prefixes, trig, gamma)
+        return value, _exp_gradient(d, w, v, gamma)[:, d:]
 
     return objective
 
 
-# The fixed Bloch grid scored on a qubit measured side: Givens theta at the
-# centres of GRID_THETA equal steps over (0, pi/4), phi at GRID_PHI equal
-# steps over [0, 2 pi).  theta is half the polar angle, so this is the
-# hemisphere: n and -n give the same basis.
+# The fixed Bloch grid scored on a qubit measured side: theta at the centres
+# of GRID_THETA equal steps over (0, pi/4), phi at GRID_PHI equal steps over
+# [0, 2 pi), cell (theta, phi) at the chart point theta (-sin phi, cos phi),
+# the Givens rotation (theta, phi).  theta is half the polar angle, so this
+# is the hemisphere: n and -n give the same basis.
 GRID_THETA = 8
 GRID_PHI = 16
 
 
-def _qubit_grid() -> np.ndarray:
+def _qubit_grid() -> tuple[np.ndarray, np.ndarray]:
     """The origin, then the GRID_THETA x GRID_PHI cells in row order, as
-    (1 + GRID_THETA * GRID_PHI, 2) chart points."""
+    (1 + GRID_THETA * GRID_PHI, 2) chart points, and their bases."""
     theta = (np.arange(GRID_THETA) + 0.5) * (0.25 * np.pi / GRID_THETA)
     phi = np.arange(GRID_PHI) * (2.0 * np.pi / GRID_PHI)
-    cells = np.stack(np.meshgrid(theta, phi, indexing="ij"), axis=-1).reshape(-1, 2)
+    t, p = np.meshgrid(theta, phi, indexing="ij")
+    cells = np.stack((-t * np.sin(p), t * np.cos(p)), axis=-1).reshape(-1, 2)
     grid = np.concatenate((np.zeros((1, 2)), cells))
+    bases = _basis_chart(2, grid)[0]
     grid.setflags(write=False)
-    return grid
+    bases.setflags(write=False)
+    return grid, bases
 
 
-_QUBIT_GRID = _qubit_grid()
+_QUBIT_GRID, _QUBIT_BASES = _qubit_grid()
 
 
 def _grid_starts(values: np.ndarray, limit: int) -> np.ndarray:
@@ -446,7 +480,8 @@ def discord(
     """Mutual information minus the best projective classical correlation.
 
     Maximization runs a multi-start L-BFGS search with the analytic
-    gradient over the Givens chart.  Results merge by best value with ties
+    gradient over the convex roof's chart U = exp(iH), here with H zero on
+    the diagonal (``_basis_chart``).  Results merge by best value with ties
     going to the earlier run.  ``nfev`` counts objective evaluations over
     all runs (0 when the measured side is one-dimensional).
 
@@ -456,12 +491,12 @@ def discord(
     ``config.restarts``.
 
     On a qubit side, the computational basis and the GRID_THETA x GRID_PHI
-    Bloch grid are scored in one call, and runs start from the grid's
-    local minima (``_grid_starts``), best first.  There ``config.restarts``
-    caps the number of runs and ``restarts_used`` is the number made,
-    between 1 and that cap; ``nfev`` counts the grid points plus every
-    run's evaluations; ``config.max_evals`` caps each run, not the grid;
-    and ``config.seed`` is unused.
+    Bloch grid are scored in one call on their prebuilt bases, and runs
+    start from the grid's local minima (``_grid_starts``), best first.
+    There ``config.restarts`` caps the number of runs and ``restarts_used``
+    is the number made, between 1 and that cap; ``nfev`` counts the grid
+    points plus every run's evaluations; ``config.max_evals`` caps each
+    run, not the grid; and ``config.seed`` is unused.
     """
     _require_arity(rho_ab.dims, 2, "discord")
     measured = _as_int(measured, "measured", 0)
@@ -482,7 +517,7 @@ def discord(
     objective = _basis_objective(d, evaluate)
     starts, grid_evals = None, 0
     if d == 2:
-        starts = _grid_starts(objective(_QUBIT_GRID)[0], config.restarts)
+        starts = _grid_starts(evaluate(_QUBIT_BASES)[0], config.restarts)
         grid_evals = len(_QUBIT_GRID)
     best_val, best_x, converged, nfev = _multistart_minimize(
         objective, n, config, starts=starts
@@ -491,7 +526,7 @@ def discord(
     return DiscordResult(
         discord=mi - j_best,
         classical_correlation=j_best,
-        optimal_basis=MeasurementBasis.from_angles(d, best_x),
+        optimal_basis=MeasurementBasis(_basis_chart(d, best_x)[0]),
         restarts_used=config.restarts if starts is None else len(starts),
         converged=converged,
         nfev=grid_evals + nfev,
@@ -523,38 +558,6 @@ def eof_two_qubit(rho_ab: DensityMatrix) -> float:
     return binary_entropy((1.0 + math.sqrt(max(0.0, 1.0 - c * c))) / 2.0)
 
 
-def _hermitian_from_params(dim: int, params: np.ndarray) -> np.ndarray:
-    """Diagonal first, then (re, im) of each pair (i < j) in row order; a
-    (k, dim^2) stack of parameters gives a (k, dim, dim) stack."""
-    re, im = params[..., dim::2], params[..., dim + 1::2]
-    h = np.zeros(params.shape[:-1] + (dim * dim,), dtype=complex)
-    h[..., _hermitian_layout(dim)] = np.concatenate(
-        (params[..., :dim], re + 1j * im, re - 1j * im), axis=-1
-    )
-    return h.reshape(params.shape[:-1] + (dim, dim))
-
-
-@lru_cache(maxsize=None)
-def _hermitian_layout(dim: int) -> np.ndarray:
-    """Flat positions of the diagonal, then of (i, j) and of (j, i) per pair."""
-    i, j = np.triu_indices(dim, 1)
-    diag = np.arange(dim)
-    layout = np.concatenate((diag * dim + diag, i * dim + j, j * dim + i))
-    layout.setflags(write=False)
-    return layout
-
-
-def _exp_chart(m: int, r: int, params: np.ndarray):
-    """First r columns of exp(iH) = V e^{iW} V^dag, with W and V, for one
-    parameter vector or a stack of them.
-
-    The eigenvectors from eigh are orthonormal to machine precision, so the
-    columns are too and need no re-orthonormalization.
-    """
-    w, v = np.linalg.eigh(_hermitian_from_params(m, params))
-    return (v * np.exp(1j * w)[..., None, :]) @ v[..., :r, :].conj().swapaxes(-1, -2), w, v
-
-
 def _average_entanglement(members: np.ndarray):
     """sum_i E(members_i) over unnormalized pure states, per row of a
     (k, m, d_a, d_b) stack, with the gradients G_i = -log2 of each
@@ -568,16 +571,11 @@ def _roof_objective(factors: np.ndarray, m: int):
     (values, gradients) of a (k, m^2) stack.
 
     Member i is m_i = sum_j U_ij R_j, so with Y_i = G_i m_i the value
-    changes by 2 Re sum_ij conj(gamma_ij) dU_ij, gamma_ij = <R_j, Y_i>.
-    Then dU = V (F o V^dag dH V) V^dag with F_kl the divided differences
-    (e^{i w_k} - e^{i w_l}) / (w_k - w_l) of exp(i x) on H's eigenvalues
-    (Daleckii-Krein), which gives the gradient over H as Z =
-    V ((V^dag gamma^dag V) o F) V^dag, read off at H's layout.
+    changes by 2 Re sum_ij conj(gamma_ij) dU_ij, gamma_ij = <R_j, Y_i>,
+    which ``_exp_gradient`` carries over to H.
     """
     rank, d_a, d_b = factors.shape
     flat = factors.reshape(rank, d_a * d_b)
-    layout = _hermitian_layout(m)
-    n_pairs = (m * m - m) // 2
 
     def objective(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         k = x.shape[0]
@@ -585,20 +583,7 @@ def _roof_objective(factors: np.ndarray, m: int):
         members = (iso @ flat).reshape(k, m, d_a, d_b)
         value, grads = _average_entanglement(members)
         gamma = (grads @ members).reshape(k, m, -1) @ flat.conj().T
-        half = np.exp(0.5j * w)
-        divided = (  # outer product first: the order fixes the rounding
-            1j * (half[:, :, None] * half[:, None, :])
-            * np.sinc((w[:, :, None] - w[:, None, :]) / (2.0 * np.pi))
-        )
-        v_h = v.conj().swapaxes(1, 2)
-        z = v @ ((v_h[:, :, :rank] @ (gamma.conj().swapaxes(1, 2) @ v)) * divided) @ v_h
-        z = z.reshape(k, -1)[:, layout]
-        upper, lower = z[:, m : m + n_pairs], z[:, m + n_pairs :]
-        grad = np.empty((k, m * m))
-        grad[:, :m] = 2.0 * z[:, :m].real
-        grad[:, m::2] = 2.0 * (upper + lower).real
-        grad[:, m + 1 :: 2] = 2.0 * (upper - lower).imag
-        return value, grad
+        return value, _exp_gradient(m, w, v, gamma)
 
     return objective
 
@@ -630,10 +615,7 @@ def eof_convex_roof(
     m = rank * rank
     if rank == 1:  # a pure state is its own only decomposition
         return float(_average_entanglement(factors[None])[0][0])
-    best, _, _, _ = _multistart_minimize(
-        _roof_objective(factors, m), m * m, config, spread=np.pi
-    )
-    return best
+    return _multistart_minimize(_roof_objective(factors, m), m * m, config)[0]
 
 
 def _eof_auto(rho_ab: DensityMatrix, config: OptimizerConfig) -> float:

@@ -7,7 +7,9 @@ index i0*d1*...*dn + i1*d2*...*dn + ... + in.
 Each value rule has one home, in the type or function that holds the value:
 ``_as_int`` is the one integer rule (a Python or numpy integer, never a
 float or a bool), ``_as_ints`` applies it to every entry of a sequence
-(``_as_dims`` to every subsystem dimension).  ``DensityMatrix`` checks shape
+(``_as_dims`` to every subsystem dimension), and ``_as_array`` is the one
+conversion of array data (strings, ragged nesting and other data numpy
+cannot read as numbers raise ValidationError).  ``DensityMatrix`` checks shape
 only, as states the package builds are valid by construction and are not
 re-checked.  ``validate_density`` checks outside input (state and spec files,
 arrays a caller passes), finiteness included.  ``entropy._spectrum`` guards
@@ -59,6 +61,15 @@ def _as_ints(values: Iterable[int], what: str, low: int) -> tuple[int, ...]:
     return tuple([_as_int(v, entry, low) for v in entries])
 
 
+def _as_array(value: object, what: str, dtype: type) -> np.ndarray:
+    """``value`` as a new numpy array of ``dtype``; data numpy cannot convert
+    raises ValidationError."""
+    try:
+        return np.array(value, dtype=dtype)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValidationError(f"{what} must be numeric data: {exc}") from None
+
+
 def _as_dims(dims: Iterable[int]) -> tuple[int, ...]:
     out = _as_ints(dims, "dims", 1)
     if not out:
@@ -89,7 +100,7 @@ class DensityMatrix:
 
     def __post_init__(self) -> None:
         dims = _as_dims(self.dims)
-        data = np.array(self.data, dtype=complex)
+        data = _as_array(self.data, "matrix", complex)
         side = math.prod(dims)
         if data.ndim != 2 or data.shape != (side, side):
             raise DimensionError(
@@ -117,7 +128,7 @@ class PureStateVector:
 
     def __post_init__(self) -> None:
         dims = _as_dims(self.dims)
-        amps = np.array(self.amps, dtype=complex).reshape(-1)
+        amps = _as_array(self.amps, "vector", complex).reshape(-1)
         if amps.shape[0] != math.prod(dims):
             raise DimensionError(
                 f"vector length {amps.shape[0]} does not match dims {dims}"
@@ -198,7 +209,7 @@ def validate_density(m: np.ndarray, dims: Iterable[int]) -> DensityMatrix:
     :class:`ValidationError` naming the invariant.
     """
     dims = _as_dims(dims)
-    m = np.asarray(m, dtype=complex)
+    m = _as_array(m, "matrix", complex)
     side = math.prod(dims)
     if m.ndim != 2 or m.shape != (side, side):
         raise ValidationError(

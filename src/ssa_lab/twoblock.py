@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import ConfigError, ValidationError
 from .entropy import entropy_of_spectrum, gap_entropies
-from .qmat import DensityMatrix, _as_int
+from .qmat import DensityMatrix, _as_array, _as_int
 
 SWEEPABLE = ("beta2", "lambda1", "b")
 
@@ -47,11 +47,11 @@ class TwoBlockParams:
     lambda2: float = 0.5
 
     def __post_init__(self) -> None:
-        p1 = np.asarray(self.p1)
+        p1 = _as_array(self.p1, "p1", float)
         if not np.all((0.0 < p1) & (p1 < 1.0)):
             raise ValidationError(f"p1 must lie in (0, 1), got {self.p1}")
         for name in ("alpha1", "beta2", "b", "lambda1", "lambda2"):
-            value = np.asarray(getattr(self, name))
+            value = _as_array(getattr(self, name), name, float)
             bad = value[~((0.0 <= value) & (value <= 1.0))]
             if bad.size:
                 raise ValidationError(f"{name} must lie in [0, 1], got {bad[0]}")

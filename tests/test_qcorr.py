@@ -169,6 +169,26 @@ class TestDiscord:
         result = sl.discord(rho, 1)
         assert abs(result.discord) <= 1e-10
 
+    @settings(max_examples=30, derandomize=True, database=None, deadline=None)
+    @given(
+        dims=st.sampled_from([(2, 3), (3, 3), (2, 4)]),
+        rank=st.sampled_from([None, 2]),
+        state_seed=st.integers(0, 2**32 - 1),
+        rotation_seed=st.integers(0, 2**32 - 1),
+    )
+    def test_local_unitary_invariance_beyond_qubits(self, dims, rank, state_seed, rotation_seed):
+        # a measured side of dimension 3 or 4 has no grid: the random
+        # restarts on the basis chart must reach the same optimum wherever
+        # V_B moves it
+        d_a, d_b = dims
+        rho = sl.random_density([d_a, d_b], rank=rank, seed=state_seed)
+        rng = np.random.default_rng(rotation_seed)
+        u = np.kron(_haar_unitary(d_a, rng), _haar_unitary(d_b, rng))
+        rotated = sl.DensityMatrix((d_a, d_b), u @ rho.data @ u.conj().T)
+        config = sl.OptimizerConfig(restarts=6)
+        base = sl.discord(rho, 1, config).discord
+        assert sl.discord(rotated, 1, config).discord == pytest.approx(base, abs=1e-9)
+
 
 N_GRID = 1 + sl.qcorr.GRID_THETA * sl.qcorr.GRID_PHI  # the origin and the cells
 
@@ -249,6 +269,16 @@ class TestQubitGrid:
         assert sl.classical_correlation_at(rho, result.optimal_basis, 1) == pytest.approx(
             best, abs=1e-12
         )
+
+    def test_grid_bases_are_the_givens_cells(self):
+        # cell (theta_i, phi_j), in row order after the origin, is the
+        # Givens rotation (theta_i, phi_j)
+        q = sl.qcorr
+        theta = (np.arange(q.GRID_THETA) + 0.5) * (0.25 * np.pi / q.GRID_THETA)
+        phi = np.arange(q.GRID_PHI) * (2.0 * np.pi / q.GRID_PHI)
+        expected = [np.eye(2)] + [q.givens_unitary(2, [t, p]) for t in theta for p in phi]
+        np.testing.assert_allclose(q._QUBIT_BASES, expected, rtol=0, atol=1e-15)
+        np.testing.assert_array_equal(q._QUBIT_BASES, q._basis_chart(2, q._QUBIT_GRID)[0])
 
     def test_best_point_is_always_a_start(self):
         # random values with many ties: the first start is the first best point
@@ -349,7 +379,7 @@ class TestOptimizerConfig:
         assert cfg.restarts == cfg.max_evals == 1
 
 
-def _serial_minimize(objective, n, config, spread=2.0 * np.pi):
+def _serial_minimize(objective, n, config, spread=np.pi):
     """Each restart's L-BFGS run alone with 1-row objective calls, on the
     draws of ``_multistart_minimize``: (best value, converged, summed nfev)."""
     rng = np.random.default_rng(config.seed)
@@ -373,7 +403,7 @@ def _serial_minimize(objective, n, config, spread=2.0 * np.pi):
 def _discord_search(dims, seed):
     rho = sl.random_density(list(dims), seed=seed)
     objective = _basis_objective(dims[1], _cc_evaluator(rho, 1)[1])
-    return objective, sl.qcorr.n_basis_params(dims[1]), 2.0 * np.pi
+    return objective, sl.qcorr.n_basis_params(dims[1]), np.pi
 
 
 def _roof_search(dims, seed):
@@ -394,7 +424,7 @@ class TestLockstep:
     )
     def test_lockstep_matches_serial(self, search, dims, config):
         objective, n, spread = search(dims, config.seed)
-        value, _, converged, nfev = _multistart_minimize(objective, n, config, spread)
+        value, _, converged, nfev = _multistart_minimize(objective, n, config)
         serial_value, serial_converged, serial_nfev = _serial_minimize(
             objective, n, config, spread
         )
@@ -432,7 +462,7 @@ class TestAnalyticGradients:
         values, grads = objective(x)
         _assert_rows_match_single_calls(objective, x, values, grads)
         for row, value, grad in zip(x, values, grads):
-            basis = sl.MeasurementBasis.from_angles(d, row)
+            basis = sl.MeasurementBasis(sl.qcorr._basis_chart(d, row)[0])
             assert s_other - value == pytest.approx(
                 sl.classical_correlation_at(rho, basis, measured), abs=1e-13
             )
@@ -571,21 +601,26 @@ class TestWootters:
 class TestConvexRoof:
     def test_isometry_is_leading_columns_of_expm(self):
         # the decomposition chart against scipy's matrix exponential, with
-        # parameters far outside one period so roundoff has room to grow
+        # parameters far outside one period so roundoff has room to grow;
+        # the last rows are discord's basis chart: zero diagonal, all columns
         from scipy.linalg import expm
 
         rng = np.random.default_rng(13)
-        for m in (1, 2, 3, 4, 5):
-            for r in range(1, m + 1):
-                params = rng.uniform(-50.0, 50.0, m * m)
-                h = sl.qcorr._hermitian_from_params(m, params)
-                np.testing.assert_array_equal(h, h.conj().T)
-                np.testing.assert_array_equal(np.diag(h).real, params[:m])
-                if m > 1:  # (re, im) of pair (0, 1) follow the diagonal
-                    assert h[0, 1] == complex(params[m], params[m + 1])
-                iso = sl.qcorr._exp_chart(m, r, params)[0]
-                np.testing.assert_allclose(iso.conj().T @ iso, np.eye(r), atol=1e-12)
-                np.testing.assert_allclose(iso, expm(1j * h)[:, :r], atol=1e-9)
+        cases = [(m, r, False) for m in (1, 2, 3, 4, 5) for r in range(1, m + 1)]
+        for m, r, zero_diagonal in cases + [(3, 3, True), (4, 4, True)]:
+            params = rng.uniform(-50.0, 50.0, m * m)
+            if zero_diagonal:
+                params[:m] = 0.0
+            h = sl.qcorr._hermitian_from_params(m, params)
+            np.testing.assert_array_equal(h, h.conj().T)
+            np.testing.assert_array_equal(np.diag(h).real, params[:m])
+            if m > 1:  # (re, im) of pair (0, 1) follow the diagonal
+                assert h[0, 1] == complex(params[m], params[m + 1])
+            iso = sl.qcorr._exp_chart(m, r, params)[0]
+            np.testing.assert_allclose(iso.conj().T @ iso, np.eye(r), atol=1e-12)
+            np.testing.assert_allclose(iso, expm(1j * h)[:, :r], atol=1e-9)
+            if zero_diagonal:
+                np.testing.assert_array_equal(sl.qcorr._basis_chart(m, params[m:])[0], iso)
 
     def test_pure_input_is_exact(self):
         psi = sl.random_pure([2, 2], seed=10)

@@ -378,3 +378,26 @@ def test_numpy_integers_accepted():
     block = _block(rho_z=rho, partition=np.array([1, 2, 1, 2]))
     assert block.partition == (1, 2, 1, 2)
     assert all(type(d) is int for d in block.partition)
+
+
+# data numpy cannot read as numbers, passed to each public constructor that
+# converts array data; each must raise ValidationError, not a raw numpy error
+_STRINGS_2X2 = [["a", "b"], ["c", "d"]]
+_NON_NUMERIC = {
+    "density-strings": lambda: sl.DensityMatrix((2,), _STRINGS_2X2),
+    "density-object": lambda: sl.DensityMatrix((2,), object()),
+    "density-ragged": lambda: sl.DensityMatrix((2,), [[1, 0], [0]]),
+    "pure-strings": lambda: sl.PureStateVector((2,), ["a", "b"]),
+    "basis-strings": lambda: sl.MeasurementBasis(_STRINGS_2X2),
+    "basis-angles-strings": lambda: sl.MeasurementBasis.from_angles(2, ["a", "b"]),
+    "validate-density-strings": lambda: sl.validate_density(_STRINGS_2X2, (2,)),
+    "two-block-p1-string": lambda: sl.TwoBlockParams(p1="x"),
+    "two-block-alpha1-none": lambda: sl.TwoBlockParams(alpha1=None),
+    "ensemble-weight-string": lambda: sl.Ensemble(["a"], [sl.random_density([2], seed=1)]),
+}
+
+
+@pytest.mark.parametrize("case", list(_NON_NUMERIC))
+def test_non_numeric_data_rejected(case):
+    with pytest.raises(ValidationError):
+        _NON_NUMERIC[case]()
