@@ -57,12 +57,10 @@ from .qcorr import (
 )
 from .structure import (
     Certificate,
-    OrthogonalityReport,
     SaturatingBlock,
     SaturatingSpec,
     build_saturating,
     certify,
-    check_orthogonality,
     load_spec,
     purify_saturating,
     random_saturating_spec,

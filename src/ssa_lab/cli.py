@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from dataclasses import dataclass, replace
 from typing import Sequence
@@ -41,6 +40,7 @@ from .qmat import (
     DensityMatrix,
     _as_dims,
     _as_int,
+    _as_tolerance,
     density_to_dict,
     load_density,
     random_density,
@@ -70,8 +70,7 @@ class CampaignConfig:
         object.__setattr__(self, "dims", _as_dims(self.dims))
         if self.rank is not None:
             object.__setattr__(self, "rank", _as_int(self.rank, "rank", 1, ConfigError))
-        if not (math.isfinite(self.tolerance) and self.tolerance >= 0.0):
-            raise ConfigError(f"tolerance must be finite and >= 0, got {self.tolerance}")
+        object.__setattr__(self, "tolerance", _as_tolerance(self.tolerance, "tolerance"))
         if not self.checks:
             raise ConfigError("check set must not be empty")
         unknown = [c for c in self.checks if c not in CHECK_NAMES]

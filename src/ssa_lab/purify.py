@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qmat import EIG_CLIP, DensityMatrix, PureStateVector, _require_arity
+from .qmat import EIG_CLIP, DensityMatrix, PureStateVector, _require_arity, trace_out_pure
 
 
 @dataclass(frozen=True)
@@ -57,14 +57,8 @@ def extend(rho_abc: DensityMatrix) -> ExtensionPair:
     result = purify(rho_abc)
     d_a, d_b, d_c = rho_abc.dims
     d_e = result.d_e
-    t = result.psi.amps.reshape(d_a, d_b, d_c, d_e)
-    # trace out C: legs (a, b, e) x (a', b', e'), B slower than E inside BE
-    abe = np.einsum("abce,xycf->abexyf", t, t.conj())
-    rho_a_btilde = DensityMatrix(
-        (d_a, d_b * d_e), abe.reshape(d_a * d_b * d_e, d_a * d_b * d_e)
-    )
-    ace = np.einsum("abce,xbyf->acexyf", t, t.conj())
-    rho_a_ctilde = DensityMatrix(
-        (d_a, d_c * d_e), ace.reshape(d_a * d_c * d_e, d_a * d_c * d_e)
-    )
+    amps, dims = result.psi.amps, result.psi.dims
+    # B slower than E inside BE, C slower than E inside CE
+    rho_a_btilde = DensityMatrix((d_a, d_b * d_e), trace_out_pure(amps, dims, (0, 1, 3)))
+    rho_a_ctilde = DensityMatrix((d_a, d_c * d_e), trace_out_pure(amps, dims, (0, 2, 3)))
     return ExtensionPair(rho_a_btilde=rho_a_btilde, rho_a_ctilde=rho_a_ctilde)

@@ -638,9 +638,8 @@ def discord_via_kw(psi: PureStateVector, measured: int) -> float:
     if measured > 2:
         raise DimensionError(f"measured must be subsystem 1 or 2, got {measured}")
     complement = 3 - measured
-    rho = psi.to_density()
-    rho_ax = partial_trace(rho, {0, measured})
-    rho_ay = partial_trace(rho, {0, complement})
+    rho_ax = partial_trace(psi, {0, measured})
+    rho_ay = partial_trace(psi, {0, complement})
     if rho_ay.dims != (2, 2):
         raise CapabilityError(
             f"complement pair has dims {rho_ay.dims}; the closed form needs (2, 2)"
@@ -772,9 +771,8 @@ def conservation_check(
     E(AB) + E(AC) on the left, D^(B)(AB) + D^(C)(AC) on the right."""
     if psi.dims != (2, 2, 2):
         raise CapabilityError(f"conservation_check needs three qubits, got {psi.dims}")
-    rho = psi.to_density()
-    rho_ab = partial_trace(rho, {0, 1})
-    rho_ac = partial_trace(rho, {0, 2})
+    rho_ab = partial_trace(psi, {0, 1})
+    rho_ac = partial_trace(psi, {0, 2})
     lhs = eof_two_qubit(rho_ab) + eof_two_qubit(rho_ac)
     rhs = (
         discord(rho_ab, measured=1, config=config).discord

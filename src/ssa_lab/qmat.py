@@ -7,7 +7,8 @@ index i0*d1*...*dn + i1*d2*...*dn + ... + in.
 Each value rule has one home, in the type or function that holds the value:
 ``_as_int`` is the one integer rule (a Python or numpy integer, never a
 float or a bool), ``_as_ints`` applies it to every entry of a sequence
-(``_as_dims`` to every subsystem dimension), and ``_as_array`` is the one
+(``_as_dims`` to every subsystem dimension), ``_as_tolerance`` is the one
+tolerance rule (a finite real >= 0, never a bool), and ``_as_array`` is the one
 conversion of array data (strings, ragged nesting and other data numpy
 cannot read as numbers raise ValidationError).  ``DensityMatrix`` checks shape
 only, as states the package builds are valid by construction and are not
@@ -20,13 +21,14 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import DimensionError, ParseError, ValidationError
+from .errors import ConfigError, DimensionError, ParseError, ValidationError
 
 HERMITICITY_TOL = 1e-10
 TRACE_TOL = 1e-10
@@ -48,6 +50,15 @@ def _as_int(value: object, what: str, low: int, error: type = DimensionError) ->
             if number >= low:
                 return number
     raise error(f"{what} must be an integer >= {low}, got {value!r}")
+
+
+def _as_tolerance(value: object, what: str) -> float:
+    """``value`` as a finite float >= 0; anything else raises ConfigError."""
+    if type(value) is not bool and isinstance(value, numbers.Real):
+        number = float(value)
+        if math.isfinite(number) and number >= 0.0:
+            return number
+    raise ConfigError(f"{what} must be finite and >= 0, got {value!r}")
 
 
 def _as_ints(values: Iterable[int], what: str, low: int) -> tuple[int, ...]:
@@ -174,16 +185,30 @@ def trace_out(data: np.ndarray, dims: tuple[int, ...], keep: Iterable[int]) -> n
     return tensor.reshape(data.shape[:lead] + (side, side))
 
 
-def partial_trace(rho: DensityMatrix, keep: Iterable[int]) -> DensityMatrix:
-    """Reduced state on the kept subsystems, in their original relative order."""
-    n = len(rho.dims)
+def trace_out_pure(amps: np.ndarray, dims: tuple[int, ...], keep: Iterable[int]) -> np.ndarray:
+    """Partial trace of the pure state with amplitudes ``amps`` onto the
+    subsystems in ``keep``, in their original relative order: G G^dag with G
+    the amplitudes arranged as kept x traced, so no outer product is formed."""
+    kept = sorted(set(keep))
+    traced = [i for i in range(len(dims)) if i not in kept]
+    side = math.prod(dims[i] for i in kept)
+    g = amps.reshape(dims).transpose(kept + traced).reshape(side, -1)
+    return g @ g.conj().T
+
+
+def partial_trace(state: DensityMatrix | PureStateVector, keep: Iterable[int]) -> DensityMatrix:
+    """Reduced state on the kept subsystems, in their original relative order;
+    a pure state is reduced through ``trace_out_pure``."""
+    n = len(state.dims)
     keep_set = set(_as_ints(keep, "keep", 0))
     if not keep_set:
         raise DimensionError("keep must name at least one subsystem")
     if max(keep_set) >= n:
         raise DimensionError(f"keep {sorted(keep_set)} out of range for {n} subsystems")
-    kept_dims = tuple(rho.dims[i] for i in sorted(keep_set))
-    return DensityMatrix(kept_dims, trace_out(rho.data, rho.dims, keep_set))
+    kept_dims = tuple(state.dims[i] for i in sorted(keep_set))
+    if isinstance(state, PureStateVector):
+        return DensityMatrix(kept_dims, trace_out_pure(state.amps, state.dims, keep_set))
+    return DensityMatrix(kept_dims, trace_out(state.data, state.dims, keep_set))
 
 
 def permute_subsystems(rho: DensityMatrix, order: Sequence[int]) -> DensityMatrix:
@@ -243,9 +268,14 @@ def validate_density(m: np.ndarray, dims: Iterable[int]) -> DensityMatrix:
 def random_pure(
     dims: Iterable[int], seed: int | np.random.Generator
 ) -> PureStateVector:
-    """Haar-distributed pure state: normalized complex-Gaussian vector."""
+    """Haar-distributed pure state: normalized complex-Gaussian vector.  A
+    Generator is drawn from as given; any other seed is an integer >= 0."""
     dims = _as_dims(dims)
-    rng = np.random.default_rng(seed)
+    rng = (
+        seed
+        if isinstance(seed, np.random.Generator)
+        else np.random.default_rng(_as_int(seed, "seed", 0, ConfigError))
+    )
     n = math.prod(dims)
     z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     return PureStateVector(dims, z / np.linalg.norm(z))
@@ -268,8 +298,8 @@ def random_density(
     rank = side if rank is None else _as_int(rank, "rank", 1)
     if rank > side:
         raise DimensionError(f"rank must be in [1, {side}], got {rank}")
-    g = random_pure(dims + (rank,), seed).amps.reshape(side, rank)
-    return DensityMatrix(dims, g @ g.conj().T)
+    psi = random_pure(dims + (rank,), seed)
+    return DensityMatrix(dims, trace_out_pure(psi.amps, psi.dims, range(len(dims))))
 
 
 # --- state file format -------------------------------------------------------

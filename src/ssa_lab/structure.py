@@ -22,19 +22,19 @@ ParseError naming the block.
 
 from __future__ import annotations
 
-import math
 import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError, ParseError, SsaLabError, ValidationError
+from .errors import DimensionError, ParseError, SsaLabError, ValidationError
 from .entropy import t_gap
 from .purify import purify
 from .qmat import (
-    DensityMatrix, PureStateVector, _as_dims, _as_int, _require_arity, density_from_dict,
-    density_to_dict, pure_from_dict, pure_to_dict, random_density, random_pure, read_json, write_json,
+    DensityMatrix, PureStateVector, _as_dims, _as_int, _as_tolerance, _require_arity,
+    density_from_dict, density_to_dict, pure_from_dict, pure_to_dict, random_density, random_pure,
+    read_json, trace_out_pure, write_json,
 )
 
 ORTHOGONALITY_TOL = 1e-10
@@ -184,22 +184,8 @@ def purify_saturating(spec: SaturatingSpec) -> PureStateVector:
 
 
 def _root_mixture(spec: SaturatingSpec, root: np.ndarray) -> DensityMatrix:
-    """The spec's mixture G G^dag, with G = T reshaped to side x d_E."""
-    g = root.reshape(-1, root.shape[3])
-    return DensityMatrix(spec.dims, g @ g.conj().T)
-
-
-def _sector_marginals(
-    spec: SaturatingSpec, root: np.ndarray, sectors: list[slice]
-) -> tuple[list[DensityMatrix], list[DensityMatrix]]:
-    """Block k's B- and C-marginals, read from its sector of T over p_k."""
-    _, d_b, d_c = spec.dims
-    margs_b, margs_c = [], []
-    for blk, sector in zip(spec.blocks, sectors):
-        part = root[..., sector] / np.sqrt(blk.weight)
-        margs_b.append(DensityMatrix((d_b,), np.einsum("abce,axce->bx", part, part.conj())))
-        margs_c.append(DensityMatrix((d_c,), np.einsum("abce,abxe->cx", part, part.conj())))
-    return margs_b, margs_c
+    """The spec's mixture: E traced out of the root T."""
+    return DensityMatrix(spec.dims, trace_out_pure(root, root.shape, (0, 1, 2)))
 
 
 def build_saturating(spec: SaturatingSpec) -> DensityMatrix:
@@ -207,57 +193,23 @@ def build_saturating(spec: SaturatingSpec) -> DensityMatrix:
     return _root_mixture(spec, _saturating_root(spec)[0])
 
 
-def block_marginals(
-    spec: SaturatingSpec,
-) -> tuple[list[DensityMatrix], list[DensityMatrix]]:
-    """Per-block B- and C-marginals of the embedded blocks."""
-    return _sector_marginals(spec, *_saturating_root(spec))
-
-
-def _max_off_diagonal(*overlaps: np.ndarray) -> float:
-    """Largest off-diagonal entry of equal-size square matrices (0 if 1x1)."""
-    k = overlaps[0].shape[0]
+def _orthogonality_witness(
+    spec: SaturatingSpec, root: np.ndarray, sectors: list[slice]
+) -> float:
+    """Largest ||rho_k rho_k'||_F over blocks k != k', of the B- and the
+    C-marginals; block k's marginals are read from its sector of T over
+    sqrt(p_k).  0 for a single block."""
+    k = len(sectors)
     if k < 2:
         return 0.0
-    return float(np.stack(overlaps)[:, ~np.eye(k, dtype=bool)].max())
-
-
-@dataclass(frozen=True)
-class OrthogonalityReport:
-    """Pairwise Frobenius overlaps ||rho_k rho_k'||_F of two marginal families."""
-
-    pairwise_overlaps_b: np.ndarray
-    pairwise_overlaps_c: np.ndarray
-    orthogonal: bool
-
-    def max_off_diagonal(self) -> float:
-        return _max_off_diagonal(self.pairwise_overlaps_b, self.pairwise_overlaps_c)
-
-
-def _overlap_matrix(states: Sequence[DensityMatrix]) -> np.ndarray:
-    stack = np.stack([m.data for m in states])
-    return np.linalg.norm(stack[:, None] @ stack[None], axis=(2, 3))
-
-
-def check_orthogonality(
-    marginals_b: Sequence[DensityMatrix], marginals_c: Sequence[DensityMatrix]
-) -> OrthogonalityReport:
-    """Measure mutual orthogonality of two marginal families; they count as
-    orthogonal when no off-diagonal overlap exceeds ORTHOGONALITY_TOL."""
-    if len(marginals_b) != len(marginals_c):
-        raise DimensionError(
-            f"{len(marginals_b)} B-marginals vs {len(marginals_c)} C-marginals"
-        )
-    if not marginals_b:
-        raise DimensionError("marginal families must not be empty")
-    for family in (marginals_b, marginals_c):
-        dims = family[0].dims
-        if any(m.dims != dims for m in family):
-            raise DimensionError("marginals within one family must share dims")
-    ov_b = _overlap_matrix(marginals_b)
-    ov_c = _overlap_matrix(marginals_c)
-    orthogonal = _max_off_diagonal(ov_b, ov_c) <= ORTHOGONALITY_TOL
-    return OrthogonalityReport(ov_b, ov_c, orthogonal)
+    parts = [root[..., sector] / np.sqrt(blk.weight) for blk, sector in zip(spec.blocks, sectors)]
+    off_diagonal = ~np.eye(k, dtype=bool)
+    worst = 0.0
+    for side in (1, 2):
+        stack = np.stack([trace_out_pure(part, part.shape, (side,)) for part in parts])
+        overlaps = np.linalg.norm(stack[:, None] @ stack[None], axis=(2, 3))
+        worst = max(worst, float(overlaps[off_diagonal].max()))
+    return worst
 
 
 @dataclass(frozen=True)
@@ -298,8 +250,7 @@ def certify(
 ) -> Certificate:
     """Check a proposed decomposition against a state; failures are reported,
     never raised.  ``tol`` must be finite and >= 0."""
-    if not (math.isfinite(tol) and tol >= 0.0):
-        raise ConfigError(f"certify tolerance must be finite and >= 0, got {tol}")
+    tol = _as_tolerance(tol, "certify tolerance")
     if rho_abc.dims != spec.dims:
         raise DimensionError(
             f"state dims {rho_abc.dims} do not match spec dims {spec.dims}"
@@ -307,13 +258,13 @@ def certify(
     root, sectors = _saturating_root(spec)
     built = _root_mixture(spec, root)
     rebuild_witness = float(np.max(np.abs(rho_abc.data - built.data)))
-    report = check_orthogonality(*_sector_marginals(spec, root, sectors))
+    orthogonality_witness = _orthogonality_witness(spec, root, sectors)
     gap_witness = t_gap(rho_abc).t_a
     return Certificate(
         rebuild_ok=rebuild_witness <= tol,
         rebuild_witness=rebuild_witness,
-        orthogonality_ok=report.orthogonal,
-        orthogonality_witness=report.max_off_diagonal(),
+        orthogonality_ok=orthogonality_witness <= ORTHOGONALITY_TOL,
+        orthogonality_witness=orthogonality_witness,
         gap_ok=gap_witness <= tol,
         gap_witness=gap_witness,
     )

@@ -47,14 +47,17 @@ class TwoBlockParams:
     lambda2: float = 0.5
 
     def __post_init__(self) -> None:
+        # each field is stored as checked: a float, or a float array for a sweep row
         p1 = _as_array(self.p1, "p1", float)
         if not np.all((0.0 < p1) & (p1 < 1.0)):
             raise ValidationError(f"p1 must lie in (0, 1), got {self.p1}")
+        object.__setattr__(self, "p1", float(p1) if p1.ndim == 0 else p1)
         for name in ("alpha1", "beta2", "b", "lambda1", "lambda2"):
             value = _as_array(getattr(self, name), name, float)
             bad = value[~((0.0 <= value) & (value <= 1.0))]
             if bad.size:
                 raise ValidationError(f"{name} must lie in [0, 1], got {bad[0]}")
+            object.__setattr__(self, name, float(value) if value.ndim == 0 else value)
 
     @property
     def p2(self) -> float:

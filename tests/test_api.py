@@ -1,5 +1,6 @@
 """The package's surface against its callers: every name the benchmark calls
-or traces exists, and no module keeps an import it never uses."""
+or traces exists, no module or test file keeps an import it never uses, and
+every private module-level name has a use."""
 
 import ast
 import importlib
@@ -14,6 +15,8 @@ from ssa_lab import qcorr
 ROOT = Path(__file__).resolve().parents[1]
 PERFBENCH = ROOT / "perfbench"
 SRC = ROOT / "src" / "ssa_lab"
+TESTS = ROOT / "tests"
+SRC_MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 
 def _load_tracing():
@@ -66,7 +69,39 @@ def _unused_imports(path: Path) -> list[str]:
 
 
 @pytest.mark.parametrize(
-    "path", sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py"), ids=lambda p: p.name
+    "path", SRC_MODULES + sorted(TESTS.glob("*.py")), ids=lambda p: p.name
 )
 def test_no_unused_imports(path):
     assert _unused_imports(path) == []
+
+
+def _private_definitions(tree: ast.Module) -> set[str]:
+    """Module-level ``_name`` functions, classes and constants (no dunders)."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names |= {t.id for t in targets if isinstance(t, ast.Name)}
+    return {n for n in names if n.startswith("_") and not n.startswith("__")}
+
+
+def _read_names(path: Path) -> set[str]:
+    """Every name a file reads, bare or as an attribute."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return names
+
+
+@pytest.mark.parametrize("path", SRC_MODULES, ids=lambda p: p.name)
+def test_private_names_used(path):
+    # a private name no module of the package reads is a leftover of a deletion
+    used = set().union(*(_read_names(p) for p in SRC.glob("*.py")))
+    defined = _private_definitions(ast.parse(path.read_text(encoding="utf-8")))
+    assert sorted(defined - used) == []

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import ssa_lab as sl
 from ssa_lab.errors import DimensionError
@@ -124,6 +125,18 @@ class TestExtend:
             assert sl.von_neumann_entropy(ext.rho_a_ctilde) == pytest.approx(
                 s_b, abs=1e-9
             )
+
+    @settings(max_examples=30, derandomize=True, database=None, deadline=None)
+    @given(dims=st.tuples(*[st.integers(1, 3)] * 3), seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_purification_duality(self, dims, seed, data):
+        # S(A, BE) = S(C) and S(A, CE) = S(B) on the pure (A, B, C, E), at any rank
+        rank = data.draw(st.integers(1, int(np.prod(dims))), label="rank")
+        rho = sl.random_density(dims, rank=rank, seed=seed)
+        ext = sl.extend(rho)
+        s_b = sl.von_neumann_entropy(sl.partial_trace(rho, {1}))
+        s_c = sl.von_neumann_entropy(sl.partial_trace(rho, {2}))
+        assert abs(sl.von_neumann_entropy(ext.rho_a_btilde) - s_c) <= 1e-9
+        assert abs(sl.von_neumann_entropy(ext.rho_a_ctilde) - s_b) <= 1e-9
 
     def test_gap_recomputed_from_purification(self):
         # the gap evaluated from reductions of the purification agrees with

@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import ssa_lab as sl
 from ssa_lab.cli import CampaignConfig
@@ -65,6 +66,20 @@ class TestPartialTrace:
             for k in range(5):
                 member = sl.partial_trace(sl.DensityMatrix(dims, stack[k]), keep)
                 np.testing.assert_array_equal(out[k, 0], member.data)
+
+    @settings(max_examples=40, derandomize=True, database=None, deadline=None)
+    @given(dims=st.lists(st.integers(1, 3), min_size=1, max_size=4), seed=st.integers(0, 2**32 - 1))
+    def test_pure_state_matches_outer_product(self, dims, seed):
+        # oracle: the partial trace of the outer product |psi><psi|, on every
+        # nonempty keep
+        psi = sl.random_pure(dims, seed)
+        n = len(dims)
+        for mask in range(1, 2**n):
+            keep = {i for i in range(n) if mask >> i & 1}
+            expected = sl.partial_trace(psi.to_density(), keep)
+            out = sl.partial_trace(psi, keep)
+            assert out.dims == expected.dims
+            assert np.max(np.abs(out.data - expected.data)) <= 1e-14
 
     def test_errors(self):
         rho = sl.random_density([2, 2], seed=1)
@@ -362,6 +377,9 @@ _BAD_VALUES = {
     ),
     "density-dims-not-iterable": (DimensionError, lambda: sl.DensityMatrix(2, np.eye(2) / 2)),
     "partial-trace-keep-not-iterable": (DimensionError, lambda: sl.partial_trace(_BIPARTITE, 1)),
+    "random-density-seed-negative": (ConfigError, lambda: sl.random_density([2, 2], seed=-1)),
+    "random-density-seed-string": (ConfigError, lambda: sl.random_density([2, 2], seed="x")),
+    "random-pure-seed-float": (ConfigError, lambda: sl.random_pure([2, 2], seed=1.5)),
 }
 
 
@@ -401,3 +419,46 @@ _NON_NUMERIC = {
 def test_non_numeric_data_rejected(case):
     with pytest.raises(ValidationError):
         _NON_NUMERIC[case]()
+
+
+# numeric data given in another form (a numeric string, a list for a sweep
+# row) is stored as checked, so what derives from it matches float input
+_CONVERTED = {
+    "two-block-p1-string": (
+        lambda: sl.TwoBlockParams(p1="0.5").p2, lambda: sl.TwoBlockParams(p1=0.5).p2
+    ),
+    "two-block-beta2-string": (
+        lambda: sl.two_block_state(sl.TwoBlockParams(beta2="0.2")).data,
+        lambda: sl.two_block_state(sl.TwoBlockParams(beta2=0.2)).data,
+    ),
+    "two-block-p1-row": (
+        lambda: sl.TwoBlockParams(p1=[0.3, 0.5]).p2, lambda: 1.0 - np.array([0.3, 0.5])
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(_CONVERTED))
+def test_converted_data_stored(case):
+    call, expected = _CONVERTED[case]
+    np.testing.assert_array_equal(call(), expected())
+
+
+# each value the one tolerance rule refuses, at each place that takes one
+_BAD_TOLERANCES = {"string": "x", "none": None, "nan": float("nan"), "negative": -1, "bool": True}
+_SPEC = sl.random_saturating_spec([2, 2, 2], np.random.default_rng(1))
+_TOLERANCE_SITES = {
+    "campaign": lambda tol: _campaign(tolerance=tol),
+    "certify": lambda tol: sl.certify(_TRIPARTITE, _SPEC, tol=tol),
+}
+
+
+@pytest.mark.parametrize("site", list(_TOLERANCE_SITES))
+@pytest.mark.parametrize("value", list(_BAD_TOLERANCES))
+def test_bad_tolerance_rejected(site, value):
+    with pytest.raises(ConfigError, match="tolerance"):
+        _TOLERANCE_SITES[site](_BAD_TOLERANCES[value])
+
+
+def test_tolerance_stored_as_float():
+    assert type(_campaign(tolerance=np.float32(0.5)).tolerance) is float
+    assert type(_campaign(tolerance=0).tolerance) is float

@@ -5,7 +5,6 @@ import pytest
 
 import ssa_lab as sl
 from ssa_lab.errors import DimensionError, ParseError, ValidationError
-from ssa_lab.structure import block_marginals
 
 from conftest import collide_embeddings, family_blocks, family_spec
 
@@ -33,6 +32,22 @@ def _embedded_oracle(blk, dims):
         np.kron(_isometry(d_b, blk.b_dim, blk.embed_b), _isometry(d_c, blk.c_dim, blk.embed_c)),
     )
     return iso @ _block_oracle(blk) @ iso.T
+
+
+def _overlap_oracle(spec):
+    """Largest ||rho_k rho_k'||_F, k != k', over the B- and the C-marginals
+    of the spec's blocks, each built by _embedded_oracle."""
+    states = [sl.DensityMatrix(spec.dims, _embedded_oracle(blk, spec.dims)) for blk in spec.blocks]
+    overlaps = []
+    for side in (1, 2):
+        margs = [sl.partial_trace(state, {side}).data for state in states]
+        overlaps += [
+            np.linalg.norm(m @ n)
+            for i, m in enumerate(margs)
+            for j, n in enumerate(margs)
+            if i != j
+        ]
+    return float(max(overlaps))
 
 
 def _build_one_block(psi, rho_z, partition):
@@ -119,15 +134,6 @@ class TestBuildSaturating:
             np.testing.assert_allclose(
                 sl.build_saturating(spec).data, mixture, rtol=0, atol=1e-14
             )
-            margs_b, margs_c = block_marginals(spec)
-            for e, m_b, m_c in zip(embedded, margs_b, margs_c):
-                state = sl.DensityMatrix(spec.dims, e)
-                np.testing.assert_allclose(
-                    m_b.data, sl.partial_trace(state, {1}).data, rtol=0, atol=1e-14
-                )
-                np.testing.assert_allclose(
-                    m_c.data, sl.partial_trace(state, {2}).data, rtol=0, atol=1e-14
-                )
 
     def test_two_orthogonal_sectors(self, rng):
         # blocks of the A-factorized and AB-pure forms in disjoint sectors
@@ -158,46 +164,6 @@ class TestBuildSaturating:
         rho_z = sl.validate_density(np.array([[1.0]]), [1, 1])
         with pytest.raises(ValidationError, match="weight"):
             sl.SaturatingBlock(float("nan"), psi, rho_z, (2, 1, 1, 1))
-
-
-class TestCheckOrthogonality:
-    def test_disjoint_projectors(self):
-        a = sl.validate_density(np.diag([1.0, 0.0]), [2])
-        b = sl.validate_density(np.diag([0.0, 1.0]), [2])
-        report = sl.check_orthogonality([a, b], [a, b])
-        assert report.orthogonal
-        assert report.max_off_diagonal() <= 1e-15
-
-    def test_family_marginal_overlap_witness(self):
-        # B-marginal overlap lambda1 * b * beta2^2; C-marginals orthogonal
-        params = sl.DEFAULT_PARAMS
-        spec = family_spec(params)
-        margs_b, margs_c = block_marginals(spec)
-        report = sl.check_orthogonality(margs_b, margs_c)
-        assert not report.orthogonal
-        expected = params.lambda1 * params.b * params.beta2**2
-        assert report.pairwise_overlaps_b[0, 1] == pytest.approx(expected, abs=1e-12)
-        assert report.pairwise_overlaps_c[0, 1] <= 1e-15
-
-    def test_identical_states_overlap(self):
-        rho = sl.random_density([2], seed=6)
-        report = sl.check_orthogonality([rho, rho], [rho, rho])
-        assert not report.orthogonal
-        purity_norm = float(np.linalg.norm(rho.data @ rho.data))
-        assert report.pairwise_overlaps_b[0, 1] == pytest.approx(purity_norm, rel=1e-12)
-        assert np.all(np.diag(report.pairwise_overlaps_b) > 0)
-
-    def test_dims_mismatch(self):
-        a = sl.random_density([2], seed=1)
-        b = sl.random_density([3], seed=2)
-        with pytest.raises(DimensionError):
-            sl.check_orthogonality([a, b], [a, b])
-        with pytest.raises(DimensionError):
-            sl.check_orthogonality([a], [a, a])
-
-    def test_empty_families(self):
-        with pytest.raises(DimensionError, match="empty"):
-            sl.check_orthogonality([], [])
 
 
 class TestCertify:
@@ -242,18 +208,48 @@ class TestCertify:
             sl.certify(sl.random_density([2, 2, 2], seed=1), spec)
 
     def test_witnesses_match_build_and_marginals(self, rng):
-        # certify reads one root; its witnesses equal those computed from
-        # build_saturating and block_marginals, on passing and collided specs
+        # certify reads one root; its rebuild witness equals the one from
+        # build_saturating, and its orthogonality witness the largest
+        # overlap of the marginals of the Kronecker-product blocks carried
+        # in by isometry, on passing and collided specs
         for _ in range(5):
             spec = sl.random_saturating_spec([2, 4, 4], rng, min_blocks=2)
             for candidate in (spec, collide_embeddings(spec)):
                 rho = sl.random_density([2, 4, 4], seed=rng)
                 cert = sl.certify(rho, candidate)
                 built = sl.build_saturating(candidate).data
-                report = sl.check_orthogonality(*block_marginals(candidate))
                 assert cert.rebuild_witness == float(np.max(np.abs(rho.data - built)))
-                assert cert.orthogonality_witness == report.max_off_diagonal()
-                assert cert.orthogonality_ok == report.orthogonal
+                expected = _overlap_oracle(candidate)
+                assert cert.orthogonality_witness == pytest.approx(expected, abs=1e-14)
+                assert cert.orthogonality_ok == (expected <= sl.structure.ORTHOGONALITY_TOL)
+
+    def test_family_marginal_overlap_witness(self):
+        # B-marginal overlap lambda1 * b * beta2^2; C-marginals orthogonal,
+        # so the witness vanishes with lambda1
+        for lambda1 in (0.5, 0.3, 0.0):
+            params = sl.TwoBlockParams(lambda1=lambda1)
+            cert = sl.certify(sl.two_block_state(params), family_spec(params))
+            expected = params.lambda1 * params.b * params.beta2**2
+            assert cert.orthogonality_witness == pytest.approx(expected, abs=1e-12)
+            assert cert.orthogonality_ok == (lambda1 == 0.0)
+        assert cert.orthogonality_witness <= 1e-15
+
+    def test_identical_states_overlap(self):
+        # two copies of one block: the witness is the larger of the
+        # marginals' ||rho^2||_F, and the clause fails
+        blk = sl.SaturatingBlock(
+            0.5, sl.random_pure([2, 2, 2], seed=6), sl.random_density([1, 1], seed=7),
+            (2, 1, 2, 1),
+        )
+        spec = sl.SaturatingSpec((2, 2, 2), (blk, blk))
+        state = sl.DensityMatrix(spec.dims, _embedded_oracle(blk, spec.dims))
+        purity_norms = [
+            float(np.linalg.norm(m @ m))
+            for m in (sl.partial_trace(state, {side}).data for side in (1, 2))
+        ]
+        cert = sl.certify(sl.build_saturating(spec), spec)
+        assert not cert.orthogonality_ok
+        assert cert.orthogonality_witness == pytest.approx(max(purity_norms), rel=1e-12)
 
 
 class TestRandomSpecCampaigns:
