@@ -27,10 +27,12 @@ from .qmat import (
 def entropy_of_spectrum(eigenvalues: np.ndarray) -> np.ndarray:
     """-sum(l * log2 l) over the last axis of a stack of spectra.
 
-    Eigenvalues at or below EIG_CLIP are replaced by 1, whose term is
-    exactly zero.  The sum starts from +0.0, so a pure spectrum gives +0.0.
+    Eigenvalues at or below EIG_CLIP, and at or above 1 (a pure state's
+    eigenvalue can round to 1 + eps), are replaced by 1, whose term is
+    exactly zero, so no term is negative.  The sum starts from +0.0, so a
+    pure spectrum gives +0.0.
     """
-    w = np.where(eigenvalues > EIG_CLIP, eigenvalues, 1.0)
+    w = np.where((eigenvalues > EIG_CLIP) & (eigenvalues < 1.0), eigenvalues, 1.0)
     return (w * -np.log2(w)).sum(axis=-1)
 
 

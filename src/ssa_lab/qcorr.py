@@ -71,9 +71,8 @@ def _multistart_minimize(objective, n: int, config: OptimizerConfig, starts=None
 
     ``objective`` maps a (k, n) stack of points to their values (k,) and
     gradients (k, n).  The runs start from the rows of ``starts`` when it
-    is given; otherwise ``config.restarts`` runs start, run 0 from the
-    origin and the rest from uniform draws in [0, pi) on the exp(iH)
-    charts, drawn in run order.  Each run is an ``_lbfgs`` coroutine; every
+    is given; otherwise ``config.restarts`` runs start from
+    ``_restart_points``.  Each run is an ``_lbfgs`` coroutine; every
     round stacks the pending points of the runs still going, makes one
     objective call and sends row i back to its run, so each run takes the
     same path it would take alone.  Ties go to the earlier run, so a fixed
@@ -82,11 +81,7 @@ def _multistart_minimize(objective, n: int, config: OptimizerConfig, starts=None
     the objective evaluations (rows) over all runs.
     """
     if starts is None:
-        rng = np.random.default_rng(config.seed)
-        starts = [
-            np.zeros(n) if restart == 0 else rng.uniform(0.0, np.pi, n)
-            for restart in range(config.restarts)
-        ]
+        starts = _restart_points(n, config)
     runs = [_lbfgs(x, config) for x in starts]
     pending = {restart: next(run) for restart, run in enumerate(runs)}
     results = [None] * len(runs)
@@ -106,6 +101,23 @@ def _multistart_minimize(objective, n: int, config: OptimizerConfig, starts=None
         if value < best[0]:
             best = (value, x, converged)
     return (*best, nfev)
+
+
+def _restart_points(n: int, config: OptimizerConfig) -> np.ndarray:
+    """The ``config.restarts`` starts of a search on an exp(iH) chart, as
+    rows: the origin, then seeded uniform draws in [-pi/4, pi/4)^n in run
+    order.
+
+    The chart folds where two eigenvalues of H differ by a nonzero multiple
+    of 2 pi (the divided differences of exp(i x) in ``_exp_gradient``
+    vanish there).  In this box the spread of H's spectrum stays below
+    2 pi on the charts of discords with d <= 4 and of rank-2 roofs
+    (m = 4); it reaches 2 pi in some draws on larger charts (m = 9 roofs).
+    The box is symmetric, so the pair entries of H take every sign.
+    """
+    rng = np.random.default_rng(config.seed)
+    draws = rng.uniform(-0.25 * np.pi, 0.25 * np.pi, (config.restarts - 1, n))
+    return np.concatenate((np.zeros((1, n)), draws))
 
 
 def _lbfgs(x: np.ndarray, config: OptimizerConfig):
@@ -487,8 +499,8 @@ def discord(
 
     On a measured side of dimension 3 or more, ``config.restarts`` runs
     start, run 0 from the computational basis and the rest from seeded
-    uniform draws, so a fixed seed fixes the outcome; ``restarts_used`` is
-    ``config.restarts``.
+    uniform draws in [-pi/4, pi/4) (``_restart_points``), so a fixed seed
+    fixes the outcome; ``restarts_used`` is ``config.restarts``.
 
     On a qubit side, the computational basis and the GRID_THETA x GRID_PHI
     Bloch grid are scored in one call on their prebuilt bases, and runs

@@ -54,6 +54,16 @@ class TestVonNeumannEntropy:
         for value in values:
             assert value == 0.0 and math.copysign(1.0, value) == 1.0
 
+    def test_pure_states_never_negative(self):
+        # a pure state's top eigenvalue can round to 1 + eps, whose
+        # -x log2 x term is negative
+        for dims in ([2], [4], [2, 2], [2, 2, 2], [3, 3], [2, 4, 4]):
+            for seed in range(200):
+                psi = sl.random_pure(dims, seed=seed)
+                assert sl.von_neumann_entropy(psi.to_density()) >= 0.0
+        value = float(entropy_of_spectrum(np.array([1.0 + 2.2e-16, 1e-17])))
+        assert value == 0.0 and math.copysign(1.0, value) == 1.0
+
     def test_stacked_spectra(self):
         spectra = np.array([[0.5, 0.5, 0.0], [1.0, 0.0, 0.0], [0.25, 0.25, 0.5]])
         out = entropy_of_spectrum(spectra)

@@ -11,6 +11,7 @@ from ssa_lab.qcorr import (
     _cc_evaluator,
     _lbfgs,
     _multistart_minimize,
+    _restart_points,
     _roof_objective,
 )
 
@@ -133,14 +134,18 @@ class TestDiscord:
             sl.discord(rho, 1)
 
     def test_converged_describes_returned_point(self):
-        # Flat near the origin, so restart 0 converges; unbounded below
-        # elsewhere, so the winning restart does not converge.
+        # Flat inside the unit disc, so the run from the origin converges;
+        # unbounded below outside it, so the winning run, which starts
+        # outside, does not converge.
         def objective(x):
             r = float(np.linalg.norm(x))
             return (0.0, np.zeros_like(x)) if r < 1.0 else (-r, -x / r)
 
         cfg = sl.OptimizerConfig(restarts=3, max_evals=200, seed=0)
-        best_val, _, converged, _ = _multistart_minimize(_rows(objective), 2, cfg)
+        starts = np.array([[0.0, 0.0], [1.5, 0.5], [-0.8, 1.2]])
+        best_val, _, converged, _ = _multistart_minimize(
+            _rows(objective), 2, cfg, starts=starts
+        )
         assert best_val < -1.0
         assert converged is False
 
@@ -379,13 +384,12 @@ class TestOptimizerConfig:
         assert cfg.restarts == cfg.max_evals == 1
 
 
-def _serial_minimize(objective, n, config, spread=np.pi):
+def _serial_minimize(objective, n, config):
     """Each restart's L-BFGS run alone with 1-row objective calls, on the
     draws of ``_multistart_minimize``: (best value, converged, summed nfev)."""
-    rng = np.random.default_rng(config.seed)
     best, converged, nfev = math.inf, False, 0
-    for restart in range(config.restarts):
-        run = _lbfgs(np.zeros(n) if restart == 0 else rng.uniform(0.0, spread, n), config)
+    for start in _restart_points(n, config):
+        run = _lbfgs(start, config)
         point = next(run)
         while True:
             values, grads = objective(point[None])
@@ -403,13 +407,13 @@ def _serial_minimize(objective, n, config, spread=np.pi):
 def _discord_search(dims, seed):
     rho = sl.random_density(list(dims), seed=seed)
     objective = _basis_objective(dims[1], _cc_evaluator(rho, 1)[1])
-    return objective, sl.qcorr.n_basis_params(dims[1]), np.pi
+    return objective, sl.qcorr.n_basis_params(dims[1])
 
 
 def _roof_search(dims, seed):
     rho = sl.random_density(list(dims), rank=2, seed=seed)
     factors = np.moveaxis(sl.purify(rho).psi.amps.reshape(dims[0], dims[1], 2), -1, 0)
-    return _roof_objective(factors, 4), 16, np.pi
+    return _roof_objective(factors, 4), 16
 
 
 class TestLockstep:
@@ -423,14 +427,36 @@ class TestLockstep:
         ids=["discord-2x2", "discord-2x4", "roof-rank2"],
     )
     def test_lockstep_matches_serial(self, search, dims, config):
-        objective, n, spread = search(dims, config.seed)
+        objective, n = search(dims, config.seed)
         value, _, converged, nfev = _multistart_minimize(objective, n, config)
-        serial_value, serial_converged, serial_nfev = _serial_minimize(
-            objective, n, config, spread
-        )
+        serial_value, serial_converged, serial_nfev = _serial_minimize(objective, n, config)
         assert abs(value - serial_value) <= 1e-12
         assert converged == serial_converged
         assert nfev == serial_nfev
+
+
+class TestRestartPoints:
+    def test_origin_then_draws_in_the_box(self):
+        config = sl.OptimizerConfig(restarts=5, seed=3)
+        points = _restart_points(12, config)
+        assert points.shape == (5, 12)
+        np.testing.assert_array_equal(points[0], np.zeros(12))
+        assert np.all(np.abs(points[1:]) <= 0.25 * np.pi)
+        np.testing.assert_array_equal(_restart_points(12, config), points)
+
+    @pytest.mark.parametrize(
+        "m, zero_diagonal", [(3, True), (4, True), (4, False)], ids=["d3", "d4", "roof-m4"]
+    )
+    def test_draws_stay_where_the_chart_does_not_fold(self, m, zero_diagonal):
+        # exp(iH) folds where two eigenvalues of H differ by a nonzero
+        # multiple of 2 pi; every draw keeps H's spectrum narrower than that
+        n = m * m - m if zero_diagonal else m * m
+        for seed in range(100):
+            draws = _restart_points(n, sl.OptimizerConfig(restarts=20, seed=seed))[1:]
+            if zero_diagonal:
+                draws = np.concatenate((np.zeros((len(draws), m)), draws), axis=1)
+            w = np.linalg.eigvalsh(sl.qcorr._hermitian_from_params(m, draws))
+            assert np.max(w[:, -1] - w[:, 0]) < 2.0 * np.pi
 
 
 def _central_differences(objective, x, step=1e-6):
@@ -641,6 +667,17 @@ class TestConvexRoof:
             )
             worst = max(worst, diff)
         assert worst <= 1e-4
+
+    def test_higher_rank_against_wootters(self):
+        # rank 3 and 4 give the largest charts (m = 9 and 16 members), where
+        # a narrow restart box is likeliest to miss the roof
+        for rank, count, restarts in ((3, 10, 6), (4, 4, 3)):
+            for seed in range(count):
+                rho = sl.random_density([2, 2], rank=rank, seed=200 + seed)
+                roof = sl.eof_convex_roof(
+                    rho, config=sl.OptimizerConfig(restarts=restarts, seed=seed)
+                )
+                assert abs(roof - sl.eof_two_qubit(rho)) <= 1e-9
 
     def test_separable_diagonal(self):
         rho = sl.validate_density(np.diag([0.4, 0.3, 0.2, 0.1]), [2, 2])
