@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ValidationError
 from .qmat import EIG_CLIP, DensityMatrix, PureStateVector, _require_arity, trace_out_pure
 
 
@@ -30,6 +31,8 @@ class PurificationResult:
 
 def purify(rho: DensityMatrix) -> PurificationResult:
     """Canonical purification of a mixed state."""
+    if not np.isfinite(rho.data).all():
+        raise ValidationError("finiteness: state has NaN or Inf entries")
     w, v = np.linalg.eigh((rho.data + rho.data.conj().T) / 2.0)
     order = np.argsort(-w, kind="stable")
     keep = order[w[order] > EIG_CLIP]

@@ -1,9 +1,14 @@
 """Quantum-correlation measures and the identities tying them to the gap.
 
-Discord is optimized over rank-1 projective measurements only, matching the
-classical-correlation definition used throughout; general POVMs are out of
-scope and the possible discrepancy is treated as part of the documented
-error budget.  All quantities are in bits.
+Discord and the convex roof minimize one objective, the average
+entanglement of the members of a decomposition (``_member_entropy``),
+built on the canonical purification |psi_ABE> of rho_AB.  The roof's
+members are isometries of its rows along E.  Discord's are <u_i|_B psi
+for a basis {u_i} of the measured side B: a decomposition of rho_AE whose
+average A entropy is S(A) minus the classical correlation (Koashi and
+Winter, PRA 69, 022309 (2004)).  Discord is optimized over rank-1
+projective measurements only; the gap to the POVM optimum is not yet
+reported (ROADMAP item 9).  All quantities are in bits.
 """
 
 from __future__ import annotations
@@ -238,9 +243,11 @@ class MeasurementBasis:
         v = _as_array(self.vectors, "basis", complex)
         if v.ndim != 2 or v.shape[0] != v.shape[1]:
             raise DimensionError(f"basis must be a square column set, got {v.shape}")
+        if not np.isfinite(v).all():
+            raise ValidationError("finiteness: basis has NaN or Inf entries")
         gram = v.conj().T @ v
         dev = float(np.max(np.abs(gram - np.eye(v.shape[0]))))
-        if dev > 1e-10:
+        if not dev <= 1e-10:
             raise ValidationError(f"orthonormality: Gram deviates from identity by {dev:.3e}")
         v.setflags(write=False)
         object.__setattr__(self, "vectors", v)
@@ -352,58 +359,53 @@ def _basis_chart(d: int, x: np.ndarray):
     return _exp_chart(d, d, np.concatenate((np.zeros(x.shape[:-1] + (d,)), x), axis=-1))
 
 
-def _entropy_and_gradient(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per row of a (k, members, d, d) stack, sum_i p_i S(mats_i / p_i),
-    p_i = tr mats_i, as (k,), and the gradients G_i = -log2(mats_i / p_i).
+def _purification_rows(rho: DensityMatrix, leg: int) -> np.ndarray:
+    """The canonical purification of a bipartite state as a 3-D array over
+    (A, B, E), with leg ``leg`` moved first and the other two kept in
+    order, so row j is a matrix over those two."""
+    psi = purify(rho).psi
+    return np.moveaxis(psi.amps.reshape(psi.dims), leg, 0).copy()
 
-    The value changes by sum_i tr(G_i dmats_i) under Hermitian perturbations
-    (the terms from dp_i cancel).  Eigenvalues of mats_i / p_i at or below
-    EIG_CLIP count as zero in both, and so does a member with
+
+def _member_entropy(iso: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Average entanglement sum_i E(m_i) of the unnormalized pure members
+    m_i = sum_j iso_ij R_j, for a (k, m, r) stack of iso and the r rows
+    R_j of ``_purification_rows``, as (k,), and gamma = d/d(conj iso),
+    (k, m, r).
+
+    E(m_i) = p_i S(rho_i / p_i), with rho_i = m_i m_i^dag the marginal on
+    the rows' first factor and p_i = tr rho_i.  With G_i = -log2(rho_i /
+    p_i) the value changes by sum_i tr(G_i drho_i) (the terms from dp_i
+    cancel), so gamma_ij = <R_j, G_i m_i>.  Eigenvalues of rho_i / p_i at
+    or below EIG_CLIP count as zero in both, and so does a member with
     p_i <= EIG_CLIP: it is left unnormalized, so its eigenvalues stay below
     the cut too.
     """
-    ev, vecs = np.linalg.eigh(mats)
+    flat = rows.reshape(rows.shape[0], -1)
+    members = (iso @ flat).reshape(iso.shape[:2] + rows.shape[1:])
+    ev, vecs = np.linalg.eigh(np.einsum("xiab,xicb->xiac", members, members.conj()))
     weights = ev.sum(axis=-1)
     ev = ev / np.where(weights > EIG_CLIP, weights, 1.0)[..., None]
     neg_log = -np.log2(np.where(ev > EIG_CLIP, ev, 1.0))
     grads = (vecs * neg_log[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
-    # one (1, members) @ (members, 1) product per row sums in the order of
-    # a 1-D dot product; a plain sum of the products would round differently
-    values = weights[..., None, :] @ entropy_of_spectrum(ev)[..., :, None]
-    return values[..., 0, 0], grads
+    # one (1, m) @ (m, 1) product per row sums in the order of a 1-D dot
+    # product; a plain sum of the products would round differently
+    values = weights[:, None, :] @ entropy_of_spectrum(ev)[:, :, None]
+    gamma = (grads @ members).reshape(iso.shape[:2] + (-1,)) @ flat.conj().T
+    return values[:, 0, 0], gamma
 
 
-def _cc_evaluator(rho_ab: DensityMatrix, measured: int):
-    """S of the unmeasured side, and a closure giving, for a (k, d, d) stack
-    of bases (as columns), that side's entropy averaged over the outcomes
-    (k,) and its gradient d/d(conj basis).  The classical correlation is
-    their difference."""
-    d_a, d_b = rho_ab.dims
-    r4 = rho_ab.data.reshape(d_a, d_b, d_a, d_b)
-    s_other = von_neumann_entropy(partial_trace(rho_ab, {1 - measured}))
-    if measured == 1:
-        forward, backward = "xji,ajbk,xki->xiab", "xiba,xji,ajbk->xki"
-    else:
-        forward, backward = "xai,ajbk,xbi->xijk", "xikj,xai,ajbk->xbi"
-
-    def evaluate(vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        bras = vectors.conj()
-        conds = np.einsum(forward, bras, r4, vectors)
-        value, grads = _entropy_and_gradient(conds)
-        return value, np.einsum(backward, grads, bras, r4).conj()
-
-    return s_other, evaluate
-
-
-def _basis_objective(d: int, evaluate):
-    """An evaluator from ``_cc_evaluator`` over the basis chart of a
-    d-dimensional measured side, as (values, gradients) of a (k, d(d-1))
-    stack: the convex roof's gradient with the diagonal of H left out."""
+def _basis_objective(rows: np.ndarray):
+    """Discord's objective over the basis chart U = exp(iH) of a measured
+    side with ``rows`` along it, as (values, gradients) of a (k, d(d-1))
+    stack: the members are U^dag @ rows, so gamma^dag is d/d(conj U), and
+    the gradient is the roof's with the diagonal of H left out."""
+    d = rows.shape[0]
 
     def objective(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         u, w, v = _basis_chart(d, x)
-        value, gamma = evaluate(u)
-        return value, _exp_gradient(d, w, v, gamma)[:, d:]
+        value, gamma = _member_entropy(u.conj().swapaxes(1, 2), rows)
+        return value, _exp_gradient(d, w, v, gamma.conj().swapaxes(1, 2))[:, d:]
 
     return objective
 
@@ -470,8 +472,9 @@ def classical_correlation_at(
             f"basis dimension {basis.dim} does not match measured subsystem "
             f"dimension {rho_ab.dims[measured]}"
         )
-    s_other, evaluate = _cc_evaluator(rho_ab, measured)
-    return s_other - float(evaluate(basis.vectors[None])[0][0])
+    s_other = von_neumann_entropy(partial_trace(rho_ab, {1 - measured}))
+    bras = basis.vectors.conj().T[None]
+    return s_other - float(_member_entropy(bras, _purification_rows(rho_ab, measured))[0][0])
 
 
 @dataclass(frozen=True)
@@ -491,11 +494,14 @@ def discord(
 ) -> DiscordResult:
     """Mutual information minus the best projective classical correlation.
 
-    Maximization runs a multi-start L-BFGS search with the analytic
-    gradient over the convex roof's chart U = exp(iH), here with H zero on
-    the diagonal (``_basis_chart``).  Results merge by best value with ties
-    going to the earlier run.  ``nfev`` counts objective evaluations over
-    all runs (0 when the measured side is one-dimensional).
+    Basis U leaves the members U^dag @ rows, from the purification's rows
+    along the measured side, scored by the convex roof's objective
+    (``_basis_objective``).  Maximization runs a multi-start L-BFGS search
+    with the analytic gradient over the roof's chart U = exp(iH), here
+    with H zero on the diagonal (``_basis_chart``).  Results merge by best
+    value with ties going to the earlier run.  ``nfev`` counts objective
+    evaluations over all runs (0 when the measured side is
+    one-dimensional).
 
     On a measured side of dimension 3 or more, ``config.restarts`` runs
     start, run 0 from the computational basis and the rest from seeded
@@ -525,14 +531,15 @@ def discord(
         basis = MeasurementBasis.computational(d)
         j_best = classical_correlation_at(rho_ab, basis, measured)
         return DiscordResult(mi - j_best, j_best, basis, 0, True, 0)
-    s_other, evaluate = _cc_evaluator(rho_ab, measured)
-    objective = _basis_objective(d, evaluate)
+    s_other = von_neumann_entropy(partial_trace(rho_ab, {1 - measured}))
+    rows = _purification_rows(rho_ab, measured)
     starts, grid_evals = None, 0
     if d == 2:
-        starts = _grid_starts(evaluate(_QUBIT_BASES)[0], config.restarts)
+        bras = _QUBIT_BASES.conj().swapaxes(1, 2)
+        starts = _grid_starts(_member_entropy(bras, rows)[0], config.restarts)
         grid_evals = len(_QUBIT_GRID)
     best_val, best_x, converged, nfev = _multistart_minimize(
-        objective, n, config, starts=starts
+        _basis_objective(rows), n, config, starts=starts
     )
     j_best = s_other - best_val
     return DiscordResult(
@@ -570,31 +577,15 @@ def eof_two_qubit(rho_ab: DensityMatrix) -> float:
     return binary_entropy((1.0 + math.sqrt(max(0.0, 1.0 - c * c))) / 2.0)
 
 
-def _average_entanglement(members: np.ndarray):
-    """sum_i E(members_i) over unnormalized pure states, per row of a
-    (k, m, d_a, d_b) stack, with the gradients G_i = -log2 of each
-    normalized A-marginal."""
-    return _entropy_and_gradient(np.einsum("xiab,xicb->xiac", members, members.conj()))
-
-
 def _roof_objective(factors: np.ndarray, m: int):
     """Average entanglement of the m-member decomposition exp(iH)[:, :r]
-    applied to the r factors (r, d_a, d_b), over the chart of H, as
-    (values, gradients) of a (k, m^2) stack.
-
-    Member i is m_i = sum_j U_ij R_j, so with Y_i = G_i m_i the value
-    changes by 2 Re sum_ij conj(gamma_ij) dU_ij, gamma_ij = <R_j, Y_i>,
-    which ``_exp_gradient`` carries over to H.
-    """
-    rank, d_a, d_b = factors.shape
-    flat = factors.reshape(rank, d_a * d_b)
+    applied to the r factors (r, d_a, d_b), the purification's rows along
+    E, as (values, gradients) of a (k, m^2) stack over the chart of H."""
+    rank = factors.shape[0]
 
     def objective(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        k = x.shape[0]
         iso, w, v = _exp_chart(m, rank, x)
-        members = (iso @ flat).reshape(k, m, d_a, d_b)
-        value, grads = _average_entanglement(members)
-        gamma = (grads @ members).reshape(k, m, -1) @ flat.conj().T
+        value, gamma = _member_entropy(iso, factors)
         return value, _exp_gradient(m, w, v, gamma)
 
     return objective
@@ -620,13 +611,11 @@ def eof_convex_roof(
         raise CapabilityError(
             f"total dimension {d_a * d_b} exceeds the supported maximum {MAX_EOF_DIM}"
         )
-    canonical = purify(rho_ab)
-    rank = canonical.d_e
-    # factor j = sqrt(l_j) |v_j> on (A, B)
-    factors = np.moveaxis(canonical.psi.amps.reshape(d_a, d_b, rank), -1, 0)
+    factors = _purification_rows(rho_ab, 2)  # factor j = sqrt(l_j) |v_j> on (A, B)
+    rank = factors.shape[0]
     m = rank * rank
     if rank == 1:  # a pure state is its own only decomposition
-        return float(_average_entanglement(factors[None])[0][0])
+        return float(_member_entropy(np.ones((1, 1, 1)), factors)[0][0])
     return _multistart_minimize(_roof_objective(factors, m), m * m, config)[0]
 
 

@@ -37,22 +37,34 @@ def test_traced_name_exists(layer, name):
     assert hasattr(importlib.import_module(f"ssa_lab.{layer}"), name)
 
 
-def _attribute_uses(path: Path) -> set[tuple[str, str]]:
-    """(base, attribute) for each ``sl.<name>`` and ``qcorr.<name>`` in a file."""
-    return {
-        (node.value.id, node.attr)
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
-        if isinstance(node, ast.Attribute)
-        and isinstance(node.value, ast.Name)
-        and node.value.id in ("sl", "qcorr")
-    }
+def _attribute_uses(path: Path) -> set[tuple[str, ...]]:
+    """(base, attribute, ...) for each chain ``sl.<name>.<name>...`` and
+    ``qcorr.<name>...`` in a file, such as ("sl", "MeasurementBasis",
+    "from_angles")."""
+    chains = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        attrs = []
+        while isinstance(node, ast.Attribute):
+            attrs.append(node.attr)
+            node = node.value
+        if attrs and isinstance(node, ast.Name) and node.id in ("sl", "qcorr"):
+            chains.add((node.id, *reversed(attrs)))
+    return chains
+
+
+def _resolves(home, names) -> bool:
+    for name in names:
+        if not hasattr(home, name):
+            return False
+        home = getattr(home, name)
+    return True
 
 
 @pytest.mark.parametrize("path", sorted(PERFBENCH.glob("*.py")), ids=lambda p: p.name)
 def test_perfbench_names_exist(path):
     homes = {"sl": sl, "qcorr": qcorr}
-    missing = sorted(f"{base}.{name}" for base, name in _attribute_uses(path)
-                     if not hasattr(homes[base], name))
+    missing = sorted(".".join(chain) for chain in _attribute_uses(path)
+                     if not _resolves(homes[chain[0]], chain[1:]))
     assert missing == []
 
 

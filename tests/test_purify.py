@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import ssa_lab as sl
-from ssa_lab.errors import DimensionError
+from ssa_lab.errors import DimensionError, ValidationError
 
 from conftest import family_spec
 
@@ -47,6 +47,28 @@ class TestPurify:
         spec_in = np.sort(np.linalg.eigvalsh(rho.data))[::-1][: result.d_e]
         spec_anc = np.sort(np.linalg.eigvalsh(ancilla.data))[::-1]
         np.testing.assert_allclose(spec_anc, spec_in, atol=1e-9)
+
+    @pytest.mark.parametrize("where", [(0, 0), (0, 1)], ids=["diagonal", "off-diagonal"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize(
+        "name, dims",
+        [
+            ("purify", (2, 2)),
+            ("extend", (2, 2, 2)),
+            ("concurrence", (2, 2)),
+            ("eof_two_qubit", (2, 2)),
+            ("eof_convex_roof", (2, 2)),
+        ],
+        ids=["purify", "extend", "concurrence", "eof_two_qubit", "eof_convex_roof"],
+    )
+    def test_non_finite_state(self, name, dims, bad, where):
+        # the shape-only constructor lets NaN and Inf through; every caller
+        # of the purification must reject them before eigh sees them
+        side = int(np.prod(dims))
+        data = np.eye(side, dtype=complex) / side
+        data[where] = bad
+        with pytest.raises(ValidationError, match="^finiteness"):
+            getattr(sl, name)(sl.DensityMatrix(dims, data))
 
 
 class TestExtend:

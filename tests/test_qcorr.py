@@ -5,12 +5,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import ssa_lab as sl
-from ssa_lab.errors import CapabilityError, ConfigError, DimensionError
+from ssa_lab.errors import CapabilityError, ConfigError, DimensionError, ValidationError
 from ssa_lab.qcorr import (
     _basis_objective,
-    _cc_evaluator,
     _lbfgs,
     _multistart_minimize,
+    _purification_rows,
     _restart_points,
     _roof_objective,
 )
@@ -66,6 +66,41 @@ class TestClassicalCorrelation:
         rho = sl.random_density([2, 3], seed=1)
         with pytest.raises(DimensionError):
             sl.classical_correlation_at(rho, sl.MeasurementBasis.computational(2), 1)
+
+    @pytest.mark.parametrize("rank", [None, 2], ids=["full", "rank2"])
+    @pytest.mark.parametrize("measured", [0, 1])
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_against_projected_states(self, d, measured, rank):
+        # S(X) - sum_i p_i S(X|i), each conditional state the partial trace
+        # of (P_i x 1) rho (P_i x 1), built without the search kernel
+        rng = np.random.default_rng(10 * d + measured + (0 if rank is None else 5))
+        dims = [3, 3]
+        dims[measured] = d
+        rho = sl.random_density(dims, rank=rank, seed=int(rng.integers(1 << 30)))
+        vectors = _haar_unitary(d, rng)
+        kept = {1 - measured}
+        expected = sl.von_neumann_entropy(sl.partial_trace(rho, kept))
+        for column in vectors.T:
+            factors = [np.eye(dims[0]), np.eye(dims[1])]
+            factors[measured] = np.outer(column, column.conj())
+            proj = np.kron(*factors)
+            cond = sl.partial_trace(sl.DensityMatrix(dims, proj @ rho.data @ proj), kept)
+            weight = cond.trace()
+            if weight > 1e-12:
+                state = sl.DensityMatrix(cond.dims, cond.data / weight)
+                expected -= weight * sl.von_neumann_entropy(state)
+        basis = sl.MeasurementBasis(vectors)
+        assert sl.classical_correlation_at(rho, basis, measured) == pytest.approx(
+            expected, abs=1e-13
+        )
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_basis_rejects_non_finite(self, bad):
+        # NaN fails every comparison, so the Gram bound alone lets it through
+        vectors = np.eye(2, dtype=complex)
+        vectors[0, 0] = bad
+        with pytest.raises(ValidationError, match="^finiteness"):
+            sl.MeasurementBasis(vectors)
 
 
 class TestDiscord:
@@ -200,8 +235,8 @@ N_GRID = 1 + sl.qcorr.GRID_THETA * sl.qcorr.GRID_PHI  # the origin and the cells
 
 def _qubit_search(rho, measured):
     """S of the unmeasured side and the stacked objective over the qubit chart."""
-    s_other, evaluate = _cc_evaluator(rho, measured)
-    return s_other, _basis_objective(2, evaluate)
+    s_other = sl.von_neumann_entropy(sl.partial_trace(rho, {1 - measured}))
+    return s_other, _basis_objective(_purification_rows(rho, measured))
 
 
 def _random_restart_discord(rho, measured, config):
@@ -406,7 +441,7 @@ def _serial_minimize(objective, n, config):
 
 def _discord_search(dims, seed):
     rho = sl.random_density(list(dims), seed=seed)
-    objective = _basis_objective(dims[1], _cc_evaluator(rho, 1)[1])
+    objective = _basis_objective(_purification_rows(rho, 1))
     return objective, sl.qcorr.n_basis_params(dims[1])
 
 
@@ -482,8 +517,8 @@ class TestAnalyticGradients:
         dims = [3, 3]
         dims[measured] = d
         rho = sl.random_density(dims, seed=int(rng.integers(1 << 30)))
-        s_other, evaluate = _cc_evaluator(rho, measured)
-        objective = _basis_objective(d, evaluate)
+        s_other = sl.von_neumann_entropy(sl.partial_trace(rho, {1 - measured}))
+        objective = _basis_objective(_purification_rows(rho, measured))
         x = rng.uniform(-4.0, 4.0, (3, sl.qcorr.n_basis_params(d)))
         values, grads = objective(x)
         _assert_rows_match_single_calls(objective, x, values, grads)
