@@ -25,9 +25,7 @@ from .entropy import (
     binary_entropy,
     conditional_entropy,
     entropy_of_spectrum,
-    mutual_information,
     t_gap,
-    von_neumann_entropy,
 )
 from .purify import extend, purify
 from .qmat import (
@@ -42,6 +40,7 @@ from .qmat import (
 
 MAX_MEASURED_DIM = 8
 MAX_EOF_DIM = 16
+MAX_RESTARTS = 1000
 
 
 @dataclass(frozen=True)
@@ -49,7 +48,9 @@ class OptimizerConfig:
     """Multi-start settings for the L-BFGS searches.
 
     Per restart, ``max_evals`` caps the objective evaluations (a hard cap);
-    the stopping rules are fixed constants, see ``_lbfgs``.
+    the stopping rules are fixed constants, see ``_lbfgs``.  ``restarts``
+    is at most MAX_RESTARTS, because one lockstep draws and runs every
+    restart of its searches at once.
     """
 
     restarts: int = 20
@@ -60,6 +61,10 @@ class OptimizerConfig:
         for name, low in (("restarts", 1), ("max_evals", 1), ("seed", 0)):
             value = _as_int(getattr(self, name), name, low, ConfigError)
             object.__setattr__(self, name, value)
+        if self.restarts > MAX_RESTARTS:
+            raise ConfigError(
+                f"restarts must be at most {MAX_RESTARTS}, got {self.restarts}"
+            )
 
 
 LBFGS_MEMORY = 10  # curvature pairs kept, the common L-BFGS default
@@ -71,41 +76,45 @@ _LINE_SEARCH_EVALS = 20
 _EPS = float(np.finfo(float).eps)
 
 
-def _multistart_minimize(objective, n: int, config: OptimizerConfig, starts=None):
-    """Seeded multi-start L-BFGS, all restarts in lockstep.
+def _multistart_minimize(objective, starts, config: OptimizerConfig):
+    """Seeded multi-start L-BFGS for several searches on one chart, every
+    run of every search in one lockstep.
 
-    ``objective`` maps a (k, n) stack of points to their values (k,) and
-    gradients (k, n).  The runs start from the rows of ``starts`` when it
-    is given; otherwise ``config.restarts`` runs start from
-    ``_restart_points``.  Each run is an ``_lbfgs`` coroutine; every
-    round stacks the pending points of the runs still going, makes one
-    objective call and sends row i back to its run, so each run takes the
-    same path it would take alone.  Ties go to the earlier run, so a fixed
-    seed fixes the outcome.  Returns (value, point, converged, nfev):
+    ``starts`` holds one (R_s, n) stack of start points per search s; each
+    row starts one ``_lbfgs`` coroutine.  ``objective`` maps a (k, n) stack
+    of points and the (k,) index of the search each belongs to onto their
+    values (k,) and gradients (k, n).  Every round stacks the pending points
+    of all runs still going, makes one objective call and sends row i back
+    to its run.  A row's value and gradient do not depend on the other rows,
+    so each run takes the same path it would take alone.  Returns one
+    (value, point, converged, nfev) per search, the best of its runs with
+    ties going to the earlier run, so a fixed seed fixes the outcome:
     ``converged`` is the flag of the run whose point is returned, ``nfev``
-    the objective evaluations (rows) over all runs.
+    the objective evaluations (rows) over the search's runs.
     """
-    if starts is None:
-        starts = _restart_points(n, config)
-    runs = [_lbfgs(x, config) for x in starts]
-    pending = {restart: next(run) for restart, run in enumerate(runs)}
+    owner = np.repeat(np.arange(len(starts)), [len(block) for block in starts])
+    runs = [_lbfgs(x, config) for block in starts for x in block]
+    pending = {run: next(coroutine) for run, coroutine in enumerate(runs)}
     results = [None] * len(runs)
     while pending:
         active = list(pending)
-        values, grads = objective(np.stack([pending[r] for r in active]))
-        for restart, value, grad in zip(active, values.tolist(), grads):
+        values, grads = objective(np.stack([pending[r] for r in active]), owner[active])
+        for run, value, grad in zip(active, values.tolist(), grads):
             try:
-                pending[restart] = runs[restart].send((value, grad))
+                pending[run] = runs[run].send((value, grad))
             except StopIteration as stop:
-                del pending[restart]
-                results[restart] = stop.value
-    best = (math.inf, np.zeros(n), False)
-    nfev = 0
-    for value, x, converged, evals in results:
-        nfev += evals
-        if value < best[0]:
-            best = (value, x, converged)
-    return (*best, nfev)
+                del pending[run]
+                results[run] = stop.value
+    searches, first = [], 0
+    for block in starts:
+        best, nfev = (math.inf, np.zeros(block.shape[1]), False), 0
+        for value, x, converged, evals in results[first : first + len(block)]:
+            nfev += evals
+            if value < best[0]:
+                best = (value, x, converged)
+        searches.append((*best, nfev))
+        first += len(block)
+    return searches
 
 
 def _restart_points(n: int, config: OptimizerConfig) -> np.ndarray:
@@ -272,7 +281,8 @@ def n_basis_params(dim: int) -> int:
 
 def givens_unitary(dim: int, params: np.ndarray) -> np.ndarray:
     """Product of two-level Givens rotations with phases, for building a
-    basis from angles (``discord`` searches ``_basis_chart`` instead).
+    basis from angles (``discord`` searches the basis chart of ``_exp_chart``
+    instead).
 
     The d(d-1)/2 index pairs (i < j) are visited in row order, consuming a
     (theta, phi) pair each; rotation [[cos theta, -e^{i phi} sin theta],
@@ -294,50 +304,52 @@ def givens_unitary(dim: int, params: np.ndarray) -> np.ndarray:
     return u
 
 
-def _hermitian_from_params(dim: int, params: np.ndarray) -> np.ndarray:
-    """Diagonal first, then (re, im) of each pair (i < j) in row order; a
-    (k, dim^2) stack of parameters gives a (k, dim, dim) stack."""
-    re, im = params[..., dim::2], params[..., dim + 1::2]
-    h = np.zeros(params.shape[:-1] + (dim * dim,), dtype=complex)
-    h[..., _hermitian_layout(dim)] = np.concatenate(
-        (params[..., :dim], re + 1j * im, re - 1j * im), axis=-1
-    )
-    return h.reshape(params.shape[:-1] + (dim, dim))
-
-
 @lru_cache(maxsize=None)
-def _hermitian_layout(dim: int) -> np.ndarray:
-    """Flat positions of the diagonal, then of (i, j) and of (j, i) per pair."""
-    i, j = np.triu_indices(dim, 1)
-    diag = np.arange(dim)
-    layout = np.concatenate((diag * dim + diag, i * dim + j, j * dim + i))
-    layout.setflags(write=False)
-    return layout
+def _chart_maps(m: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """P, (n, m^2), and Q = 2 P^dag, (m^2, n), the constant maps of the
+    exp(iH) chart with n parameters: H = params @ P, flattened, and the
+    parameter gradient is Re(Z @ Q) for the gradient Z over H's entries.
+    n = m^2 puts H's diagonal first, then (re, im) of each pair (i < j) in
+    row order; the basis chart, n = m^2 - m, keeps P's rows after the
+    diagonal, so H's diagonal is zero."""
+    i, j = np.triu_indices(m, 1)
+    diag, pairs = np.arange(m), m + 2 * np.arange(i.shape[0])
+    p = np.zeros((m * m, m, m), dtype=complex)
+    p[diag, diag, diag] = 1.0
+    p[pairs, i, j] = p[pairs, j, i] = 1.0
+    p[pairs + 1, i, j], p[pairs + 1, j, i] = 1.0j, -1.0j
+    p = p.reshape(m * m, m * m)[m * m - n :]
+    q = 2.0 * p.conj().T
+    p.setflags(write=False)
+    q.setflags(write=False)
+    return p, q
 
 
 def _exp_chart(m: int, r: int, params: np.ndarray):
     """First r columns of exp(iH) = V e^{iW} V^dag, with W and V, for one
-    parameter vector or a stack of them.
+    parameter vector or a stack of them; H = params @ P of ``_chart_maps``,
+    so m^2 parameters give the full chart and m^2 - m the basis chart.
 
     The eigenvectors from eigh are orthonormal to machine precision, so the
     columns are too and need no re-orthonormalization.
     """
-    w, v = np.linalg.eigh(_hermitian_from_params(m, params))
+    h = params @ _chart_maps(m, params.shape[-1])[0]
+    w, v = np.linalg.eigh(h.reshape(params.shape[:-1] + (m, m)))
     return (v * np.exp(1j * w)[..., None, :]) @ v[..., :r, :].conj().swapaxes(-1, -2), w, v
 
 
-def _exp_gradient(m: int, w: np.ndarray, v: np.ndarray, gamma: np.ndarray) -> np.ndarray:
-    """Chart gradients (k, m^2) of a real f of U = exp(iH)[:, :r], from
-    w and V of ``_exp_chart`` and gamma = df/d(conj U), (k, m, r).
+def _exp_gradient(n: int, w: np.ndarray, v: np.ndarray, gamma: np.ndarray) -> np.ndarray:
+    """Chart gradients (k, n) of a real f of U = exp(iH)[:, :r], from w
+    and V of ``_exp_chart`` and gamma = df/d(conj U), (k, m, r), on the
+    chart with n parameters.
 
     f changes by 2 Re sum_ij conj(gamma_ij) dU_ij, and dU = V (F o V^dag dH
     V) V^dag with F_kl the divided differences (e^{i w_k} - e^{i w_l}) /
     (w_k - w_l) of exp(i x) on H's eigenvalues (Daleckii-Krein), which gives
-    the gradient over H as Z = V ((V^dag gamma^dag V) o F) V^dag, read off
-    at H's layout.
+    the gradient over H's entries as Z = V ((V^dag gamma^dag V) o F) V^dag,
+    taken to the parameters by Q of ``_chart_maps``.
     """
-    k, rank = gamma.shape[0], gamma.shape[-1]
-    n_pairs = (m * m - m) // 2
+    rank = gamma.shape[-1]
     half = np.exp(0.5j * w)
     divided = (  # outer product first: the order fixes the rounding
         1j * (half[:, :, None] * half[:, None, :])
@@ -345,18 +357,8 @@ def _exp_gradient(m: int, w: np.ndarray, v: np.ndarray, gamma: np.ndarray) -> np
     )
     v_h = v.conj().swapaxes(1, 2)
     z = v @ ((v_h[:, :, :rank] @ (gamma.conj().swapaxes(1, 2) @ v)) * divided) @ v_h
-    z = z.reshape(k, -1)[:, _hermitian_layout(m)]
-    upper, lower = z[:, m : m + n_pairs], z[:, m + n_pairs :]
-    grad = np.empty((k, m * m))
-    grad[:, :m] = 2.0 * z[:, :m].real
-    grad[:, m::2] = 2.0 * (upper + lower).real
-    grad[:, m + 1 :: 2] = 2.0 * (upper - lower).imag
-    return grad
-
-
-def _basis_chart(d: int, x: np.ndarray):
-    """``_exp_chart`` of all d columns, H zero on the diagonal, x its pairs."""
-    return _exp_chart(d, d, np.concatenate((np.zeros(x.shape[:-1] + (d,)), x), axis=-1))
+    grad = (z.reshape(z.shape[0], -1) @ _chart_maps(w.shape[-1], n)[1]).real
+    return grad.copy()  # contiguous: the L-BFGS dot products round by layout
 
 
 def _purification_rows(rho: DensityMatrix, leg: int) -> np.ndarray:
@@ -367,22 +369,38 @@ def _purification_rows(rho: DensityMatrix, leg: int) -> np.ndarray:
     return np.moveaxis(psi.amps.reshape(psi.dims), leg, 0).copy()
 
 
+def _root_entropies(rows: np.ndarray) -> tuple[float, float, float]:
+    """S of the first leg, of the second and of the pair, from the rows
+    (d, a, e) of ``_purification_rows`` with the E leg last: each side's
+    spectrum is the squared singular values of the rows across its leg, and
+    the pair's is the weights of the E leg, the pair's eigenvalues."""
+    d, a = rows.shape[:2]
+    spectra = (
+        np.linalg.svd(rows.reshape(d, -1), compute_uv=False) ** 2,
+        np.linalg.svd(rows.swapaxes(0, 1).reshape(a, -1), compute_uv=False) ** 2,
+        np.einsum("dae,dae->e", rows, rows.conj()).real,
+    )
+    return tuple(float(entropy_of_spectrum(spectrum)) for spectrum in spectra)
+
+
 def _member_entropy(iso: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Average entanglement sum_i E(m_i) of the unnormalized pure members
-    m_i = sum_j iso_ij R_j, for a (k, m, r) stack of iso and the r rows
-    R_j of ``_purification_rows``, as (k,), and gamma = d/d(conj iso),
-    (k, m, r).
+    m_i = sum_j iso_ij R_j, for a (k, m, r) stack of iso and one block of r
+    rows R_j per stacked point, (k, r, a, t), as (k,), and gamma =
+    d/d(conj iso), (k, m, r).
 
-    E(m_i) = p_i S(rho_i / p_i), with rho_i = m_i m_i^dag the marginal on
-    the rows' first factor and p_i = tr rho_i.  With G_i = -log2(rho_i /
-    p_i) the value changes by sum_i tr(G_i drho_i) (the terms from dp_i
-    cancel), so gamma_ij = <R_j, G_i m_i>.  Eigenvalues of rho_i / p_i at
-    or below EIG_CLIP count as zero in both, and so does a member with
-    p_i <= EIG_CLIP: it is left unnormalized, so its eigenvalues stay below
-    the cut too.
+    Each block is the rows of ``_purification_rows`` of the search the
+    point belongs to; t is the leg traced out of each member.  E(m_i) = p_i
+    S(rho_i / p_i), with rho_i = m_i m_i^dag the marginal on the rows'
+    first factor and p_i = tr rho_i.  With G_i = -log2(rho_i / p_i) the
+    value changes by sum_i tr(G_i drho_i) (the terms from dp_i cancel), so
+    gamma_ij = <R_j, G_i m_i>.  Eigenvalues of rho_i / p_i at or below
+    EIG_CLIP count as zero in both, and so does a member with p_i <=
+    EIG_CLIP: it is left unnormalized, so its eigenvalues stay below the
+    cut too.
     """
-    flat = rows.reshape(rows.shape[0], -1)
-    members = (iso @ flat).reshape(iso.shape[:2] + rows.shape[1:])
+    flat = rows.reshape(rows.shape[:2] + (-1,))
+    members = (iso @ flat).reshape(iso.shape[:2] + rows.shape[2:])
     ev, vecs = np.linalg.eigh(np.einsum("xiab,xicb->xiac", members, members.conj()))
     weights = ev.sum(axis=-1)
     ev = ev / np.where(weights > EIG_CLIP, weights, 1.0)[..., None]
@@ -391,21 +409,39 @@ def _member_entropy(iso: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.n
     # one (1, m) @ (m, 1) product per row sums in the order of a 1-D dot
     # product; a plain sum of the products would round differently
     values = weights[:, None, :] @ entropy_of_spectrum(ev)[:, :, None]
-    gamma = (grads @ members).reshape(iso.shape[:2] + (-1,)) @ flat.conj().T
+    gamma = (grads @ members).reshape(iso.shape[:2] + (-1,)) @ flat.conj().swapaxes(1, 2)
     return values[:, 0, 0], gamma
 
 
-def _basis_objective(rows: np.ndarray):
-    """Discord's objective over the basis chart U = exp(iH) of a measured
-    side with ``rows`` along it, as (values, gradients) of a (k, d(d-1))
-    stack: the members are U^dag @ rows, so gamma^dag is d/d(conj U), and
-    the gradient is the roof's with the diagonal of H left out."""
-    d = rows.shape[0]
+def _by_shape(blocks: list[np.ndarray], search, config: OptimizerConfig) -> list:
+    """``search(stacked, config)``, one result per block, on each group of
+    row blocks of one shape, stacked as (S, r, a, t), with the results
+    back in the order of ``blocks``.  One shape shares one chart and stacks
+    without padding, so each search of a group takes, bit for bit, the
+    path it takes alone (a zero-padded block would not: matmul rounds by
+    width)."""
+    groups: dict[tuple[int, ...], list[int]] = {}
+    for i, block in enumerate(blocks):
+        groups.setdefault(block.shape, []).append(i)
+    results = [None] * len(blocks)
+    for group in groups.values():
+        for i, result in zip(group, search(np.stack([blocks[i] for i in group]), config)):
+            results[i] = result
+    return results
 
-    def objective(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        u, w, v = _basis_chart(d, x)
-        value, gamma = _member_entropy(u.conj().swapaxes(1, 2), rows)
-        return value, _exp_gradient(d, w, v, gamma.conj().swapaxes(1, 2))[:, d:]
+
+def _basis_objective(blocks: np.ndarray):
+    """Discord's objective over the basis chart U = exp(iH) of measured
+    sides with the (S, d, a, t) ``blocks`` of rows along them, as (values,
+    gradients) of a (k, d(d-1)) stack whose row i belongs to search
+    owner[i]: the members are U^dag @ rows, so gamma^dag is d/d(conj U),
+    and the gradient is the roof's with the diagonal of H left out."""
+    d = blocks.shape[1]
+
+    def objective(x: np.ndarray, owner: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        u, w, v = _exp_chart(d, d, x)
+        value, gamma = _member_entropy(u.conj().swapaxes(1, 2), blocks[owner])
+        return value, _exp_gradient(x.shape[-1], w, v, gamma.conj().swapaxes(1, 2))
 
     return objective
 
@@ -427,7 +463,7 @@ def _qubit_grid() -> tuple[np.ndarray, np.ndarray]:
     t, p = np.meshgrid(theta, phi, indexing="ij")
     cells = np.stack((-t * np.sin(p), t * np.cos(p)), axis=-1).reshape(-1, 2)
     grid = np.concatenate((np.zeros((1, 2)), cells))
-    bases = _basis_chart(2, grid)[0]
+    bases = _exp_chart(2, 2, grid)[0]
     grid.setflags(write=False)
     bases.setflags(write=False)
     return grid, bases
@@ -459,22 +495,28 @@ def _grid_starts(values: np.ndarray, limit: int) -> np.ndarray:
     return _QUBIT_GRID[best_first[:limit]]
 
 
+def _measured_side(rho_ab: DensityMatrix, measured: int, op: str) -> int:
+    """``measured`` checked as a side (0 or 1) of the bipartite ``rho_ab``."""
+    _require_arity(rho_ab.dims, 2, op)
+    measured = _as_int(measured, "measured", 0)
+    if measured > 1:
+        raise DimensionError(f"measured must be 0 or 1, got {measured}")
+    return measured
+
+
 def classical_correlation_at(
     rho_ab: DensityMatrix, basis: MeasurementBasis, measured: int
 ) -> float:
     """Entropy reduction of the unmeasured side under one projective basis."""
-    _require_arity(rho_ab.dims, 2, "classical_correlation_at")
-    measured = _as_int(measured, "measured", 0)
-    if measured > 1:
-        raise DimensionError(f"measured must be 0 or 1, got {measured}")
+    measured = _measured_side(rho_ab, measured, "classical_correlation_at")
     if basis.dim != rho_ab.dims[measured]:
         raise DimensionError(
             f"basis dimension {basis.dim} does not match measured subsystem "
             f"dimension {rho_ab.dims[measured]}"
         )
-    s_other = von_neumann_entropy(partial_trace(rho_ab, {1 - measured}))
+    rows = _purification_rows(rho_ab, measured)
     bras = basis.vectors.conj().T[None]
-    return s_other - float(_member_entropy(bras, _purification_rows(rho_ab, measured))[0][0])
+    return _root_entropies(rows)[1] - float(_member_entropy(bras, rows[None])[0][0])
 
 
 @dataclass(frozen=True)
@@ -485,6 +527,58 @@ class DiscordResult:
     restarts_used: int
     converged: bool
     nfev: int
+
+
+def _discord_search(blocks: np.ndarray, config: OptimizerConfig) -> list[DiscordResult]:
+    """The discords of S measured sides of one dimension d, with the (S, d,
+    a, e) ``blocks`` of purification rows along them, their searches in one
+    lockstep.
+
+    A one-dimensional side has one basis and no search.  On a qubit side
+    one call scores the grid of every side, and each side's runs start
+    from its grid's local minima; on larger sides every search starts from
+    the same ``_restart_points``.
+    """
+    count, d = blocks.shape[:2]
+    n = n_basis_params(d)
+    grid_evals, starts = 0, [np.zeros((0, n))] * count
+    if n == 0:
+        values = _member_entropy(np.ones((count, 1, 1)), blocks)[0].tolist()
+        found = [(value, np.zeros(0), True, 0) for value in values]
+    else:
+        if d == 2:
+            grid_evals = len(_QUBIT_GRID)
+            bras = np.tile(_QUBIT_BASES.conj().swapaxes(1, 2), (count, 1, 1))
+            values = _member_entropy(bras, np.repeat(blocks, grid_evals, axis=0))[0]
+            starts = [_grid_starts(v, config.restarts) for v in values.reshape(count, -1)]
+        else:
+            starts = [_restart_points(n, config)] * count
+        found = _multistart_minimize(_basis_objective(blocks), starts, config)
+    results = []
+    for rows, runs, (value, x, converged, nfev) in zip(blocks, starts, found):
+        s_measured, s_other, s_pair = _root_entropies(rows)
+        mi, j_best = s_measured + s_other - s_pair, s_other - value
+        basis = MeasurementBasis(_exp_chart(d, d, x)[0])
+        results.append(
+            DiscordResult(mi - j_best, j_best, basis, len(runs), converged, grid_evals + nfev)
+        )
+    return results
+
+
+def _discords(states, config: OptimizerConfig) -> list[DiscordResult]:
+    """``discord`` of each (rho_ab, measured) pair of ``states``; searches
+    whose rows have one shape (measured side, other side and rank) run in
+    one lockstep (``_by_shape``)."""
+    blocks = []
+    for rho_ab, measured in states:
+        measured = _measured_side(rho_ab, measured, "discord")
+        d = rho_ab.dims[measured]
+        if d > MAX_MEASURED_DIM:
+            raise CapabilityError(
+                f"measured dimension {d} exceeds the supported maximum {MAX_MEASURED_DIM}"
+            )
+        blocks.append(_purification_rows(rho_ab, measured))
+    return _by_shape(blocks, _discord_search, config)
 
 
 def discord(
@@ -498,10 +592,14 @@ def discord(
     along the measured side, scored by the convex roof's objective
     (``_basis_objective``).  Maximization runs a multi-start L-BFGS search
     with the analytic gradient over the roof's chart U = exp(iH), here
-    with H zero on the diagonal (``_basis_chart``).  Results merge by best
-    value with ties going to the earlier run.  ``nfev`` counts objective
-    evaluations over all runs (0 when the measured side is
-    one-dimensional).
+    with H zero on the diagonal (the basis chart of ``_exp_chart``).
+    Results merge by best value with ties going to the earlier run.
+    ``nfev`` counts objective evaluations over all runs (0 when the
+    measured side is one-dimensional).  The mutual information and the
+    unmeasured side's entropy are read from the same rows
+    (``_root_entropies``), so rho_AB is decomposed once.  This is the
+    one-search case of ``_discords``, which audits and conservation checks
+    call with several.
 
     On a measured side of dimension 3 or more, ``config.restarts`` runs
     start, run 0 from the computational basis and the rest from seeded
@@ -516,40 +614,7 @@ def discord(
     points plus every run's evaluations; ``config.max_evals`` caps each
     run, not the grid; and ``config.seed`` is unused.
     """
-    _require_arity(rho_ab.dims, 2, "discord")
-    measured = _as_int(measured, "measured", 0)
-    if measured > 1:
-        raise DimensionError(f"measured must be 0 or 1, got {measured}")
-    d = rho_ab.dims[measured]
-    if d > MAX_MEASURED_DIM:
-        raise CapabilityError(
-            f"measured dimension {d} exceeds the supported maximum {MAX_MEASURED_DIM}"
-        )
-    mi = mutual_information(rho_ab)
-    n = n_basis_params(d)
-    if n == 0:
-        basis = MeasurementBasis.computational(d)
-        j_best = classical_correlation_at(rho_ab, basis, measured)
-        return DiscordResult(mi - j_best, j_best, basis, 0, True, 0)
-    s_other = von_neumann_entropy(partial_trace(rho_ab, {1 - measured}))
-    rows = _purification_rows(rho_ab, measured)
-    starts, grid_evals = None, 0
-    if d == 2:
-        bras = _QUBIT_BASES.conj().swapaxes(1, 2)
-        starts = _grid_starts(_member_entropy(bras, rows)[0], config.restarts)
-        grid_evals = len(_QUBIT_GRID)
-    best_val, best_x, converged, nfev = _multistart_minimize(
-        _basis_objective(rows), n, config, starts=starts
-    )
-    j_best = s_other - best_val
-    return DiscordResult(
-        discord=mi - j_best,
-        classical_correlation=j_best,
-        optimal_basis=MeasurementBasis(_basis_chart(d, best_x)[0]),
-        restarts_used=config.restarts if starts is None else len(starts),
-        converged=converged,
-        nfev=grid_evals + nfev,
-    )
+    return _discords([(rho_ab, measured)], config)[0]
 
 
 _SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
@@ -577,18 +642,49 @@ def eof_two_qubit(rho_ab: DensityMatrix) -> float:
     return binary_entropy((1.0 + math.sqrt(max(0.0, 1.0 - c * c))) / 2.0)
 
 
-def _roof_objective(factors: np.ndarray, m: int):
+def _roof_objective(blocks: np.ndarray, m: int):
     """Average entanglement of the m-member decomposition exp(iH)[:, :r]
-    applied to the r factors (r, d_a, d_b), the purification's rows along
-    E, as (values, gradients) of a (k, m^2) stack over the chart of H."""
-    rank = factors.shape[0]
+    applied to the r factors (r, d_a, t) of each of the (S, r, d_a, t)
+    ``blocks``, the purification's rows along E, as (values, gradients) of
+    a (k, m^2) stack over the chart of H whose row i belongs to search
+    owner[i]."""
+    rank = blocks.shape[1]
 
-    def objective(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def objective(x: np.ndarray, owner: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         iso, w, v = _exp_chart(m, rank, x)
-        value, gamma = _member_entropy(iso, factors)
-        return value, _exp_gradient(m, w, v, gamma)
+        value, gamma = _member_entropy(iso, blocks[owner])
+        return value, _exp_gradient(m * m, w, v, gamma)
 
     return objective
+
+
+def _roof_search(blocks: np.ndarray, config: OptimizerConfig) -> list[float]:
+    """The convex roofs of S states of one rank r, with the (S, r, d_a, t)
+    ``blocks`` of their factors, in one lockstep from the same
+    ``_restart_points``; a pure state (r = 1) is its own only
+    decomposition."""
+    count, rank = blocks.shape[:2]
+    if rank == 1:
+        return _member_entropy(np.ones((count, 1, 1)), blocks)[0].tolist()
+    m = rank * rank
+    starts = [_restart_points(m * m, config)] * count
+    return [best[0] for best in _multistart_minimize(_roof_objective(blocks, m), starts, config)]
+
+
+def _roofs(states, config: OptimizerConfig) -> list[float]:
+    """``eof_convex_roof`` of each state of ``states``; searches whose
+    factors have one shape (rank, d_a and d_b) run in one lockstep
+    (``_by_shape``)."""
+    blocks = []
+    for rho_ab in states:
+        _require_arity(rho_ab.dims, 2, "eof_convex_roof")
+        d_a, d_b = rho_ab.dims
+        if d_a * d_b > MAX_EOF_DIM:
+            raise CapabilityError(
+                f"total dimension {d_a * d_b} exceeds the supported maximum {MAX_EOF_DIM}"
+            )
+        blocks.append(_purification_rows(rho_ab, 2))  # factor j = sqrt(l_j) |v_j> on (A, B)
+    return _by_shape(blocks, _roof_search, config)
 
 
 def eof_convex_roof(
@@ -603,27 +699,10 @@ def eof_convex_roof(
     isometry is the search variable, charted as the leading columns of
     exp(iH) and searched by multi-start L-BFGS with the analytic gradient.
     The value is exact only at optimizer convergence and is documented as
-    an upper bound.
+    an upper bound.  This is the one-search case of ``_roofs``, which
+    audits call with several.
     """
-    _require_arity(rho_ab.dims, 2, "eof_convex_roof")
-    d_a, d_b = rho_ab.dims
-    if d_a * d_b > MAX_EOF_DIM:
-        raise CapabilityError(
-            f"total dimension {d_a * d_b} exceeds the supported maximum {MAX_EOF_DIM}"
-        )
-    factors = _purification_rows(rho_ab, 2)  # factor j = sqrt(l_j) |v_j> on (A, B)
-    rank = factors.shape[0]
-    m = rank * rank
-    if rank == 1:  # a pure state is its own only decomposition
-        return float(_member_entropy(np.ones((1, 1, 1)), factors)[0][0])
-    return _multistart_minimize(_roof_objective(factors, m), m * m, config)[0]
-
-
-def _eof_auto(rho_ab: DensityMatrix, config: OptimizerConfig) -> float:
-    """The Wootters form when the state is two-qubit, else the convex roof."""
-    if rho_ab.dims == (2, 2):
-        return eof_two_qubit(rho_ab)
-    return eof_convex_roof(rho_ab, config=config)
+    return _roofs([rho_ab], config)[0]
 
 
 def discord_via_kw(psi: PureStateVector, measured: int) -> float:
@@ -684,8 +763,8 @@ def kw_gap(
 @dataclass(frozen=True)
 class TheoremOneAudit:
     """All eight correlation quantities entering the gap identities, the four
-    assembled right-hand sides, and the entanglement increments under the
-    B -> BE / C -> CE transforms."""
+    assembled right-hand sides, and the entanglement and discord increments
+    under the B -> BE / C -> CE transforms."""
 
     t_a: float
     eof_ab: float
@@ -702,6 +781,8 @@ class TheoremOneAudit:
     line4: float
     delta_e_b: float
     delta_e_c: float
+    delta_d_b: float
+    delta_d_c: float
 
 
 def theorem1_audit(
@@ -714,8 +795,15 @@ def theorem1_audit(
     bound on a 2x4 state, and every discord side stays optimizable.  Rank
     is the ancilla dimension of the canonical purification, which keeps the
     eigenvalues above EIG_CLIP.  The audit passes no verdict: callers judge
-    ``line4`` against ``t_a`` and the increments ``delta_e_b`` and
-    ``delta_e_c`` with their own tolerance.
+    ``line4`` against ``t_a`` and the increments ``delta_e_b``,
+    ``delta_e_c``, ``delta_d_b`` = D(A:BE) - D(A:B) and ``delta_d_c`` with
+    their own tolerance.
+
+    The searches run in one lockstep per chart (``_discords``, ``_roofs``):
+    at most three on a rank-2 state, the qubit discords of AB and AC, the
+    d = 4 discords of A|BE and A|CE, and the two roofs when their ranks
+    match.  Each value is the one ``discord`` or ``eof_convex_roof`` gives
+    alone.
     """
     _require_arity(rho_abc.dims, 3, "theorem1_audit")
     d_a, d_b, d_c = rho_abc.dims
@@ -729,23 +817,24 @@ def theorem1_audit(
         raise CapabilityError(
             f"theorem1_audit envelope is rank <= 2, got numerical rank {rank}"
         )
-    rho_ab = partial_trace(rho_abc, {0, 1})
-    rho_ac = partial_trace(rho_abc, {0, 2})
-    eof_ab = _eof_auto(rho_ab, config)
-    eof_ac = _eof_auto(rho_ac, config)
-    eof_ab_ext = _eof_auto(ext.rho_a_btilde, config)
-    eof_ac_ext = _eof_auto(ext.rho_a_ctilde, config)
-    discord_b = discord(rho_ab, measured=1, config=config).discord
-    discord_c = discord(rho_ac, measured=1, config=config).discord
-    discord_b_ext = discord(ext.rho_a_btilde, measured=1, config=config).discord
-    discord_c_ext = discord(ext.rho_a_ctilde, measured=1, config=config).discord
+    pairs = (
+        partial_trace(rho_abc, {0, 1}),
+        partial_trace(rho_abc, {0, 2}),
+        ext.rho_a_btilde,
+        ext.rho_a_ctilde,
+    )
+    roofs = iter(_roofs([rho for rho in pairs if rho.dims != (2, 2)], config))
+    eof_ab, eof_ac, eof_ab_ext, eof_ac_ext = (
+        eof_two_qubit(rho) if rho.dims == (2, 2) else next(roofs) for rho in pairs
+    )
+    discord_b, discord_c, discord_b_ext, discord_c_ext = (
+        result.discord for result in _discords([(rho, 1) for rho in pairs], config)
+    )
     t_a = t_gap(rho_abc).t_a
     line1 = (eof_ab_ext - eof_ab) + (discord_c_ext - discord_c)
     line2 = (eof_ac_ext - eof_ac) + (discord_b_ext - discord_b)
     line3 = (eof_ab_ext + eof_ac_ext) - (discord_b + discord_c)
     line4 = (discord_b_ext + discord_c_ext) - (eof_ab + eof_ac)
-    delta_e_b = eof_ab_ext - eof_ab
-    delta_e_c = eof_ac_ext - eof_ac
     return TheoremOneAudit(
         t_a=t_a,
         eof_ab=eof_ab,
@@ -760,8 +849,10 @@ def theorem1_audit(
         line2=line2,
         line3=line3,
         line4=line4,
-        delta_e_b=delta_e_b,
-        delta_e_c=delta_e_c,
+        delta_e_b=eof_ab_ext - eof_ab,
+        delta_e_c=eof_ac_ext - eof_ac,
+        delta_d_b=discord_b_ext - discord_b,
+        delta_d_c=discord_c_ext - discord_c,
     )
 
 
@@ -769,14 +860,13 @@ def conservation_check(
     psi: PureStateVector, config: OptimizerConfig = OptimizerConfig()
 ) -> tuple[float, float]:
     """Both sides of the correlation conservation law for a pure 3-qubit state:
-    E(AB) + E(AC) on the left, D^(B)(AB) + D^(C)(AC) on the right."""
+    E(AB) + E(AC) on the left, D^(B)(AB) + D^(C)(AC) on the right.  Both
+    discords are qubit-side searches and run in one lockstep
+    (``_discords``)."""
     if psi.dims != (2, 2, 2):
         raise CapabilityError(f"conservation_check needs three qubits, got {psi.dims}")
     rho_ab = partial_trace(psi, {0, 1})
     rho_ac = partial_trace(psi, {0, 2})
     lhs = eof_two_qubit(rho_ab) + eof_two_qubit(rho_ac)
-    rhs = (
-        discord(rho_ab, measured=1, config=config).discord
-        + discord(rho_ac, measured=1, config=config).discord
-    )
-    return lhs, rhs
+    d_b, d_c = _discords([(rho_ab, 1), (rho_ac, 1)], config)
+    return lhs, d_b.discord + d_c.discord

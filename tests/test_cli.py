@@ -322,6 +322,23 @@ class TestExitCodes:
         assert res.stdout == ""
         assert "unrecognized arguments" in res.stderr
 
+    @pytest.mark.parametrize(
+        "command, dims",
+        [(("discord",), (2, 4)), (("eof", "--method", "roof"), (2, 2))],
+        ids=["discord", "eof-roof"],
+    )
+    def test_huge_restarts_exit_one_without_traceback(self, tmp_path, command, dims):
+        # refused by OptimizerConfig before any restart is drawn
+        path = tmp_path / "state.json"
+        sl.save_state(str(path), sl.random_density(list(dims), rank=2, seed=1))
+        res = run_cli(
+            command[0], str(path), *command[1:], "--seed", "1", "--restarts", "1000000000000000"
+        )
+        assert res.returncode == 1
+        assert res.stdout == ""
+        assert "Traceback" not in res.stderr
+        assert "restarts must be at most 1000" in res.stderr
+
     def test_bad_optimizer_settings_exit_one_on_wootters_eof(self, bell_file):
         res = run_cli("eof", bell_file, "--seed", "1", "--restarts", "0")
         assert res.returncode == 1

@@ -8,11 +8,14 @@ import ssa_lab as sl
 from ssa_lab.errors import CapabilityError, ConfigError, DimensionError, ValidationError
 from ssa_lab.qcorr import (
     _basis_objective,
+    _discords,
     _lbfgs,
     _multistart_minimize,
     _purification_rows,
     _restart_points,
     _roof_objective,
+    _roofs,
+    _root_entropies,
 )
 
 from conftest import bell_phi_plus, ghz_state, grid_discord_two_qubit, tensor_pure, w_state
@@ -21,11 +24,16 @@ from conftest import bell_phi_plus, ghz_state, grid_discord_two_qubit, tensor_pu
 def _rows(point_objective):
     """The stacked objective that evaluates ``point_objective`` once per row."""
 
-    def objective(x):
+    def objective(x, owner):
         rows = [point_objective(row) for row in x]
         return np.array([value for value, _ in rows]), np.array([grad for _, grad in rows])
 
     return objective
+
+
+def _one(objective):
+    """A stacked objective of one search, called on points alone."""
+    return lambda x: objective(x, np.zeros(len(x), dtype=int))
 
 
 class TestClassicalCorrelation:
@@ -178,9 +186,7 @@ class TestDiscord:
 
         cfg = sl.OptimizerConfig(restarts=3, max_evals=200, seed=0)
         starts = np.array([[0.0, 0.0], [1.5, 0.5], [-0.8, 1.2]])
-        best_val, _, converged, _ = _multistart_minimize(
-            _rows(objective), 2, cfg, starts=starts
-        )
+        best_val, _, converged, _ = _multistart_minimize(_rows(objective), [starts], cfg)[0]
         assert best_val < -1.0
         assert converged is False
 
@@ -192,7 +198,9 @@ class TestDiscord:
             return float(np.sum((x - 1.0) ** 2)), 2.0 * (x - 1.0)
 
         cfg = sl.OptimizerConfig(restarts=3, seed=0)
-        best_val, best_x, converged, nfev = _multistart_minimize(_rows(objective), 3, cfg)
+        best_val, best_x, converged, nfev = _multistart_minimize(
+            _rows(objective), [_restart_points(3, cfg)], cfg
+        )[0]
         assert nfev == len(calls) >= 3
         assert best_val <= 1e-12 and converged
         np.testing.assert_allclose(best_x, np.ones(3), atol=1e-6)
@@ -234,15 +242,16 @@ N_GRID = 1 + sl.qcorr.GRID_THETA * sl.qcorr.GRID_PHI  # the origin and the cells
 
 
 def _qubit_search(rho, measured):
-    """S of the unmeasured side and the stacked objective over the qubit chart."""
-    s_other = sl.von_neumann_entropy(sl.partial_trace(rho, {1 - measured}))
-    return s_other, _basis_objective(_purification_rows(rho, measured))
+    """S of the unmeasured side, read from the purification's rows as
+    ``discord`` reads it, and the stacked objective over the qubit chart."""
+    rows = _purification_rows(rho, measured)
+    return _root_entropies(rows)[1], _basis_objective(rows[None])
 
 
 def _random_restart_discord(rho, measured, config):
     """Discord from ``_multistart_minimize``'s random starts alone."""
     s_other, objective = _qubit_search(rho, measured)
-    value = _multistart_minimize(objective, 2, config)[0]
+    value = _multistart_minimize(objective, [_restart_points(2, config)], config)[0][0]
     return sl.mutual_information(rho) - (s_other - value)
 
 
@@ -290,9 +299,9 @@ class TestQubitGrid:
         config = sl.OptimizerConfig(restarts=1)
         result = sl.discord(rho, 1, config)
         s_other, objective = _qubit_search(rho, 1)
-        values = objective(sl.qcorr._QUBIT_GRID)[0]
+        values = _one(objective)(sl.qcorr._QUBIT_GRID)[0]
         best = sl.qcorr._QUBIT_GRID[np.argmin(values)]
-        value, _, _, nfev = _multistart_minimize(objective, 2, config, starts=best[None])
+        value, _, _, nfev = _multistart_minimize(objective, [best[None]], config)[0]
         assert result.restarts_used == 1
         assert result.nfev == N_GRID + nfev
         assert result.classical_correlation == s_other - value >= s_other - values.min()
@@ -304,7 +313,7 @@ class TestQubitGrid:
         assert np.max(np.abs(vectors.conj().T @ vectors - np.eye(2))) <= 1e-10
         assert result.nfev == N_GRID + result.restarts_used
         s_other, objective = _qubit_search(rho, 1)
-        best = s_other - objective(sl.qcorr._QUBIT_GRID)[0].min()
+        best = s_other - _one(objective)(sl.qcorr._QUBIT_GRID)[0].min()
         assert result.classical_correlation == pytest.approx(best, abs=1e-14)
         assert sl.classical_correlation_at(rho, result.optimal_basis, 1) == pytest.approx(
             best, abs=1e-12
@@ -318,7 +327,7 @@ class TestQubitGrid:
         phi = np.arange(q.GRID_PHI) * (2.0 * np.pi / q.GRID_PHI)
         expected = [np.eye(2)] + [q.givens_unitary(2, [t, p]) for t in theta for p in phi]
         np.testing.assert_allclose(q._QUBIT_BASES, expected, rtol=0, atol=1e-15)
-        np.testing.assert_array_equal(q._QUBIT_BASES, q._basis_chart(2, q._QUBIT_GRID)[0])
+        np.testing.assert_array_equal(q._QUBIT_BASES, q._exp_chart(2, 2, q._QUBIT_GRID)[0])
 
     def test_best_point_is_always_a_start(self):
         # random values with many ties: the first start is the first best point
@@ -359,9 +368,10 @@ def _rosenbrock(x):
 class TestLBFGS:
     @pytest.mark.parametrize("n", [2, 10])
     def test_rosenbrock(self, n):
+        cfg = sl.OptimizerConfig(restarts=1)
         value, x, converged, _ = _multistart_minimize(
-            _rows(_rosenbrock), n, sl.OptimizerConfig(restarts=1)
-        )
+            _rows(_rosenbrock), [_restart_points(n, cfg)], cfg
+        )[0]
         assert value <= 1e-10 and converged
         np.testing.assert_allclose(x, np.ones(n), atol=1e-4)
 
@@ -373,7 +383,9 @@ class TestLBFGS:
             return _rosenbrock(x)
 
         cfg = sl.OptimizerConfig(restarts=3, max_evals=5, seed=2)
-        _, _, converged, nfev = _multistart_minimize(_rows(objective), 10, cfg)
+        _, _, converged, nfev = _multistart_minimize(
+            _rows(objective), [_restart_points(10, cfg)], cfg
+        )[0]
         assert nfev == len(calls) == 5 * 3
         assert converged is False
 
@@ -387,14 +399,18 @@ class TestLBFGS:
             return float(0.5 * np.sum(scales * (x - 0.5) ** 2)), scales * (x - 0.5)
 
         cfg = sl.OptimizerConfig(restarts=2, seed=4)
-        _, x, converged, _ = _multistart_minimize(_rows(objective), 6, cfg)
+        _, x, converged, _ = _multistart_minimize(
+            _rows(objective), [_restart_points(6, cfg)], cfg
+        )[0]
         assert converged
         assert np.max(np.abs(objective(x)[1])) <= 1e-8
 
     def test_seeded_runs_are_bit_identical(self):
         cfg = sl.OptimizerConfig(restarts=4, seed=9)
-        first = _multistart_minimize(_rows(_rosenbrock), 4, cfg)
-        second = _multistart_minimize(_rows(_rosenbrock), 4, cfg)
+        first, second = (
+            _multistart_minimize(_rows(_rosenbrock), [_restart_points(4, cfg)], cfg)[0]
+            for _ in range(2)
+        )
         assert first[0] == second[0] and first[3] == second[3]
         assert np.array_equal(first[1], second[1])
 
@@ -408,6 +424,8 @@ class TestOptimizerConfig:
             ("max_evals", 0),
             ("max_evals", -5),
             ("seed", -1),
+            ("restarts", 1001),
+            ("restarts", 10**15),
         ],
     )
     def test_bad_settings_rejected(self, field, value):
@@ -418,6 +436,11 @@ class TestOptimizerConfig:
         cfg = sl.OptimizerConfig(restarts=1, max_evals=1)
         assert cfg.restarts == cfg.max_evals == 1
 
+    def test_restarts_bound_is_named(self):
+        assert sl.OptimizerConfig(restarts=sl.qcorr.MAX_RESTARTS).restarts == 1000
+        with pytest.raises(ConfigError, match="at most 1000"):
+            sl.OptimizerConfig(restarts=10**15)
+
 
 def _serial_minimize(objective, n, config):
     """Each restart's L-BFGS run alone with 1-row objective calls, on the
@@ -427,7 +450,7 @@ def _serial_minimize(objective, n, config):
         run = _lbfgs(start, config)
         point = next(run)
         while True:
-            values, grads = objective(point[None])
+            values, grads = objective(point[None], np.zeros(1, dtype=int))
             try:
                 point = run.send((float(values[0]), grads[0]))
             except StopIteration as stop:
@@ -441,14 +464,14 @@ def _serial_minimize(objective, n, config):
 
 def _discord_search(dims, seed):
     rho = sl.random_density(list(dims), seed=seed)
-    objective = _basis_objective(_purification_rows(rho, 1))
+    objective = _basis_objective(_purification_rows(rho, 1)[None])
     return objective, sl.qcorr.n_basis_params(dims[1])
 
 
 def _roof_search(dims, seed):
     rho = sl.random_density(list(dims), rank=2, seed=seed)
     factors = np.moveaxis(sl.purify(rho).psi.amps.reshape(dims[0], dims[1], 2), -1, 0)
-    return _roof_objective(factors, 4), 16
+    return _roof_objective(factors[None], 4), 16
 
 
 class TestLockstep:
@@ -463,11 +486,92 @@ class TestLockstep:
     )
     def test_lockstep_matches_serial(self, search, dims, config):
         objective, n = search(dims, config.seed)
-        value, _, converged, nfev = _multistart_minimize(objective, n, config)
+        value, _, converged, nfev = _multistart_minimize(
+            objective, [_restart_points(n, config)], config
+        )[0]
         serial_value, serial_converged, serial_nfev = _serial_minimize(objective, n, config)
         assert abs(value - serial_value) <= 1e-12
         assert converged == serial_converged
         assert nfev == serial_nfev
+
+    def test_discords_together_match_discords_alone(self):
+        # a search run with others of its shape returns exactly what it
+        # returns alone; shapes that differ run in groups of their own
+        cases = [((2, 2), None, 1), ((2, 2), None, 1), ((2, 2), 2, 1), ((2, 2), 2, 0)]
+        cases += [((2, 2), 1, 1), ((2, 4), 2, 1), ((2, 4), 2, 1), ((3, 3), None, 1)]
+        cases += [((2, 1), None, 1), ((2, 1), None, 1), ((2, 3), None, 0)]
+        states = [
+            (sl.random_density(list(dims), rank=rank, seed=30 + k), measured)
+            for k, (dims, rank, measured) in enumerate(cases)
+        ]
+        config = sl.OptimizerConfig(restarts=4, max_evals=400, seed=4)
+        for (rho, measured), together in zip(states, _discords(states, config)):
+            alone = sl.discord(rho, measured, config)
+            assert together.discord == alone.discord
+            assert together.classical_correlation == alone.classical_correlation
+            assert (together.nfev, together.restarts_used) == (alone.nfev, alone.restarts_used)
+            assert together.converged == alone.converged
+            assert np.array_equal(together.optimal_basis.vectors, alone.optimal_basis.vectors)
+
+    def test_roofs_together_match_roofs_alone(self):
+        cases = [((2, 2), 2), ((2, 2), 2), ((2, 4), 2), ((2, 4), 2), ((2, 2), 1), ((2, 2), 1)]
+        states = [
+            sl.random_density(list(dims), rank=rank, seed=40 + k)
+            for k, (dims, rank) in enumerate(cases + [((2, 3), 3)])
+        ]
+        config = sl.OptimizerConfig(restarts=3, max_evals=300, seed=5)
+        assert _roofs(states, config) == [sl.eof_convex_roof(rho, config) for rho in states]
+
+    def test_audit_and_conservation_make_one_lockstep_per_group(self, monkeypatch):
+        # the audit's roofs, qubit discords and d = 4 discords are three
+        # lockstep calls of two searches each; a conservation check is one,
+        # and its two qubit grids are scored in one objective call
+        searches, rows = [], []
+        minimize, member_entropy = sl.qcorr._multistart_minimize, sl.qcorr._member_entropy
+
+        def counting_minimize(objective, starts, config):
+            searches.append(len(starts))
+            return minimize(objective, starts, config)
+
+        def counting_member_entropy(iso, blocks):
+            rows.append(len(iso))
+            return member_entropy(iso, blocks)
+
+        monkeypatch.setattr(sl.qcorr, "_multistart_minimize", counting_minimize)
+        monkeypatch.setattr(sl.qcorr, "_member_entropy", counting_member_entropy)
+        config = sl.OptimizerConfig(restarts=2, max_evals=40, seed=1)
+        sl.theorem1_audit(sl.random_density([2, 2, 2], rank=2, seed=10_000), config)
+        assert searches == [2, 2, 2]
+        searches.clear()
+        rows.clear()
+        sl.conservation_check(sl.random_pure([2, 2, 2], seed=8000), config)
+        assert searches == [2]
+        assert [k for k in rows if k >= N_GRID] == [2 * N_GRID]
+
+
+class TestRootEntropies:
+    @pytest.mark.parametrize("measured", [0, 1])
+    @pytest.mark.parametrize("rank", [None, 2])
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (2, 4), (3, 3)])
+    def test_mutual_information_from_the_root(self, dims, rank, measured):
+        # discord reads S(A), S(B) and S(AB) from the purification's rows
+        # instead of eigendecomposing rho_AB and its marginals again
+        seed = 100 * dims[0] + 10 * dims[1] + 2 * (rank or 0) + measured
+        rho = sl.random_density(list(dims), rank=rank, seed=seed)
+        s_measured, s_other, s_pair = _root_entropies(_purification_rows(rho, measured))
+        mi = sl.mutual_information(rho)
+        assert abs(s_measured + s_other - s_pair - mi) <= 1e-12
+        assert abs(s_pair - sl.von_neumann_entropy(rho)) <= 1e-12
+        unmeasured = sl.partial_trace(rho, {1 - measured})
+        assert abs(s_other - sl.von_neumann_entropy(unmeasured)) <= 1e-12
+        result = sl.discord(rho, measured, sl.OptimizerConfig(restarts=2, max_evals=30))
+        assert abs(result.discord + result.classical_correlation - mi) <= 1e-12
+
+
+def _hermitian(m, params):
+    """H of the exp(iH) chart at one parameter vector or a stack of them."""
+    h = params @ sl.qcorr._chart_maps(m, params.shape[-1])[0]
+    return h.reshape(params.shape[:-1] + (m, m))
 
 
 class TestRestartPoints:
@@ -490,7 +594,7 @@ class TestRestartPoints:
             draws = _restart_points(n, sl.OptimizerConfig(restarts=20, seed=seed))[1:]
             if zero_diagonal:
                 draws = np.concatenate((np.zeros((len(draws), m)), draws), axis=1)
-            w = np.linalg.eigvalsh(sl.qcorr._hermitian_from_params(m, draws))
+            w = np.linalg.eigvalsh(_hermitian(m, draws))
             assert np.max(w[:, -1] - w[:, 0]) < 2.0 * np.pi
 
 
@@ -518,12 +622,12 @@ class TestAnalyticGradients:
         dims[measured] = d
         rho = sl.random_density(dims, seed=int(rng.integers(1 << 30)))
         s_other = sl.von_neumann_entropy(sl.partial_trace(rho, {1 - measured}))
-        objective = _basis_objective(_purification_rows(rho, measured))
+        objective = _one(_basis_objective(_purification_rows(rho, measured)[None]))
         x = rng.uniform(-4.0, 4.0, (3, sl.qcorr.n_basis_params(d)))
         values, grads = objective(x)
         _assert_rows_match_single_calls(objective, x, values, grads)
         for row, value, grad in zip(x, values, grads):
-            basis = sl.MeasurementBasis(sl.qcorr._basis_chart(d, row)[0])
+            basis = sl.MeasurementBasis(sl.qcorr._exp_chart(d, d, row)[0])
             assert s_other - value == pytest.approx(
                 sl.classical_correlation_at(rho, basis, measured), abs=1e-13
             )
@@ -539,7 +643,7 @@ class TestAnalyticGradients:
         amps = sl.purify(rho).psi.amps.reshape(dims[0], dims[1], rank)
         factors = np.moveaxis(amps, -1, 0)
         m = rank * rank
-        objective = _roof_objective(factors, m)
+        objective = _one(_roof_objective(factors[None], m))
         x = rng.uniform(-4.0, 4.0, (3, m * m))
         values, grads = objective(x)
         _assert_rows_match_single_calls(objective, x, values, grads)
@@ -672,7 +776,7 @@ class TestConvexRoof:
             params = rng.uniform(-50.0, 50.0, m * m)
             if zero_diagonal:
                 params[:m] = 0.0
-            h = sl.qcorr._hermitian_from_params(m, params)
+            h = _hermitian(m, params)
             np.testing.assert_array_equal(h, h.conj().T)
             np.testing.assert_array_equal(np.diag(h).real, params[:m])
             if m > 1:  # (re, im) of pair (0, 1) follow the diagonal
@@ -681,7 +785,7 @@ class TestConvexRoof:
             np.testing.assert_allclose(iso.conj().T @ iso, np.eye(r), atol=1e-12)
             np.testing.assert_allclose(iso, expm(1j * h)[:, :r], atol=1e-9)
             if zero_diagonal:
-                np.testing.assert_array_equal(sl.qcorr._basis_chart(m, params[m:])[0], iso)
+                np.testing.assert_array_equal(sl.qcorr._exp_chart(m, m, params[m:])[0], iso)
 
     def test_pure_input_is_exact(self):
         psi = sl.random_pure([2, 2], seed=10)
@@ -858,6 +962,37 @@ class TestTheoremOneAudit:
             rho, sl.OptimizerConfig(restarts=4, max_evals=1000, seed=822092367)
         )
         assert abs(audit.line4 - sl.t_gap(rho).t_a) <= 5e-4
+
+    def test_entanglement_increments_match_koashi_winter(self):
+        # kw_gap reads E(A:BE) - E(A:B) as D(A:C) + S(A|C) - E(A:B), with a
+        # qubit-side discord where the audit runs a 2x4 roof; swapping B
+        # and C gives the C increment
+        for k in range(20):
+            rho = sl.random_density([2, 2, 2], rank=2, seed=10_000 + k)
+            config = sl.OptimizerConfig(restarts=4, max_evals=1000, seed=10_500 + k)
+            audit = sl.theorem1_audit(rho, config)
+            assert abs(sl.kw_gap(rho, config).gap - audit.delta_e_b) <= 1e-9
+            swapped = sl.permute_subsystems(rho, (0, 2, 1))
+            assert abs(sl.kw_gap(swapped, config).gap - audit.delta_e_c) <= 1e-9
+
+    def test_increments_vanish_on_saturating_states(self):
+        # the zero-gap direction: built saturating states that carry
+        # correlations gain no entanglement or discord under B -> BE, C -> CE
+        rng = np.random.default_rng(909)
+        audited = correlated = 0
+        for k in range(30):
+            rho = sl.build_saturating(sl.random_saturating_spec([2, 2, 2], rng))
+            if sl.purify(rho).d_e > 2:  # outside the audit's envelope
+                continue
+            audit = sl.theorem1_audit(rho, sl.OptimizerConfig(restarts=6, seed=k))
+            audited += 1
+            correlated += max(audit.eof_ab, audit.eof_ac, audit.discord_b, audit.discord_c) > 1e-3
+            assert audit.delta_d_b == audit.discord_b_ext - audit.discord_b
+            assert audit.delta_d_c == audit.discord_c_ext - audit.discord_c
+            for value in (audit.delta_e_b, audit.delta_e_c, audit.delta_d_b, audit.delta_d_c):
+                assert abs(value) <= 1e-9
+            assert abs(audit.line3) <= 1e-9 and abs(audit.line4) <= 1e-9
+        assert audited >= 20 and correlated >= 5
 
     def test_rank_counted_at_the_purification_cutoff(self):
         # a third eigenvalue near 2e-10 gives the purification a third
