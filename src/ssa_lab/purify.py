@@ -30,10 +30,13 @@ class PurificationResult:
 
 
 def purify(rho: DensityMatrix) -> PurificationResult:
-    """Canonical purification of a mixed state."""
+    """Canonical purification of a mixed state; a state with an eigenvalue
+    below -1e-8 is not one and raises ValidationError, as in ``entropy``."""
     if not np.isfinite(rho.data).all():
         raise ValidationError("finiteness: state has NaN or Inf entries")
     w, v = np.linalg.eigh((rho.data + rho.data.conj().T) / 2.0)
+    if w[0] < -1e-8:  # the bound of entropy._spectrum
+        raise ValidationError(f"positivity: smallest eigenvalue {w[0]:.3e} is too negative")
     order = np.argsort(-w, kind="stable")
     keep = order[w[order] > EIG_CLIP]
     lam, vecs = w[keep], v[:, keep]

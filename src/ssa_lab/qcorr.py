@@ -305,36 +305,42 @@ def givens_unitary(dim: int, params: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _chart_maps(m: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """P, (n, m^2), and Q = 2 P^dag, (m^2, n), the constant maps of the
-    exp(iH) chart with n parameters: H = params @ P, flattened, and the
-    parameter gradient is Re(Z @ Q) for the gradient Z over H's entries.
-    n = m^2 puts H's diagonal first, then (re, im) of each pair (i < j) in
-    row order; the basis chart, n = m^2 - m, keeps P's rows after the
-    diagonal, so H's diagonal is zero."""
+def _chart_slots(m: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Where the n parameters of the exp(iH) chart sit in H, as positions in
+    the (re, im) float view of H's m^2 flat entries: each parameter's slot,
+    its mirror slot in the conjugate entry and the sign it takes there.
+
+    m^2 parameters put H's diagonal first (the full chart), then (re, im)
+    of entry (i, j) for each pair (i < j) in row order; the basis chart,
+    n = m^2 - m, has the pairs only and H's diagonal zero.  A diagonal
+    entry is its own mirror, with sign 0.  O(m^2) integers per chart size.
+    """
     i, j = np.triu_indices(m, 1)
-    diag, pairs = np.arange(m), m + 2 * np.arange(i.shape[0])
-    p = np.zeros((m * m, m, m), dtype=complex)
-    p[diag, diag, diag] = 1.0
-    p[pairs, i, j] = p[pairs, j, i] = 1.0
-    p[pairs + 1, i, j], p[pairs + 1, j, i] = 1.0j, -1.0j
-    p = p.reshape(m * m, m * m)[m * m - n :]
-    q = 2.0 * p.conj().T
-    p.setflags(write=False)
-    q.setflags(write=False)
-    return p, q
+    diag = 2 * (m + 1) * np.arange(m)
+    upper, lower = 2 * (i * m + j), 2 * (j * m + i)
+    slot = np.concatenate((diag, np.stack((upper, upper + 1), axis=-1).ravel()))
+    mirror = np.concatenate((diag, np.stack((lower, lower + 1), axis=-1).ravel()))
+    sign = np.concatenate((np.zeros(m), np.tile([1.0, -1.0], i.shape[0])))
+    slots = slot[m * m - n :], mirror[m * m - n :], sign[m * m - n :]
+    for part in slots:
+        part.setflags(write=False)
+    return slots
 
 
 def _exp_chart(m: int, r: int, params: np.ndarray):
     """First r columns of exp(iH) = V e^{iW} V^dag, with W and V, for one
-    parameter vector or a stack of them; H = params @ P of ``_chart_maps``,
-    so m^2 parameters give the full chart and m^2 - m the basis chart.
+    parameter vector or a stack of them, H laid out by ``_chart_slots``:
+    m^2 parameters give the full chart and m^2 - m the basis chart.
 
-    The eigenvectors from eigh are orthonormal to machine precision, so the
-    columns are too and need no re-orthonormalization.
+    The mirrors are written first, so a diagonal slot ends with its
+    parameter.  The eigenvectors from eigh are orthonormal to machine
+    precision, so the columns are too and need no re-orthonormalization.
     """
-    h = params @ _chart_maps(m, params.shape[-1])[0]
-    w, v = np.linalg.eigh(h.reshape(params.shape[:-1] + (m, m)))
+    slot, mirror, sign = _chart_slots(m, params.shape[-1])
+    h = np.zeros(params.shape[:-1] + (2 * m * m,))
+    h[..., mirror] = params * sign
+    h[..., slot] = params
+    w, v = np.linalg.eigh(h.view(complex).reshape(params.shape[:-1] + (m, m)))
     return (v * np.exp(1j * w)[..., None, :]) @ v[..., :r, :].conj().swapaxes(-1, -2), w, v
 
 
@@ -346,10 +352,13 @@ def _exp_gradient(n: int, w: np.ndarray, v: np.ndarray, gamma: np.ndarray) -> np
     f changes by 2 Re sum_ij conj(gamma_ij) dU_ij, and dU = V (F o V^dag dH
     V) V^dag with F_kl the divided differences (e^{i w_k} - e^{i w_l}) /
     (w_k - w_l) of exp(i x) on H's eigenvalues (Daleckii-Krein), which gives
-    the gradient over H's entries as Z = V ((V^dag gamma^dag V) o F) V^dag,
-    taken to the parameters by Q of ``_chart_maps``.
+    the gradient over H's entries as Z = V ((V^dag gamma^dag V) o F) V^dag.
+    A parameter's gradient is 2 (Z at its slot + sign * Z at its mirror),
+    read in Z's (re, im) float view: 2 Re Z_ii on the diagonal, 2 Re(Z_ij +
+    Z_ji) and 2 Im(Z_ij - Z_ji) for a pair.
     """
-    rank = gamma.shape[-1]
+    k, m, rank = gamma.shape
+    slot, mirror, sign = _chart_slots(m, n)
     half = np.exp(0.5j * w)
     divided = (  # outer product first: the order fixes the rounding
         1j * (half[:, :, None] * half[:, None, :])
@@ -357,8 +366,10 @@ def _exp_gradient(n: int, w: np.ndarray, v: np.ndarray, gamma: np.ndarray) -> np
     )
     v_h = v.conj().swapaxes(1, 2)
     z = v @ ((v_h[:, :, :rank] @ (gamma.conj().swapaxes(1, 2) @ v)) * divided) @ v_h
-    grad = (z.reshape(z.shape[0], -1) @ _chart_maps(w.shape[-1], n)[1]).real
-    return grad.copy()  # contiguous: the L-BFGS dot products round by layout
+    z = z.reshape(k, -1).view(float)
+    # take, not z[:, slot]: a fancy-indexed column gather comes back in
+    # Fortran order, and the L-BFGS dot products round by layout
+    return 2.0 * (z.take(slot, axis=1) + z.take(mirror, axis=1) * sign)
 
 
 def _purification_rows(rho: DensityMatrix, leg: int) -> np.ndarray:
@@ -369,18 +380,19 @@ def _purification_rows(rho: DensityMatrix, leg: int) -> np.ndarray:
     return np.moveaxis(psi.amps.reshape(psi.dims), leg, 0).copy()
 
 
+def _leg_entropy(rows: np.ndarray, leg: int) -> float:
+    """S of one leg of the rows of ``_purification_rows``: its spectrum is
+    the squared singular values of the rows across that leg."""
+    flat = np.moveaxis(rows, leg, 0).reshape(rows.shape[leg], -1)
+    return float(entropy_of_spectrum(np.linalg.svd(flat, compute_uv=False) ** 2))
+
+
 def _root_entropies(rows: np.ndarray) -> tuple[float, float, float]:
     """S of the first leg, of the second and of the pair, from the rows
-    (d, a, e) of ``_purification_rows`` with the E leg last: each side's
-    spectrum is the squared singular values of the rows across its leg, and
-    the pair's is the weights of the E leg, the pair's eigenvalues."""
-    d, a = rows.shape[:2]
-    spectra = (
-        np.linalg.svd(rows.reshape(d, -1), compute_uv=False) ** 2,
-        np.linalg.svd(rows.swapaxes(0, 1).reshape(a, -1), compute_uv=False) ** 2,
-        np.einsum("dae,dae->e", rows, rows.conj()).real,
-    )
-    return tuple(float(entropy_of_spectrum(spectrum)) for spectrum in spectra)
+    (d, a, e) of ``_purification_rows`` with the E leg last; the pair's
+    spectrum is the weights of the E leg."""
+    pair = np.einsum("dae,dae->e", rows, rows.conj()).real
+    return _leg_entropy(rows, 0), _leg_entropy(rows, 1), float(entropy_of_spectrum(pair))
 
 
 def _member_entropy(iso: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -516,7 +528,7 @@ def classical_correlation_at(
         )
     rows = _purification_rows(rho_ab, measured)
     bras = basis.vectors.conj().T[None]
-    return _root_entropies(rows)[1] - float(_member_entropy(bras, rows[None])[0][0])
+    return _leg_entropy(rows, 1) - float(_member_entropy(bras, rows[None])[0][0])
 
 
 @dataclass(frozen=True)

@@ -70,6 +70,29 @@ class TestPurify:
         with pytest.raises(ValidationError, match="^finiteness"):
             getattr(sl, name)(sl.DensityMatrix(dims, data))
 
+    @pytest.mark.parametrize(
+        "name, dims, args",
+        [
+            ("purify", (2, 2), ()),
+            ("extend", (2, 2, 2), ()),
+            ("concurrence", (2, 2), ()),
+            ("eof_two_qubit", (2, 2), ()),
+            ("eof_convex_roof", (2, 2), ()),
+            ("discord", (2, 2), (1,)),
+            ("classical_correlation_at", (2, 2), (sl.MeasurementBasis.computational(2), 1)),
+        ],
+        ids=lambda value: value if isinstance(value, str) else "",
+    )
+    def test_non_positive_state(self, name, dims, args):
+        # eigenvalues (0.7, 0.3, -0.05, 0, ...): the kept weights sum to 1,
+        # so a purification that dropped the negative one would pass the
+        # norm check and describe another state
+        spectrum = np.zeros(int(np.prod(dims)))
+        spectrum[:3] = 0.7, 0.3, -0.05
+        rho = sl.DensityMatrix(dims, np.diag(spectrum).astype(complex))
+        with pytest.raises(ValidationError, match="^positivity"):
+            getattr(sl, name)(rho, *args)
+
 
 class TestExtend:
     def test_pure_input(self):

@@ -569,9 +569,16 @@ class TestRootEntropies:
 
 
 def _hermitian(m, params):
-    """H of the exp(iH) chart at one parameter vector or a stack of them."""
-    h = params @ sl.qcorr._chart_maps(m, params.shape[-1])[0]
-    return h.reshape(params.shape[:-1] + (m, m))
+    """H of the full exp(iH) chart at one parameter vector or a stack of
+    them, entry by entry from its layout: the diagonal, then (re, im) of
+    each pair (i < j) in row order."""
+    h = np.zeros(params.shape[:-1] + (m, m), dtype=complex)
+    h[..., range(m), range(m)] = params[..., :m]
+    pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
+    for p, (i, j) in enumerate(pairs):
+        h[..., i, j] = params[..., m + 2 * p] + 1j * params[..., m + 2 * p + 1]
+        h[..., j, i] = h[..., i, j].conj()
+    return h
 
 
 class TestRestartPoints:
@@ -840,6 +847,22 @@ class TestConvexRoof:
     def test_capability_and_config_errors(self):
         with pytest.raises(CapabilityError):
             sl.eof_convex_roof(sl.random_density([3, 6], seed=1))
+
+    @pytest.mark.parametrize("dims", [(2, 4), (3, 3), (4, 4)], ids=["2x4", "3x3", "4x4"])
+    def test_full_rank_chart_memory(self, dims):
+        # a full-rank roof searches m = r^2 members over m^2 parameters
+        # (65536 at r = 16); the chart and its gradient must stay O(m^2)
+        import tracemalloc
+
+        rho = sl.random_density(list(dims), seed=7)
+        tracemalloc.start()
+        try:
+            roof = sl.eof_convex_roof(rho, sl.OptimizerConfig(restarts=1, max_evals=3))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 0.0 <= roof <= math.log2(min(dims)) + 1e-12
+        assert peak <= 64 * 2**20
 
 
 class TestDiscordViaKW:
