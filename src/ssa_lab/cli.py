@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass, replace
 from typing import Sequence
@@ -51,6 +52,10 @@ from .structure import CERTIFY_TOL, build_saturating, certify, load_spec
 from .twoblock import sweep_figure
 
 
+MAX_SAMPLES = 1_000_000
+MAX_STATE_SIDE = 1024  # the product of a campaign's dims
+
+
 @dataclass(frozen=True)
 class CampaignConfig:
     """Settings for one randomized property campaign.  Each sample runs
@@ -65,7 +70,8 @@ class CampaignConfig:
     optimizer: OptimizerConfig = OptimizerConfig()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "samples", _as_int(self.samples, "sample count", 1, ConfigError))
+        samples = _as_int(self.samples, "sample count", 1, ConfigError, MAX_SAMPLES)
+        object.__setattr__(self, "samples", samples)
         object.__setattr__(self, "seed", _as_int(self.seed, "seed", 0, ConfigError))
         object.__setattr__(self, "dims", _as_dims(self.dims))
         if self.rank is not None:
@@ -84,6 +90,9 @@ class CampaignConfig:
                 raise ConfigError(
                     f"check {check!r} needs dims of arity {arities}, got {self.dims}"
                 )
+        side = math.prod(self.dims)
+        if side > MAX_STATE_SIDE:
+            raise CapabilityError(f"state side must be at most {MAX_STATE_SIDE}, got {side}")
 
 
 # --- campaign checks ---------------------------------------------------------

@@ -1,14 +1,15 @@
 """Quantum-correlation measures and the identities tying them to the gap.
 
 Discord and the convex roof minimize one objective, the average
-entanglement of the members of a decomposition (``_member_entropy``),
-built on the canonical purification |psi_ABE> of rho_AB.  The roof's
-members are isometries of its rows along E.  Discord's are <u_i|_B psi
-for a basis {u_i} of the measured side B: a decomposition of rho_AE whose
-average A entropy is S(A) minus the classical correlation (Koashi and
-Winter, PRA 69, 022309 (2004)).  Discord is optimized over rank-1
-projective measurements only; the gap to the POVM optimum is not yet
-reported (ROADMAP item 9).  All quantities are in bits.
+entanglement of the members of a decomposition (``_member_entropy``), on
+rows that ``_legs`` reads from any purification |psi> of the pair AB; two
+purifications differ by an isometry on the purifier, which no quantity
+here sees.  The roof's members are isometries of its rows along the
+purifier.  Discord's are <u_i|_B psi for a basis {u_i} of the measured
+side B, whose average A entropy is S(A) minus the classical correlation
+(Koashi and Winter, PRA 69, 022309 (2004)).  Discord is optimized over
+rank-1 projective measurements only; the gap to the POVM optimum is not
+yet reported (ROADMAP item 9).  All quantities are in bits.
 """
 
 from __future__ import annotations
@@ -21,22 +22,9 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import CapabilityError, ConfigError, DimensionError, ValidationError
-from .entropy import (
-    binary_entropy,
-    conditional_entropy,
-    entropy_of_spectrum,
-    t_gap,
-)
-from .purify import extend, purify
-from .qmat import (
-    EIG_CLIP,
-    DensityMatrix,
-    PureStateVector,
-    _as_array,
-    _as_int,
-    _require_arity,
-    partial_trace,
-)
+from .entropy import binary_entropy, entropy_of_spectrum, t_gap
+from .purify import purify
+from .qmat import EIG_CLIP, DensityMatrix, PureStateVector, _as_array, _as_int, _require_arity
 
 MAX_MEASURED_DIM = 8
 MAX_EOF_DIM = 16
@@ -58,13 +46,10 @@ class OptimizerConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        for name, low in (("restarts", 1), ("max_evals", 1), ("seed", 0)):
-            value = _as_int(getattr(self, name), name, low, ConfigError)
+        bounds = (("restarts", 1, MAX_RESTARTS), ("max_evals", 1, None), ("seed", 0, None))
+        for name, low, high in bounds:
+            value = _as_int(getattr(self, name), name, low, ConfigError, high)
             object.__setattr__(self, name, value)
-        if self.restarts > MAX_RESTARTS:
-            raise ConfigError(
-                f"restarts must be at most {MAX_RESTARTS}, got {self.restarts}"
-            )
 
 
 LBFGS_MEMORY = 10  # curvature pairs kept, the common L-BFGS default
@@ -372,27 +357,35 @@ def _exp_gradient(n: int, w: np.ndarray, v: np.ndarray, gamma: np.ndarray) -> np
     return 2.0 * (z.take(slot, axis=1) + z.take(mirror, axis=1) * sign)
 
 
-def _purification_rows(rho: DensityMatrix, leg: int) -> np.ndarray:
-    """The canonical purification of a bipartite state as a 3-D array over
-    (A, B, E), with leg ``leg`` moved first and the other two kept in
-    order, so row j is a matrix over those two."""
-    psi = purify(rho).psi
-    return np.moveaxis(psi.amps.reshape(psi.dims), leg, 0).copy()
+def _legs(psi: PureStateVector, first: tuple[int, ...], second: tuple[int, ...]) -> np.ndarray:
+    """The amplitudes of ``psi`` as a 3-D array over the legs in ``first``,
+    then those in ``second``, then the rest, each group flattened in leg
+    order: discord's rows (measured, other side, rest), the roof's
+    (``_roof_rows``) and the Wootters root (A, partner, rest)."""
+    rest = tuple(leg for leg in range(len(psi.dims)) if leg not in first + second)
+    shape = [math.prod(psi.dims[leg] for leg in group) for group in (first, second, rest)]
+    return psi.amps.reshape(psi.dims).transpose(first + second + rest).reshape(shape)
 
 
 def _leg_entropy(rows: np.ndarray, leg: int) -> float:
-    """S of one leg of the rows of ``_purification_rows``: its spectrum is
-    the squared singular values of the rows across that leg."""
+    """S of one leg group of the rows of ``_legs``: its spectrum is the
+    squared singular values of the rows across that group."""
     flat = np.moveaxis(rows, leg, 0).reshape(rows.shape[leg], -1)
     return float(entropy_of_spectrum(np.linalg.svd(flat, compute_uv=False) ** 2))
 
 
-def _root_entropies(rows: np.ndarray) -> tuple[float, float, float]:
-    """S of the first leg, of the second and of the pair, from the rows
-    (d, a, e) of ``_purification_rows`` with the E leg last; the pair's
-    spectrum is the weights of the E leg."""
-    pair = np.einsum("dae,dae->e", rows, rows.conj()).real
-    return _leg_entropy(rows, 0), _leg_entropy(rows, 1), float(entropy_of_spectrum(pair))
+def _roof_rows(psi: PureStateVector, purifier: tuple[int, ...]) -> np.ndarray:
+    """The ``_legs`` rows (purifier, A, rest) of the pair (A, rest), cut to
+    its rank when the purifier has more levels: the rows S V^dag of their
+    SVD U S V^dag with S^2 > EIG_CLIP, ``purify``'s rule, so the roof's
+    chart stays m = rank^2.  Rows already at the rank are kept as they are,
+    so a roof on ``purify``'s rows searches its eigen-ensemble bit for bit."""
+    rows = _legs(psi, purifier, (0,))
+    _, s, vh = np.linalg.svd(rows.reshape(len(rows), -1), full_matrices=False)
+    rank = int(np.count_nonzero(s * s > EIG_CLIP))
+    if rank == len(rows):
+        return rows
+    return (s[:rank, None] * vh[:rank]).reshape((rank,) + rows.shape[1:])
 
 
 def _member_entropy(iso: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -401,8 +394,8 @@ def _member_entropy(iso: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.n
     rows R_j per stacked point, (k, r, a, t), as (k,), and gamma =
     d/d(conj iso), (k, m, r).
 
-    Each block is the rows of ``_purification_rows`` of the search the
-    point belongs to; t is the leg traced out of each member.  E(m_i) = p_i
+    Each block is the ``_legs`` rows of the search the point belongs to;
+    t is the leg group traced out of each member.  E(m_i) = p_i
     S(rho_i / p_i), with rho_i = m_i m_i^dag the marginal on the rows'
     first factor and p_i = tr rho_i.  With G_i = -log2(rho_i / p_i) the
     value changes by sum_i tr(G_i drho_i) (the terms from dp_i cancel), so
@@ -516,6 +509,18 @@ def _measured_side(rho_ab: DensityMatrix, measured: int, op: str) -> int:
     return measured
 
 
+def _require_measurable(d: int) -> None:
+    if d > MAX_MEASURED_DIM:
+        raise CapabilityError(
+            f"measured dimension {d} exceeds the supported maximum {MAX_MEASURED_DIM}"
+        )
+
+
+def _require_pure(psi: PureStateVector, op: str) -> None:
+    if not isinstance(psi, PureStateVector):
+        raise ValidationError(f"{op} needs a PureStateVector, got {type(psi).__name__}")
+
+
 def classical_correlation_at(
     rho_ab: DensityMatrix, basis: MeasurementBasis, measured: int
 ) -> float:
@@ -526,7 +531,7 @@ def classical_correlation_at(
             f"basis dimension {basis.dim} does not match measured subsystem "
             f"dimension {rho_ab.dims[measured]}"
         )
-    rows = _purification_rows(rho_ab, measured)
+    rows = _legs(purify(rho_ab).psi, (measured,), (1 - measured,))
     bras = basis.vectors.conj().T[None]
     return _leg_entropy(rows, 1) - float(_member_entropy(bras, rows[None])[0][0])
 
@@ -543,13 +548,14 @@ class DiscordResult:
 
 def _discord_search(blocks: np.ndarray, config: OptimizerConfig) -> list[DiscordResult]:
     """The discords of S measured sides of one dimension d, with the (S, d,
-    a, e) ``blocks`` of purification rows along them, their searches in one
-    lockstep.
+    a, t) ``blocks`` of ``_legs`` rows (measured side, other side, rest),
+    their searches in one lockstep.
 
     A one-dimensional side has one basis and no search.  On a qubit side
     one call scores the grid of every side, and each side's runs start
     from its grid's local minima; on larger sides every search starts from
-    the same ``_restart_points``.
+    the same ``_restart_points``.  S(measured), S(other) and S(pair) =
+    S(rest) are the leg entropies of the same rows.
     """
     count, d = blocks.shape[:2]
     n = n_basis_params(d)
@@ -568,29 +574,13 @@ def _discord_search(blocks: np.ndarray, config: OptimizerConfig) -> list[Discord
         found = _multistart_minimize(_basis_objective(blocks), starts, config)
     results = []
     for rows, runs, (value, x, converged, nfev) in zip(blocks, starts, found):
-        s_measured, s_other, s_pair = _root_entropies(rows)
+        s_measured, s_other, s_pair = (_leg_entropy(rows, leg) for leg in range(3))
         mi, j_best = s_measured + s_other - s_pair, s_other - value
         basis = MeasurementBasis(_exp_chart(d, d, x)[0])
         results.append(
             DiscordResult(mi - j_best, j_best, basis, len(runs), converged, grid_evals + nfev)
         )
     return results
-
-
-def _discords(states, config: OptimizerConfig) -> list[DiscordResult]:
-    """``discord`` of each (rho_ab, measured) pair of ``states``; searches
-    whose rows have one shape (measured side, other side and rank) run in
-    one lockstep (``_by_shape``)."""
-    blocks = []
-    for rho_ab, measured in states:
-        measured = _measured_side(rho_ab, measured, "discord")
-        d = rho_ab.dims[measured]
-        if d > MAX_MEASURED_DIM:
-            raise CapabilityError(
-                f"measured dimension {d} exceeds the supported maximum {MAX_MEASURED_DIM}"
-            )
-        blocks.append(_purification_rows(rho_ab, measured))
-    return _by_shape(blocks, _discord_search, config)
 
 
 def discord(
@@ -600,18 +590,15 @@ def discord(
 ) -> DiscordResult:
     """Mutual information minus the best projective classical correlation.
 
-    Basis U leaves the members U^dag @ rows, from the purification's rows
-    along the measured side, scored by the convex roof's objective
-    (``_basis_objective``).  Maximization runs a multi-start L-BFGS search
-    with the analytic gradient over the roof's chart U = exp(iH), here
-    with H zero on the diagonal (the basis chart of ``_exp_chart``).
-    Results merge by best value with ties going to the earlier run.
-    ``nfev`` counts objective evaluations over all runs (0 when the
-    measured side is one-dimensional).  The mutual information and the
-    unmeasured side's entropy are read from the same rows
-    (``_root_entropies``), so rho_AB is decomposed once.  This is the
-    one-search case of ``_discords``, which audits and conservation checks
-    call with several.
+    Basis U leaves the members U^dag @ rows, from the rows of rho_AB's
+    purification along the measured side (``_legs``), scored by the convex
+    roof's objective (``_basis_objective``).  Maximization runs a
+    multi-start L-BFGS search with the analytic gradient over the roof's
+    chart U = exp(iH), here with H zero on the diagonal (the basis chart of
+    ``_exp_chart``).  Results merge by best value with ties going to the
+    earlier run.  ``nfev`` counts objective evaluations over all runs (0
+    when the measured side is one-dimensional).  The mutual information is
+    read from the singular values of the same rows.
 
     On a measured side of dimension 3 or more, ``config.restarts`` runs
     start, run 0 from the computational basis and the rest from seeded
@@ -626,40 +613,52 @@ def discord(
     points plus every run's evaluations; ``config.max_evals`` caps each
     run, not the grid; and ``config.seed`` is unused.
     """
-    return _discords([(rho_ab, measured)], config)[0]
+    measured = _measured_side(rho_ab, measured, "discord")
+    _require_measurable(rho_ab.dims[measured])
+    rows = _legs(purify(rho_ab).psi, (measured,), (1 - measured,))
+    return _discord_search(rows[None], config)[0]
 
 
 _SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 _SY_SY = np.kron(_SIGMA_Y, _SIGMA_Y)
 
 
-def concurrence(rho_ab: DensityMatrix) -> float:
-    """Two-qubit concurrence from the singular values of X^T (sy x sy) X.
-
-    X is the root rho = X X^dag of the canonical purification.  The singular
-    values are the square roots of the eigenvalues of rho (sy x sy) rho*
-    (sy x sy) (Wootters, PRL 80, 2245 (1998)), found without forming that
-    non-Hermitian product, whose eigenvalue roots lose half the digits.
-    """
-    if rho_ab.dims != (2, 2):
-        raise DimensionError(f"concurrence needs dims (2, 2), got {rho_ab.dims}")
-    root = purify(rho_ab).psi.amps.reshape(4, -1)
+def _concurrence(psi: PureStateVector, partner: tuple[int, ...]) -> float:
+    """Concurrence of the two-qubit pair (A, partner) of a purification,
+    from its root X = (A partner, rest) of ``_legs``."""
+    root = _legs(psi, (0,), partner).reshape(4, -1)
     lam = np.linalg.svd(root.T @ _SY_SY @ root, compute_uv=False)
     return float(max(0.0, lam[0] - lam[1:].sum()))
 
 
+def _wootters_eof(c: float) -> float:
+    return binary_entropy((1.0 + math.sqrt(max(0.0, 1.0 - c * c))) / 2.0)
+
+
+def concurrence(rho_ab: DensityMatrix) -> float:
+    """Two-qubit concurrence from the singular values of X^T (sy x sy) X.
+
+    X is a root rho = X X^dag, here the canonical purification's; any two
+    differ by an isometry on the right, which keeps the nonzero singular
+    values.  They are the square roots of the eigenvalues of rho (sy x sy)
+    rho* (sy x sy) (Wootters, PRL 80, 2245 (1998)), found without forming
+    that non-Hermitian product, whose eigenvalue roots lose half the digits.
+    """
+    if rho_ab.dims != (2, 2):
+        raise DimensionError(f"concurrence needs dims (2, 2), got {rho_ab.dims}")
+    return _concurrence(purify(rho_ab).psi, (1,))
+
+
 def eof_two_qubit(rho_ab: DensityMatrix) -> float:
     """Closed-form entanglement of formation of a two-qubit state."""
-    c = concurrence(rho_ab)
-    return binary_entropy((1.0 + math.sqrt(max(0.0, 1.0 - c * c))) / 2.0)
+    return _wootters_eof(concurrence(rho_ab))
 
 
 def _roof_objective(blocks: np.ndarray, m: int):
     """Average entanglement of the m-member decomposition exp(iH)[:, :r]
-    applied to the r factors (r, d_a, t) of each of the (S, r, d_a, t)
-    ``blocks``, the purification's rows along E, as (values, gradients) of
-    a (k, m^2) stack over the chart of H whose row i belongs to search
-    owner[i]."""
+    applied to the r rows (r, d_a, t) of each of the (S, r, d_a, t)
+    ``blocks`` of ``_roof_rows``, as (values, gradients) of a (k, m^2)
+    stack over the chart of H whose row i belongs to search owner[i]."""
     rank = blocks.shape[1]
 
     def objective(x: np.ndarray, owner: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -672,7 +671,7 @@ def _roof_objective(blocks: np.ndarray, m: int):
 
 def _roof_search(blocks: np.ndarray, config: OptimizerConfig) -> list[float]:
     """The convex roofs of S states of one rank r, with the (S, r, d_a, t)
-    ``blocks`` of their factors, in one lockstep from the same
+    ``blocks`` of their ``_roof_rows``, in one lockstep from the same
     ``_restart_points``; a pure state (r = 1) is its own only
     decomposition."""
     count, rank = blocks.shape[:2]
@@ -683,22 +682,6 @@ def _roof_search(blocks: np.ndarray, config: OptimizerConfig) -> list[float]:
     return [best[0] for best in _multistart_minimize(_roof_objective(blocks, m), starts, config)]
 
 
-def _roofs(states, config: OptimizerConfig) -> list[float]:
-    """``eof_convex_roof`` of each state of ``states``; searches whose
-    factors have one shape (rank, d_a and d_b) run in one lockstep
-    (``_by_shape``)."""
-    blocks = []
-    for rho_ab in states:
-        _require_arity(rho_ab.dims, 2, "eof_convex_roof")
-        d_a, d_b = rho_ab.dims
-        if d_a * d_b > MAX_EOF_DIM:
-            raise CapabilityError(
-                f"total dimension {d_a * d_b} exceeds the supported maximum {MAX_EOF_DIM}"
-            )
-        blocks.append(_purification_rows(rho_ab, 2))  # factor j = sqrt(l_j) |v_j> on (A, B)
-    return _by_shape(blocks, _roof_search, config)
-
-
 def eof_convex_roof(
     rho_ab: DensityMatrix, config: OptimizerConfig = OptimizerConfig()
 ) -> float:
@@ -707,36 +690,44 @@ def eof_convex_roof(
     Minimizes sum_i p_i E(psi_i) over pure-state decompositions of m = r^2
     members for a rank-r state, enough to reach the roof (Uhlmann, Open
     Syst. Inf. Dyn. 5, 209 (1998)).  Every such decomposition arises from
-    an m x r isometry acting on the canonical eigen-ensemble, so the
+    an m x r isometry acting on the r rows of a purification along its
+    purifier (``_roof_rows``, here the canonical eigen-ensemble), so the
     isometry is the search variable, charted as the leading columns of
     exp(iH) and searched by multi-start L-BFGS with the analytic gradient.
     The value is exact only at optimizer convergence and is documented as
-    an upper bound.  This is the one-search case of ``_roofs``, which
-    audits call with several.
+    an upper bound.  This is the one-search case of ``_roof_search``,
+    which audits run with several.
     """
-    return _roofs([rho_ab], config)[0]
+    _require_arity(rho_ab.dims, 2, "eof_convex_roof")
+    d_a, d_b = rho_ab.dims
+    if d_a * d_b > MAX_EOF_DIM:
+        raise CapabilityError(
+            f"total dimension {d_a * d_b} exceeds the supported maximum {MAX_EOF_DIM}"
+        )
+    return _roof_search(_roof_rows(purify(rho_ab).psi, (2,))[None], config)[0]
 
 
 def discord_via_kw(psi: PureStateVector, measured: int) -> float:
     """Discord of one bipartition of a pure tripartite state, no optimization.
 
     For a pure global state the monogamy relation is saturated, so the
-    discord toward the measured side equals the complement pair's
-    entanglement of formation minus the conditional entropy.  The
-    complement pair must be two-qubit so the closed form applies.
+    discord toward the measured side X equals the complement pair's (A, Y)
+    entanglement of formation minus S(A|X) = S(Y) - S(X).  The complement
+    pair must be two-qubit so the closed form applies.  Every term is read
+    from ``psi`` itself, which is not purified again.
     """
+    _require_pure(psi, "discord_via_kw")
     _require_arity(psi.dims, 3, "discord_via_kw")
     measured = _as_int(measured, "measured", 1)
     if measured > 2:
         raise DimensionError(f"measured must be subsystem 1 or 2, got {measured}")
     complement = 3 - measured
-    rho_ax = partial_trace(psi, {0, measured})
-    rho_ay = partial_trace(psi, {0, complement})
-    if rho_ay.dims != (2, 2):
-        raise CapabilityError(
-            f"complement pair has dims {rho_ay.dims}; the closed form needs (2, 2)"
-        )
-    return eof_two_qubit(rho_ay) - conditional_entropy(rho_ax, 1)
+    pair = (psi.dims[0], psi.dims[complement])
+    if pair != (2, 2):
+        raise CapabilityError(f"complement pair has dims {pair}; the closed form needs (2, 2)")
+    rows = _legs(psi, (measured,), (0,))  # (X, A, Y)
+    eof = _wootters_eof(_concurrence(psi, (complement,)))
+    return eof - (_leg_entropy(rows, 2) - _leg_entropy(rows, 0))
 
 
 @dataclass(frozen=True)
@@ -753,23 +744,24 @@ class KWReport:
 def kw_gap(
     rho_abc: DensityMatrix, config: OptimizerConfig = OptimizerConfig()
 ) -> KWReport:
-    """Evaluate the monogamy inequality on a tripartite state."""
+    """Evaluate the monogamy inequality on a tripartite state.
+
+    rho_ABC is purified once, to |psi_ABCE>.  E(AB) is Wootters' on the
+    root (AB, CE); the C-measured discord of AC runs on the rows (C, A,
+    BE), and S(A|C) = S(AC) - S(C) is read from their singular values.
+    """
     _require_arity(rho_abc.dims, 3, "kw_gap")
     if rho_abc.dims[:2] != (2, 2):
         raise CapabilityError(
             f"kw_gap needs two-dimensional A and B (exact closed-form EOF), got {rho_abc.dims}"
         )
-    rho_ab = partial_trace(rho_abc, {0, 1})
-    rho_ac = partial_trace(rho_abc, {0, 2})
-    eof_ab = eof_two_qubit(rho_ab)
-    d_ac = discord(rho_ac, measured=1, config=config).discord
-    ce_ac = conditional_entropy(rho_ac, 1)
-    return KWReport(
-        eof_ab=eof_ab,
-        discord_ac=d_ac,
-        cond_entropy_ac=ce_ac,
-        gap=d_ac + ce_ac - eof_ab,
-    )
+    _require_measurable(rho_abc.dims[2])
+    psi = purify(rho_abc).psi
+    eof_ab = _wootters_eof(_concurrence(psi, (1,)))
+    rows = _legs(psi, (2,), (0,))
+    d_ac = _discord_search(rows[None], config)[0].discord
+    ce_ac = _leg_entropy(rows, 2) - _leg_entropy(rows, 0)
+    return KWReport(eof_ab, d_ac, ce_ac, d_ac + ce_ac - eof_ab)
 
 
 @dataclass(frozen=True)
@@ -797,6 +789,11 @@ class TheoremOneAudit:
     delta_d_c: float
 
 
+# The audit's pairs (A, side) as (side, purifier) leg groups of |psi_ABCE>:
+# AB, AC, A|BE and A|CE; inside BE and CE the E leg is the faster one.
+_AUDIT_PAIRS = (((1,), (2, 3)), ((2,), (1, 3)), ((1, 3), (2,)), ((2, 3), (1,)))
+
+
 def theorem1_audit(
     rho_abc: DensityMatrix, config: OptimizerConfig = OptimizerConfig()
 ) -> TheoremOneAudit:
@@ -811,11 +808,14 @@ def theorem1_audit(
     ``delta_e_c``, ``delta_d_b`` = D(A:BE) - D(A:B) and ``delta_d_c`` with
     their own tolerance.
 
-    The searches run in one lockstep per chart (``_discords``, ``_roofs``):
-    at most three on a rank-2 state, the qubit discords of AB and AC, the
-    d = 4 discords of A|BE and A|CE, and the two roofs when their ranks
-    match.  Each value is the one ``discord`` or ``eof_convex_roof`` gives
-    alone.
+    All eight quantities are read from one purification |psi_ABCE> of
+    rho_ABC, as in the paper.  A pair (A, X) with d_A d_X = 4 takes
+    Wootters' closed form on its root, and every other pair a roof on its
+    rows along the purifier (``_roof_rows``); each discord runs on the rows
+    (X, A, purifier).  The searches run in one lockstep per chart
+    (``_by_shape``): at most three on a rank-2 state, the two roofs when
+    their ranks match, the qubit discords of AB and AC, and the d = 4
+    discords of A|BE and A|CE.
     """
     _require_arity(rho_abc.dims, 3, "theorem1_audit")
     d_a, d_b, d_c = rho_abc.dims
@@ -823,62 +823,43 @@ def theorem1_audit(
         raise CapabilityError(
             f"theorem1_audit envelope is d_A = 2, d_B, d_C <= 2; got {rho_abc.dims}"
         )
-    ext = extend(rho_abc)
-    rank = ext.rho_a_btilde.dims[1] // d_b  # BE has d_B * d_E levels
+    psi = purify(rho_abc).psi
+    rank = psi.dims[3]
     if rank > 2:
         raise CapabilityError(
             f"theorem1_audit envelope is rank <= 2, got numerical rank {rank}"
         )
-    pairs = (
-        partial_trace(rho_abc, {0, 1}),
-        partial_trace(rho_abc, {0, 2}),
-        ext.rho_a_btilde,
-        ext.rho_a_ctilde,
+    exact = [d_a * math.prod(psi.dims[leg] for leg in side) == 4 for side, _ in _AUDIT_PAIRS]
+    roof_blocks = [_roof_rows(psi, p) for (_, p), e in zip(_AUDIT_PAIRS, exact) if not e]
+    roofs = iter(_by_shape(roof_blocks, _roof_search, config))
+    eofs = [
+        _wootters_eof(_concurrence(psi, side)) if e else next(roofs)
+        for (side, _), e in zip(_AUDIT_PAIRS, exact)
+    ]
+    blocks = [_legs(psi, side, (0,)) for side, _ in _AUDIT_PAIRS]
+    discords = [result.discord for result in _by_shape(blocks, _discord_search, config)]
+    (e_ab, e_ac, e_abx, e_acx), (d_b, d_c, d_bx, d_cx) = eofs, discords
+    lines = (
+        (e_abx - e_ab) + (d_cx - d_c),
+        (e_acx - e_ac) + (d_bx - d_b),
+        (e_abx + e_acx) - (d_b + d_c),
+        (d_bx + d_cx) - (e_ab + e_ac),
     )
-    roofs = iter(_roofs([rho for rho in pairs if rho.dims != (2, 2)], config))
-    eof_ab, eof_ac, eof_ab_ext, eof_ac_ext = (
-        eof_two_qubit(rho) if rho.dims == (2, 2) else next(roofs) for rho in pairs
-    )
-    discord_b, discord_c, discord_b_ext, discord_c_ext = (
-        result.discord for result in _discords([(rho, 1) for rho in pairs], config)
-    )
-    t_a = t_gap(rho_abc).t_a
-    line1 = (eof_ab_ext - eof_ab) + (discord_c_ext - discord_c)
-    line2 = (eof_ac_ext - eof_ac) + (discord_b_ext - discord_b)
-    line3 = (eof_ab_ext + eof_ac_ext) - (discord_b + discord_c)
-    line4 = (discord_b_ext + discord_c_ext) - (eof_ab + eof_ac)
-    return TheoremOneAudit(
-        t_a=t_a,
-        eof_ab=eof_ab,
-        eof_ac=eof_ac,
-        eof_ab_ext=eof_ab_ext,
-        eof_ac_ext=eof_ac_ext,
-        discord_b=discord_b,
-        discord_c=discord_c,
-        discord_b_ext=discord_b_ext,
-        discord_c_ext=discord_c_ext,
-        line1=line1,
-        line2=line2,
-        line3=line3,
-        line4=line4,
-        delta_e_b=eof_ab_ext - eof_ab,
-        delta_e_c=eof_ac_ext - eof_ac,
-        delta_d_b=discord_b_ext - discord_b,
-        delta_d_c=discord_c_ext - discord_c,
-    )
+    increments = (e_abx - e_ab, e_acx - e_ac, d_bx - d_b, d_cx - d_c)
+    return TheoremOneAudit(t_gap(rho_abc).t_a, *eofs, *discords, *lines, *increments)
 
 
 def conservation_check(
     psi: PureStateVector, config: OptimizerConfig = OptimizerConfig()
 ) -> tuple[float, float]:
     """Both sides of the correlation conservation law for a pure 3-qubit state:
-    E(AB) + E(AC) on the left, D^(B)(AB) + D^(C)(AC) on the right.  Both
-    discords are qubit-side searches and run in one lockstep
-    (``_discords``)."""
+    E(AB) + E(AC) on the left, D^(B)(AB) + D^(C)(AC) on the right.  Every
+    term is read from ``psi`` itself, which is not purified again: each
+    EOF from its root, each discord from the rows (measured, A, rest).  Both
+    discords are qubit-side searches and run in one lockstep (``_by_shape``)."""
+    _require_pure(psi, "conservation_check")
     if psi.dims != (2, 2, 2):
         raise CapabilityError(f"conservation_check needs three qubits, got {psi.dims}")
-    rho_ab = partial_trace(psi, {0, 1})
-    rho_ac = partial_trace(psi, {0, 2})
-    lhs = eof_two_qubit(rho_ab) + eof_two_qubit(rho_ac)
-    d_b, d_c = _discords([(rho_ab, 1), (rho_ac, 1)], config)
+    lhs = sum(_wootters_eof(_concurrence(psi, (side,))) for side in (1, 2))
+    d_b, d_c = _by_shape([_legs(psi, (side,), (0,)) for side in (1, 2)], _discord_search, config)
     return lhs, d_b.discord + d_c.discord

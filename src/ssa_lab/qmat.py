@@ -39,14 +39,19 @@ NORM_TOL = 1e-10
 EIG_CLIP = 1e-12
 
 
-def _as_int(value: object, what: str, low: int, error: type = DimensionError) -> int:
-    """``value`` as a Python int >= ``low``; anything else raises ``error``."""
+def _as_int(
+    value: object, what: str, low: int, error: type = DimensionError, high: int | None = None
+) -> int:
+    """``value`` as a Python int in [low, high] (no upper bound when
+    ``high`` is None); anything else raises ``error``."""
     if type(value) is not bool:
         try:
             number = operator.index(value)
         except TypeError:
             pass
         else:
+            if high is not None and number > high:
+                raise error(f"{what} must be at most {high}, got {number}")
             if number >= low:
                 return number
     raise error(f"{what} must be an integer >= {low}, got {value!r}")

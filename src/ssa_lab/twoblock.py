@@ -27,6 +27,7 @@ from .entropy import entropy_of_spectrum, gap_entropies
 from .qmat import DensityMatrix, _as_array, _as_int
 
 SWEEPABLE = ("beta2", "lambda1", "b")
+MAX_SWEEP_STEPS = 1024
 
 
 @dataclass(frozen=True)
@@ -167,8 +168,8 @@ def gap_closed_form(params: TwoBlockParams) -> float:
 
 @dataclass(frozen=True)
 class SweepAxis:
-    """One swept parameter, at ``steps`` evenly spaced values over [0, 1]
-    (every SWEEPABLE parameter lives in [0, 1])."""
+    """One swept parameter, at ``steps`` <= MAX_SWEEP_STEPS evenly spaced
+    values over [0, 1] (every SWEEPABLE parameter lives in [0, 1])."""
 
     name: str
     steps: int = 64
@@ -178,7 +179,8 @@ class SweepAxis:
             raise ConfigError(
                 f"unknown sweep parameter {self.name!r}; choose from {SWEEPABLE}"
             )
-        object.__setattr__(self, "steps", _as_int(self.steps, "sweep steps", 2, ConfigError))
+        steps = _as_int(self.steps, "sweep steps", 2, ConfigError, MAX_SWEEP_STEPS)
+        object.__setattr__(self, "steps", steps)
 
     def values(self) -> np.ndarray:
         return np.linspace(0.0, 1.0, self.steps)

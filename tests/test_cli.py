@@ -1,4 +1,5 @@
 import json
+import math
 import re
 import subprocess
 import sys
@@ -8,8 +9,9 @@ import numpy as np
 import pytest
 
 import ssa_lab as sl
-from ssa_lab.cli import CampaignConfig
-from ssa_lab.errors import ConfigError
+from ssa_lab.cli import MAX_SAMPLES, MAX_STATE_SIDE, CampaignConfig, main
+from ssa_lab.errors import CapabilityError, ConfigError
+from ssa_lab.twoblock import MAX_SWEEP_STEPS, SweepAxis
 
 from conftest import bell_phi_plus
 
@@ -393,6 +395,50 @@ class TestExitCodes:
         assert res.stdout == ""
         assert res.stderr.startswith("error:")
         assert "Traceback" not in res.stderr
+
+    @pytest.mark.parametrize(
+        "argv, code, bound",
+        [
+            (("sweep", "--figure", "a", "--steps", str(10**20)), 1, "at most 1024"),
+            (
+                ("campaign", "--checks", "ssa", "--n", str(10**20), "--dims", "2,2,2"),
+                1,
+                "at most 1000000",
+            ),
+            (
+                ("campaign", "--checks", "ssa", "--n", "2", "--dims", f"{10**20},2,2"),
+                2,
+                "at most 1024",
+            ),
+        ],
+        ids=["sweep-steps", "campaign-samples", "campaign-side"],
+    )
+    def test_huge_integers_refused_without_traceback(self, capsys, argv, code, bound):
+        # each is refused by its config before anything is allocated
+        args = argv if argv[0] == "sweep" else argv + ("--seed", "1")
+        assert main(list(args)) == code
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert "Traceback" not in out.err
+        assert bound in out.err
+
+    def test_input_bounds_admit_their_callers(self):
+        assert SweepAxis("beta2", steps=MAX_SWEEP_STEPS).steps == 1024
+        config = CampaignConfig(
+            samples=MAX_SAMPLES, dims=(2, 512), rank=None, seed=1, tolerance=1e-9, checks=("sa",)
+        )
+        assert (config.samples, math.prod(config.dims)) == (MAX_SAMPLES, MAX_STATE_SIDE)
+        with pytest.raises(ConfigError, match="at most 1024"):
+            SweepAxis("beta2", steps=MAX_SWEEP_STEPS + 1)
+        with pytest.raises(ConfigError, match="at most 1000000"):
+            CampaignConfig(
+                samples=MAX_SAMPLES + 1, dims=(2, 2), rank=None, seed=1, tolerance=1e-9,
+                checks=("sa",),
+            )
+        with pytest.raises(CapabilityError, match="at most 1024, got 1026"):
+            CampaignConfig(
+                samples=2, dims=(2, 513), rank=None, seed=1, tolerance=1e-9, checks=("sa",)
+            )
 
     def test_negative_seed_rejected_at_construction(self):
         with pytest.raises(ConfigError, match="seed"):

@@ -183,6 +183,26 @@ class TestExtend:
         assert abs(sl.von_neumann_entropy(ext.rho_a_btilde) - s_c) <= 1e-9
         assert abs(sl.von_neumann_entropy(ext.rho_a_ctilde) - s_b) <= 1e-9
 
+    @settings(max_examples=30, derandomize=True, database=None, deadline=None)
+    @given(
+        dims=st.sampled_from([(2, 2, 2), (2, 3, 2), (3, 2, 2)]),
+        rank=st.sampled_from([None, 2, 3]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_gap_is_conditional_mutual_information_with_the_purifier(self, dims, rank, seed):
+        # T^(a) = I(A:E|B) = I(A:E|C) on |psi_ABCE>: the identity behind
+        # B -> BE, with S(BE) = S(AC) and S(ABE) = S(C) on the pure state
+        rho = sl.random_density(list(dims), rank=rank, seed=seed)
+        psi = sl.purify(rho).psi
+
+        def s(*legs):
+            return sl.von_neumann_entropy(sl.partial_trace(psi, set(legs)))
+
+        t_a = sl.t_gap(rho).t_a
+        for x in (1, 2):
+            i_ae_x = s(0, x) + s(x, 3) - s(x) - s(0, x, 3)
+            assert abs(i_ae_x - t_a) <= 1e-12
+
     def test_gap_recomputed_from_purification(self):
         # the gap evaluated from reductions of the purification agrees with
         # the gap evaluated on the original state

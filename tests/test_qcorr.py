@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -8,14 +9,14 @@ import ssa_lab as sl
 from ssa_lab.errors import CapabilityError, ConfigError, DimensionError, ValidationError
 from ssa_lab.qcorr import (
     _basis_objective,
-    _discords,
+    _by_shape,
     _lbfgs,
+    _leg_entropy,
+    _legs,
     _multistart_minimize,
-    _purification_rows,
     _restart_points,
     _roof_objective,
-    _roofs,
-    _root_entropies,
+    _roof_rows,
 )
 
 from conftest import bell_phi_plus, ghz_state, grid_discord_two_qubit, tensor_pure, w_state
@@ -34,6 +35,12 @@ def _rows(point_objective):
 def _one(objective):
     """A stacked objective of one search, called on points alone."""
     return lambda x: objective(x, np.zeros(len(x), dtype=int))
+
+
+def _measured_rows(rho, measured):
+    """The rows ``discord`` searches: rho's purification along the
+    measured side, then the other side, then the purifier."""
+    return _legs(sl.purify(rho).psi, (measured,), (1 - measured,))
 
 
 class TestClassicalCorrelation:
@@ -244,8 +251,8 @@ N_GRID = 1 + sl.qcorr.GRID_THETA * sl.qcorr.GRID_PHI  # the origin and the cells
 def _qubit_search(rho, measured):
     """S of the unmeasured side, read from the purification's rows as
     ``discord`` reads it, and the stacked objective over the qubit chart."""
-    rows = _purification_rows(rho, measured)
-    return _root_entropies(rows)[1], _basis_objective(rows[None])
+    rows = _measured_rows(rho, measured)
+    return _leg_entropy(rows, 1), _basis_objective(rows[None])
 
 
 def _random_restart_discord(rho, measured, config):
@@ -464,7 +471,7 @@ def _serial_minimize(objective, n, config):
 
 def _discord_search(dims, seed):
     rho = sl.random_density(list(dims), seed=seed)
-    objective = _basis_objective(_purification_rows(rho, 1)[None])
+    objective = _basis_objective(_measured_rows(rho, 1)[None])
     return objective, sl.qcorr.n_basis_params(dims[1])
 
 
@@ -505,7 +512,9 @@ class TestLockstep:
             for k, (dims, rank, measured) in enumerate(cases)
         ]
         config = sl.OptimizerConfig(restarts=4, max_evals=400, seed=4)
-        for (rho, measured), together in zip(states, _discords(states, config)):
+        blocks = [_measured_rows(rho, measured) for rho, measured in states]
+        together_all = _by_shape(blocks, sl.qcorr._discord_search, config)
+        for (rho, measured), together in zip(states, together_all):
             alone = sl.discord(rho, measured, config)
             assert together.discord == alone.discord
             assert together.classical_correlation == alone.classical_correlation
@@ -520,7 +529,9 @@ class TestLockstep:
             for k, (dims, rank) in enumerate(cases + [((2, 3), 3)])
         ]
         config = sl.OptimizerConfig(restarts=3, max_evals=300, seed=5)
-        assert _roofs(states, config) == [sl.eof_convex_roof(rho, config) for rho in states]
+        blocks = [_roof_rows(sl.purify(rho).psi, (2,)) for rho in states]
+        together = _by_shape(blocks, sl.qcorr._roof_search, config)
+        assert together == [sl.eof_convex_roof(rho, config) for rho in states]
 
     def test_audit_and_conservation_make_one_lockstep_per_group(self, monkeypatch):
         # the audit's roofs, qubit discords and d = 4 discords are three
@@ -549,6 +560,103 @@ class TestLockstep:
         assert [k for k in rows if k >= N_GRID] == [2 * N_GRID]
 
 
+def _count_calls(monkeypatch, *functions):
+    """Rebind each function in every ssa_lab module that binds it to a
+    wrapper that counts its calls; returns the counts by name."""
+    counts = {fn.__name__: 0 for fn in functions}
+    modules = [m for n, m in sys.modules.items() if n == "ssa_lab" or n.startswith("ssa_lab.")]
+    for fn in functions:
+
+        def counting(*args, _fn=fn, **kwargs):
+            counts[_fn.__name__] += 1
+            return _fn(*args, **kwargs)
+
+        for module in modules:
+            for attr, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, attr, counting)
+    return counts
+
+
+class TestOneRoot:
+    def test_one_purification_per_call(self, monkeypatch):
+        # every quantity of a call is read from one purification; a pure
+        # input is its own, and nothing is reduced to a density matrix
+        counts = _count_calls(monkeypatch, sl.purify, sl.partial_trace)
+        config = sl.OptimizerConfig(restarts=2, max_evals=40, seed=1)
+        rho = sl.random_density([2, 2, 2], rank=2, seed=10_000)
+        psi = sl.random_pure([2, 2, 2], seed=8000)
+        calls = [
+            (lambda: sl.theorem1_audit(rho, config), 1),
+            (lambda: sl.kw_gap(rho, config), 1),
+            (lambda: sl.conservation_check(psi, config), 0),
+            (lambda: sl.discord_via_kw(psi, 1), 0),
+        ]
+        for call, purifications in calls:
+            call()
+            assert counts == {"purify": purifications, "partial_trace": 0}
+            counts.update(purify=0, partial_trace=0)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda rho: sl.conservation_check(rho, sl.OptimizerConfig(restarts=4, seed=1)),
+            lambda rho: sl.discord_via_kw(rho, 1),
+        ],
+        ids=["conservation_check", "discord_via_kw"],
+    )
+    def test_pure_state_functions_reject_a_mixed_state(self, call):
+        with pytest.raises(ValidationError, match="PureStateVector"):
+            call(sl.random_density([2, 2, 2], seed=3))
+
+    def test_purifier_larger_than_the_rank_is_compressed(self):
+        # rho_AB (x) |c><c|: the purifier C of A|BE has two levels, but
+        # rho_{A,BE} has the rank of rho_C, 1, so its roof rows are cut to
+        # one, the pure (A, BE) member, whose roof is S(A); with d_B = 1 the
+        # purifier CE of AB has four levels for a rank-2 pair
+        config = sl.OptimizerConfig(restarts=4, seed=3)
+        for seed in range(3):
+            rho_ab = sl.random_density([2, 2], rank=2, seed=60 + seed)
+            rho = sl.tensor_density(rho_ab, sl.random_pure([2], seed=seed).to_density())
+            psi = sl.purify(rho).psi
+            assert _legs(psi, (2,), (0,)).shape == (2, 2, 4)
+            assert _roof_rows(psi, (2,)).shape == (1, 2, 4)
+            audit = sl.theorem1_audit(rho, config)
+            s_a = sl.von_neumann_entropy(sl.partial_trace(rho, {0}))
+            assert abs(audit.eof_ab_ext - s_a) <= 1e-12
+            rho = sl.random_density([2, 1, 2], rank=2, seed=60 + seed)
+            assert _roof_rows(sl.purify(rho).psi, (2, 3)).shape == (2, 2, 1)
+            assert abs(sl.theorem1_audit(rho, config).eof_ab) <= 1e-12
+
+    @settings(max_examples=12, derandomize=True, database=None, deadline=None)
+    @given(
+        rank=st.sampled_from([2, 3]),
+        embedding=st.sampled_from([(0, 3), (1, 4)]),
+        state_seed=st.integers(0, 2**32 - 1),
+        isometry_seed=st.integers(0, 2**32 - 1),
+    )
+    def test_local_embedding_leaves_eof_and_discord(
+        self, rank, embedding, state_seed, isometry_seed
+    ):
+        # a local isometry V into a larger space on either side keeps the
+        # EOF, and on the unmeasured side the discord (the measured side is
+        # left alone: a projective search there reaches POVMs)
+        side, size = embedding
+        rho = sl.random_density([2, 2], rank=rank, seed=state_seed)
+        factors = [np.eye(2), np.eye(2)]
+        factors[side] = _haar_unitary(size, np.random.default_rng(isometry_seed))[:, :2]
+        dims = [2, 2]
+        dims[side] = size
+        v = np.kron(*factors)
+        embedded = sl.DensityMatrix(tuple(dims), v @ rho.data @ v.conj().T)
+        config = sl.OptimizerConfig(restarts=6, seed=1)
+        eof = sl.eof_convex_roof(rho, config)
+        assert abs(sl.eof_convex_roof(embedded, config) - eof) <= 1e-10
+        measured = 1 - side
+        base = sl.discord(rho, measured, config).discord
+        assert abs(sl.discord(embedded, measured, config).discord - base) <= 1e-10
+
+
 class TestRootEntropies:
     @pytest.mark.parametrize("measured", [0, 1])
     @pytest.mark.parametrize("rank", [None, 2])
@@ -558,7 +666,8 @@ class TestRootEntropies:
         # instead of eigendecomposing rho_AB and its marginals again
         seed = 100 * dims[0] + 10 * dims[1] + 2 * (rank or 0) + measured
         rho = sl.random_density(list(dims), rank=rank, seed=seed)
-        s_measured, s_other, s_pair = _root_entropies(_purification_rows(rho, measured))
+        rows = _measured_rows(rho, measured)
+        s_measured, s_other, s_pair = (_leg_entropy(rows, leg) for leg in range(3))
         mi = sl.mutual_information(rho)
         assert abs(s_measured + s_other - s_pair - mi) <= 1e-12
         assert abs(s_pair - sl.von_neumann_entropy(rho)) <= 1e-12
@@ -629,7 +738,7 @@ class TestAnalyticGradients:
         dims[measured] = d
         rho = sl.random_density(dims, seed=int(rng.integers(1 << 30)))
         s_other = sl.von_neumann_entropy(sl.partial_trace(rho, {1 - measured}))
-        objective = _one(_basis_objective(_purification_rows(rho, measured)[None]))
+        objective = _one(_basis_objective(_measured_rows(rho, measured)[None]))
         x = rng.uniform(-4.0, 4.0, (3, sl.qcorr.n_basis_params(d)))
         values, grads = objective(x)
         _assert_rows_match_single_calls(objective, x, values, grads)
