@@ -38,6 +38,7 @@ from .qcorr import (
     theorem1_audit,
 )
 from .qmat import (
+    MAX_STATE_SIDE,
     DensityMatrix,
     _as_dims,
     _as_int,
@@ -53,7 +54,6 @@ from .twoblock import sweep_figure
 
 
 MAX_SAMPLES = 1_000_000
-MAX_STATE_SIDE = 1024  # the product of a campaign's dims
 
 
 @dataclass(frozen=True)
@@ -90,9 +90,7 @@ class CampaignConfig:
                 raise ConfigError(
                     f"check {check!r} needs dims of arity {arities}, got {self.dims}"
                 )
-        side = math.prod(self.dims)
-        if side > MAX_STATE_SIDE:
-            raise CapabilityError(f"state side must be at most {MAX_STATE_SIDE}, got {side}")
+        _as_int(math.prod(self.dims), "state side", 1, CapabilityError, MAX_STATE_SIDE)
 
 
 # --- campaign checks ---------------------------------------------------------

@@ -61,35 +61,43 @@ _LINE_SEARCH_EVALS = 20
 _EPS = float(np.finfo(float).eps)
 
 
-def _multistart_minimize(objective, starts, config: OptimizerConfig):
+def _multistart_minimize(objective, starts, config: OptimizerConfig, primed=None):
     """Seeded multi-start L-BFGS for several searches on one chart, every
     run of every search in one lockstep.
 
     ``starts`` holds one (R_s, n) stack of start points per search s; each
-    row starts one ``_lbfgs`` coroutine.  ``objective`` maps a (k, n) stack
-    of points and the (k,) index of the search each belongs to onto their
-    values (k,) and gradients (k, n).  Every round stacks the pending points
-    of all runs still going, makes one objective call and sends row i back
-    to its run.  A row's value and gradient do not depend on the other rows,
-    so each run takes the same path it would take alone.  Returns one
-    (value, point, converged, nfev) per search, the best of its runs with
-    ties going to the earlier run, so a fixed seed fixes the outcome:
+    row starts one ``_lbfgs`` coroutine.  ``primed``, when given, holds the
+    objective's (value, gradient) at every start, run order, and no run
+    evaluates its start again.  ``objective`` maps a (k, n) stack of points
+    and the (k,) index of the search each belongs to onto their values (k,)
+    and gradients (k, n).  Every round stacks the pending points of all
+    runs still going, makes one objective call and sends row i back to its
+    run.  A row's value and gradient do not depend on the other rows, so
+    each run takes the same path it would take alone.  Returns one (value,
+    point, converged, nfev) per search, the best of its runs with ties
+    going to the earlier run, so a fixed seed fixes the outcome:
     ``converged`` is the flag of the run whose point is returned, ``nfev``
     the objective evaluations (rows) over the search's runs.
     """
     owner = np.repeat(np.arange(len(starts)), [len(block) for block in starts])
-    runs = [_lbfgs(x, config) for block in starts for x in block]
-    pending = {run: next(coroutine) for run, coroutine in enumerate(runs)}
-    results = [None] * len(runs)
+    points = [x for block in starts for x in block]
+    runs = [_lbfgs(x, config, start) for x, start in zip(points, primed or [None] * len(points))]
+    pending, results = {}, [None] * len(runs)
+
+    def advance(run: int, sent) -> None:
+        try:
+            pending[run] = runs[run].send(sent)
+        except StopIteration as stop:  # a primed run may end before it yields
+            pending.pop(run, None)
+            results[run] = stop.value
+
+    for run in range(len(runs)):
+        advance(run, None)
     while pending:
         active = list(pending)
         values, grads = objective(np.stack([pending[r] for r in active]), owner[active])
         for run, value, grad in zip(active, values.tolist(), grads):
-            try:
-                pending[run] = runs[run].send((value, grad))
-            except StopIteration as stop:
-                del pending[run]
-                results[run] = stop.value
+            advance(run, (value, grad))
     searches, first = [], 0
     for block in starts:
         best, nfev = (math.inf, np.zeros(block.shape[1]), False), 0
@@ -119,10 +127,12 @@ def _restart_points(n: int, config: OptimizerConfig) -> np.ndarray:
     return np.concatenate((np.zeros((1, n)), draws))
 
 
-def _lbfgs(x: np.ndarray, config: OptimizerConfig):
+def _lbfgs(x: np.ndarray, config: OptimizerConfig, start=None):
     """One L-BFGS run from x, as a coroutine: it yields each point to
     evaluate, is sent back (value, gradient) and returns (value, point,
-    converged, nfev).
+    converged, nfev).  Given ``start``, the (value, gradient) at x, it
+    does not evaluate x, and nfev and max_evals count the evaluations after
+    it; it may then return before it yields.
 
     The direction is the two-loop recursion over the last LBFGS_MEMORY
     curvature pairs (s, y), scaled by s.y / y.y of the newest pair (Liu &
@@ -134,8 +144,11 @@ def _lbfgs(x: np.ndarray, config: OptimizerConfig):
     not converged, after max_evals evaluations or when the line search along
     -g fails.
     """
-    value, grad = yield x
-    nfev = 1
+    if start is None:
+        value, grad = yield x
+        nfev = 1
+    else:
+        (value, grad), nfev = start, 0
     pairs: deque = deque(maxlen=LBFGS_MEMORY)
     gamma = 1.0
     while not np.abs(grad).max() <= _GRAD_TOL:
@@ -460,44 +473,59 @@ GRID_THETA = 8
 GRID_PHI = 16
 
 
-def _qubit_grid() -> tuple[np.ndarray, np.ndarray]:
+def _qubit_grid() -> tuple[np.ndarray, ...]:
     """The origin, then the GRID_THETA x GRID_PHI cells in row order, as
-    (1 + GRID_THETA * GRID_PHI, 2) chart points, and their bases."""
+    (1 + GRID_THETA * GRID_PHI, 2) chart points, their bases and the
+    eigenpairs (w, V) of their H, from which ``_exp_gradient`` reads the
+    gradient at the points a search starts from."""
     theta = (np.arange(GRID_THETA) + 0.5) * (0.25 * np.pi / GRID_THETA)
     phi = np.arange(GRID_PHI) * (2.0 * np.pi / GRID_PHI)
     t, p = np.meshgrid(theta, phi, indexing="ij")
     cells = np.stack((-t * np.sin(p), t * np.cos(p)), axis=-1).reshape(-1, 2)
     grid = np.concatenate((np.zeros((1, 2)), cells))
-    bases = _exp_chart(2, 2, grid)[0]
-    grid.setflags(write=False)
-    bases.setflags(write=False)
-    return grid, bases
+    chart = (grid, *_exp_chart(2, 2, grid))
+    for part in chart:
+        part.setflags(write=False)
+    return chart
 
 
-_QUBIT_GRID, _QUBIT_BASES = _qubit_grid()
+def _grid_neighbours() -> np.ndarray:
+    """The neighbours of each ``_QUBIT_GRID`` point, one row of indices
+    into the grid per point, repeated cyclically to one width.
+
+    Cell (i, j) neighbours the cells (i + di, j + dj), di, dj in {-1, 0, 1}
+    and not both 0, with j taken mod GRID_PHI.  A step inward from the
+    first row lands on the origin, whose neighbours are that whole row.  A
+    step outward from the last row lands on the last row half a turn on:
+    the theta centres sit half a step inside pi/4, so the row one step
+    past the rim at phi is the last row at phi + pi, the same measurement
+    (GRID_PHI is even).  So the relation is symmetric, and a basin that
+    crosses the rim is one basin.
+    """
+    steps = np.array([(di, dj) for di in (-1, 0, 1) for dj in (-1, 0, 1) if di or dj])
+    i, j = np.divmod(np.arange(GRID_THETA * GRID_PHI), GRID_PHI)
+    i, j = i[:, None] + steps[:, 0], j[:, None] + steps[:, 1]
+    rim = i == GRID_THETA
+    i, j = np.where(rim, GRID_THETA - 1, i), np.where(rim, j + GRID_PHI // 2, j)
+    cells = np.where(i < 0, 0, 1 + i * GRID_PHI + j % GRID_PHI)
+    width = max(GRID_PHI, len(steps))
+    origin = 1 + np.arange(width) % GRID_PHI
+    neighbours = np.concatenate((origin[None], cells[:, np.arange(width) % len(steps)]))
+    neighbours.setflags(write=False)
+    return neighbours
+
+
+_QUBIT_GRID, _QUBIT_BASES, _QUBIT_W, _QUBIT_V = _qubit_grid()
+_GRID_NEIGHBOURS = _grid_neighbours()
 
 
 def _grid_starts(values: np.ndarray, limit: int) -> np.ndarray:
-    """Rows of ``_QUBIT_GRID`` to polish, given its values: the points no
-    worse than their neighbours, best first, ties in grid order, at most
-    ``limit``.
-
-    A cell's neighbours are the cells one step away in theta and phi, with
-    theta clamped at its edges and phi periodic; the origin's are the
-    first theta row, the cells around the pole.  The best point is always
-    among them.
-    """
-    origin, cells = values[0], values[1:].reshape(GRID_THETA, GRID_PHI)
-    rows = np.pad(cells, ((1, 1), (0, 0)), mode="edge")
-    minima = (
-        (cells <= rows[:-2])
-        & (cells <= rows[2:])
-        & (cells <= np.roll(cells, 1, axis=1))
-        & (cells <= np.roll(cells, -1, axis=1))
-    )
-    candidates = np.flatnonzero(np.concatenate(([origin <= cells[0].min()], minima.ravel())))
-    best_first = candidates[np.argsort(values[candidates], kind="stable")]
-    return _QUBIT_GRID[best_first[:limit]]
+    """Indices of the ``_QUBIT_GRID`` points to polish, given their values:
+    the points no worse than any of their ``_GRID_NEIGHBOURS``, best
+    first, ties in grid order, at most ``limit``.  The best point is always
+    among them."""
+    candidates = np.flatnonzero((values[:, None] <= values[_GRID_NEIGHBOURS]).all(axis=1))
+    return candidates[np.argsort(values[candidates], kind="stable")][:limit]
 
 
 def _measured_side(rho_ab: DensityMatrix, measured: int, op: str) -> int:
@@ -553,9 +581,10 @@ def _discord_search(blocks: np.ndarray, config: OptimizerConfig) -> list[Discord
 
     A one-dimensional side has one basis and no search.  On a qubit side
     one call scores the grid of every side, and each side's runs start
-    from its grid's local minima; on larger sides every search starts from
-    the same ``_restart_points``.  S(measured), S(other) and S(pair) =
-    S(rest) are the leg entropies of the same rows.
+    from its grid's local minima with the values found there and their
+    gradients, read from the grid's prebuilt chart; on larger sides every
+    search starts from the same ``_restart_points``.  S(measured),
+    S(other) and S(pair) = S(rest) are the leg entropies of the same rows.
     """
     count, d = blocks.shape[:2]
     n = n_basis_params(d)
@@ -563,14 +592,21 @@ def _discord_search(blocks: np.ndarray, config: OptimizerConfig) -> list[Discord
     if n == 0:
         values = _member_entropy(np.ones((count, 1, 1)), blocks)[0].tolist()
         found = [(value, np.zeros(0), True, 0) for value in values]
+    elif d == 2:
+        grid_evals = len(_QUBIT_GRID)
+        bras = np.tile(_QUBIT_BASES.conj().swapaxes(1, 2), (count, 1, 1))
+        values, gamma = _member_entropy(bras, np.repeat(blocks, grid_evals, axis=0))
+        picks = [_grid_starts(v, config.restarts) for v in values.reshape(count, -1)]
+        cells = np.concatenate(picks)
+        picked = np.concatenate([s * grid_evals + p for s, p in enumerate(picks)])
+        grads = _exp_gradient(
+            n, _QUBIT_W[cells], _QUBIT_V[cells], gamma[picked].conj().swapaxes(1, 2)
+        )
+        starts = [_QUBIT_GRID[p] for p in picks]
+        primed = list(zip(values[picked].tolist(), grads))
+        found = _multistart_minimize(_basis_objective(blocks), starts, config, primed)
     else:
-        if d == 2:
-            grid_evals = len(_QUBIT_GRID)
-            bras = np.tile(_QUBIT_BASES.conj().swapaxes(1, 2), (count, 1, 1))
-            values = _member_entropy(bras, np.repeat(blocks, grid_evals, axis=0))[0]
-            starts = [_grid_starts(v, config.restarts) for v in values.reshape(count, -1)]
-        else:
-            starts = [_restart_points(n, config)] * count
+        starts = [_restart_points(n, config)] * count
         found = _multistart_minimize(_basis_objective(blocks), starts, config)
     results = []
     for rows, runs, (value, x, converged, nfev) in zip(blocks, starts, found):
@@ -607,11 +643,14 @@ def discord(
 
     On a qubit side, the computational basis and the GRID_THETA x GRID_PHI
     Bloch grid are scored in one call on their prebuilt bases, and runs
-    start from the grid's local minima (``_grid_starts``), best first.
-    There ``config.restarts`` caps the number of runs and ``restarts_used``
-    is the number made, between 1 and that cap; ``nfev`` counts the grid
-    points plus every run's evaluations; ``config.max_evals`` caps each
-    run, not the grid; and ``config.seed`` is unused.
+    start from the grid's local minima (``_grid_starts``: no worse than
+    their eight neighbours, with the grid's rim glued to itself half a turn
+    on), best first, each from the value and gradient the grid call found
+    there.  There ``config.restarts`` caps the number of runs and
+    ``restarts_used`` is the number made, between 1 and that cap; ``nfev``
+    counts the grid points plus every run's evaluations after its start;
+    ``config.max_evals`` caps those per run, not the grid; and
+    ``config.seed`` is unused.
     """
     measured = _measured_side(rho_ab, measured, "discord")
     _require_measurable(rho_ab.dims[measured])

@@ -37,6 +37,10 @@ NORM_TOL = 1e-10
 # Eigenvalues at or below this count as zero: in entropies, ranks and
 # purifications alike.
 EIG_CLIP = 1e-12
+# The largest state side, the product of the dims, that a campaign draws or
+# a spec builds (a CapabilityError past it): a side-1024 density matrix
+# takes 16 MiB.
+MAX_STATE_SIDE = 1024
 
 
 def _as_int(

@@ -17,24 +17,26 @@ for an arbitrary input state is out of scope: the certifier validates a
 Each block checks its own fields (integer partition and offsets, a weight
 in (0, 1]) and the spec checks its dims and the block layout; the spec-file
 parser checks JSON shape only and reports a constructor's error as a
-ParseError naming the block.
+ParseError naming the block, except a state side past MAX_STATE_SIDE, a
+CapabilityError.
 """
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .errors import DimensionError, ParseError, SsaLabError, ValidationError
+from .errors import CapabilityError, DimensionError, ParseError, SsaLabError, ValidationError
 from .entropy import t_gap
 from .purify import purify
 from .qmat import (
-    DensityMatrix, PureStateVector, _as_dims, _as_int, _as_tolerance, _require_arity,
-    density_from_dict, density_to_dict, pure_from_dict, pure_to_dict, random_density, random_pure,
-    read_json, trace_out_pure, write_json,
+    MAX_STATE_SIDE, DensityMatrix, PureStateVector, _as_dims, _as_int, _as_tolerance,
+    _require_arity, density_from_dict, density_to_dict, pure_from_dict, pure_to_dict,
+    random_density, random_pure, read_json, trace_out_pure, write_json,
 )
 
 ORTHOGONALITY_TOL = 1e-10
@@ -95,7 +97,8 @@ class SaturatingSpec:
     When ``orthogonal`` is declared the embedding ranges must be pairwise
     disjoint on both the B and the C side, which forces the block marginals
     into orthogonal subspaces and hence a vanishing gap for the built state.
-    It defaults to False, as for a spec file without the field.
+    It defaults to False, as for a spec file without the field.  The state
+    side d_A d_B d_C is at most ``MAX_STATE_SIDE`` (a CapabilityError).
     """
 
     dims: tuple[int, int, int]
@@ -105,6 +108,7 @@ class SaturatingSpec:
     def __post_init__(self) -> None:
         dims = _as_dims(self.dims)
         _require_arity(dims, 3, "SaturatingSpec")
+        _as_int(math.prod(dims), "state side", 1, CapabilityError, MAX_STATE_SIDE)
         blocks = tuple(self.blocks)
         if not blocks:
             raise ValidationError("spec must contain at least one block")
@@ -390,6 +394,8 @@ def spec_from_dict(obj: dict) -> SaturatingSpec:
             raise ParseError(f"spec: block {i}: {exc}") from exc
     try:
         return SaturatingSpec(tuple(dims), tuple(blocks), orthogonal=orthogonal)
+    except CapabilityError:
+        raise  # well formed, but too large to build: not a parse error
     except SsaLabError as exc:
         raise ParseError(f"spec: {exc}") from exc
 

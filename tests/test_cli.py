@@ -422,6 +422,20 @@ class TestExitCodes:
         assert "Traceback" not in out.err
         assert bound in out.err
 
+    @pytest.mark.parametrize("side", [10**6, 2**63], ids=["huge", "past-int64"])
+    def test_huge_spec_dims_refused_without_traceback(self, tmp_path, capsys, side):
+        # the spec refuses the state side before the state is allocated
+        spec = sl.random_saturating_spec((2, 2, 2), np.random.default_rng(1))
+        record = sl.structure.spec_to_dict(spec)
+        record["dims"][1] = side
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(record))
+        assert main(["build", str(path)]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert "Traceback" not in out.err
+        assert f"at most {MAX_STATE_SIDE}, got {8 * side // 2}" in out.err
+
     def test_input_bounds_admit_their_callers(self):
         assert SweepAxis("beta2", steps=MAX_SWEEP_STEPS).steps == 1024
         config = CampaignConfig(

@@ -302,16 +302,33 @@ class TestQubitGrid:
             assert result.nfev >= N_GRID + result.restarts_used
 
     def test_one_restart_polishes_the_best_cell(self):
+        # the run starts from the grid's own value and gradient at its best
+        # cell, so nfev is the grid plus the run's evaluations after its
+        # start: one fewer than a run that scores the cell again
         rho = sl.random_density([2, 2], seed=43)
         config = sl.OptimizerConfig(restarts=1)
         result = sl.discord(rho, 1, config)
         s_other, objective = _qubit_search(rho, 1)
-        values = _one(objective)(sl.qcorr._QUBIT_GRID)[0]
-        best = sl.qcorr._QUBIT_GRID[np.argmin(values)]
-        value, _, _, nfev = _multistart_minimize(objective, [best[None]], config)[0]
+        values, grads = _one(objective)(sl.qcorr._QUBIT_GRID)
+        best = np.argmin(values)
+        start = [sl.qcorr._QUBIT_GRID[best][None]]
+        primed = [(values[best], grads[best])]
+        value, _, _, nfev = _multistart_minimize(objective, start, config, primed)[0]
+        again = _multistart_minimize(objective, start, config)[0]
         assert result.restarts_used == 1
-        assert result.nfev == N_GRID + nfev
+        assert result.nfev == N_GRID + nfev == N_GRID + again[3] - 1
+        assert value == again[0]
         assert result.classical_correlation == s_other - value >= s_other - values.min()
+
+    def test_converged_grid_point_needs_no_evaluation(self):
+        # a pure state's objective is flat with gradient exactly 0, so every
+        # grid point is a start and each run ends at it, unevaluated
+        for seed in range(3):
+            rho = sl.random_density([2, 2], rank=1, seed=seed)
+            result = sl.discord(rho, 1, sl.OptimizerConfig(restarts=10))
+            assert (result.restarts_used, result.nfev, result.converged) == (10, N_GRID, True)
+            s_a = sl.von_neumann_entropy(sl.partial_trace(rho, {0}))
+            assert result.discord == pytest.approx(s_a, abs=1e-12)
 
     def test_one_evaluation_per_run_returns_a_valid_basis(self):
         rho = sl.random_density([2, 2], seed=44)
@@ -342,8 +359,82 @@ class TestQubitGrid:
         for _ in range(200):
             values = rng.integers(0, 6, N_GRID).astype(float)
             starts = sl.qcorr._grid_starts(values, 20)
-            np.testing.assert_array_equal(starts[0], sl.qcorr._QUBIT_GRID[np.argmin(values)])
+            assert starts[0] == np.argmin(values)
             assert 1 <= len(starts) <= 20
+
+    def test_neighbour_table_glues_the_rim(self):
+        q = sl.qcorr
+        table = q._GRID_NEIGHBOURS
+        near = [set(row.tolist()) for row in table]
+        assert len(near) == N_GRID
+        assert all(p not in near[p] for p in range(N_GRID))
+        assert all(p in near[k] for p in range(N_GRID) for k in near[p])
+        assert near[0] == set(range(1, q.GRID_PHI + 1))  # the first theta row
+        last = 1 + (q.GRID_THETA - 1) * q.GRID_PHI
+        for j in range(q.GRID_PHI):
+            assert last + (j + q.GRID_PHI // 2) % q.GRID_PHI in near[last + j]
+
+    def test_rim_cells_across_the_rim_are_one_theta_step_apart(self):
+        # (GRID_THETA - 1, j) and (GRID_THETA - 1, j + GRID_PHI / 2) sit
+        # half a step inside the rim on opposite sides of the Bloch sphere's
+        # equator: one theta step apart as measurements, so gluing them is
+        # exact.  The Bloch vector of a basis is its first column's
+        q = sl.qcorr
+        last = 1 + (q.GRID_THETA - 1) * q.GRID_PHI
+        step = 2 * 0.25 * np.pi / q.GRID_THETA  # a theta step on the sphere
+        paulis = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+
+        def axis(cell):
+            u = q._QUBIT_BASES[cell][:, 0]
+            return np.real(np.einsum("i,kij,j->k", u.conj(), paulis, u))
+
+        for j in range(q.GRID_PHI):
+            a, b = axis(last + j), -axis(last + (j + q.GRID_PHI // 2) % q.GRID_PHI)
+            assert math.acos(min(1.0, a @ b)) == pytest.approx(step, abs=1e-12)
+
+    def test_one_run_per_conservation_search(self, monkeypatch):
+        # criterion 08's checks: each qubit-side search polishes one basin
+        # (two runs, one from each side of the rim, when the rim was a wall)
+        runs = []
+        minimize = sl.qcorr._multistart_minimize
+
+        def counting_minimize(objective, starts, config, *primed):
+            runs.append(sum(len(block) for block in starts))
+            return minimize(objective, starts, config, *primed)
+
+        monkeypatch.setattr(sl.qcorr, "_multistart_minimize", counting_minimize)
+        for k in range(100):
+            psi = sl.random_pure([2, 2, 2], seed=8000 + k)
+            sl.conservation_check(psi, sl.OptimizerConfig(restarts=20, seed=8500 + k))
+        assert (len(runs), sum(runs)) == (100, 200)
+
+    def test_basin_across_the_rim_is_polished_once(self):
+        rho = sl.random_density([2, 2], rank=2, seed=0)
+        result = sl.discord(rho, 1, sl.OptimizerConfig(restarts=10))
+        assert result.restarts_used == 1
+        assert result.discord == pytest.approx(0.08129642260361836, abs=1e-12)
+        oracle = _random_restart_discord(rho, 1, sl.OptimizerConfig(restarts=20))
+        assert result.discord == pytest.approx(oracle, abs=1e-10)
+
+    @settings(max_examples=40, derandomize=True, database=None, deadline=None)
+    @given(
+        side=st.sampled_from([((2, 2), 1), ((2, 2), 0), ((4, 2), 1), ((2, 3), 0)]),
+        rank=st.sampled_from([None, 2, 3]),
+        state_seed=st.integers(0, 2**32 - 1),
+        rotation_seed=st.integers(0, 2**32 - 1),
+    )
+    def test_local_unitary_invariance_with_one_run(self, side, rank, state_seed, rotation_seed):
+        # a single polish run, from the best grid point, reaches the same
+        # optimum wherever V moves it on these examples; a state whose best
+        # grid point lies in the worse of two basins would break this
+        (d_a, d_b), measured = side
+        rho = sl.random_density([d_a, d_b], rank=rank, seed=state_seed)
+        rng = np.random.default_rng(rotation_seed)
+        u = np.kron(_haar_unitary(d_a, rng), _haar_unitary(d_b, rng))
+        rotated = sl.DensityMatrix((d_a, d_b), u @ rho.data @ u.conj().T)
+        config = sl.OptimizerConfig(restarts=1)
+        base = sl.discord(rho, measured, config).discord
+        assert sl.discord(rotated, measured, config).discord == pytest.approx(base, abs=1e-9)
 
     @settings(max_examples=40, derandomize=True, database=None, deadline=None)
     @given(
@@ -540,9 +631,9 @@ class TestLockstep:
         searches, rows = [], []
         minimize, member_entropy = sl.qcorr._multistart_minimize, sl.qcorr._member_entropy
 
-        def counting_minimize(objective, starts, config):
+        def counting_minimize(objective, starts, config, *primed):
             searches.append(len(starts))
-            return minimize(objective, starts, config)
+            return minimize(objective, starts, config, *primed)
 
         def counting_member_entropy(iso, blocks):
             rows.append(len(iso))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import ssa_lab as sl
-from ssa_lab.errors import DimensionError, ParseError, ValidationError
+from ssa_lab.errors import CapabilityError, DimensionError, ParseError, ValidationError
 
 from conftest import collide_embeddings, family_blocks, family_spec
 
@@ -120,6 +120,13 @@ class TestBuildSaturating:
         assert sl.t_gap(built).t_a == pytest.approx(
             sl.gap_closed_form(params), abs=1e-8
         )
+
+    def test_state_side_is_bounded(self, rng):
+        # refused when the spec is made, before the state is allocated
+        spec = sl.random_saturating_spec([2, 2, 2], rng)
+        for d_b in (10**6, 2**63):
+            with pytest.raises(CapabilityError, match="at most 1024"):
+                sl.SaturatingSpec((2, d_b, 2), spec.blocks)
 
     def test_embedding_matches_isometry(self, rng):
         # oracle: each block by Kronecker product, carried into the global
