@@ -15,6 +15,7 @@ import numpy as np
 from .errors import DimensionError, ValidationError
 from .qmat import (
     EIG_CLIP,
+    NEGATIVITY_BOUND,
     DensityMatrix,
     _as_array,
     _as_int,
@@ -46,7 +47,7 @@ def _spectrum(mats: np.ndarray) -> np.ndarray:
     if not np.isfinite(mats).all():
         raise ValidationError("finiteness: state has NaN or Inf entries")
     w = np.linalg.eigvalsh((mats + np.swapaxes(mats.conj(), -1, -2)) / 2.0)
-    if w.min() < -1e-8:
+    if w.min() < -NEGATIVITY_BOUND:
         raise ValidationError(
             f"positivity: smallest eigenvalue {w.min():.3e} is too negative"
         )

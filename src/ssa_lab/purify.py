@@ -18,7 +18,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .qmat import EIG_CLIP, DensityMatrix, PureStateVector, _require_arity, trace_out_pure
+from .qmat import (
+    EIG_CLIP,
+    NEGATIVITY_BOUND,
+    DensityMatrix,
+    PureStateVector,
+    _require_arity,
+    trace_out_pure,
+)
 
 
 @dataclass(frozen=True)
@@ -31,11 +38,11 @@ class PurificationResult:
 
 def purify(rho: DensityMatrix) -> PurificationResult:
     """Canonical purification of a mixed state; a state with an eigenvalue
-    below -1e-8 is not one and raises ValidationError, as in ``entropy``."""
+    below -NEGATIVITY_BOUND is not one and raises ValidationError."""
     if not np.isfinite(rho.data).all():
         raise ValidationError("finiteness: state has NaN or Inf entries")
     w, v = np.linalg.eigh((rho.data + rho.data.conj().T) / 2.0)
-    if w[0] < -1e-8:  # the bound of entropy._spectrum
+    if w[0] < -NEGATIVITY_BOUND:
         raise ValidationError(f"positivity: smallest eigenvalue {w[0]:.3e} is too negative")
     order = np.argsort(-w, kind="stable")
     keep = order[w[order] > EIG_CLIP]

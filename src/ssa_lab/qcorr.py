@@ -110,20 +110,20 @@ def _multistart_minimize(objective, starts, config: OptimizerConfig, primed=None
     return searches
 
 
-def _restart_points(n: int, config: OptimizerConfig) -> np.ndarray:
-    """The ``config.restarts`` starts of a search on an exp(iH) chart, as
-    rows: the origin, then seeded uniform draws in [-pi/4, pi/4)^n in run
-    order.
+def _restart_points(m: int, n: int, config: OptimizerConfig) -> np.ndarray:
+    """The ``config.restarts`` starts of a search on the n-parameter exp(iH)
+    chart of an m x m H, as rows: the origin, then seeded uniform draws in
+    [-a, a)^n in run order, a = (pi/4) min(1, 2/sqrt(m)).
 
     The chart folds where two eigenvalues of H differ by a nonzero multiple
     of 2 pi (the divided differences of exp(i x) in ``_exp_gradient``
-    vanish there).  In this box the spread of H's spectrum stays below
-    2 pi on the charts of discords with d <= 4 and of rank-2 roofs
-    (m = 4); it reaches 2 pi in some draws on larger charts (m = 9 roofs).
-    The box is symmetric, so the pair entries of H take every sign.
+    vanish there).  H's spectrum spreads like a sqrt(m), so past m = 4 the
+    box shrinks and every draw's spread stays below 2 pi.  The box is
+    symmetric, so the pair entries of H take every sign.
     """
     rng = np.random.default_rng(config.seed)
-    draws = rng.uniform(-0.25 * np.pi, 0.25 * np.pi, (config.restarts - 1, n))
+    half = 0.25 * np.pi * min(1.0, 2.0 / math.sqrt(m))
+    draws = rng.uniform(-half, half, (config.restarts - 1, n))
     return np.concatenate((np.zeros((1, n)), draws))
 
 
@@ -464,59 +464,42 @@ def _basis_objective(blocks: np.ndarray):
     return objective
 
 
-# The fixed Bloch grid scored on a qubit measured side: theta at the centres
-# of GRID_THETA equal steps over (0, pi/4), phi at GRID_PHI equal steps over
-# [0, 2 pi), cell (theta, phi) at the chart point theta (-sin phi, cos phi),
-# the Givens rotation (theta, phi).  theta is half the polar angle, so this
-# is the hemisphere: n and -n give the same basis.
-GRID_THETA = 8
-GRID_PHI = 16
+# The Bloch lattice scored on a qubit measured side: the origin, then
+# GRID_POINTS Fibonacci-lattice cells on the hemisphere (Gonzalez, Math.
+# Geosci. 42, 49 (2010)), which is all of it, since n and -n give the same
+# basis.  Cell k sits at polar angle arccos(1 - (k + 1/2) / GRID_POINTS) and
+# azimuth phi = k golden angles, taken as 2 pi / golden ratio, at the chart
+# point (polar / 2)(-sin phi, cos phi): the Givens rotation (polar / 2, phi).
+GRID_POINTS = 64
+GRID_NEIGHBOURS = 8
 
 
 def _qubit_grid() -> tuple[np.ndarray, ...]:
-    """The origin, then the GRID_THETA x GRID_PHI cells in row order, as
-    (1 + GRID_THETA * GRID_PHI, 2) chart points, their bases and the
-    eigenpairs (w, V) of their H, from which ``_exp_gradient`` reads the
-    gradient at the points a search starts from."""
-    theta = (np.arange(GRID_THETA) + 0.5) * (0.25 * np.pi / GRID_THETA)
-    phi = np.arange(GRID_PHI) * (2.0 * np.pi / GRID_PHI)
-    t, p = np.meshgrid(theta, phi, indexing="ij")
-    cells = np.stack((-t * np.sin(p), t * np.cos(p)), axis=-1).reshape(-1, 2)
+    """The origin, then the GRID_POINTS cells, as (1 + GRID_POINTS, 2)
+    chart points, their bases, the eigenpairs (w, V) of their H, from which
+    ``_exp_gradient`` reads the gradient at the points a search starts from,
+    and the symmetric boolean neighbour matrix: p and q neighbour when
+    either is among the other's GRID_NEIGHBOURS nearest by measurement
+    angle.  Bases with first columns u, u' measure along Bloch axes with
+    n.n' = 2 |<u|u'>|^2 - 1, and n ~ -n, so far = -|n.n'| orders them; the
+    origin's ring and the neighbours across the rim follow."""
+    k = np.arange(GRID_POINTS)
+    half_polar = 0.5 * np.arccos(1.0 - (k + 0.5) / GRID_POINTS)
+    phi = k * (np.pi * (math.sqrt(5.0) - 1.0))  # 2 pi / golden ratio
+    cells = half_polar[:, None] * np.stack((-np.sin(phi), np.cos(phi)), axis=-1)
     grid = np.concatenate((np.zeros((1, 2)), cells))
-    chart = (grid, *_exp_chart(2, 2, grid))
+    bases, w, v = _exp_chart(2, 2, grid)
+    u = bases[:, :, 0]
+    far = -np.abs(2.0 * np.abs(u.conj() @ u.T) ** 2 - 1.0)
+    np.fill_diagonal(far, np.inf)
+    near = far <= np.sort(far, axis=1)[:, GRID_NEIGHBOURS - 1, None]
+    chart = (grid, bases, w, v, near | near.T)
     for part in chart:
         part.setflags(write=False)
     return chart
 
 
-def _grid_neighbours() -> np.ndarray:
-    """The neighbours of each ``_QUBIT_GRID`` point, one row of indices
-    into the grid per point, repeated cyclically to one width.
-
-    Cell (i, j) neighbours the cells (i + di, j + dj), di, dj in {-1, 0, 1}
-    and not both 0, with j taken mod GRID_PHI.  A step inward from the
-    first row lands on the origin, whose neighbours are that whole row.  A
-    step outward from the last row lands on the last row half a turn on:
-    the theta centres sit half a step inside pi/4, so the row one step
-    past the rim at phi is the last row at phi + pi, the same measurement
-    (GRID_PHI is even).  So the relation is symmetric, and a basin that
-    crosses the rim is one basin.
-    """
-    steps = np.array([(di, dj) for di in (-1, 0, 1) for dj in (-1, 0, 1) if di or dj])
-    i, j = np.divmod(np.arange(GRID_THETA * GRID_PHI), GRID_PHI)
-    i, j = i[:, None] + steps[:, 0], j[:, None] + steps[:, 1]
-    rim = i == GRID_THETA
-    i, j = np.where(rim, GRID_THETA - 1, i), np.where(rim, j + GRID_PHI // 2, j)
-    cells = np.where(i < 0, 0, 1 + i * GRID_PHI + j % GRID_PHI)
-    width = max(GRID_PHI, len(steps))
-    origin = 1 + np.arange(width) % GRID_PHI
-    neighbours = np.concatenate((origin[None], cells[:, np.arange(width) % len(steps)]))
-    neighbours.setflags(write=False)
-    return neighbours
-
-
-_QUBIT_GRID, _QUBIT_BASES, _QUBIT_W, _QUBIT_V = _qubit_grid()
-_GRID_NEIGHBOURS = _grid_neighbours()
+_QUBIT_GRID, _QUBIT_BASES, _QUBIT_W, _QUBIT_V, _GRID_NEIGHBOURS = _qubit_grid()
 
 
 def _grid_starts(values: np.ndarray, limit: int) -> np.ndarray:
@@ -524,7 +507,8 @@ def _grid_starts(values: np.ndarray, limit: int) -> np.ndarray:
     the points no worse than any of their ``_GRID_NEIGHBOURS``, best
     first, ties in grid order, at most ``limit``.  The best point is always
     among them."""
-    candidates = np.flatnonzero((values[:, None] <= values[_GRID_NEIGHBOURS]).all(axis=1))
+    around = np.where(_GRID_NEIGHBOURS, values, np.inf)
+    candidates = np.flatnonzero((values[:, None] <= around).all(axis=1))
     return candidates[np.argsort(values[candidates], kind="stable")][:limit]
 
 
@@ -580,11 +564,12 @@ def _discord_search(blocks: np.ndarray, config: OptimizerConfig) -> list[Discord
     their searches in one lockstep.
 
     A one-dimensional side has one basis and no search.  On a qubit side
-    one call scores the grid of every side, and each side's runs start
-    from its grid's local minima with the values found there and their
-    gradients, read from the grid's prebuilt chart; on larger sides every
-    search starts from the same ``_restart_points``.  S(measured),
-    S(other) and S(pair) = S(rest) are the leg entropies of the same rows.
+    one call scores the Bloch lattice of every side, and each side's runs
+    start from its lattice's local minima with the values found there and
+    their gradients, read from the lattice's prebuilt chart; on larger
+    sides every search starts from the same ``_restart_points``.
+    S(measured), S(other) and S(pair) = S(rest) are the leg entropies of
+    the same rows.
     """
     count, d = blocks.shape[:2]
     n = n_basis_params(d)
@@ -606,7 +591,7 @@ def _discord_search(blocks: np.ndarray, config: OptimizerConfig) -> list[Discord
         primed = list(zip(values[picked].tolist(), grads))
         found = _multistart_minimize(_basis_objective(blocks), starts, config, primed)
     else:
-        starts = [_restart_points(n, config)] * count
+        starts = [_restart_points(d, n, config)] * count
         found = _multistart_minimize(_basis_objective(blocks), starts, config)
     results = []
     for rows, runs, (value, x, converged, nfev) in zip(blocks, starts, found):
@@ -638,18 +623,18 @@ def discord(
 
     On a measured side of dimension 3 or more, ``config.restarts`` runs
     start, run 0 from the computational basis and the rest from seeded
-    uniform draws in [-pi/4, pi/4) (``_restart_points``), so a fixed seed
-    fixes the outcome; ``restarts_used`` is ``config.restarts``.
+    uniform draws (``_restart_points``), so a fixed seed fixes the outcome;
+    ``restarts_used`` is ``config.restarts``.
 
-    On a qubit side, the computational basis and the GRID_THETA x GRID_PHI
-    Bloch grid are scored in one call on their prebuilt bases, and runs
-    start from the grid's local minima (``_grid_starts``: no worse than
-    their eight neighbours, with the grid's rim glued to itself half a turn
-    on), best first, each from the value and gradient the grid call found
-    there.  There ``config.restarts`` caps the number of runs and
-    ``restarts_used`` is the number made, between 1 and that cap; ``nfev``
-    counts the grid points plus every run's evaluations after its start;
-    ``config.max_evals`` caps those per run, not the grid; and
+    On a qubit side, the computational basis and the GRID_POINTS Bloch
+    lattice cells, 65 points, are scored in one call on their prebuilt
+    bases, and runs start from the lattice's local minima (``_grid_starts``:
+    no worse than any point among their nearest axes, n ~ -n), best first,
+    each from the value and gradient the lattice call found there.  There
+    ``config.restarts`` caps the number of runs and ``restarts_used`` is
+    the number made, between 1 and that cap; ``nfev`` counts the 65 scored
+    points plus every run's evaluations after its start;
+    ``config.max_evals`` caps those per run, not the lattice; and
     ``config.seed`` is unused.
     """
     measured = _measured_side(rho_ab, measured, "discord")
@@ -717,7 +702,7 @@ def _roof_search(blocks: np.ndarray, config: OptimizerConfig) -> list[float]:
     if rank == 1:
         return _member_entropy(np.ones((count, 1, 1)), blocks)[0].tolist()
     m = rank * rank
-    starts = [_restart_points(m * m, config)] * count
+    starts = [_restart_points(m, m * m, config)] * count
     return [best[0] for best in _multistart_minimize(_roof_objective(blocks, m), starts, config)]
 
 

@@ -33,6 +33,9 @@ from .errors import ConfigError, DimensionError, ParseError, ValidationError
 HERMITICITY_TOL = 1e-10
 TRACE_TOL = 1e-10
 POSITIVITY_TOL = 1e-10
+# Entropies and purifications reject an eigenvalue below -NEGATIVITY_BOUND
+# (ValidationError); wider than POSITIVITY_TOL for states built by arithmetic.
+NEGATIVITY_BOUND = 1e-8
 NORM_TOL = 1e-10
 # Eigenvalues at or below this count as zero: in entropies, ranks and
 # purifications alike.

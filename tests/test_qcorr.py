@@ -32,6 +32,12 @@ def _rows(point_objective):
     return objective
 
 
+def _box_starts(n, config):
+    """``_restart_points`` in the full [-pi/4, pi/4) box, for objectives
+    that are not an exp(iH) chart."""
+    return _restart_points(1, n, config)
+
+
 def _one(objective):
     """A stacked objective of one search, called on points alone."""
     return lambda x: objective(x, np.zeros(len(x), dtype=int))
@@ -206,7 +212,7 @@ class TestDiscord:
 
         cfg = sl.OptimizerConfig(restarts=3, seed=0)
         best_val, best_x, converged, nfev = _multistart_minimize(
-            _rows(objective), [_restart_points(3, cfg)], cfg
+            _rows(objective), [_box_starts(3, cfg)], cfg
         )[0]
         assert nfev == len(calls) >= 3
         assert best_val <= 1e-12 and converged
@@ -245,7 +251,7 @@ class TestDiscord:
         assert sl.discord(rotated, 1, config).discord == pytest.approx(base, abs=1e-9)
 
 
-N_GRID = 1 + sl.qcorr.GRID_THETA * sl.qcorr.GRID_PHI  # the origin and the cells
+N_GRID = 1 + sl.qcorr.GRID_POINTS  # the origin and the cells
 
 
 def _qubit_search(rho, measured):
@@ -258,7 +264,7 @@ def _qubit_search(rho, measured):
 def _random_restart_discord(rho, measured, config):
     """Discord from ``_multistart_minimize``'s random starts alone."""
     s_other, objective = _qubit_search(rho, measured)
-    value = _multistart_minimize(objective, [_restart_points(2, config)], config)[0][0]
+    value = _multistart_minimize(objective, [_restart_points(2, 2, config)], config)[0][0]
     return sl.mutual_information(rho) - (s_other - value)
 
 
@@ -266,6 +272,13 @@ def _haar_unitary(d, rng):
     z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     q, r = np.linalg.qr(z)
     return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def _grid_axes():
+    """The Bloch axis of each ``_QUBIT_BASES`` basis, its first column's."""
+    u = sl.qcorr._QUBIT_BASES[:, :, 0]
+    paulis = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+    return np.real(np.einsum("pi,kij,pj->pk", u.conj(), paulis, u))
 
 
 class TestQubitGrid:
@@ -343,16 +356,6 @@ class TestQubitGrid:
             best, abs=1e-12
         )
 
-    def test_grid_bases_are_the_givens_cells(self):
-        # cell (theta_i, phi_j), in row order after the origin, is the
-        # Givens rotation (theta_i, phi_j)
-        q = sl.qcorr
-        theta = (np.arange(q.GRID_THETA) + 0.5) * (0.25 * np.pi / q.GRID_THETA)
-        phi = np.arange(q.GRID_PHI) * (2.0 * np.pi / q.GRID_PHI)
-        expected = [np.eye(2)] + [q.givens_unitary(2, [t, p]) for t in theta for p in phi]
-        np.testing.assert_allclose(q._QUBIT_BASES, expected, rtol=0, atol=1e-15)
-        np.testing.assert_array_equal(q._QUBIT_BASES, q._exp_chart(2, 2, q._QUBIT_GRID)[0])
-
     def test_best_point_is_always_a_start(self):
         # random values with many ties: the first start is the first best point
         rng = np.random.default_rng(45)
@@ -362,35 +365,60 @@ class TestQubitGrid:
             assert starts[0] == np.argmin(values)
             assert 1 <= len(starts) <= 20
 
-    def test_neighbour_table_glues_the_rim(self):
-        q = sl.qcorr
-        table = q._GRID_NEIGHBOURS
-        near = [set(row.tolist()) for row in table]
-        assert len(near) == N_GRID
-        assert all(p not in near[p] for p in range(N_GRID))
-        assert all(p in near[k] for p in range(N_GRID) for k in near[p])
-        assert near[0] == set(range(1, q.GRID_PHI + 1))  # the first theta row
-        last = 1 + (q.GRID_THETA - 1) * q.GRID_PHI
-        for j in range(q.GRID_PHI):
-            assert last + (j + q.GRID_PHI // 2) % q.GRID_PHI in near[last + j]
+    def test_axes_lie_on_the_closed_upper_hemisphere(self):
+        axes = _grid_axes()
+        assert axes.shape == (N_GRID, 3)
+        np.testing.assert_allclose(np.linalg.norm(axes, axis=1), 1.0, rtol=0, atol=1e-14)
+        assert axes[:, 2].min() >= 0.0
+        np.testing.assert_allclose(axes[0], [0.0, 0.0, 1.0], rtol=0, atol=1e-15)
 
-    def test_rim_cells_across_the_rim_are_one_theta_step_apart(self):
-        # (GRID_THETA - 1, j) and (GRID_THETA - 1, j + GRID_PHI / 2) sit
-        # half a step inside the rim on opposite sides of the Bloch sphere's
-        # equator: one theta step apart as measurements, so gluing them is
-        # exact.  The Bloch vector of a basis is its first column's
-        q = sl.qcorr
-        last = 1 + (q.GRID_THETA - 1) * q.GRID_PHI
-        step = 2 * 0.25 * np.pi / q.GRID_THETA  # a theta step on the sphere
-        paulis = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+    def test_every_direction_is_near_an_axis(self):
+        # the largest angle from a direction to its nearest axis, n ~ -n,
+        # over a dense Fibonacci sphere of probe directions
+        probes = 20000
+        k = np.arange(probes) + 0.5
+        z = 1.0 - 2.0 * k / probes
+        phi = k * np.pi * (3.0 - math.sqrt(5.0))
+        r = np.sqrt(1.0 - z * z)
+        directions = np.stack((r * np.cos(phi), r * np.sin(phi), z), axis=1)
+        nearest = np.abs(directions @ _grid_axes().T).max(axis=1)
+        assert math.degrees(math.acos(nearest.min())) <= 15.0
 
-        def axis(cell):
-            u = q._QUBIT_BASES[cell][:, 0]
-            return np.real(np.einsum("i,kij,j->k", u.conj(), paulis, u))
+    def test_cells_near_the_rim_have_a_neighbour_across_it(self):
+        # n and -n are one measurement, so the nearest axes of a cell near
+        # the equator include cells on the far side, whose n.n' < 0
+        axes = _grid_axes()
+        near = sl.qcorr._GRID_NEIGHBOURS
+        rim = np.flatnonzero(axes[:, 2] < 0.15)
+        assert len(rim) >= 8
+        for p in rim:
+            assert (axes[near[p]] @ axes[p]).min() < 0.0
 
-        for j in range(q.GRID_PHI):
-            a, b = axis(last + j), -axis(last + (j + q.GRID_PHI // 2) % q.GRID_PHI)
-            assert math.acos(min(1.0, a @ b)) == pytest.approx(step, abs=1e-12)
+    def test_neighbours_are_the_nearest_axes_both_ways(self):
+        near = sl.qcorr._GRID_NEIGHBOURS
+        assert near.shape == (N_GRID, N_GRID)
+        np.testing.assert_array_equal(near, near.T)
+        assert not near.diagonal().any()
+        closeness = np.abs(_grid_axes() @ _grid_axes().T)
+        np.fill_diagonal(closeness, -1.0)
+        nearest = np.argsort(-closeness, axis=1)[:, : sl.qcorr.GRID_NEIGHBOURS]
+        assert np.take_along_axis(near, nearest, axis=1).all()
+        assert near.sum(axis=1).min() == sl.qcorr.GRID_NEIGHBOURS
+        assert near[0, 1 : 1 + sl.qcorr.GRID_NEIGHBOURS].all()  # the origin's ring
+
+    @pytest.mark.parametrize(
+        "dims, seed, measured, restarts",
+        [((2, 3), 38449, 0, 1), ((2, 3), 38552, 0, 1), ((2, 3), 38552, 0, 4),
+         ((3, 2), 40104, 1, 4)],
+        ids=["2x3-38449-r1", "2x3-38552-r1", "2x3-38552-r4", "3x2-40104-r4"],
+    )
+    def test_two_basin_states(self, dims, seed, measured, restarts):
+        # states with two basins of nearly equal depth, where the best
+        # polished start decides the value
+        rho = sl.random_density(list(dims), rank=3, seed=seed)
+        value = sl.discord(rho, measured, sl.OptimizerConfig(restarts=restarts)).discord
+        oracle = _random_restart_discord(rho, measured, sl.OptimizerConfig(restarts=20))
+        assert value == pytest.approx(oracle, abs=1e-9)
 
     def test_one_run_per_conservation_search(self, monkeypatch):
         # criterion 08's checks: each qubit-side search polishes one basin
@@ -412,7 +440,7 @@ class TestQubitGrid:
         rho = sl.random_density([2, 2], rank=2, seed=0)
         result = sl.discord(rho, 1, sl.OptimizerConfig(restarts=10))
         assert result.restarts_used == 1
-        assert result.discord == pytest.approx(0.08129642260361836, abs=1e-12)
+        assert result.discord == pytest.approx(0.08129642260861614, abs=1e-12)
         oracle = _random_restart_discord(rho, 1, sl.OptimizerConfig(restarts=20))
         assert result.discord == pytest.approx(oracle, abs=1e-10)
 
@@ -468,7 +496,7 @@ class TestLBFGS:
     def test_rosenbrock(self, n):
         cfg = sl.OptimizerConfig(restarts=1)
         value, x, converged, _ = _multistart_minimize(
-            _rows(_rosenbrock), [_restart_points(n, cfg)], cfg
+            _rows(_rosenbrock), [_box_starts(n, cfg)], cfg
         )[0]
         assert value <= 1e-10 and converged
         np.testing.assert_allclose(x, np.ones(n), atol=1e-4)
@@ -482,7 +510,7 @@ class TestLBFGS:
 
         cfg = sl.OptimizerConfig(restarts=3, max_evals=5, seed=2)
         _, _, converged, nfev = _multistart_minimize(
-            _rows(objective), [_restart_points(10, cfg)], cfg
+            _rows(objective), [_box_starts(10, cfg)], cfg
         )[0]
         assert nfev == len(calls) == 5 * 3
         assert converged is False
@@ -498,7 +526,7 @@ class TestLBFGS:
 
         cfg = sl.OptimizerConfig(restarts=2, seed=4)
         _, x, converged, _ = _multistart_minimize(
-            _rows(objective), [_restart_points(6, cfg)], cfg
+            _rows(objective), [_box_starts(6, cfg)], cfg
         )[0]
         assert converged
         assert np.max(np.abs(objective(x)[1])) <= 1e-8
@@ -506,7 +534,7 @@ class TestLBFGS:
     def test_seeded_runs_are_bit_identical(self):
         cfg = sl.OptimizerConfig(restarts=4, seed=9)
         first, second = (
-            _multistart_minimize(_rows(_rosenbrock), [_restart_points(4, cfg)], cfg)[0]
+            _multistart_minimize(_rows(_rosenbrock), [_box_starts(4, cfg)], cfg)[0]
             for _ in range(2)
         )
         assert first[0] == second[0] and first[3] == second[3]
@@ -540,11 +568,11 @@ class TestOptimizerConfig:
             sl.OptimizerConfig(restarts=10**15)
 
 
-def _serial_minimize(objective, n, config):
+def _serial_minimize(objective, m, n, config):
     """Each restart's L-BFGS run alone with 1-row objective calls, on the
     draws of ``_multistart_minimize``: (best value, converged, summed nfev)."""
     best, converged, nfev = math.inf, False, 0
-    for start in _restart_points(n, config):
+    for start in _restart_points(m, n, config):
         run = _lbfgs(start, config)
         point = next(run)
         while True:
@@ -563,13 +591,13 @@ def _serial_minimize(objective, n, config):
 def _discord_search(dims, seed):
     rho = sl.random_density(list(dims), seed=seed)
     objective = _basis_objective(_measured_rows(rho, 1)[None])
-    return objective, sl.qcorr.n_basis_params(dims[1])
+    return objective, dims[1], sl.qcorr.n_basis_params(dims[1])
 
 
 def _roof_search(dims, seed):
     rho = sl.random_density(list(dims), rank=2, seed=seed)
     factors = np.moveaxis(sl.purify(rho).psi.amps.reshape(dims[0], dims[1], 2), -1, 0)
-    return _roof_objective(factors[None], 4), 16
+    return _roof_objective(factors[None], 4), 4, 16
 
 
 class TestLockstep:
@@ -583,11 +611,11 @@ class TestLockstep:
         ids=["discord-2x2", "discord-2x4", "roof-rank2"],
     )
     def test_lockstep_matches_serial(self, search, dims, config):
-        objective, n = search(dims, config.seed)
+        objective, m, n = search(dims, config.seed)
         value, _, converged, nfev = _multistart_minimize(
-            objective, [_restart_points(n, config)], config
+            objective, [_restart_points(m, n, config)], config
         )[0]
-        serial_value, serial_converged, serial_nfev = _serial_minimize(objective, n, config)
+        serial_value, serial_converged, serial_nfev = _serial_minimize(objective, m, n, config)
         assert abs(value - serial_value) <= 1e-12
         assert converged == serial_converged
         assert nfev == serial_nfev
@@ -784,21 +812,33 @@ def _hermitian(m, params):
 class TestRestartPoints:
     def test_origin_then_draws_in_the_box(self):
         config = sl.OptimizerConfig(restarts=5, seed=3)
-        points = _restart_points(12, config)
+        points = _restart_points(4, 12, config)
         assert points.shape == (5, 12)
         np.testing.assert_array_equal(points[0], np.zeros(12))
         assert np.all(np.abs(points[1:]) <= 0.25 * np.pi)
-        np.testing.assert_array_equal(_restart_points(12, config), points)
+        np.testing.assert_array_equal(_restart_points(4, 12, config), points)
 
     @pytest.mark.parametrize(
-        "m, zero_diagonal", [(3, True), (4, True), (4, False)], ids=["d3", "d4", "roof-m4"]
+        "m, half", [(2, 0.25), (3, 0.25), (4, 0.25), (16, 0.125), (64, 0.0625)]
+    )
+    def test_box_half_width_scales_with_the_chart_side(self, m, half):
+        # (pi/4) min(1, 2/sqrt(m)): the draws of charts up to m = 4 are the
+        # quarter-turn box's, bit for bit
+        config = sl.OptimizerConfig(restarts=7, seed=m)
+        expected = np.random.default_rng(m).uniform(-half * np.pi, half * np.pi, (6, m * m))
+        np.testing.assert_array_equal(_restart_points(m, m * m, config)[1:], expected)
+
+    @pytest.mark.parametrize(
+        "m, zero_diagonal",
+        [(3, True), (4, True), (4, False), (9, False), (16, False), (36, False)],
+        ids=["d3", "d4", "roof-m4", "roof-m9", "roof-m16", "roof-m36"],
     )
     def test_draws_stay_where_the_chart_does_not_fold(self, m, zero_diagonal):
         # exp(iH) folds where two eigenvalues of H differ by a nonzero
         # multiple of 2 pi; every draw keeps H's spectrum narrower than that
         n = m * m - m if zero_diagonal else m * m
         for seed in range(100):
-            draws = _restart_points(n, sl.OptimizerConfig(restarts=20, seed=seed))[1:]
+            draws = _restart_points(m, n, sl.OptimizerConfig(restarts=20, seed=seed))[1:]
             if zero_diagonal:
                 draws = np.concatenate((np.zeros((len(draws), m)), draws), axis=1)
             w = np.linalg.eigvalsh(_hermitian(m, draws))
