@@ -328,7 +328,7 @@ def _add_optimizer_flags(parser: argparse.ArgumentParser) -> None:
         type=int,
         default=OptimizerConfig.restarts,
         help="optimizer restarts; a discord on a qubit measured side polishes at "
-        "most this many local minima of a 65-point Bloch lattice and draws no random starts",
+        "most this many local minima of a 97-point Bloch lattice and draws no random starts",
     )
     parser.add_argument(
         "--max-evals",

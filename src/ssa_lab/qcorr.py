@@ -470,7 +470,9 @@ def _basis_objective(blocks: np.ndarray):
 # basis.  Cell k sits at polar angle arccos(1 - (k + 1/2) / GRID_POINTS) and
 # azimuth phi = k golden angles, taken as 2 pi / golden ratio, at the chart
 # point (polar / 2)(-sin phi, cos phi): the Givens rotation (polar / 2, phi).
-GRID_POINTS = 64
+# At 96 cells a point's GRID_NEIGHBOURS nearest lie within 28 degrees; at 64
+# they reach 34, far enough to read two basins as one.
+GRID_POINTS = 96
 GRID_NEIGHBOURS = 8
 
 
@@ -627,12 +629,12 @@ def discord(
     ``restarts_used`` is ``config.restarts``.
 
     On a qubit side, the computational basis and the GRID_POINTS Bloch
-    lattice cells, 65 points, are scored in one call on their prebuilt
+    lattice cells, 97 points, are scored in one call on their prebuilt
     bases, and runs start from the lattice's local minima (``_grid_starts``:
     no worse than any point among their nearest axes, n ~ -n), best first,
     each from the value and gradient the lattice call found there.  There
     ``config.restarts`` caps the number of runs and ``restarts_used`` is
-    the number made, between 1 and that cap; ``nfev`` counts the 65 scored
+    the number made, between 1 and that cap; ``nfev`` counts the 97 scored
     points plus every run's evaluations after its start;
     ``config.max_evals`` caps those per run, not the lattice; and
     ``config.seed`` is unused.

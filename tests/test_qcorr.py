@@ -33,9 +33,12 @@ def _rows(point_objective):
 
 
 def _box_starts(n, config):
-    """``_restart_points`` in the full [-pi/4, pi/4) box, for objectives
-    that are not an exp(iH) chart."""
-    return _restart_points(1, n, config)
+    """The origin, then seeded uniform draws in [-pi/4, pi/4)^n, for
+    objectives that are not an exp(iH) chart."""
+    draws = np.random.default_rng(config.seed).uniform(
+        -0.25 * np.pi, 0.25 * np.pi, (config.restarts - 1, n)
+    )
+    return np.concatenate((np.zeros((1, n)), draws))
 
 
 def _one(objective):
@@ -409,12 +412,16 @@ class TestQubitGrid:
     @pytest.mark.parametrize(
         "dims, seed, measured, restarts",
         [((2, 3), 38449, 0, 1), ((2, 3), 38552, 0, 1), ((2, 3), 38552, 0, 4),
-         ((3, 2), 40104, 1, 4)],
-        ids=["2x3-38449-r1", "2x3-38552-r1", "2x3-38552-r4", "3x2-40104-r4"],
+         ((3, 2), 40104, 1, 1), ((3, 2), 40104, 1, 4), ((3, 2), 39319, 1, 1),
+         ((3, 2), 39319, 1, 4), ((3, 2), 39319, 1, 20)],
+        ids=["2x3-38449-r1", "2x3-38552-r1", "2x3-38552-r4", "3x2-40104-r1",
+             "3x2-40104-r4", "3x2-39319-r1", "3x2-39319-r4", "3x2-39319-r20"],
     )
     def test_two_basin_states(self, dims, seed, measured, restarts):
         # states with two basins of nearly equal depth, where the best
-        # polished start decides the value
+        # polished start decides the value; 39319's better basin lies about
+        # 30 degrees from a lower lattice point of the other, so a wider
+        # neighbour reach polishes the worse basin alone
         rho = sl.random_density(list(dims), rank=3, seed=seed)
         value = sl.discord(rho, measured, sl.OptimizerConfig(restarts=restarts)).discord
         oracle = _random_restart_discord(rho, measured, sl.OptimizerConfig(restarts=20))
@@ -440,7 +447,7 @@ class TestQubitGrid:
         rho = sl.random_density([2, 2], rank=2, seed=0)
         result = sl.discord(rho, 1, sl.OptimizerConfig(restarts=10))
         assert result.restarts_used == 1
-        assert result.discord == pytest.approx(0.08129642260861614, abs=1e-12)
+        assert result.discord == pytest.approx(0.08129642260361836, abs=1e-12)
         oracle = _random_restart_discord(rho, 1, sl.OptimizerConfig(restarts=20))
         assert result.discord == pytest.approx(oracle, abs=1e-10)
 
