@@ -19,6 +19,8 @@ from typing import Sequence
 
 import numpy as np
 
+# qcorr, structure and twoblock are imported inside the handlers and campaign
+# checks that call them, so each call loads only the modules it runs.
 from .errors import CapabilityError, ConfigError, SsaLabError
 from .entropy import (
     Ensemble,
@@ -28,16 +30,9 @@ from .entropy import (
     t_gap,
     von_neumann_entropy,
 )
-from .qcorr import (
-    OptimizerConfig,
-    conservation_check,
-    discord,
-    eof_convex_roof,
-    eof_two_qubit,
-    kw_gap,
-    theorem1_audit,
-)
+from .optimize import OptimizerConfig
 from .qmat import (
+    CERTIFY_TOL,
     MAX_STATE_SIDE,
     DensityMatrix,
     _as_dims,
@@ -49,8 +44,6 @@ from .qmat import (
     random_pure,
     save_state,
 )
-from .structure import CERTIFY_TOL, build_saturating, certify, load_spec
-from .twoblock import sweep_figure
 
 
 MAX_SAMPLES = 1_000_000
@@ -128,17 +121,23 @@ def _check_concavity(cfg: CampaignConfig, seed: int) -> float:
 
 
 def _check_kw(cfg: CampaignConfig, seed: int) -> float:
+    from .qcorr import kw_gap
+
     rho = _sample_state(cfg, seed)
     return kw_gap(rho, replace(cfg.optimizer, seed=seed + 1)).gap
 
 
 def _check_conservation(cfg: CampaignConfig, seed: int) -> float:
+    from .qcorr import conservation_check
+
     psi = random_pure(cfg.dims, seed)
     lhs, rhs = conservation_check(psi, replace(cfg.optimizer, seed=seed + 1))
     return cfg.tolerance - abs(lhs - rhs)
 
 
 def _check_theorem1(cfg: CampaignConfig, seed: int) -> float:
+    from .qcorr import theorem1_audit
+
     rho = _sample_state(cfg, seed)
     audit = theorem1_audit(rho, replace(cfg.optimizer, seed=seed + 1))
     margin = cfg.tolerance - abs(audit.line4 - audit.t_a)
@@ -231,6 +230,8 @@ def _cmd_tgap(args: argparse.Namespace) -> None:
 
 
 def _cmd_discord(args: argparse.Namespace) -> None:
+    from .qcorr import discord
+
     rho = load_density(args.state)
     result = discord(rho, measured=args.measured, config=_optimizer_from_args(args))
     _emit(
@@ -247,6 +248,8 @@ def _cmd_discord(args: argparse.Namespace) -> None:
 
 
 def _cmd_eof(args: argparse.Namespace) -> None:
+    from .qcorr import eof_convex_roof, eof_two_qubit
+
     rho = load_density(args.state)
     config = _optimizer_from_args(args)  # bad flags fail on every method
     method = args.method
@@ -262,6 +265,8 @@ def _cmd_eof(args: argparse.Namespace) -> None:
 
 
 def _cmd_kw(args: argparse.Namespace) -> None:
+    from .qcorr import kw_gap
+
     rho = load_density(args.state)
     report = kw_gap(rho, config=_optimizer_from_args(args))
     _emit(
@@ -276,6 +281,8 @@ def _cmd_kw(args: argparse.Namespace) -> None:
 
 
 def _cmd_build(args: argparse.Namespace) -> None:
+    from .structure import build_saturating, load_spec
+
     spec = load_spec(args.spec)
     rho = build_saturating(spec)
     summary = f"built state on dims {list(rho.dims)} from {len(spec.blocks)} block(s)"
@@ -287,6 +294,8 @@ def _cmd_build(args: argparse.Namespace) -> None:
 
 
 def _cmd_certify(args: argparse.Namespace) -> None:
+    from .structure import certify, load_spec
+
     rho = load_density(args.state)
     spec = load_spec(args.spec)
     cert = certify(rho, spec, tol=args.tol)
@@ -295,6 +304,8 @@ def _cmd_certify(args: argparse.Namespace) -> None:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> None:
+    from .twoblock import sweep_figure
+
     grid = sweep_figure(args.figure, steps=args.steps)
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:

@@ -44,6 +44,9 @@ EIG_CLIP = 1e-12
 # a spec builds (a CapabilityError past it): a side-1024 density matrix
 # takes 16 MiB.
 MAX_STATE_SIDE = 1024
+# Default tolerance of a saturation certificate (structure.certify and the
+# CLI's certify --tol).
+CERTIFY_TOL = 1e-8
 
 
 def _as_int(

@@ -34,13 +34,12 @@ from .errors import CapabilityError, DimensionError, ParseError, SsaLabError, Va
 from .entropy import t_gap
 from .purify import purify
 from .qmat import (
-    MAX_STATE_SIDE, DensityMatrix, PureStateVector, _as_dims, _as_int, _as_tolerance,
-    _require_arity, density_from_dict, density_to_dict, pure_from_dict, pure_to_dict,
-    random_density, random_pure, read_json, trace_out_pure, write_json,
+    CERTIFY_TOL, MAX_STATE_SIDE, DensityMatrix, PureStateVector, _as_dims, _as_int,
+    _as_tolerance, _require_arity, density_from_dict, density_to_dict, pure_from_dict,
+    pure_to_dict, random_density, random_pure, read_json, trace_out_pure, write_json,
 )
 
 ORTHOGONALITY_TOL = 1e-10
-CERTIFY_TOL = 1e-8
 
 
 @dataclass(frozen=True)

@@ -33,6 +33,14 @@ def tensor_pure(*states: sl.PureStateVector) -> sl.PureStateVector:
     return sl.PureStateVector(sum((s.dims for s in states), ()), amps)
 
 
+def haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
+    """A Haar-random d x d unitary: QR of a complex Gaussian matrix, with
+    the phases of R's diagonal moved into Q."""
+    z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    q, r = np.linalg.qr(z)
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
 def random_two_block_params(rng: np.random.Generator) -> sl.TwoBlockParams:
     return sl.TwoBlockParams(
         p1=float(rng.uniform(0.02, 0.98)),

@@ -1,10 +1,13 @@
-"""The package's surface against its callers: every name the benchmark calls
-or traces exists, no module or test file keeps an import it never uses, and
-every private module-level name has a use."""
+"""The package's surface against its callers: the public names and where
+they live, every name the benchmark calls or traces exists, no module or
+test file keeps an import it never uses, and every private module-level name
+has a use."""
 
 import ast
 import importlib
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -17,6 +20,77 @@ PERFBENCH = ROOT / "perfbench"
 SRC = ROOT / "src" / "ssa_lab"
 TESTS = ROOT / "tests"
 SRC_MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+
+
+# The package's public names, by the module that defines them.
+PUBLIC = {
+    "errors": (
+        "CapabilityError", "ConfigError", "DimensionError", "ParseError", "SsaLabError",
+        "ValidationError",
+    ),
+    "qmat": (
+        "DensityMatrix", "PureStateVector", "load_density", "load_state", "partial_trace",
+        "permute_subsystems", "random_density", "random_pure", "save_state", "tensor_density",
+        "validate_density",
+    ),
+    "entropy": (
+        "Ensemble", "TGapReport", "binary_entropy", "concavity_check", "conditional_entropy",
+        "mutual_information", "ssa_gap_form1", "t_gap", "von_neumann_entropy",
+    ),
+    "purify": ("ExtensionPair", "PurificationResult", "extend", "purify"),
+    "optimize": ("OptimizerConfig",),
+    "qcorr": (
+        "DiscordResult", "KWReport", "MeasurementBasis", "TheoremOneAudit",
+        "classical_correlation_at", "concurrence", "conservation_check", "discord",
+        "discord_via_kw", "eof_convex_roof", "eof_two_qubit", "kw_gap", "theorem1_audit",
+    ),
+    "structure": (
+        "Certificate", "SaturatingBlock", "SaturatingSpec", "build_saturating", "certify",
+        "load_spec", "purify_saturating", "random_saturating_spec", "save_spec",
+    ),
+    "twoblock": (
+        "DEFAULT_PARAMS", "SweepAxis", "SweepGrid", "TwoBlockParams", "gap_closed_form",
+        "gap_mu_values", "sweep_figure", "sweep_gap", "two_block_state",
+    ),
+}
+
+
+def test_all_lists_the_public_names():
+    assert sorted(sl.__all__) == sorted(name for names in PUBLIC.values() for name in names)
+
+
+def test_public_names_are_their_modules_objects():
+    for module, names in PUBLIC.items():
+        home = importlib.import_module(f"ssa_lab.{module}")
+        for name in names:
+            assert getattr(sl, name) is getattr(home, name), name
+    # callers that import the optimizer settings from qcorr keep working
+    assert qcorr.OptimizerConfig is sl.OptimizerConfig
+
+
+def test_star_import_binds_the_public_names():
+    namespace = {}
+    exec("from ssa_lab import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(sl.__all__)
+
+
+def test_purify_stays_the_function_once_its_importers_load():
+    # qcorr and structure import purify; loading them must not bind the
+    # submodule ssa_lab.purify over the function (a fresh interpreter, so
+    # both load after the package)
+    code = (
+        "import ssa_lab as sl; sl.discord; sl.certify; "
+        "print(sl.purify is sl.qcorr.purify is sl.structure.purify)"
+    )
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=300)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "True"
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        sl.no_such_name
+    assert not hasattr(sl, "discord_result")
 
 
 def _load_tracing():

@@ -35,6 +35,51 @@ def test_import_leaves_out_scipy_optimize():
     assert out.stdout.strip() == "False"
 
 
+# A fresh interpreter runs one call through cli.main, then prints its exit
+# code and which of the lazily loaded modules ran; the package registers
+# them in sys.modules up front, so a module that ran is one whose code
+# executed, a plain module object.
+_CALL_AND_REPORT = (
+    "import json, sys, types; from ssa_lab.cli import main; code = main(sys.argv[1:]); "
+    "ran = [m for m in ('qcorr', 'structure', 'twoblock') "
+    "if type(sys.modules.get('ssa_lab.' + m)) is types.ModuleType]; "
+    "print(json.dumps([code, ran]))"
+)
+
+
+@pytest.mark.parametrize(
+    "args, code, ran",
+    [
+        (("entropy", "{bell}"), 0, []),
+        (("tgap", "{pure}"), 0, []),
+        (("tgap", "{malformed}"), 1, []),
+        (("build", "{spec}", "--out", "{built}"), 0, ["structure"]),
+        (("certify", "{saturating}", "{spec}"), 0, ["structure"]),
+        (("sweep", "--figure", "a", "--steps", "4"), 0, ["twoblock"]),
+        (("campaign", "--checks", "ssa,concavity", "--n", "2", "--dims", "2,2,2",
+          "--seed", "1"), 0, []),
+        (("discord", "{bell}", "--seed", "1", "--restarts", "1"), 0, ["qcorr"]),
+    ],
+    ids=["entropy", "tgap", "malformed", "build", "certify", "sweep", "campaign", "discord"],
+)
+def test_each_call_loads_only_the_modules_it_runs(
+    args, code, ran, tmp_path, bell_file, pure_state_file, spec_file
+):
+    saturating = tmp_path / "saturating.json"
+    sl.save_state(str(saturating), sl.build_saturating(sl.load_spec(spec_file)))
+    malformed = tmp_path / "malformed.json"
+    malformed.write_text('{"dims": [2, 2, 2], "matrix": [[', encoding="utf-8")
+    paths = dict(bell=bell_file, pure=pure_state_file, spec=spec_file, malformed=malformed,
+                 saturating=saturating, built=tmp_path / "built.json")
+    argv = [a.format(**paths) for a in args]
+    res = subprocess.run(
+        [sys.executable, "-c", _CALL_AND_REPORT, *argv],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert res.returncode == 0, res.stderr
+    assert json.loads(res.stdout.splitlines()[-1]) == [code, ran]
+
+
 def test_runtime_dependencies_are_numpy_only():
     tomllib = pytest.importorskip("tomllib")
     with open(Path(__file__).resolve().parents[1] / "pyproject.toml", "rb") as fh:

@@ -1,11 +1,15 @@
+import functools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import ssa_lab as sl
 from ssa_lab.entropy import entropy_of_spectrum
 from ssa_lab.errors import DimensionError, ValidationError
+
+from conftest import haar_unitary
 
 
 class TestVonNeumannEntropy:
@@ -142,6 +146,22 @@ class TestTGap:
     def test_arity_error(self):
         with pytest.raises(DimensionError):
             sl.t_gap(sl.random_density([2, 2], seed=1))
+
+    @settings(max_examples=30, derandomize=True, database=None, deadline=None)
+    @given(
+        dims=st.sampled_from([(2, 2, 2), (2, 3, 2), (2, 4, 4)]),
+        rank=st.sampled_from([None, 2, 3]),
+        state_seed=st.integers(0, 2**32 - 1),
+        rotation_seed=st.integers(0, 2**32 - 1),
+    )
+    def test_local_unitary_invariance(self, dims, rank, state_seed, rotation_seed):
+        # every entropy in the gap is of a marginal, and U_A x U_B x U_C
+        # only rotates each marginal's eigenbasis
+        rho = sl.random_density(list(dims), rank=rank, seed=state_seed)
+        rng = np.random.default_rng(rotation_seed)
+        u = functools.reduce(np.kron, [haar_unitary(d, rng) for d in dims])
+        rotated = sl.DensityMatrix(dims, u @ rho.data @ u.conj().T)
+        assert abs(sl.t_gap(rotated).t_a - sl.t_gap(rho).t_a) <= 1e-10
 
 
 class TestSsaGapForm1:

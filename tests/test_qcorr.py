@@ -6,20 +6,27 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import ssa_lab as sl
+from ssa_lab import optimize
 from ssa_lab.errors import CapabilityError, ConfigError, DimensionError, ValidationError
+from ssa_lab.optimize import _lbfgs, _multistart_minimize
 from ssa_lab.qcorr import (
     _basis_objective,
     _by_shape,
-    _lbfgs,
     _leg_entropy,
     _legs,
-    _multistart_minimize,
     _restart_points,
     _roof_objective,
     _roof_rows,
 )
 
-from conftest import bell_phi_plus, ghz_state, grid_discord_two_qubit, tensor_pure, w_state
+from conftest import (
+    bell_phi_plus,
+    ghz_state,
+    grid_discord_two_qubit,
+    haar_unitary,
+    tensor_pure,
+    w_state,
+)
 
 
 def _rows(point_objective):
@@ -101,7 +108,7 @@ class TestClassicalCorrelation:
         dims = [3, 3]
         dims[measured] = d
         rho = sl.random_density(dims, rank=rank, seed=int(rng.integers(1 << 30)))
-        vectors = _haar_unitary(d, rng)
+        vectors = haar_unitary(d, rng)
         kept = {1 - measured}
         expected = sl.von_neumann_entropy(sl.partial_trace(rho, kept))
         for column in vectors.T:
@@ -247,7 +254,7 @@ class TestDiscord:
         d_a, d_b = dims
         rho = sl.random_density([d_a, d_b], rank=rank, seed=state_seed)
         rng = np.random.default_rng(rotation_seed)
-        u = np.kron(_haar_unitary(d_a, rng), _haar_unitary(d_b, rng))
+        u = np.kron(haar_unitary(d_a, rng), haar_unitary(d_b, rng))
         rotated = sl.DensityMatrix((d_a, d_b), u @ rho.data @ u.conj().T)
         config = sl.OptimizerConfig(restarts=6)
         base = sl.discord(rho, 1, config).discord
@@ -269,12 +276,6 @@ def _random_restart_discord(rho, measured, config):
     s_other, objective = _qubit_search(rho, measured)
     value = _multistart_minimize(objective, [_restart_points(2, 2, config)], config)[0][0]
     return sl.mutual_information(rho) - (s_other - value)
-
-
-def _haar_unitary(d, rng):
-    z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    q, r = np.linalg.qr(z)
-    return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
 def _grid_axes():
@@ -465,7 +466,7 @@ class TestQubitGrid:
         (d_a, d_b), measured = side
         rho = sl.random_density([d_a, d_b], rank=rank, seed=state_seed)
         rng = np.random.default_rng(rotation_seed)
-        u = np.kron(_haar_unitary(d_a, rng), _haar_unitary(d_b, rng))
+        u = np.kron(haar_unitary(d_a, rng), haar_unitary(d_b, rng))
         rotated = sl.DensityMatrix((d_a, d_b), u @ rho.data @ u.conj().T)
         config = sl.OptimizerConfig(restarts=1)
         base = sl.discord(rho, measured, config).discord
@@ -483,7 +484,7 @@ class TestQubitGrid:
         (d_a, d_b), measured = side
         rho = sl.random_density([d_a, d_b], rank=rank, seed=state_seed)
         rng = np.random.default_rng(rotation_seed)
-        u = np.kron(_haar_unitary(d_a, rng), _haar_unitary(d_b, rng))
+        u = np.kron(haar_unitary(d_a, rng), haar_unitary(d_b, rng))
         rotated = sl.DensityMatrix((d_a, d_b), u @ rho.data @ u.conj().T)
         base = sl.discord(rho, measured).discord
         assert sl.discord(rotated, measured).discord == pytest.approx(base, abs=1e-9)
@@ -525,7 +526,7 @@ class TestLBFGS:
     def test_quadratic_stops_on_the_gradient_rule(self, monkeypatch):
         # a zero value rule leaves only the gradient rule to end a run that
         # still lowers the value
-        monkeypatch.setattr(sl.qcorr, "_VALUE_TOL", 0.0)
+        monkeypatch.setattr(optimize, "_VALUE_TOL", 0.0)
         scales = np.arange(1.0, 7.0)
 
         def objective(x):
@@ -570,7 +571,7 @@ class TestOptimizerConfig:
         assert cfg.restarts == cfg.max_evals == 1
 
     def test_restarts_bound_is_named(self):
-        assert sl.OptimizerConfig(restarts=sl.qcorr.MAX_RESTARTS).restarts == 1000
+        assert sl.OptimizerConfig(restarts=optimize.MAX_RESTARTS).restarts == 1000
         with pytest.raises(ConfigError, match="at most 1000"):
             sl.OptimizerConfig(restarts=10**15)
 
@@ -770,7 +771,7 @@ class TestOneRoot:
         side, size = embedding
         rho = sl.random_density([2, 2], rank=rank, seed=state_seed)
         factors = [np.eye(2), np.eye(2)]
-        factors[side] = _haar_unitary(size, np.random.default_rng(isometry_seed))[:, :2]
+        factors[side] = haar_unitary(size, np.random.default_rng(isometry_seed))[:, :2]
         dims = [2, 2]
         dims[side] = size
         v = np.kron(*factors)
