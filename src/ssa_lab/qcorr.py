@@ -286,8 +286,9 @@ GRID_NEIGHBOURS = 8
 
 def _qubit_grid() -> tuple[np.ndarray, ...]:
     """The origin, then the GRID_POINTS cells, as (1 + GRID_POINTS, 2)
-    chart points, their bases, the eigenpairs (w, V) of their H, from which
-    ``_exp_gradient`` reads the gradient at the points a search starts from,
+    chart points; the entries conj(u_ji) u_ki of their bases u, as a
+    (2 (1 + GRID_POINTS), 4) table whose row 2p + i holds point p's member
+    i and whose columns run over jk = 00, 01, 10, 11 (``_lattice_scores``);
     and the symmetric boolean neighbour matrix: p and q neighbour when
     either is among the other's GRID_NEIGHBOURS nearest by measurement
     angle.  Bases with first columns u, u' measure along Bloch axes with
@@ -298,18 +299,38 @@ def _qubit_grid() -> tuple[np.ndarray, ...]:
     phi = k * (np.pi * (math.sqrt(5.0) - 1.0))  # 2 pi / golden ratio
     cells = half_polar[:, None] * np.stack((-np.sin(phi), np.cos(phi)), axis=-1)
     grid = np.concatenate((np.zeros((1, 2)), cells))
-    bases, w, v = _exp_chart(2, 2, grid)
+    bases = _exp_chart(2, 2, grid)[0]
+    table = np.einsum("pji,pki->pijk", bases.conj(), bases).reshape(-1, 4)
     u = bases[:, :, 0]
     far = -np.abs(2.0 * np.abs(u.conj() @ u.T) ** 2 - 1.0)
     np.fill_diagonal(far, np.inf)
     near = far <= np.sort(far, axis=1)[:, GRID_NEIGHBOURS - 1, None]
-    chart = (grid, bases, w, v, near | near.T)
+    chart = (grid, table, near | near.T)
     for part in chart:
         part.setflags(write=False)
     return chart
 
 
-_QUBIT_GRID, _QUBIT_BASES, _QUBIT_W, _QUBIT_V, _GRID_NEIGHBOURS = _qubit_grid()
+_QUBIT_GRID, _QUBIT_PROJECTORS, _GRID_NEIGHBOURS = _qubit_grid()
+
+
+def _lattice_scores(blocks: np.ndarray) -> np.ndarray:
+    """Discord's objective at every ``_QUBIT_GRID`` point, values only, for
+    the (S, 2, a, t) ``blocks`` of S qubit measured sides, as (S, 1 +
+    GRID_POINTS).  Basis u leaves member i the marginal sigma_i = sum_jk
+    conj(u_ji) u_ki R_j R_k^dag, affine in the lattice table, so one matmul
+    of the table with each side's four products R_j R_k^dag gives every
+    marginal, and one eigvalsh their spectra, cut and normalized by
+    ``_member_entropy``'s rules."""
+    count, _, a, _ = blocks.shape
+    flat = blocks.reshape(count, 2 * a, -1)
+    gram = (flat @ flat.conj().swapaxes(1, 2)).reshape(count, 2, a, 2, a)
+    products = gram.transpose(0, 1, 3, 2, 4).reshape(count, 4, a * a)
+    marginals = (_QUBIT_PROJECTORS @ products).reshape(count, -1, 2, a, a)
+    ev = np.linalg.eigvalsh(marginals)
+    weights = ev.sum(axis=-1)
+    ev = ev / np.where(weights > EIG_CLIP, weights, 1.0)[..., None]
+    return (weights * entropy_of_spectrum(ev)).sum(axis=-1)
 
 
 def _grid_starts(values: np.ndarray, limit: int) -> np.ndarray:
@@ -374,9 +395,10 @@ def _discord_search(blocks: np.ndarray, config: OptimizerConfig) -> list[Discord
     their searches in one lockstep.
 
     A one-dimensional side has one basis and no search.  On a qubit side
-    one call scores the Bloch lattice of every side, and each side's runs
-    start from its lattice's local minima with the values found there and
-    their gradients, read from the lattice's prebuilt chart; on larger
+    one call scores the Bloch lattice of every side by value alone
+    (``_lattice_scores``), ``_grid_starts`` picks each side's starts from
+    those scores, and one objective call over the picked cells of every
+    side primes each run with its start's value and gradient; on larger
     sides every search starts from the same ``_restart_points``.
     S(measured), S(other) and S(pair) = S(rest) are the leg entropies of
     the same rows.
@@ -389,17 +411,12 @@ def _discord_search(blocks: np.ndarray, config: OptimizerConfig) -> list[Discord
         found = [(value, np.zeros(0), True, 0) for value in values]
     elif d == 2:
         grid_evals = len(_QUBIT_GRID)
-        bras = np.tile(_QUBIT_BASES.conj().swapaxes(1, 2), (count, 1, 1))
-        values, gamma = _member_entropy(bras, np.repeat(blocks, grid_evals, axis=0))
-        picks = [_grid_starts(v, config.restarts) for v in values.reshape(count, -1)]
-        cells = np.concatenate(picks)
-        picked = np.concatenate([s * grid_evals + p for s, p in enumerate(picks)])
-        grads = _exp_gradient(
-            n, _QUBIT_W[cells], _QUBIT_V[cells], gamma[picked].conj().swapaxes(1, 2)
-        )
+        picks = [_grid_starts(scores, config.restarts) for scores in _lattice_scores(blocks)]
         starts = [_QUBIT_GRID[p] for p in picks]
-        primed = list(zip(values[picked].tolist(), grads))
-        found = _multistart_minimize(_basis_objective(blocks), starts, config, primed)
+        objective = _basis_objective(blocks)
+        owner = np.repeat(np.arange(count), [len(p) for p in picks])
+        values, grads = objective(np.concatenate(starts), owner)
+        found = _multistart_minimize(objective, starts, config, list(zip(values.tolist(), grads)))
     else:
         starts = [_restart_points(d, n, config)] * count
         found = _multistart_minimize(_basis_objective(blocks), starts, config)
@@ -437,10 +454,11 @@ def discord(
     ``restarts_used`` is ``config.restarts``.
 
     On a qubit side, the computational basis and the GRID_POINTS Bloch
-    lattice cells, 97 points, are scored in one call on their prebuilt
-    bases, and runs start from the lattice's local minima (``_grid_starts``:
-    no worse than any point among their nearest axes, n ~ -n), best first,
-    each from the value and gradient the lattice call found there.  There
+    lattice cells, 97 points, are scored by value alone in one call
+    (``_lattice_scores``), and runs start from the lattice's local minima
+    (``_grid_starts``: no worse than any point among their nearest axes, n
+    ~ -n), best first, each from the value and gradient of one objective
+    call on the picked cells, which it does not evaluate again.  There
     ``config.restarts`` caps the number of runs and ``restarts_used`` is
     the number made, between 1 and that cap; ``nfev`` counts the 97 scored
     points plus every run's evaluations after its start;

@@ -279,10 +279,40 @@ def _random_restart_discord(rho, measured, config):
 
 
 def _grid_axes():
-    """The Bloch axis of each ``_QUBIT_BASES`` basis, its first column's."""
-    u = sl.qcorr._QUBIT_BASES[:, :, 0]
+    """The Bloch axis of each ``_QUBIT_GRID`` point's basis, its first
+    column's."""
+    u = sl.qcorr._exp_chart(2, 2, sl.qcorr._QUBIT_GRID)[0][:, :, 0]
     paulis = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
     return np.real(np.einsum("pi,kij,pj->pk", u.conj(), paulis, u))
+
+
+def _tie_prone_states():
+    """Two-qubit states whose lattice values tie or nearly tie, each with
+    whether its discord objective is constant on the Bloch sphere: product
+    and Werner states (maximally mixed included) are, Bell-diagonal and
+    classical-quantum ones are not."""
+    bell = bell_phi_plus().to_density().data
+    paulis = [np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]), np.diag([1, -1])]
+    bell_diagonal = [
+        np.eye(4) / 4 + sum(c * np.kron(p, p) for c, p in zip(cs, paulis)) / 4
+        for cs in ([0.1, 0.2, 0.3], [0.5, -0.3, 0.2], [0.4, 0.4, -0.2])
+    ]
+    classical_quantum = sum(
+        p * np.kron(np.diag(np.eye(2)[i]), sl.random_density([2], seed=5 + i).data)
+        for i, p in enumerate((0.3, 0.7))
+    )
+    products = [
+        sl.tensor_density(
+            sl.random_density([2], rank=rank, seed=seed), sl.random_density([2], seed=seed + 1)
+        )
+        for rank, seed in ((None, 1), (1, 3))
+    ]
+    werner = [p * bell + (1 - p) * np.eye(4) / 4 for p in (0.0, 0.3, 0.8)]
+    return [(rho, True) for rho in products] + [
+        (sl.validate_density(m, [2, 2]), flat)
+        for mats, flat in ((werner, True), (bell_diagonal + [classical_quantum], False))
+        for m in mats
+    ]
 
 
 class TestQubitGrid:
@@ -368,6 +398,35 @@ class TestQubitGrid:
             starts = sl.qcorr._grid_starts(values, 20)
             assert starts[0] == np.argmin(values)
             assert 1 <= len(starts) <= 20
+
+    def test_lattice_scores_match_the_objective(self):
+        # the value-only score of every lattice cell against the objective's
+        # value there; where the objective is flat to 1e-14 over the whole
+        # lattice (a pure pair, a product or Werner state), the order of
+        # the cells is rounding noise in either scoring, so only non-flat
+        # states must pick the same cells in the same order
+        layouts = [((2, 2), 0), ((2, 2), 1), ((2, 3), 0), ((3, 2), 1), ((4, 2), 1)]
+        states = []
+        for k in range(250):
+            dims, measured = layouts[k % 5]
+            rank = 1 + (k // 5) % (dims[0] * dims[1])
+            rho = sl.random_density(list(dims), rank=rank, seed=70000 + k)
+            states.append((rho, measured, rank == 1))
+        states += [(rho, measured, flat) for rho, flat in _tie_prone_states() for measured in (0, 1)]
+        bases = sl.qcorr._exp_chart(2, 2, sl.qcorr._QUBIT_GRID)[0]
+        for rho, measured, flat in states:
+            rows = _measured_rows(rho, measured)
+            scores = sl.qcorr._lattice_scores(rows[None])[0]
+            values = sl.qcorr._member_entropy(
+                bases.conj().swapaxes(1, 2), np.repeat(rows[None], N_GRID, axis=0)
+            )[0]
+            np.testing.assert_allclose(scores, values, rtol=0, atol=1e-14)
+            assert (np.ptp(values) <= 1e-14) == flat
+            if not flat:
+                for limit in (1, 4, 20):
+                    np.testing.assert_array_equal(
+                        sl.qcorr._grid_starts(scores, limit), sl.qcorr._grid_starts(values, limit)
+                    )
 
     def test_axes_lie_on_the_closed_upper_hemisphere(self):
         axes = _grid_axes()
@@ -663,28 +722,50 @@ class TestLockstep:
     def test_audit_and_conservation_make_one_lockstep_per_group(self, monkeypatch):
         # the audit's roofs, qubit discords and d = 4 discords are three
         # lockstep calls of two searches each; a conservation check is one,
-        # and its two qubit grids are scored in one objective call
-        searches, rows = [], []
-        minimize, member_entropy = sl.qcorr._multistart_minimize, sl.qcorr._member_entropy
+        # whose two lattices are scored by value in one call, and whose
+        # picked cells are primed by one objective call over both searches
+        searches, scored, calls = [], [], []
+        minimize, scores = sl.qcorr._multistart_minimize, sl.qcorr._lattice_scores
+        basis_objective = sl.qcorr._basis_objective
 
         def counting_minimize(objective, starts, config, *primed):
-            searches.append(len(starts))
+            searches.append(starts)
             return minimize(objective, starts, config, *primed)
 
-        def counting_member_entropy(iso, blocks):
-            rows.append(len(iso))
-            return member_entropy(iso, blocks)
+        def counting_scores(blocks):
+            scored.append(len(blocks))
+            return scores(blocks)
+
+        def counting_objective(blocks):
+            objective = basis_objective(blocks)
+
+            def counted(x, owner):
+                calls.append((x.copy(), owner.tolist()))
+                return objective(x, owner)
+
+            return counted
 
         monkeypatch.setattr(sl.qcorr, "_multistart_minimize", counting_minimize)
-        monkeypatch.setattr(sl.qcorr, "_member_entropy", counting_member_entropy)
+        monkeypatch.setattr(sl.qcorr, "_lattice_scores", counting_scores)
+        monkeypatch.setattr(sl.qcorr, "_basis_objective", counting_objective)
         config = sl.OptimizerConfig(restarts=2, max_evals=40, seed=1)
         sl.theorem1_audit(sl.random_density([2, 2, 2], rank=2, seed=10_000), config)
-        assert searches == [2, 2, 2]
+        assert [len(starts) for starts in searches] == [2, 2, 2]
+        assert scored == [2]
         searches.clear()
-        rows.clear()
+        scored.clear()
+        calls.clear()
         sl.conservation_check(sl.random_pure([2, 2, 2], seed=8000), config)
-        assert searches == [2]
-        assert [k for k in rows if k >= N_GRID] == [2 * N_GRID]
+        assert scored == [2]
+        [starts] = searches
+        assert len(starts) == 2
+        # the first objective call evaluates every search's picked cells,
+        # which are lattice points, and nothing else
+        x, owner = calls[0]
+        np.testing.assert_array_equal(x, np.concatenate(starts))
+        assert owner == [0] * len(starts[0]) + [1] * len(starts[1])
+        lattice = sl.qcorr._QUBIT_GRID
+        assert all((lattice == point).all(axis=1).any() for point in x)
 
 
 def _count_calls(monkeypatch, *functions):
