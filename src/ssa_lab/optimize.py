@@ -50,14 +50,15 @@ _LINE_SEARCH_EVALS = 20
 _EPS = float(np.finfo(float).eps)
 
 
-def _multistart_minimize(objective, starts, config: OptimizerConfig, primed=None):
+def _multistart_minimize(objective, starts, config: OptimizerConfig, primed=None, reach=1.0):
     """Seeded multi-start L-BFGS for several searches on one chart, every
     run of every search in one lockstep.
 
     ``starts`` holds one (R_s, n) stack of start points per search s; each
     row starts one ``_lbfgs`` coroutine.  ``primed``, when given, holds the
     objective's (value, gradient) at every start, run order, and no run
-    evaluates its start again.  ``objective`` maps a (k, n) stack of points
+    evaluates its start again.  ``reach`` is the chart length of each
+    run's first trial step (``_lbfgs``).  ``objective`` maps a (k, n) stack of points
     and the (k,) index of the search each belongs to onto their values (k,)
     and gradients (k, n).  Every round stacks the pending points of all
     runs still going, makes one objective call and sends row i back to its
@@ -70,7 +71,9 @@ def _multistart_minimize(objective, starts, config: OptimizerConfig, primed=None
     """
     owner = np.repeat(np.arange(len(starts)), [len(block) for block in starts])
     points = [x for block in starts for x in block]
-    runs = [_lbfgs(x, config, start) for x, start in zip(points, primed or [None] * len(points))]
+    runs = [
+        _lbfgs(x, config, start, reach) for x, start in zip(points, primed or [None] * len(points))
+    ]
     pending, results = {}, [None] * len(runs)
 
     def advance(run: int, sent) -> None:
@@ -99,7 +102,7 @@ def _multistart_minimize(objective, starts, config: OptimizerConfig, primed=None
     return searches
 
 
-def _lbfgs(x: np.ndarray, config: OptimizerConfig, start=None):
+def _lbfgs(x: np.ndarray, config: OptimizerConfig, start=None, reach=1.0):
     """One L-BFGS run from x, as a coroutine: it yields each point to
     evaluate, is sent back (value, gradient) and returns (value, point,
     converged, nfev).  Given ``start``, the (value, gradient) at x, it
@@ -110,7 +113,8 @@ def _lbfgs(x: np.ndarray, config: OptimizerConfig, start=None):
     curvature pairs (s, y), scaled by s.y / y.y of the newest pair (Liu &
     Nocedal, Math. Prog. 45, 503 (1989); Nocedal & Wright, Alg. 7.4); a
     pair is kept only when s.y > 0.  The step comes from ``_wolfe_step``,
-    tried first at 1/|d| while no pair is stored and at 1 after.  The run
+    tried first at reach/|d| while no pair is stored, a move of ``reach``
+    on the chart, and at 1 after.  The run
     stops, converged, when max|g| <= _GRAD_TOL or when a step's relative
     decrease (f_k - f_k+1) / max(|f_k|, |f_k+1|, 1) is <= _VALUE_TOL, and,
     not converged, after max_evals evaluations or when the line search along
@@ -130,7 +134,7 @@ def _lbfgs(x: np.ndarray, config: OptimizerConfig, start=None):
         if not grad.dot(direction) < 0.0:  # descent lost to roundoff
             pairs.clear()
             direction = -grad
-        first = 1.0 if pairs else 1.0 / math.sqrt(direction.dot(direction))
+        first = 1.0 if pairs else reach / math.sqrt(direction.dot(direction))
         budget = min(_LINE_SEARCH_EVALS, config.max_evals - nfev)
         step, evals = yield from _wolfe_step(x, value, grad, direction, first, budget)
         nfev += evals

@@ -282,6 +282,14 @@ def _basis_objective(blocks: np.ndarray):
 # they reach 34, far enough to read two basins as one.
 GRID_POINTS = 96
 GRID_NEIGHBOURS = 8
+# Every Bloch axis lies within GRID_COVER_DEG of a lattice axis (12.1
+# degrees measured), and a chart step of length s turns the measurement axis
+# by about 2 s, so a polish run from a cell tries its first step at the
+# lattice's covering radius on the chart, _GRID_REACH, about 0.13; the
+# default first step moves 1, some 115 degrees, which the line search
+# rejected in every run seen.
+GRID_COVER_DEG = 15.0
+_GRID_REACH = 0.5 * math.radians(GRID_COVER_DEG)
 
 
 def _qubit_grid() -> tuple[np.ndarray, ...]:
@@ -293,7 +301,9 @@ def _qubit_grid() -> tuple[np.ndarray, ...]:
     either is among the other's GRID_NEIGHBOURS nearest by measurement
     angle.  Bases with first columns u, u' measure along Bloch axes with
     n.n' = 2 |<u|u'>|^2 - 1, and n ~ -n, so far = -|n.n'| orders them; the
-    origin's ring and the neighbours across the rim follow."""
+    origin's ring and the neighbours across the rim follow.  The table
+    serves the value-only score; a search builds no basis, eigenpair or
+    gradient at a cell it does not polish."""
     k = np.arange(GRID_POINTS)
     half_polar = 0.5 * np.arccos(1.0 - (k + 0.5) / GRID_POINTS)
     phi = k * (np.pi * (math.sqrt(5.0) - 1.0))  # 2 pi / golden ratio
@@ -398,8 +408,10 @@ def _discord_search(blocks: np.ndarray, config: OptimizerConfig) -> list[Discord
     one call scores the Bloch lattice of every side by value alone
     (``_lattice_scores``), ``_grid_starts`` picks each side's starts from
     those scores, and one objective call over the picked cells of every
-    side primes each run with its start's value and gradient; on larger
-    sides every search starts from the same ``_restart_points``.
+    side primes each run with its start's value and gradient; each run
+    tries its first step at the lattice's covering radius, ``_GRID_REACH``.
+    On larger sides every search starts from the same ``_restart_points``,
+    with a unit first step.
     S(measured), S(other) and S(pair) = S(rest) are the leg entropies of
     the same rows.
     """
@@ -416,7 +428,8 @@ def _discord_search(blocks: np.ndarray, config: OptimizerConfig) -> list[Discord
         objective = _basis_objective(blocks)
         owner = np.repeat(np.arange(count), [len(p) for p in picks])
         values, grads = objective(np.concatenate(starts), owner)
-        found = _multistart_minimize(objective, starts, config, list(zip(values.tolist(), grads)))
+        primed = list(zip(values.tolist(), grads))
+        found = _multistart_minimize(objective, starts, config, primed, _GRID_REACH)
     else:
         starts = [_restart_points(d, n, config)] * count
         found = _multistart_minimize(_basis_objective(blocks), starts, config)
@@ -458,10 +471,13 @@ def discord(
     (``_lattice_scores``), and runs start from the lattice's local minima
     (``_grid_starts``: no worse than any point among their nearest axes, n
     ~ -n), best first, each from the value and gradient of one objective
-    call on the picked cells, which it does not evaluate again.  There
-    ``config.restarts`` caps the number of runs and ``restarts_used`` is
-    the number made, between 1 and that cap; ``nfev`` counts the 97 scored
-    points plus every run's evaluations after its start;
+    call on the picked cells, which it does not evaluate again.  A run's
+    first trial step spans the lattice's covering radius, about 0.13 on the
+    chart (GRID_COVER_DEG / 2), where a run from a random start tries a
+    unit step.  There ``config.restarts`` caps the number of runs and
+    ``restarts_used`` is the number made, between 1 and that cap; ``nfev``
+    counts the 97 lattice points once, a picked one included, plus every
+    run's evaluations after its start;
     ``config.max_evals`` caps those per run, not the lattice; and
     ``config.seed`` is unused.
     """
