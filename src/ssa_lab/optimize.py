@@ -57,10 +57,10 @@ def _multistart_minimize(objective, starts, config: OptimizerConfig, primed=None
     ``starts`` holds one (R_s, n) stack of start points per search s; each
     row starts one ``_lbfgs`` coroutine.  ``primed``, when given, holds the
     objective's (value, gradient) at every start, run order, and no run
-    evaluates its start again.  ``reach`` is the chart length of each
-    run's first trial step (``_lbfgs``).  ``objective`` maps a (k, n) stack of points
-    and the (k,) index of the search each belongs to onto their values (k,)
-    and gradients (k, n).  Every round stacks the pending points of all
+    evaluates its start again.  ``reach`` is how far every run's first
+    trial step moves (``_lbfgs``).  ``objective`` maps a (k, n) stack of
+    points and the (k,) index of the search each belongs to onto their
+    values (k,) and gradients (k, n).  Every round stacks the pending points of all
     runs still going, makes one objective call and sends row i back to its
     run.  A row's value and gradient do not depend on the other rows, so
     each run takes the same path it would take alone.  Returns one (value,
@@ -113,12 +113,11 @@ def _lbfgs(x: np.ndarray, config: OptimizerConfig, start=None, reach=1.0):
     curvature pairs (s, y), scaled by s.y / y.y of the newest pair (Liu &
     Nocedal, Math. Prog. 45, 503 (1989); Nocedal & Wright, Alg. 7.4); a
     pair is kept only when s.y > 0.  The step comes from ``_wolfe_step``,
-    tried first at reach/|d| while no pair is stored, a move of ``reach``
-    on the chart, and at 1 after.  The run
-    stops, converged, when max|g| <= _GRAD_TOL or when a step's relative
-    decrease (f_k - f_k+1) / max(|f_k|, |f_k+1|, 1) is <= _VALUE_TOL, and,
-    not converged, after max_evals evaluations or when the line search along
-    -g fails.
+    tried first at reach/|d| while no pair is stored, a move of length
+    ``reach``, and at 1 after.  The run stops, converged, when max|g| <=
+    _GRAD_TOL or when a step's relative decrease (f_k - f_k+1) / max(|f_k|,
+    |f_k+1|, 1) is <= _VALUE_TOL, and, not converged, after max_evals
+    evaluations or when the line search along -g fails.
     """
     if start is None:
         value, grad = yield x

@@ -472,9 +472,9 @@ def discord(
     (``_grid_starts``: no worse than any point among their nearest axes, n
     ~ -n), best first, each from the value and gradient of one objective
     call on the picked cells, which it does not evaluate again.  A run's
-    first trial step spans the lattice's covering radius, about 0.13 on the
-    chart (GRID_COVER_DEG / 2), where a run from a random start tries a
-    unit step.  There ``config.restarts`` caps the number of runs and
+    first trial step spans the lattice's covering radius on the chart, half
+    of GRID_COVER_DEG in radians (about 0.13), where a run from a random
+    start tries a unit step.  There ``config.restarts`` caps the number of runs and
     ``restarts_used`` is the number made, between 1 and that cap; ``nfev``
     counts the 97 lattice points once, a picked one included, plus every
     run's evaluations after its start;
