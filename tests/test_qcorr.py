@@ -442,7 +442,9 @@ class TestQubitGrid:
             rank = 1 + (k // 5) % (dims[0] * dims[1])
             rho = sl.random_density(list(dims), rank=rank, seed=70000 + k)
             states.append((rho, measured, rank == 1))
-        states += [(rho, measured, flat) for rho, flat in _tie_prone_states() for measured in (0, 1)]
+        states += [
+            (rho, measured, flat) for rho, flat in _tie_prone_states() for measured in (0, 1)
+        ]
         bases = sl.qcorr._exp_chart(2, 2, sl.qcorr._QUBIT_GRID)[0]
         for rho, measured, flat in states:
             rows = _measured_rows(rho, measured)
