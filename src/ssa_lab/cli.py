@@ -345,7 +345,7 @@ def _add_optimizer_flags(parser: argparse.ArgumentParser) -> None:
         "--max-evals",
         type=int,
         default=OptimizerConfig.max_evals,
-        help="objective evaluations per restart",
+        help="objective evaluations per restart, its start included",
     )
     parser.add_argument("--seed", type=int, required=True, help="random seed (required)")
 

@@ -24,10 +24,10 @@ MAX_RESTARTS = 1000
 class OptimizerConfig:
     """Multi-start settings for the L-BFGS searches.
 
-    Per restart, ``max_evals`` caps the objective evaluations (a hard cap);
-    the stopping rules are fixed constants, see ``_lbfgs``.  ``restarts``
-    is at most MAX_RESTARTS, because one lockstep draws and runs every
-    restart of its searches at once.
+    Per restart, ``max_evals`` caps the objective evaluations, the start
+    included (a hard cap); the stopping rules are fixed constants, see
+    ``_lbfgs``.  ``restarts`` is at most MAX_RESTARTS, because one lockstep
+    draws and runs every restart of its searches at once.
     """
 
     restarts: int = 20
@@ -50,18 +50,17 @@ _LINE_SEARCH_EVALS = 20
 _EPS = float(np.finfo(float).eps)
 
 
-def _multistart_minimize(objective, starts, config: OptimizerConfig, primed=None, reach=1.0):
+def _multistart_minimize(objective, starts, config: OptimizerConfig, reach=1.0):
     """Seeded multi-start L-BFGS for several searches on one chart, every
     run of every search in one lockstep.
 
     ``starts`` holds one (R_s, n) stack of start points per search s; each
-    row starts one ``_lbfgs`` coroutine.  ``primed``, when given, holds the
-    objective's (value, gradient) at every start, run order, and no run
-    evaluates its start again.  ``reach`` is how far every run's first
-    trial step moves (``_lbfgs``).  ``objective`` maps a (k, n) stack of
-    points and the (k,) index of the search each belongs to onto their
-    values (k,) and gradients (k, n).  Every round stacks the pending points of all
-    runs still going, makes one objective call and sends row i back to its
+    row starts one ``_lbfgs`` coroutine, and the first round evaluates
+    every start.  ``reach`` is how far every run's first trial step moves
+    (``_lbfgs``).  ``objective`` maps a (k, n) stack of points and the (k,)
+    index of the search each belongs to onto their values (k,) and
+    gradients (k, n).  Every round stacks the pending points of all runs
+    still going, makes one objective call and sends row i back to its
     run.  A row's value and gradient do not depend on the other rows, so
     each run takes the same path it would take alone.  Returns one (value,
     point, converged, nfev) per search, the best of its runs with ties
@@ -70,26 +69,18 @@ def _multistart_minimize(objective, starts, config: OptimizerConfig, primed=None
     the objective evaluations (rows) over the search's runs.
     """
     owner = np.repeat(np.arange(len(starts)), [len(block) for block in starts])
-    points = [x for block in starts for x in block]
-    runs = [
-        _lbfgs(x, config, start, reach) for x, start in zip(points, primed or [None] * len(points))
-    ]
-    pending, results = {}, [None] * len(runs)
-
-    def advance(run: int, sent) -> None:
-        try:
-            pending[run] = runs[run].send(sent)
-        except StopIteration as stop:  # a primed run may end before it yields
-            pending.pop(run, None)
-            results[run] = stop.value
-
-    for run in range(len(runs)):
-        advance(run, None)
+    runs = [_lbfgs(x, config, reach) for block in starts for x in block]
+    pending = {run: next(coroutine) for run, coroutine in enumerate(runs)}
+    results = [None] * len(runs)
     while pending:
         active = list(pending)
         values, grads = objective(np.stack([pending[r] for r in active]), owner[active])
         for run, value, grad in zip(active, values.tolist(), grads):
-            advance(run, (value, grad))
+            try:
+                pending[run] = runs[run].send((value, grad))
+            except StopIteration as stop:
+                del pending[run]
+                results[run] = stop.value
     searches, first = [], 0
     for block in starts:
         best, nfev = (math.inf, np.zeros(block.shape[1]), False), 0
@@ -102,12 +93,11 @@ def _multistart_minimize(objective, starts, config: OptimizerConfig, primed=None
     return searches
 
 
-def _lbfgs(x: np.ndarray, config: OptimizerConfig, start=None, reach=1.0):
+def _lbfgs(x: np.ndarray, config: OptimizerConfig, reach=1.0):
     """One L-BFGS run from x, as a coroutine: it yields each point to
-    evaluate, is sent back (value, gradient) and returns (value, point,
-    converged, nfev).  Given ``start``, the (value, gradient) at x, it
-    does not evaluate x, and nfev and max_evals count the evaluations after
-    it; it may then return before it yields.
+    evaluate, x first, is sent back (value, gradient) and returns (value,
+    point, converged, nfev).  nfev counts every evaluation, x included,
+    and max_evals caps it.
 
     The direction is the two-loop recursion over the last LBFGS_MEMORY
     curvature pairs (s, y), scaled by s.y / y.y of the newest pair (Liu &
@@ -119,11 +109,8 @@ def _lbfgs(x: np.ndarray, config: OptimizerConfig, start=None, reach=1.0):
     |f_k+1|, 1) is <= _VALUE_TOL, and, not converged, after max_evals
     evaluations or when the line search along -g fails.
     """
-    if start is None:
-        value, grad = yield x
-        nfev = 1
-    else:
-        (value, grad), nfev = start, 0
+    value, grad = yield x
+    nfev = 1
     pairs: deque = deque(maxlen=LBFGS_MEMORY)
     gamma = 1.0
     while not np.abs(grad).max() <= _GRAD_TOL:

@@ -406,12 +406,12 @@ def _discord_search(blocks: np.ndarray, config: OptimizerConfig) -> list[Discord
 
     A one-dimensional side has one basis and no search.  On a qubit side
     one call scores the Bloch lattice of every side by value alone
-    (``_lattice_scores``), ``_grid_starts`` picks each side's starts from
-    those scores, and one objective call over the picked cells of every
-    side primes each run with its start's value and gradient; each run
-    tries its first step at the lattice's covering radius, ``_GRID_REACH``.
-    On larger sides every search starts from the same ``_restart_points``,
-    with a unit first step.
+    (``_lattice_scores``), and each run starts from a cell that
+    ``_grid_starts`` picks from those scores and tries its first step at
+    the lattice's covering radius, ``_GRID_REACH``.  On larger sides every
+    search starts from the same ``_restart_points``, with a unit first
+    step.  Both make one ``_multistart_minimize`` call, whose first round
+    evaluates every start.
     S(measured), S(other) and S(pair) = S(rest) are the leg entropies of
     the same rows.
     """
@@ -421,18 +421,14 @@ def _discord_search(blocks: np.ndarray, config: OptimizerConfig) -> list[Discord
     if n == 0:
         values = _member_entropy(np.ones((count, 1, 1)), blocks)[0].tolist()
         found = [(value, np.zeros(0), True, 0) for value in values]
-    elif d == 2:
-        grid_evals = len(_QUBIT_GRID)
-        picks = [_grid_starts(scores, config.restarts) for scores in _lattice_scores(blocks)]
-        starts = [_QUBIT_GRID[p] for p in picks]
-        objective = _basis_objective(blocks)
-        owner = np.repeat(np.arange(count), [len(p) for p in picks])
-        values, grads = objective(np.concatenate(starts), owner)
-        primed = list(zip(values.tolist(), grads))
-        found = _multistart_minimize(objective, starts, config, primed, _GRID_REACH)
     else:
-        starts = [_restart_points(d, n, config)] * count
-        found = _multistart_minimize(_basis_objective(blocks), starts, config)
+        if d == 2:
+            grid_evals, reach = len(_QUBIT_GRID), _GRID_REACH
+            picks = [_grid_starts(row, config.restarts) for row in _lattice_scores(blocks)]
+            starts = [_QUBIT_GRID[p] for p in picks]
+        else:
+            reach, starts = 1.0, [_restart_points(d, n, config)] * count
+        found = _multistart_minimize(_basis_objective(blocks), starts, config, reach)
     results = []
     for rows, runs, (value, x, converged, nfev) in zip(blocks, starts, found):
         s_measured, s_other, s_pair = (_leg_entropy(rows, leg) for leg in range(3))
@@ -457,9 +453,11 @@ def discord(
     multi-start L-BFGS search with the analytic gradient over the roof's
     chart U = exp(iH), here with H zero on the diagonal (the basis chart of
     ``_exp_chart``).  Results merge by best value with ties going to the
-    earlier run.  ``nfev`` counts objective evaluations over all runs (0
-    when the measured side is one-dimensional).  The mutual information is
-    read from the singular values of the same rows.
+    earlier run.  ``nfev`` counts every objective evaluation over all runs,
+    each run's start included (0 when the measured side is
+    one-dimensional), and ``config.max_evals`` caps each run's
+    evaluations.  The mutual information is read from the singular values
+    of the same rows.
 
     On a measured side of dimension 3 or more, ``config.restarts`` runs
     start, run 0 from the computational basis and the rest from seeded
@@ -470,16 +468,12 @@ def discord(
     lattice cells, 97 points, are scored by value alone in one call
     (``_lattice_scores``), and runs start from the lattice's local minima
     (``_grid_starts``: no worse than any point among their nearest axes, n
-    ~ -n), best first, each from the value and gradient of one objective
-    call on the picked cells, which it does not evaluate again.  A run's
-    first trial step spans the lattice's covering radius on the chart, half
-    of GRID_COVER_DEG in radians (about 0.13), where a run from a random
-    start tries a unit step.  There ``config.restarts`` caps the number of runs and
-    ``restarts_used`` is the number made, between 1 and that cap; ``nfev``
-    counts the 97 lattice points once, a picked one included, plus every
-    run's evaluations after its start;
-    ``config.max_evals`` caps those per run, not the lattice; and
-    ``config.seed`` is unused.
+    ~ -n), best first.  A run's first trial step spans the lattice's
+    covering radius on the chart, half of GRID_COVER_DEG in radians (about
+    0.13), where a run from a random start tries a unit step.  There
+    ``config.restarts`` caps the number of runs, ``restarts_used`` is the
+    number made, between 1 and that cap, ``nfev`` adds the 97 lattice
+    scores to the runs' evaluations, and ``config.seed`` is unused.
     """
     measured = _measured_side(rho_ab, measured, "discord")
     _require_measurable(rho_ab.dims[measured])
