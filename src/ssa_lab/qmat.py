@@ -190,14 +190,16 @@ def tensor_density(*states: DensityMatrix) -> DensityMatrix:
 
 def trace_out(data: np.ndarray, dims: tuple[int, ...], keep: Iterable[int]) -> np.ndarray:
     """Partial trace of a (..., side, side) stack (one state: no leading axes)
-    onto the subsystems in ``keep``, in their original relative order."""
-    lead = data.ndim - 2
+    onto the subsystems in ``keep``, in their original relative order: one
+    einsum over the (..., dims, dims) tensor, where a traced leg's row and
+    column share a subscript, so several traced legs sum in one pass."""
+    n, lead = len(dims), data.ndim - 2
+    kept = sorted(set(keep))
+    cols = [n + i if i in kept else i for i in range(n)]
     tensor = data.reshape(data.shape[:lead] + dims + dims)
-    for idx in sorted(set(range(len(dims))) - set(keep), reverse=True):
-        half = (tensor.ndim - lead) // 2
-        tensor = np.trace(tensor, axis1=lead + idx, axis2=lead + idx + half)
-    side = math.prod(dims[i] for i in set(keep))
-    return tensor.reshape(data.shape[:lead] + (side, side))
+    out = np.einsum(tensor, [..., *range(n), *cols], [..., *kept, *(n + i for i in kept)])
+    side = math.prod(dims[i] for i in kept)
+    return out.reshape(data.shape[:lead] + (side, side))
 
 
 def trace_out_pure(amps: np.ndarray, dims: tuple[int, ...], keep: Iterable[int]) -> np.ndarray:

@@ -28,6 +28,11 @@ from .qmat import DensityMatrix, _as_array, _as_int
 
 SWEEPABLE = ("beta2", "lambda1", "b")
 MAX_SWEEP_STEPS = 1024
+# A sweep builds the states of CELLS cells at a time, and of at least one
+# row: 512 real 32x32 states take 4 MB, so a sweep's memory stays bounded by
+# max(CELLS, steps) cells, never steps^2, and a 64-step figure takes 8
+# stacks in place of one per row.
+CELLS = 512
 
 
 @dataclass(frozen=True)
@@ -35,9 +40,10 @@ class TwoBlockParams:
     """Free parameters of the family; all real, in [0, 1].
 
     beta1, alpha2 and a are determined by normalization from alpha1, beta2
-    and b, which rules out inconsistent parameter sets.  A sweep row holds
-    one SWEEPABLE field as an array of values; the derived fields, the
-    blocks and the closed form then come out as arrays of that shape.
+    and b, which rules out inconsistent parameter sets.  Sweep rows hold
+    their two SWEEPABLE fields as arrays that broadcast to (rows, steps);
+    the derived fields, the blocks and the closed form then come out as
+    arrays of that shape.
     """
 
     p1: float = 0.5
@@ -48,7 +54,7 @@ class TwoBlockParams:
     lambda2: float = 0.5
 
     def __post_init__(self) -> None:
-        # each field is stored as checked: a float, or a float array for a sweep row
+        # each field is stored as checked: a float, or a float array for sweep rows
         p1 = _as_array(self.p1, "p1", float)
         if not np.all((0.0 < p1) & (p1 < 1.0)):
             raise ValidationError(f"p1 must lie in (0, 1), got {self.p1}")
@@ -99,7 +105,7 @@ def _place(*blocks) -> np.ndarray:
 
 
 def _vector(*entries) -> np.ndarray:
-    """Entries stacked along a new last axis, broadcast over a sweep row."""
+    """Entries stacked along a new last axis, broadcast over sweep rows."""
     return np.stack(np.broadcast_arrays(*entries), axis=-1)
 
 
@@ -117,9 +123,9 @@ def _blocks(p: TwoBlockParams) -> tuple[tuple, tuple]:
 
 
 def _mixture(params: TwoBlockParams) -> np.ndarray:
-    """The family density matrix (a stack of them for a sweep row): p1 block1
-    and p2 block2 placed into one real array.  Valid by construction: real
-    amplitudes placed symmetrically, weights >= 0 summing to 1."""
+    """The family density matrix (a stack of them for sweep rows): p1
+    block1 and p2 block2 placed into one real array.  Valid by construction:
+    real amplitudes placed symmetrically, weights >= 0 summing to 1."""
     block1, block2 = _blocks(params)
     return _place((params.p1, *block1), (params.p2, *block2))
 
@@ -223,17 +229,20 @@ def sweep_gap(
     fixed: TwoBlockParams = DEFAULT_PARAMS,
 ) -> SweepGrid:
     """Evaluate closed-form and entropic gaps over a 2-parameter grid.  The
-    closed form takes the whole broadcast grid in one call; each row of the
-    entropic gap is one real _mixture stack, passed unchecked to gap_entropies."""
+    closed form takes the whole broadcast grid in one call.  The entropic
+    gap takes a block of max(1, CELLS // axis2.steps) rows at a time: one
+    real _mixture stack, passed unchecked to gap_entropies, whose partial
+    traces each sum their traced legs in one pass."""
     if axis1.name == axis2.name:
         raise ConfigError(f"sweep axes must differ, both are {axis1.name!r}")
-    grid = replace(fixed, **{axis1.name: axis1.values()[:, None], axis2.name: axis2.values()})
-    closed = gap_closed_form(grid)
+    values1, values2 = axis1.values()[:, None], axis2.values()
+    closed = gap_closed_form(replace(fixed, **{axis1.name: values1, axis2.name: values2}))
     numeric = np.zeros_like(closed)
-    for i, x1 in enumerate(axis1.values()):
-        row = replace(fixed, **{axis1.name: float(x1), axis2.name: axis2.values()})
-        s_ab, s_ac, s_b, s_c = gap_entropies(_mixture(row), (2, 4, 4)).T
-        numeric[i] = s_ab + s_ac - s_b - s_c
+    rows = max(1, CELLS // axis2.steps)
+    for i in range(0, axis1.steps, rows):
+        block = replace(fixed, **{axis1.name: values1[i : i + rows], axis2.name: values2})
+        s_ab, s_ac, s_b, s_c = np.moveaxis(gap_entropies(_mixture(block), (2, 4, 4)), -1, 0)
+        numeric[i : i + rows] = s_ab + s_ac - s_b - s_c
     return SweepGrid(axis1, axis2, fixed, closed, numeric)
 
 

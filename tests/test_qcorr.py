@@ -413,14 +413,30 @@ class TestQubitGrid:
             )
 
     def test_converged_grid_point_ends_at_its_first_evaluation(self):
-        # a pure state's objective is flat with gradient exactly 0, so every
-        # grid point is a start and each run ends at it after evaluating it
+        # a pure pair's, a product's and a Werner state's objective is flat,
+        # so the lattice is flat and only its best cell is a start; the run
+        # ends there after evaluating it.  The discord of a pure pair is
+        # S(A), of a product 0, and of a Werner state with Bell weight p
+        # (1 - p)/4 log2(1 - p) - (1 + p)/2 log2(1 + p) + (1 + 3p)/4 log2(1 + 3p)
+        # (Ollivier and Zurek, PRL 88, 017901 (2002))
+        states = []
         for seed in range(3):
             rho = sl.random_density([2, 2], rank=1, seed=seed)
-            result = sl.discord(rho, 1, sl.OptimizerConfig(restarts=10))
-            assert (result.restarts_used, result.nfev, result.converged) == (10, N_GRID + 10, True)
-            s_a = sl.von_neumann_entropy(sl.partial_trace(rho, {0}))
-            assert result.discord == pytest.approx(s_a, abs=1e-12)
+            states.append((rho, sl.von_neumann_entropy(sl.partial_trace(rho, {0}))))
+        product = sl.tensor_density(sl.random_density([2], seed=1), sl.random_density([2], seed=2))
+        states.append((product, 0.0))
+        p = 0.3
+        werner = sl.validate_density(
+            p * bell_phi_plus().to_density().data + (1 - p) * np.eye(4) / 4, [2, 2]
+        )
+        terms = ((1 - p) / 4, 1 - p), (-(1 + p) / 2, 1 + p), ((1 + 3 * p) / 4, 1 + 3 * p)
+        states.append((werner, sum(w * math.log2(x) for w, x in terms)))
+        for rho, expected in states:
+            for measured in (0, 1):
+                result = sl.discord(rho, measured, sl.OptimizerConfig(restarts=10))
+                counts = (result.restarts_used, result.nfev, result.converged)
+                assert counts == (1, N_GRID + 1, True)
+                assert result.discord == pytest.approx(expected, abs=1e-12)
 
     def test_one_evaluation_per_run_returns_a_valid_basis(self):
         rho = sl.random_density([2, 2], seed=44)

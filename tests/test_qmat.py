@@ -67,6 +67,35 @@ class TestPartialTrace:
                 member = sl.partial_trace(sl.DensityMatrix(dims, stack[k]), keep)
                 np.testing.assert_array_equal(out[k, 0], member.data)
 
+    @pytest.mark.parametrize("dims", [(3, 2), (2, 3, 4), (4, 2, 3), (3, 2, 2, 4)])
+    @pytest.mark.parametrize("lead", [(), (3,), (2, 3)])
+    def test_one_pass_matches_leg_by_leg_trace(self, dims, lead):
+        # oracle: one np.trace per traced leg, last leg first.  One traced leg
+        # sums the same terms in the same order; several sum in another
+        # order, and two summation orders of m terms differ by at most
+        # 2 (m - 1) eps sum|term| (real and imaginary parts alike)
+        def leg_by_leg(data, keep):
+            tensor = data.reshape(lead + dims + dims)
+            for idx in sorted(set(range(len(dims))) - set(keep), reverse=True):
+                half = (tensor.ndim - len(lead)) // 2
+                tensor = np.trace(tensor, axis1=len(lead) + idx, axis2=len(lead) + idx + half)
+            side = int(np.prod([dims[i] for i in keep]))
+            return tensor.reshape(lead + (side, side))
+
+        side = int(np.prod(dims))
+        rng = np.random.default_rng(side)
+        data = rng.normal(size=lead + (side, side)) + 1j * rng.normal(size=lead + (side, side))
+        for mask in range(1, 2 ** len(dims)):
+            keep = [i for i in range(len(dims)) if mask >> i & 1]
+            out, expected = trace_out(data, dims, keep), leg_by_leg(data, keep)
+            assert out.shape == expected.shape
+            traced = side // int(np.prod([dims[i] for i in keep]))
+            if len(dims) - len(keep) <= 1:
+                np.testing.assert_array_equal(out, expected)
+            else:
+                bound = 2 * (traced - 1) * np.finfo(float).eps * leg_by_leg(np.abs(data), keep)
+                assert np.all(np.abs(out - expected) <= bound)
+
     @settings(max_examples=40, derandomize=True, database=None, deadline=None)
     @given(dims=st.lists(st.integers(1, 3), min_size=1, max_size=4), seed=st.integers(0, 2**32 - 1))
     def test_pure_state_matches_outer_product(self, dims, seed):
