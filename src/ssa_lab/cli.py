@@ -338,8 +338,9 @@ def _add_optimizer_flags(parser: argparse.ArgumentParser) -> None:
         "--restarts",
         type=int,
         default=OptimizerConfig.restarts,
-        help="optimizer restarts; a discord on a qubit measured side polishes at "
-        "most this many local minima of a 97-point Bloch lattice and draws no random starts",
+        help="optimizer restarts; a discord on a measured side of dimension 2 to 4 "
+        "polishes at most this many local minima of a fixed scan of bases (97 on a "
+        "qubit, 129 at d = 3, 4) and draws no random starts",
     )
     parser.add_argument(
         "--max-evals",

@@ -15,6 +15,7 @@ yet reported (ROADMAP item 9).  All quantities are in bits.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -272,93 +273,99 @@ def _basis_objective(blocks: np.ndarray):
     return objective
 
 
-# The Bloch lattice scored on a qubit measured side: the origin, then
-# GRID_POINTS Fibonacci-lattice cells on the hemisphere (Gonzalez, Math.
-# Geosci. 42, 49 (2010)), which is all of it, since n and -n give the same
-# basis.  Cell k sits at polar angle arccos(1 - (k + 1/2) / GRID_POINTS) and
-# azimuth phi = k golden angles, taken as 2 pi / golden ratio, at the chart
-# point (polar / 2)(-sin phi, cos phi): the Givens rotation (polar / 2, phi).
-# At 96 cells a point's GRID_NEIGHBOURS nearest lie within 28 degrees; at 64
-# they reach 34, far enough to read two basins as one.
+# The bases ``_scan`` scores on a measured side of dimension d <= SCAN_MAX_DIM,
+# the origin first.  A qubit side's are GRID_POINTS Fibonacci-lattice cells on
+# the hemisphere (Gonzalez, Math. Geosci. 42, 49 (2010)), all of it, as n and
+# -n give one basis: cell k at polar angle arccos(1 - (k + 1/2) / GRID_POINTS)
+# and azimuth phi = k golden angles (2 pi / golden ratio), at the chart point
+# (polar / 2)(-sin phi, cos phi), the Givens rotation (polar / 2, phi).  At 96
+# cells a point's GRID_NEIGHBOURS nearest lie within 28 degrees; at 64 they
+# reach 34, far enough to read two basins as one.  Sides of dimension 3 and 4
+# take SCAN_POINTS draws in ``_restart_points``' box, fixed by SCAN_SEED.
+SCAN_MAX_DIM = 4
 GRID_POINTS = 96
+SCAN_POINTS = 128
+SCAN_SEED = 0
 GRID_NEIGHBOURS = 8
-# Every Bloch axis lies within GRID_COVER_DEG of a lattice axis (12.1
-# degrees measured), and a chart step of length s turns the measurement axis
-# by about 2 s, so a polish run from a cell tries its first step at the
-# lattice's covering radius on the chart, _GRID_REACH, about 0.13; the
-# default first step moves 1, some 115 degrees, which the line search
-# rejected in every run seen.
+# Every Bloch axis lies within GRID_COVER_DEG of a lattice axis (12.1 degrees
+# measured), and a chart step of length s turns the axis by about 2 s, so a
+# qubit polish run tries its first step at the covering radius on the chart,
+# _GRID_REACH, about 0.13; a unit step, some 115 degrees, was rejected by the
+# line search in every run seen.  Larger sides keep the unit step.
 GRID_COVER_DEG = 15.0
 _GRID_REACH = 0.5 * math.radians(GRID_COVER_DEG)
-# A lattice whose scores spread by at most GRID_FLAT bits is flat: the
-# objective is constant on the Bloch sphere (a pure pair, a product or a
-# Werner state) and its scores differ by rounding alone, up to 6.3e-16 seen
-# on 2000 pure pairs and 2.0e-15 on products and Werner states, so its
-# "local minima" are noise and only the best cell is polished.  Random states
-# of rank 2 or more spread by 0.04 bits or more (3000 seen).
+# A score table spread by at most GRID_FLAT bits is flat: the objective is
+# constant over the bases (a pure pair, a product, a Werner state), the scores
+# differ by rounding alone (2.0e-15 at most seen on qubit sides), and only the
+# best point is polished.  Random rank >= 2 qubit sides spread by >= 0.04 bits.
 GRID_FLAT = 1e-14
+_SCAN_BLOCK = 4  # points per overlap block: peak RSS +0.4 MB at d = 4, +2.7 MB at 16
 
 
-def _qubit_grid() -> tuple[np.ndarray, ...]:
-    """The origin, then the GRID_POINTS cells, as (1 + GRID_POINTS, 2)
-    chart points; the entries conj(u_ji) u_ki of their bases u, as a
-    (2 (1 + GRID_POINTS), 4) table whose row 2p + i holds point p's member
-    i and whose columns run over jk = 00, 01, 10, 11 (``_lattice_scores``);
-    and the symmetric boolean neighbour matrix: p and q neighbour when
-    either is among the other's GRID_NEIGHBOURS nearest by measurement
-    angle.  Bases with first columns u, u' measure along Bloch axes with
-    n.n' = 2 |<u|u'>|^2 - 1, and n ~ -n, so far = -|n.n'| orders them; the
-    origin's ring and the neighbours across the rim follow.  The table
-    serves the value-only score; a search builds no basis, eigenpair or
-    gradient at a cell it does not polish."""
-    k = np.arange(GRID_POINTS)
-    half_polar = 0.5 * np.arccos(1.0 - (k + 0.5) / GRID_POINTS)
-    phi = k * (np.pi * (math.sqrt(5.0) - 1.0))  # 2 pi / golden ratio
-    cells = half_polar[:, None] * np.stack((-np.sin(phi), np.cos(phi)), axis=-1)
-    grid = np.concatenate((np.zeros((1, 2)), cells))
-    bases = _exp_chart(2, 2, grid)[0]
-    table = np.einsum("pji,pki->pijk", bases.conj(), bases).reshape(-1, 4)
-    u = bases[:, :, 0]
-    far = -np.abs(2.0 * np.abs(u.conj() @ u.T) ** 2 - 1.0)
+@lru_cache(maxsize=None)
+def _scan(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """The (P, d(d-1)) chart points scored on a measured side of dimension
+    d; the entries conj(u_ji) u_ki of their bases u, as a (P d, d^2) table
+    whose row d p + i holds point p's member i, columns over jk; the
+    symmetric boolean neighbour matrix; and a polish run's first step.  p
+    and q neighbour when either is among the other's GRID_NEIGHBOURS
+    nearest by the basis distance d - max_pi sum_i |<u_i|u'_pi(i)>|^2, zero
+    between bases that measure alike, and 1 - |n.n'| between Bloch axes (n ~
+    -n) at d = 2, so the origin's ring and the neighbours across the rim follow."""
+    if d == 2:
+        k = np.arange(GRID_POINTS)
+        half_polar = 0.5 * np.arccos(1.0 - (k + 0.5) / GRID_POINTS)
+        phi = k * (np.pi * (math.sqrt(5.0) - 1.0))  # 2 pi / golden ratio
+        cells = half_polar[:, None] * np.stack((-np.sin(phi), np.cos(phi)), axis=-1)
+        points, reach = np.concatenate((np.zeros((1, 2)), cells)), _GRID_REACH
+    else:
+        draws = OptimizerConfig(restarts=1 + SCAN_POINTS, seed=SCAN_SEED)
+        points, reach = _restart_points(d, n_basis_params(d), draws), 1.0
+    bases = _exp_chart(d, d, points)[0]
+    table = np.einsum("pji,pki->pijk", bases.conj(), bases).reshape(-1, d * d)
+    count, pairs = len(points), d * np.arange(d) + np.array([*itertools.permutations(range(d))])
+    bras, kets = bases.conj().swapaxes(1, 2).reshape(-1, d), bases.swapaxes(0, 1).reshape(d, -1)
+    far = np.empty((count, count))
+    for top in range(0, count, _SCAN_BLOCK):  # |<u_i|u'_k>|^2 as rows (p q, i k)
+        overlap = np.abs(bras[d * top : d * (top + _SCAN_BLOCK)] @ kets) ** 2
+        overlap = overlap.reshape(-1, d, count, d).swapaxes(1, 2).reshape(-1, d * d)
+        matched = overlap[:, pairs].sum(axis=-1).max(axis=-1)
+        far[top : top + _SCAN_BLOCK] = d - matched.reshape(-1, count)
     np.fill_diagonal(far, np.inf)
     near = far <= np.sort(far, axis=1)[:, GRID_NEIGHBOURS - 1, None]
-    chart = (grid, table, near | near.T)
-    for part in chart:
+    near |= near.T
+    for part in (points, table, near):
         part.setflags(write=False)
-    return chart
+    return points, table, near, reach
 
 
-_QUBIT_GRID, _QUBIT_PROJECTORS, _GRID_NEIGHBOURS = _qubit_grid()
-
-
-def _lattice_scores(blocks: np.ndarray) -> np.ndarray:
-    """Discord's objective at every ``_QUBIT_GRID`` point, values only, for
-    the (S, 2, a, t) ``blocks`` of S qubit measured sides, as (S, 1 +
-    GRID_POINTS).  Basis u leaves member i the marginal sigma_i = sum_jk
-    conj(u_ji) u_ki R_j R_k^dag, affine in the lattice table, so one matmul
-    of the table with each side's four products R_j R_k^dag gives every
-    marginal, and one eigvalsh their spectra, cut and normalized by
-    ``_member_entropy``'s rules."""
-    count, _, a, _ = blocks.shape
-    flat = blocks.reshape(count, 2 * a, -1)
-    gram = (flat @ flat.conj().swapaxes(1, 2)).reshape(count, 2, a, 2, a)
-    products = gram.transpose(0, 1, 3, 2, 4).reshape(count, 4, a * a)
-    marginals = (_QUBIT_PROJECTORS @ products).reshape(count, -1, 2, a, a)
+def _lattice_scores(blocks: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """Discord's objective at every ``_scan`` point, values only, for the
+    (S, d, a, t) ``blocks`` of S measured sides and the points' ``table``,
+    as (S, P).  Basis u leaves member i the marginal sigma_i = sum_jk
+    conj(u_ji) u_ki R_j R_k^dag, affine in the table, so one matmul of the
+    table with each side's d^2 products R_j R_k^dag gives every marginal,
+    and one eigvalsh their spectra, cut and normalized as in
+    ``_member_entropy``."""
+    count, d, a, _ = blocks.shape
+    flat = blocks.reshape(count, d * a, -1)
+    gram = (flat @ flat.conj().swapaxes(1, 2)).reshape(count, d, a, d, a)
+    products = gram.transpose(0, 1, 3, 2, 4).reshape(count, d * d, a * a)
+    marginals = (table @ products).reshape(count, -1, d, a, a)
     ev = np.linalg.eigvalsh(marginals)
     weights = ev.sum(axis=-1)
     ev = ev / np.where(weights > EIG_CLIP, weights, 1.0)[..., None]
     return (weights * entropy_of_spectrum(ev)).sum(axis=-1)
 
 
-def _grid_starts(values: np.ndarray, limit: int) -> np.ndarray:
-    """Indices of the ``_QUBIT_GRID`` points to polish, given their values:
-    the points no worse than any of their ``_GRID_NEIGHBOURS``, best
-    first, ties in grid order, at most ``limit``; only the best when the
-    values spread by GRID_FLAT or less.  The best point is always among
-    them."""
+def _grid_starts(values: np.ndarray, neighbours: np.ndarray, limit: int) -> np.ndarray:
+    """Indices of the scanned points to polish, from their values and
+    ``neighbours`` matrix: those no worse than any neighbour, best first,
+    ties in scan order, at most ``limit``, and only the best when the values
+    spread by GRID_FLAT or less.  The best point is always among them."""
     if np.ptp(values) <= GRID_FLAT:
         limit = 1
-    around = np.where(_GRID_NEIGHBOURS, values, np.inf)
+    around = np.where(neighbours, values, np.inf)
     candidates = np.flatnonzero((values[:, None] <= around).all(axis=1))
     return candidates[np.argsort(values[candidates], kind="stable")][:limit]
 
@@ -414,14 +421,12 @@ def _discord_search(blocks: np.ndarray, config: OptimizerConfig) -> list[Discord
     a, t) ``blocks`` of ``_legs`` rows (measured side, other side, rest),
     their searches in one lockstep.
 
-    A one-dimensional side has one basis and no search.  On a qubit side
-    one call scores the Bloch lattice of every side by value alone
-    (``_lattice_scores``), and each run starts from a cell that
-    ``_grid_starts`` picks from those scores and tries its first step at
-    the lattice's covering radius, ``_GRID_REACH``.  On larger sides every
-    search starts from the same ``_restart_points``, with a unit first
-    step.  Both make one ``_multistart_minimize`` call, whose first round
-    evaluates every start.
+    A one-dimensional side has one basis and no search.  Up to
+    SCAN_MAX_DIM, one call scores the ``_scan`` points of every side by
+    value alone (``_lattice_scores``), and each run starts from a point
+    ``_grid_starts`` picks, with the scan's first step.  Larger sides all
+    start from the same ``_restart_points``, with a unit first step.  One
+    ``_multistart_minimize`` call's first round evaluates every start.
     S(measured), S(other) and S(pair) = S(rest) are the leg entropies of
     the same rows.
     """
@@ -432,10 +437,10 @@ def _discord_search(blocks: np.ndarray, config: OptimizerConfig) -> list[Discord
         values = _member_entropy(np.ones((count, 1, 1)), blocks)[0].tolist()
         found = [(value, np.zeros(0), True, 0) for value in values]
     else:
-        if d == 2:
-            grid_evals, reach = len(_QUBIT_GRID), _GRID_REACH
-            picks = [_grid_starts(row, config.restarts) for row in _lattice_scores(blocks)]
-            starts = [_QUBIT_GRID[p] for p in picks]
+        if d <= SCAN_MAX_DIM:
+            points, table, neighbours, reach = _scan(d)
+            grid_evals, scores = len(points), _lattice_scores(blocks, table)
+            starts = [points[_grid_starts(row, neighbours, config.restarts)] for row in scores]
         else:
             reach, starts = 1.0, [_restart_points(d, n, config)] * count
         found = _multistart_minimize(_basis_objective(blocks), starts, config, reach)
@@ -459,34 +464,26 @@ def discord(
 
     Basis U leaves the members U^dag @ rows, from the rows of rho_AB's
     purification along the measured side (``_legs``), scored by the convex
-    roof's objective (``_basis_objective``).  Maximization runs a
-    multi-start L-BFGS search with the analytic gradient over the roof's
-    chart U = exp(iH), here with H zero on the diagonal (the basis chart of
-    ``_exp_chart``).  Results merge by best value with ties going to the
-    earlier run.  ``nfev`` counts every objective evaluation over all runs,
-    each run's start included (0 when the measured side is
-    one-dimensional), and ``config.max_evals`` caps each run's
-    evaluations.  The mutual information is read from the singular values
-    of the same rows.
+    roof's objective (``_basis_objective``) and maximized by multi-start
+    L-BFGS with the analytic gradient over U = exp(iH), H zero on the
+    diagonal (the basis chart of ``_exp_chart``).  Results merge by best
+    value, ties to the earlier run.  ``nfev`` counts every objective
+    evaluation over all runs, each run's start included (0 on a
+    one-dimensional side); ``config.max_evals`` caps each run's.  The
+    mutual information is read from the singular values of the same rows.
 
-    On a measured side of dimension 3 or more, ``config.restarts`` runs
-    start, run 0 from the computational basis and the rest from seeded
-    uniform draws (``_restart_points``), so a fixed seed fixes the outcome;
-    ``restarts_used`` is ``config.restarts``.
-
-    On a qubit side, the computational basis and the GRID_POINTS Bloch
-    lattice cells, 97 points, are scored by value alone in one call
-    (``_lattice_scores``), and runs start from the lattice's local minima
-    (``_grid_starts``: no worse than any point among their nearest axes, n
-    ~ -n), best first.  A flat lattice, whose scores spread by GRID_FLAT
-    (1e-14 bits) or less, as on a pure pair, a product or a Werner state,
-    has one run, from its best cell.  A run's first trial step spans the
-    lattice's covering radius on the chart, half of GRID_COVER_DEG in
-    radians (about 0.13), where a run from a random start tries a unit
-    step.  There ``config.restarts`` caps the number of runs,
-    ``restarts_used`` is the number made, between 1 and that cap, ``nfev``
-    adds the 97 lattice scores to the runs' evaluations, and
-    ``config.seed`` is unused.
+    On a measured side of dimension d <= 4 (SCAN_MAX_DIM), a fixed set of
+    bases (``_scan``: the computational basis, then the GRID_POINTS Bloch
+    lattice cells at d = 2, 97 points, or SCAN_POINTS draws at d = 3 and
+    4, 129) is scored by value alone, and runs start from its local minima
+    (``_grid_starts``: no worse than any of their GRID_NEIGHBOURS nearest
+    bases), best first, one run on a flat table (a pure pair, a product
+    or a Werner state).  A qubit run's first step spans the lattice's
+    covering radius, about 0.13 on the chart; other runs try a unit step.
+    ``config.restarts`` caps the runs, ``restarts_used`` is the number
+    made, ``nfev`` adds the scores, and ``config.seed`` is unused.  On
+    sides of dimension 5 to 8, ``config.restarts`` runs start from the
+    computational basis and seeded draws (``_restart_points``).
     """
     measured = _measured_side(rho_ab, measured, "discord")
     _require_measurable(rho_ab.dims[measured])
@@ -619,7 +616,10 @@ class KWReport:
 def kw_gap(
     rho_abc: DensityMatrix, config: OptimizerConfig = OptimizerConfig()
 ) -> KWReport:
-    """Evaluate the monogamy inequality on a tripartite state.
+    """Evaluate the monogamy inequality on a tripartite state with C
+    measured: D^(C)(AC) + S(A|C) - E(AB) = E(A:BE) - E(A:B).  B measured is
+    ``kw_gap(permute_subsystems(rho_abc, (0, 2, 1)))``; one orientation can
+    vanish alone, at T > 0 (C copying a classical A).
 
     rho_ABC is purified once, to |psi_ABCE>.  E(AB) is Wootters' on the
     root (AB, CE); the C-measured discord of AC runs on the rows (C, A,

@@ -192,3 +192,44 @@ def grid_discord_two_qubit(rho: sl.DensityMatrix, n: int = 400) -> float:
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(20240801)
+
+
+@dataclass
+class WorkCounts:
+    """The optimizer work of one test: objective rows and objective calls
+    made through ``_multistart_minimize``, and value-only scan scores."""
+
+    rows: int = 0
+    calls: int = 0
+    scores: int = 0
+
+    def __str__(self) -> str:
+        return f"objective rows {self.rows}, calls {self.calls}, scores {self.scores}"
+
+
+@pytest.fixture
+def work(monkeypatch) -> WorkCounts:
+    """Counts the optimizer work of the test that takes it.  Every objective
+    ``qcorr`` hands to ``_multistart_minimize`` is wrapped to count its rows
+    and calls, and ``_lattice_scores`` counts the scores it returns; the
+    wrappers pass every value through unchanged.  The counts are
+    deterministic, where timings on a shared host are not."""
+    counts = WorkCounts()
+    minimize, scores = sl.qcorr._multistart_minimize, sl.qcorr._lattice_scores
+
+    def counting_minimize(objective, starts, config, *reach):
+        def counted(x, owner):
+            counts.rows += len(x)
+            counts.calls += 1
+            return objective(x, owner)
+
+        return minimize(counted, starts, config, *reach)
+
+    def counting_scores(blocks, table):
+        values = scores(blocks, table)
+        counts.scores += values.size
+        return values
+
+    monkeypatch.setattr(sl.qcorr, "_multistart_minimize", counting_minimize)
+    monkeypatch.setattr(sl.qcorr, "_lattice_scores", counting_scores)
+    return counts

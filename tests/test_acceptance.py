@@ -11,8 +11,11 @@ import ssa_lab as sl
 from conftest import collide_embeddings, grid_discord_two_qubit, random_two_block_params
 
 
-def _report(num: int, ok: bool, detail: str) -> None:
-    line = f"[criterion {num:02d}] {'PASS' if ok else 'FAIL'}: {detail}"
+def _report(num: int, ok: bool, detail: str, work=None) -> None:
+    """One pass/fail line; an optimizer-backed criterion adds its work
+    counts (the ``work`` fixture), which are reported, not asserted."""
+    work = "" if work is None else f"; {work}"
+    line = f"[criterion {num:02d}] {'PASS' if ok else 'FAIL'}: {detail}{work}"
     print(line)
     assert ok, line
 
@@ -177,7 +180,7 @@ def test_criterion_07_theorem2_soundness():
     )
 
 
-def test_criterion_08_conservation_law():
+def test_criterion_08_conservation_law(work):
     worst = 0.0
     for k in range(100):
         psi = sl.random_pure([2, 2, 2], seed=8000 + k)
@@ -189,10 +192,11 @@ def test_criterion_08_conservation_law():
         8,
         worst <= 2e-4,
         f"|E(AB)+E(AC) - D(AB)-D(AC)| <= {worst:.3e} over 100 Haar pure 3-qubit states",
+        work,
     )
 
 
-def test_criterion_09_kw_inequality():
+def test_criterion_09_kw_inequality(work):
     worst_random = math.inf
     for k in range(300):
         rho = sl.random_density([2, 2, 2], seed=9000 + k)
@@ -210,10 +214,11 @@ def test_criterion_09_kw_inequality():
         worst_random >= -1e-4 and worst_built <= 1e-4,
         f"monogamy gap >= {worst_random:.3e} over 300 random states; "
         f"|gap| <= {worst_built:.3e} over 50 built saturating states",
+        work,
     )
 
 
-def test_criterion_10_theorem1_audit():
+def test_criterion_10_theorem1_audit(work):
     worst_line4 = 0.0
     worst_delta = math.inf
     for k in range(50):
@@ -228,10 +233,11 @@ def test_criterion_10_theorem1_audit():
         worst_line4 <= 5e-4 and worst_delta >= -5e-4,
         f"|line4 - gap| <= {worst_line4:.3e} and entanglement increments "
         f">= {worst_delta:.3e} over 50 rank-2 states",
+        work,
     )
 
 
-def test_criterion_11_discord_vs_brute_force():
+def test_criterion_11_discord_vs_brute_force(work):
     worst = 0.0
     for k in range(20):
         rho = sl.random_density([2, 2], seed=11_000 + k)
@@ -242,10 +248,11 @@ def test_criterion_11_discord_vs_brute_force():
         11,
         worst <= 1e-5,
         f"discord (restarts=20) vs 400x400 grid optimum, worst |diff| = {worst:.3e}",
+        work,
     )
 
 
-def test_criterion_12_wootters_vs_convex_roof():
+def test_criterion_12_wootters_vs_convex_roof(work):
     worst = 0.0
     for k in range(100):
         rho = sl.random_density([2, 2], rank=2, seed=12_000 + k)
@@ -258,4 +265,5 @@ def test_criterion_12_wootters_vs_convex_roof():
         12,
         worst <= 1e-4,
         f"|Wootters - convex roof| <= {worst:.3e} over 100 rank-2 two-qubit states",
+        work,
     )

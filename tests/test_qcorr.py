@@ -184,9 +184,9 @@ class TestDiscord:
         assert d_b > 0.05
 
     def test_optimal_basis_is_valid(self):
-        # a qubit side polishes the grid's local minima, at most `restarts`
-        # of them; a larger side runs exactly `restarts`
-        for dims, used in (((2, 2), range(1, 5)), ((2, 3), [4])):
+        # a side of dimension up to 4 polishes the scan's local minima, at
+        # most `restarts` of them; a larger side runs exactly `restarts`
+        for dims, used in (((2, 2), range(1, 5)), ((2, 3), range(1, 5)), ((2, 5), [4])):
             rho = sl.random_density(list(dims), seed=5)
             result = sl.discord(rho, 1, sl.OptimizerConfig(restarts=4, seed=5))
             vectors = result.optimal_basis.vectors
@@ -235,24 +235,26 @@ class TestDiscord:
         trivial = sl.discord(sl.random_density([2, 1], seed=1), 1)
         assert trivial.nfev == 0
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="six restarts on a full-rank d = 4 side can all end in a worse "
-        "local optimum (ROADMAP item 3)",
-    )
     def test_full_rank_two_by_four_at_six_restarts(self):
-        # 0.2315624 at restarts=6 against 0.2311522 at 24, converged both
-        # times; a fix must flip this
+        # six random restarts all ended in a worse basin, 0.2315624; the
+        # scan and 40 random restarts find 0.2311522
         rho = sl.random_density([2, 4], seed=30012)
         six = sl.discord(rho, 1, sl.OptimizerConfig(restarts=6, seed=12)).discord
-        reference = sl.discord(rho, 1, sl.OptimizerConfig(restarts=24, seed=12)).discord
+        reference = _random_restart_discord(rho, 1, sl.OptimizerConfig(restarts=40, seed=12))
         assert six == pytest.approx(reference, abs=1e-9)
 
     def test_full_rank_four_by_four_at_six_restarts(self):
-        # missed under the old [0, pi) restart box; 0.4008872 at 6 and 24
+        # missed under the old [0, pi) restart box; 0.4008872
         rho = sl.random_density([4, 4], seed=30003)
         six = sl.discord(rho, 1, sl.OptimizerConfig(restarts=6, seed=3)).discord
-        reference = sl.discord(rho, 1, sl.OptimizerConfig(restarts=24, seed=3)).discord
+        reference = _random_restart_discord(rho, 1, sl.OptimizerConfig(restarts=40, seed=3))
+        assert six == pytest.approx(reference, abs=1e-9)
+
+    def test_rank_three_four_by_four_at_six_restarts(self):
+        # six random restarts ended 5.6e-3 above the optimum, 1.0431738
+        rho = sl.random_density([4, 4], rank=3, seed=73011)
+        six = sl.discord(rho, 1, sl.OptimizerConfig(restarts=6, seed=11)).discord
+        reference = _random_restart_discord(rho, 1, sl.OptimizerConfig(restarts=40, seed=11))
         assert six == pytest.approx(reference, abs=1e-9)
 
     def test_trivial_measured_side(self):
@@ -268,9 +270,9 @@ class TestDiscord:
         rotation_seed=st.integers(0, 2**32 - 1),
     )
     def test_local_unitary_invariance_beyond_qubits(self, dims, rank, state_seed, rotation_seed):
-        # a measured side of dimension 3 or 4 has no grid: the random
-        # restarts on the basis chart must reach the same optimum wherever
-        # V_B moves it
+        # V_B moves the optimum of a side of dimension 3 or 4 relative to
+        # the scan's fixed bases; the polished minima must reach it
+        # wherever it lands
         d_a, d_b = dims
         rho = sl.random_density([d_a, d_b], rank=rank, seed=state_seed)
         rng = np.random.default_rng(rotation_seed)
@@ -282,26 +284,32 @@ class TestDiscord:
 
 
 N_GRID = 1 + sl.qcorr.GRID_POINTS  # the origin and the cells
+N_SCAN = 1 + sl.qcorr.SCAN_POINTS  # the origin and the draws, d = 3 and 4
+QUBIT_GRID, QUBIT_TABLE, QUBIT_NEIGHBOURS, _ = sl.qcorr._scan(2)
 
 
 def _qubit_search(rho, measured):
     """S of the unmeasured side, read from the purification's rows as
-    ``discord`` reads it, and the stacked objective over the qubit chart."""
+    ``discord`` reads it, and the stacked objective over the basis chart."""
     rows = _measured_rows(rho, measured)
     return _leg_entropy(rows, 1), _basis_objective(rows[None])
 
 
 def _random_restart_discord(rho, measured, config):
-    """Discord from ``_multistart_minimize``'s random starts alone."""
+    """Discord from random starts alone, the rule of sides of dimension 5
+    and up: ``_multistart_minimize`` from ``_restart_points``, each run's
+    first step a unit move; an independent reference for the scan."""
     s_other, objective = _qubit_search(rho, measured)
-    value = _multistart_minimize(objective, [_restart_points(2, 2, config)], config)[0][0]
+    d = rho.dims[measured]
+    starts = [_restart_points(d, sl.qcorr.n_basis_params(d), config)]
+    value = _multistart_minimize(objective, starts, config)[0][0]
     return sl.mutual_information(rho) - (s_other - value)
 
 
 def _grid_axes():
-    """The Bloch axis of each ``_QUBIT_GRID`` point's basis, its first
+    """The Bloch axis of each qubit scan point's basis, its first
     column's."""
-    u = sl.qcorr._exp_chart(2, 2, sl.qcorr._QUBIT_GRID)[0][:, :, 0]
+    u = sl.qcorr._exp_chart(2, 2, QUBIT_GRID)[0][:, :, 0]
     paulis = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
     return np.real(np.einsum("pi,kij,pj->pk", u.conj(), paulis, u))
 
@@ -355,13 +363,15 @@ class TestQubitGrid:
         assert worst <= 1e-10
 
     def test_result_does_not_depend_on_seed(self):
-        rho = sl.random_density([2, 2], seed=41)
-        first, second = (
-            sl.discord(rho, 1, sl.OptimizerConfig(restarts=4, seed=seed)) for seed in (1, 2)
-        )
-        assert first.discord == second.discord
-        assert (first.nfev, first.restarts_used) == (second.nfev, second.restarts_used)
-        assert np.array_equal(first.optimal_basis.vectors, second.optimal_basis.vectors)
+        # on every scanned side, d = 2, 3 and 4
+        for dims in ((2, 2), (2, 3), (3, 4)):
+            rho = sl.random_density(list(dims), seed=41)
+            first, second = (
+                sl.discord(rho, 1, sl.OptimizerConfig(restarts=4, seed=seed)) for seed in (1, 2)
+            )
+            assert first.discord == second.discord
+            assert (first.nfev, first.restarts_used) == (second.nfev, second.restarts_used)
+            assert np.array_equal(first.optimal_basis.vectors, second.optimal_basis.vectors)
 
     def test_nfev_counts_the_grid(self):
         for measured in (0, 1):
@@ -376,8 +386,8 @@ class TestQubitGrid:
         config = sl.OptimizerConfig(restarts=1)
         result = sl.discord(rho, 1, config)
         s_other, objective = _qubit_search(rho, 1)
-        values = _one(objective)(sl.qcorr._QUBIT_GRID)[0]
-        start = [sl.qcorr._QUBIT_GRID[np.argmin(values)][None]]
+        values = _one(objective)(QUBIT_GRID)[0]
+        start = [QUBIT_GRID[np.argmin(values)][None]]
         reach = sl.qcorr._GRID_REACH
         value, _, _, nfev = _multistart_minimize(objective, start, config, reach)[0]
         assert result.restarts_used == 1
@@ -385,9 +395,9 @@ class TestQubitGrid:
         assert result.classical_correlation == s_other - value >= s_other - values.min()
 
     def test_first_trial_step_spans_the_covering_radius(self, monkeypatch):
-        # a run from a lattice cell tries its first step at the lattice's
-        # covering radius on the chart; a run from a random start on a
-        # larger side moves a unit
+        # a run from a qubit lattice cell tries its first step at the
+        # lattice's covering radius on the chart; a run from a drawn scan
+        # point (d = 3, 4) or from a random start (d >= 5) moves a unit
         calls = []
         basis_objective = sl.qcorr._basis_objective
 
@@ -402,7 +412,7 @@ class TestQubitGrid:
 
         monkeypatch.setattr(sl.qcorr, "_basis_objective", recording_objective)
         assert sl.qcorr._GRID_REACH == pytest.approx(0.5 * math.radians(15.0), rel=1e-15)
-        for dims, reach in (((2, 2), sl.qcorr._GRID_REACH), ((2, 3), 1.0)):
+        for dims, reach in (((2, 2), sl.qcorr._GRID_REACH), ((2, 3), 1.0), ((2, 5), 1.0)):
             calls.clear()
             rho = sl.random_density(list(dims), seed=46)
             sl.discord(rho, 1, sl.OptimizerConfig(restarts=3, seed=1))
@@ -445,7 +455,7 @@ class TestQubitGrid:
         assert np.max(np.abs(vectors.conj().T @ vectors - np.eye(2))) <= 1e-10
         assert result.nfev == N_GRID + result.restarts_used
         s_other, objective = _qubit_search(rho, 1)
-        best = s_other - _one(objective)(sl.qcorr._QUBIT_GRID)[0].min()
+        best = s_other - _one(objective)(QUBIT_GRID)[0].min()
         assert result.classical_correlation == pytest.approx(best, abs=1e-14)
         assert sl.classical_correlation_at(rho, result.optimal_basis, 1) == pytest.approx(
             best, abs=1e-12
@@ -456,7 +466,7 @@ class TestQubitGrid:
         rng = np.random.default_rng(45)
         for _ in range(200):
             values = rng.integers(0, 6, N_GRID).astype(float)
-            starts = sl.qcorr._grid_starts(values, 20)
+            starts = sl.qcorr._grid_starts(values, QUBIT_NEIGHBOURS, 20)
             assert starts[0] == np.argmin(values)
             assert 1 <= len(starts) <= 20
 
@@ -476,10 +486,10 @@ class TestQubitGrid:
         states += [
             (rho, measured, flat) for rho, flat in _tie_prone_states() for measured in (0, 1)
         ]
-        bases = sl.qcorr._exp_chart(2, 2, sl.qcorr._QUBIT_GRID)[0]
+        bases = sl.qcorr._exp_chart(2, 2, QUBIT_GRID)[0]
         for rho, measured, flat in states:
             rows = _measured_rows(rho, measured)
-            scores = sl.qcorr._lattice_scores(rows[None])[0]
+            scores = sl.qcorr._lattice_scores(rows[None], QUBIT_TABLE)[0]
             values = sl.qcorr._member_entropy(
                 bases.conj().swapaxes(1, 2), np.repeat(rows[None], N_GRID, axis=0)
             )[0]
@@ -488,7 +498,8 @@ class TestQubitGrid:
             if not flat:
                 for limit in (1, 4, 20):
                     np.testing.assert_array_equal(
-                        sl.qcorr._grid_starts(scores, limit), sl.qcorr._grid_starts(values, limit)
+                        sl.qcorr._grid_starts(scores, QUBIT_NEIGHBOURS, limit),
+                        sl.qcorr._grid_starts(values, QUBIT_NEIGHBOURS, limit),
                     )
 
     def test_axes_lie_on_the_closed_upper_hemisphere(self):
@@ -514,14 +525,14 @@ class TestQubitGrid:
         # n and -n are one measurement, so the nearest axes of a cell near
         # the equator include cells on the far side, whose n.n' < 0
         axes = _grid_axes()
-        near = sl.qcorr._GRID_NEIGHBOURS
+        near = QUBIT_NEIGHBOURS
         rim = np.flatnonzero(axes[:, 2] < 0.15)
         assert len(rim) >= 8
         for p in rim:
             assert (axes[near[p]] @ axes[p]).min() < 0.0
 
     def test_neighbours_are_the_nearest_axes_both_ways(self):
-        near = sl.qcorr._GRID_NEIGHBOURS
+        near = QUBIT_NEIGHBOURS
         assert near.shape == (N_GRID, N_GRID)
         np.testing.assert_array_equal(near, near.T)
         assert not near.diagonal().any()
@@ -623,6 +634,78 @@ class TestQubitGrid:
         rotated = sl.DensityMatrix((d_a, d_b), u @ rho.data @ u.conj().T)
         base = sl.discord(rho, measured).discord
         assert sl.discord(rotated, measured).discord == pytest.approx(base, abs=1e-9)
+
+
+class TestScan:
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_built_once_and_read_only(self, d):
+        points, table, neighbours, reach = sl.qcorr._scan(d)
+        assert sl.qcorr._scan(d)[0] is points
+        count = N_GRID if d == 2 else N_SCAN
+        assert points.shape == (count, d * (d - 1))
+        assert table.shape == (count * d, d * d) and neighbours.shape == (count, count)
+        np.testing.assert_array_equal(points[0], 0.0)
+        assert reach == (sl.qcorr._GRID_REACH if d == 2 else 1.0)
+        for part in (points, table, neighbours):
+            assert not part.flags.writeable
+
+    @pytest.mark.parametrize("d", [3, 4])
+    def test_neighbours_are_the_nearest_bases_both_ways(self, d):
+        # the basis distance d - max_pi sum_i |<u_i|u'_pi(i)>|^2, its best
+        # matching found by the Hungarian method instead of by permutations
+        from scipy.optimize import linear_sum_assignment
+
+        points, _, near, _ = sl.qcorr._scan(d)
+        bases = sl.qcorr._exp_chart(d, d, points)[0]
+        overlaps = np.abs(np.einsum("pji,qjk->pqik", bases.conj(), bases)) ** 2
+        far = np.empty(near.shape)
+        for (p, q), overlap in zip(np.ndindex(near.shape), overlaps.reshape(-1, d, d)):
+            rows, cols = linear_sum_assignment(overlap, maximize=True)
+            far[p, q] = d - overlap[rows, cols].sum()
+        assert np.abs(far.diagonal()).max() <= 1e-12
+        np.testing.assert_array_equal(near, near.T)
+        assert not near.diagonal().any()
+        np.fill_diagonal(far, np.inf)
+        nearest = np.argsort(far, axis=1)[:, : sl.qcorr.GRID_NEIGHBOURS]
+        assert np.take_along_axis(near, nearest, axis=1).all()
+        assert near.sum(axis=1).min() == sl.qcorr.GRID_NEIGHBOURS
+
+    @pytest.mark.parametrize(
+        "dims, measured", [((2, 3), 1), ((3, 2), 0), ((2, 4), 1), ((4, 3), 0)]
+    )
+    def test_scores_match_the_objective(self, dims, measured):
+        # as on a qubit side: the value-only score of every scanned basis
+        # against the objective there, and the same picks where the table
+        # is not flat
+        d = dims[measured]
+        points, table, neighbours, _ = sl.qcorr._scan(d)
+        bases = sl.qcorr._exp_chart(d, d, points)[0]
+        for k in range(12):
+            rank = 1 + k % (dims[0] * dims[1])
+            rho = sl.random_density(list(dims), rank=rank, seed=72000 + k)
+            rows = _measured_rows(rho, measured)
+            scores = sl.qcorr._lattice_scores(rows[None], table)[0]
+            values = sl.qcorr._member_entropy(
+                bases.conj().swapaxes(1, 2), np.repeat(rows[None], len(points), axis=0)
+            )[0]
+            np.testing.assert_allclose(scores, values, rtol=0, atol=1e-13)
+            assert (np.ptp(values) <= sl.qcorr.GRID_FLAT) == (rank == 1)
+            if rank > 1:
+                for limit in (1, 6, 20):
+                    np.testing.assert_array_equal(
+                        sl.qcorr._grid_starts(scores, neighbours, limit),
+                        sl.qcorr._grid_starts(values, neighbours, limit),
+                    )
+
+    def test_flat_table_has_one_run(self):
+        # a pure pair's members are pure whatever the basis, so every score
+        # is zero and the one run ends at its first evaluation
+        for dims in ((3, 3), (2, 4)):
+            rho = sl.random_density(list(dims), rank=1, seed=48)
+            result = sl.discord(rho, 1, sl.OptimizerConfig(restarts=10))
+            assert (result.restarts_used, result.nfev, result.converged) == (1, N_SCAN + 1, True)
+            s_a = sl.von_neumann_entropy(sl.partial_trace(rho, {0}))
+            assert result.discord == pytest.approx(s_a, abs=1e-12)
 
 
 def _rosenbrock(x):
@@ -797,9 +880,10 @@ class TestLockstep:
 
     def test_audit_and_conservation_make_one_lockstep_per_group(self, monkeypatch):
         # the audit's roofs, qubit discords and d = 4 discords are three
-        # lockstep calls of two searches each; a conservation check is one,
-        # whose two lattices are scored by value in one call, and whose
-        # first round evaluates the picked cells of both searches
+        # lockstep calls of two searches each, and each discord pair's scans
+        # are scored by value in one call; a conservation check is one
+        # lockstep, whose first round evaluates the picked cells of both
+        # searches
         searches, scored, calls = [], [], []
         minimize, scores = sl.qcorr._multistart_minimize, sl.qcorr._lattice_scores
         basis_objective = sl.qcorr._basis_objective
@@ -808,9 +892,9 @@ class TestLockstep:
             searches.append(starts)
             return minimize(objective, starts, config, *reach)
 
-        def counting_scores(blocks):
+        def counting_scores(blocks, table):
             scored.append(len(blocks))
-            return scores(blocks)
+            return scores(blocks, table)
 
         def counting_objective(blocks):
             objective = basis_objective(blocks)
@@ -827,7 +911,7 @@ class TestLockstep:
         config = sl.OptimizerConfig(restarts=2, max_evals=40, seed=1)
         sl.theorem1_audit(sl.random_density([2, 2, 2], rank=2, seed=10_000), config)
         assert [len(starts) for starts in searches] == [2, 2, 2]
-        assert scored == [2]
+        assert scored == [2, 2]
         searches.clear()
         scored.clear()
         calls.clear()
@@ -840,13 +924,14 @@ class TestLockstep:
         x, owner = calls[0]
         np.testing.assert_array_equal(x, np.concatenate(starts))
         assert owner == [0] * len(starts[0]) + [1] * len(starts[1])
-        lattice = sl.qcorr._QUBIT_GRID
+        lattice = QUBIT_GRID
         assert all((lattice == point).all(axis=1).any() for point in x)
 
     def test_nfev_counts_every_objective_row(self, monkeypatch):
         # nfev is every row the objective evaluated for a search, each run's
-        # start included, plus the 97 value-only lattice scores on a qubit
-        # side; max_evals caps each run's evaluations, its start included
+        # start included, plus the value-only scores of the scan on a side
+        # of dimension up to 4, 97 at d = 2 and 129 at d = 3 and 4;
+        # max_evals caps each run's evaluations, its start included
         searches = []
         basis_objective, search = sl.qcorr._basis_objective, sl.qcorr._discord_search
 
@@ -862,12 +947,13 @@ class TestLockstep:
 
         def recording_search(blocks, config):
             results = search(blocks, config)
-            searches[-1].append((results, blocks.shape[1] == 2, config.max_evals))
+            searches[-1].append((results, blocks.shape[1], config.max_evals))
             return results
 
         monkeypatch.setattr(sl.qcorr, "_basis_objective", counting_objective)
         monkeypatch.setattr(sl.qcorr, "_discord_search", recording_search)
         layouts = [((2, 2), 0), ((2, 2), 1), ((2, 3), 0), ((4, 2), 1), ((2, 3), 1), ((2, 4), 1)]
+        layouts += [((2, 5), 1)]
         for k, (dims, measured) in enumerate(layouts):
             rho = sl.random_density(list(dims), seed=31000 + k)
             for restarts in (1, 4, 20):
@@ -877,9 +963,9 @@ class TestLockstep:
         for k, (restarts, max_evals) in enumerate(((1, 3), (4, 2000), (20, 3), (20, 2000))):
             config = sl.OptimizerConfig(restarts=restarts, max_evals=max_evals)
             sl.conservation_check(sl.random_pure([2, 2, 2], seed=8000 + k), config)
-        assert [len(rows) for rows, _ in searches] == [1] * 36 + [2] * 4
-        for rows, (results, qubit, max_evals) in searches:
-            grid = N_GRID if qubit else 0
+        assert [len(rows) for rows, _ in searches] == [1] * 42 + [2] * 4
+        for rows, (results, d, max_evals) in searches:
+            grid = {2: N_GRID, 3: N_SCAN, 4: N_SCAN}.get(d, 0)
             for count, result in zip(rows.tolist(), results):
                 assert result.nfev == grid + count
                 assert result.nfev <= grid + result.restarts_used * max_evals
@@ -1368,6 +1454,26 @@ class TestKWGap:
             rho = sl.random_density([2, 2, 2], seed=700 + seed)
             report = sl.kw_gap(rho, sl.OptimizerConfig(restarts=6, seed=seed))
             assert report.gap >= -1e-4
+
+    def test_one_orientation_saturates_alone(self):
+        # rho = sum_i p_i |i><i|_A (x) sigma_B^i (x) |i><i|_C: C copies a
+        # classical A, so rho_ABE is separable, E(A:BE) = E(A:B) = 0 and the
+        # C-measured gap closes, while T = H(p) - chi({p_i, sigma_i}) > 0
+        # and the B-measured gap, in the ACB order, stays open
+        rng = np.random.default_rng(1500)
+        kets = np.eye(2)
+        for k in range(30):
+            p = float(rng.uniform(0.1, 0.9))
+            sigmas = [sl.random_density([2], seed=1500 + 2 * k + i).data for i in (0, 1)]
+            data = sum(
+                w * np.kron(np.kron(np.outer(ket, ket), sigma), np.outer(ket, ket))
+                for w, sigma, ket in zip((p, 1.0 - p), sigmas, kets)
+            )
+            rho = sl.DensityMatrix((2, 2, 2), data)
+            config = sl.OptimizerConfig(restarts=6, seed=k)
+            assert sl.t_gap(rho).t_a >= 0.2
+            assert abs(sl.kw_gap(rho, config).gap) <= 1e-12
+            assert sl.kw_gap(sl.permute_subsystems(rho, (0, 2, 1)), config).gap >= 0.1
 
     def test_capability_errors(self):
         with pytest.raises(CapabilityError):
