@@ -54,8 +54,18 @@ def _spectrum(mats: np.ndarray) -> np.ndarray:
     return w
 
 
+def _root_entropy(root: np.ndarray) -> float:
+    """Entropy of G G^dag from a root G: its nonzero spectrum is the squared
+    singular values of G."""
+    return float(entropy_of_spectrum(np.linalg.svd(root, compute_uv=False) ** 2))
+
+
 def von_neumann_entropy(rho: DensityMatrix) -> float:
-    """Entropy in bits, computed from the eigenvalues of the state."""
+    """Entropy in bits, computed from the eigenvalues of the state, or, for a
+    state that holds a root G (``qmat._from_root``), from G's singular values
+    without forming the matrix."""
+    if rho._root is not None:
+        return _root_entropy(rho._root)
     return float(entropy_of_spectrum(_spectrum(rho.data)))
 
 

@@ -23,8 +23,9 @@ from .qmat import (
     NEGATIVITY_BOUND,
     DensityMatrix,
     PureStateVector,
+    _from_root,
+    _pure_root,
     _require_arity,
-    trace_out_pure,
 )
 
 
@@ -65,13 +66,18 @@ class ExtensionPair:
 
 
 def extend(rho_abc: DensityMatrix) -> ExtensionPair:
-    """Purify a tripartite state and regroup into the two extended bipartitions."""
+    """Purify a tripartite state and regroup into the two extended bipartitions.
+
+    Each is built from its root, the purification's amplitudes arranged as
+    (A, B, E) x C or (A, C, E) x B (``qmat._from_root``): it holds at most
+    d_C or d_B nonzero eigenvalues, its entropy is read off the root, and its
+    matrix of side d_A d_B d_E or d_A d_C d_E is formed only when read."""
     _require_arity(rho_abc.dims, 3, "extend")
     result = purify(rho_abc)
     d_a, d_b, d_c = rho_abc.dims
     d_e = result.d_e
     amps, dims = result.psi.amps, result.psi.dims
     # B slower than E inside BE, C slower than E inside CE
-    rho_a_btilde = DensityMatrix((d_a, d_b * d_e), trace_out_pure(amps, dims, (0, 1, 3)))
-    rho_a_ctilde = DensityMatrix((d_a, d_c * d_e), trace_out_pure(amps, dims, (0, 2, 3)))
+    rho_a_btilde = _from_root((d_a, d_b * d_e), _pure_root(amps, dims, (0, 1, 3)))
+    rho_a_ctilde = _from_root((d_a, d_c * d_e), _pure_root(amps, dims, (0, 2, 3)))
     return ExtensionPair(rho_a_btilde=rho_a_btilde, rho_a_ctilde=rho_a_ctilde)

@@ -23,7 +23,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import CapabilityError, ConfigError, DimensionError, ValidationError
-from .entropy import binary_entropy, entropy_of_spectrum, t_gap
+from .entropy import _root_entropy, binary_entropy, entropy_of_spectrum, t_gap
 from .optimize import OptimizerConfig, _multistart_minimize
 from .purify import purify
 from .qmat import EIG_CLIP, DensityMatrix, PureStateVector, _as_array, _as_int, _require_arity
@@ -192,8 +192,7 @@ def _legs(psi: PureStateVector, first: tuple[int, ...], second: tuple[int, ...])
 def _leg_entropy(rows: np.ndarray, leg: int) -> float:
     """S of one leg group of the rows of ``_legs``: its spectrum is the
     squared singular values of the rows across that group."""
-    flat = np.moveaxis(rows, leg, 0).reshape(rows.shape[leg], -1)
-    return float(entropy_of_spectrum(np.linalg.svd(flat, compute_uv=False) ** 2))
+    return _root_entropy(np.moveaxis(rows, leg, 0).reshape(rows.shape[leg], -1))
 
 
 def _roof_rows(psi: PureStateVector, purifier: tuple[int, ...]) -> np.ndarray:
@@ -346,7 +345,12 @@ def _lattice_scores(blocks: np.ndarray, table: np.ndarray) -> np.ndarray:
     conj(u_ji) u_ki R_j R_k^dag, affine in the table, so one matmul of the
     table with each side's d^2 products R_j R_k^dag gives every marginal,
     and one eigvalsh their spectra, cut and normalized as in
-    ``_member_entropy``."""
+    ``_member_entropy``.  When the purifier has fewer levels than the
+    unmeasured side (t < a), the rows are read with their last two axes
+    swapped: the t x t marginals m^T conj(m) have the nonzero spectrum of
+    m m^dag, so the scan holds (P d, t, t) marginals, not (P d, a, a)."""
+    if blocks.shape[3] < blocks.shape[2]:
+        blocks = blocks.swapaxes(2, 3)
     count, d, a, _ = blocks.shape
     flat = blocks.reshape(count, d * a, -1)
     gram = (flat @ flat.conj().swapaxes(1, 2)).reshape(count, d, a, d, a)

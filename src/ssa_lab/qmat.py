@@ -10,11 +10,16 @@ float or a bool), ``_as_ints`` applies it to every entry of a sequence
 (``_as_dims`` to every subsystem dimension), ``_as_tolerance`` is the one
 tolerance rule (a finite real >= 0, never a bool), and ``_as_array`` is the one
 conversion of array data (strings, ragged nesting and other data numpy
-cannot read as numbers raise ValidationError).  ``DensityMatrix`` checks shape
-only, as states the package builds are valid by construction and are not
-re-checked.  ``validate_density`` checks outside input (state and spec files,
-arrays a caller passes), finiteness included.  ``entropy._spectrum`` guards
-every spectrum, sweep stacks included.  The file parsers check JSON shape only.
+cannot read as numbers raise ValidationError).  ``_from_root`` is the one
+build of a state G G^dag from its root G, the amplitudes arranged kept x
+traced (``_pure_root``): ``random_density``, the partial trace of a pure
+state, ``purify.extend`` and ``structure.build_saturating`` build through it,
+and it keeps G in the state when G has fewer columns than rows.
+``DensityMatrix`` checks shape only (and a root's finiteness), as states the
+package builds are valid by construction and are not re-checked.
+``validate_density`` checks outside input (state and spec files, arrays a
+caller passes), finiteness included.  ``entropy._spectrum`` guards every
+spectrum, sweep stacks included.  The file parsers check JSON shape only.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ import json
 import math
 import numbers
 import operator
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -111,38 +116,82 @@ def _require_arity(dims: tuple[int, ...], arity: int, op: str) -> None:
         )
 
 
-@dataclass(frozen=True)
 class DensityMatrix:
     """Mixed state on a tensor product of finite-dimensional subsystems.
 
     ``dims`` lists the subsystem dimensions; ``data`` is the square complex
-    matrix of side prod(dims).  The constructor only checks shape, as the
-    package builds valid states; build from outside data through
+    matrix of side prod(dims), read-only.  The constructor only checks shape,
+    as the package builds valid states; build from outside data through
     :func:`validate_density`, which enforces hermiticity, trace and positivity.
+
+    A state the package builds as G G^dag, with G of fewer columns than rows
+    (``_from_root``), holds G, its root, in place of ``data``:
+    ``DensityMatrix(dims, _root=G)`` checks G's shape and finiteness, forms
+    ``data`` as G @ G^dag on its first read, once, and
+    ``entropy.von_neumann_entropy`` reads the state's spectrum off G's
+    singular values.  Exactly one of ``data`` and ``_root`` is given.
     """
 
-    dims: tuple[int, ...]
-    data: np.ndarray
-
-    def __post_init__(self) -> None:
-        dims = _as_dims(self.dims)
-        data = _as_array(self.data, "matrix", complex)
+    def __init__(self, dims: Iterable[int], data: object = None, *, _root: object = None) -> None:
+        dims = _as_dims(dims)
         side = math.prod(dims)
-        if data.ndim != 2 or data.shape != (side, side):
-            raise DimensionError(
-                f"matrix shape {data.shape} does not match dims {dims} "
-                f"(expected {side}x{side})"
-            )
-        data.setflags(write=False)
+        if (data is None) == (_root is None):
+            raise ValidationError("a DensityMatrix takes exactly one of data and root")
+        if _root is None:
+            data = _as_array(data, "matrix", complex)
+            if data.ndim != 2 or data.shape != (side, side):
+                raise DimensionError(
+                    f"matrix shape {data.shape} does not match dims {dims} "
+                    f"(expected {side}x{side})"
+                )
+            data.setflags(write=False)
+        else:
+            _root = _as_array(_root, "root", complex)
+            if _root.ndim != 2 or _root.shape[0] != side or _root.shape[1] < 1:
+                raise DimensionError(
+                    f"root shape {_root.shape} does not match dims {dims} "
+                    f"(expected {side} rows)"
+                )
+            if not np.isfinite(_root).all():
+                raise ValidationError("finiteness: root has NaN or Inf entries")
+            _root.setflags(write=False)
         object.__setattr__(self, "dims", dims)
-        object.__setattr__(self, "data", data)
+        object.__setattr__(self, "_data", data)
+        object.__setattr__(self, "_root", _root)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        return f"DensityMatrix(dims={self.dims!r}, data={self.data!r})"
+
+    @property
+    def data(self) -> np.ndarray:
+        data = self._data
+        if data is None:
+            root = self._root
+            data = root @ root.conj().T
+            data.setflags(write=False)
+            object.__setattr__(self, "_data", data)
+        return data
 
     @property
     def dim(self) -> int:
-        return self.data.shape[0]
+        return math.prod(self.dims)
 
     def trace(self) -> float:
         return float(np.trace(self.data).real)
+
+
+def _from_root(dims: tuple[int, ...], root: np.ndarray) -> DensityMatrix:
+    """The state G G^dag on ``dims``, for a root G of side rows: holding G
+    when it has fewer columns than rows, else formed at once."""
+    if root.shape[1] < root.shape[0]:
+        return DensityMatrix(dims, _root=root)
+    return DensityMatrix(dims, root @ root.conj().T)
 
 
 @dataclass(frozen=True)
@@ -202,20 +251,27 @@ def trace_out(data: np.ndarray, dims: tuple[int, ...], keep: Iterable[int]) -> n
     return out.reshape(data.shape[:lead] + (side, side))
 
 
-def trace_out_pure(amps: np.ndarray, dims: tuple[int, ...], keep: Iterable[int]) -> np.ndarray:
-    """Partial trace of the pure state with amplitudes ``amps`` onto the
-    subsystems in ``keep``, in their original relative order: G G^dag with G
-    the amplitudes arranged as kept x traced, so no outer product is formed."""
+def _pure_root(amps: np.ndarray, dims: tuple[int, ...], keep: Iterable[int]) -> np.ndarray:
+    """The amplitudes ``amps`` on ``dims`` arranged as kept x traced, the
+    kept subsystems in their original relative order: the root G of the
+    partial trace G G^dag onto them."""
     kept = sorted(set(keep))
     traced = [i for i in range(len(dims)) if i not in kept]
     side = math.prod(dims[i] for i in kept)
-    g = amps.reshape(dims).transpose(kept + traced).reshape(side, -1)
+    return amps.reshape(dims).transpose(kept + traced).reshape(side, -1)
+
+
+def trace_out_pure(amps: np.ndarray, dims: tuple[int, ...], keep: Iterable[int]) -> np.ndarray:
+    """Partial trace of the pure state with amplitudes ``amps`` onto the
+    subsystems in ``keep``, in their original relative order: G G^dag with G
+    the ``_pure_root``, so no outer product is formed."""
+    g = _pure_root(amps, dims, keep)
     return g @ g.conj().T
 
 
 def partial_trace(state: DensityMatrix | PureStateVector, keep: Iterable[int]) -> DensityMatrix:
     """Reduced state on the kept subsystems, in their original relative order;
-    a pure state is reduced through ``trace_out_pure``."""
+    a pure state's is built from its ``_pure_root`` (``_from_root``)."""
     n = len(state.dims)
     keep_set = set(_as_ints(keep, "keep", 0))
     if not keep_set:
@@ -224,7 +280,7 @@ def partial_trace(state: DensityMatrix | PureStateVector, keep: Iterable[int]) -
         raise DimensionError(f"keep {sorted(keep_set)} out of range for {n} subsystems")
     kept_dims = tuple(state.dims[i] for i in sorted(keep_set))
     if isinstance(state, PureStateVector):
-        return DensityMatrix(kept_dims, trace_out_pure(state.amps, state.dims, keep_set))
+        return _from_root(kept_dims, _pure_root(state.amps, state.dims, keep_set))
     return DensityMatrix(kept_dims, trace_out(state.data, state.dims, keep_set))
 
 
@@ -305,8 +361,9 @@ def random_density(
 ) -> DensityMatrix:
     """Random mixed state from the induced measure.
 
-    Partial trace of a Haar pure state on dims x [rank], formed as G G^dag of
-    the state's amplitudes reshaped to a side x rank (Ginibre) matrix G;
+    Partial trace of a Haar pure state on dims x [rank], G G^dag of the
+    state's amplitudes reshaped to a side x rank (Ginibre) matrix G, which a
+    state of rank below its side keeps as its root (``_from_root``);
     Hilbert-Schmidt measure when rank equals the total dimension.
     Deterministic given seed.
     """
@@ -316,7 +373,7 @@ def random_density(
     if rank > side:
         raise DimensionError(f"rank must be in [1, {side}], got {rank}")
     psi = random_pure(dims + (rank,), seed)
-    return DensityMatrix(dims, trace_out_pure(psi.amps, psi.dims, range(len(dims))))
+    return _from_root(dims, _pure_root(psi.amps, psi.dims, range(len(dims))))
 
 
 # --- state file format -------------------------------------------------------

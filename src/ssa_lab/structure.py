@@ -35,8 +35,9 @@ from .entropy import t_gap
 from .purify import purify
 from .qmat import (
     CERTIFY_TOL, MAX_STATE_SIDE, DensityMatrix, PureStateVector, _as_dims, _as_int,
-    _as_tolerance, _require_arity, density_from_dict, density_to_dict, pure_from_dict,
-    pure_to_dict, random_density, random_pure, read_json, trace_out_pure, write_json,
+    _as_tolerance, _from_root, _pure_root, _require_arity, density_from_dict,
+    density_to_dict, pure_from_dict, pure_to_dict, random_density, random_pure, read_json,
+    trace_out_pure, write_json,
 )
 
 ORTHOGONALITY_TOL = 1e-10
@@ -188,7 +189,7 @@ def purify_saturating(spec: SaturatingSpec) -> PureStateVector:
 
 def _root_mixture(spec: SaturatingSpec, root: np.ndarray) -> DensityMatrix:
     """The spec's mixture: E traced out of the root T."""
-    return DensityMatrix(spec.dims, trace_out_pure(root, root.shape, (0, 1, 2)))
+    return _from_root(spec.dims, _pure_root(root, root.shape, (0, 1, 2)))
 
 
 def build_saturating(spec: SaturatingSpec) -> DensityMatrix:

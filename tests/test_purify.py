@@ -183,6 +183,28 @@ class TestExtend:
         assert abs(sl.von_neumann_entropy(ext.rho_a_btilde) - s_c) <= 1e-9
         assert abs(sl.von_neumann_entropy(ext.rho_a_ctilde) - s_b) <= 1e-9
 
+    def test_full_rank_duality_without_the_extension_matrices(self):
+        # full-rank 4x4x4: both extensions have side 1024 and rank 4; their
+        # entropies come from the roots, so no 1024^2 matrix (16 MiB) is formed
+        import tracemalloc
+
+        for seed in range(5):
+            rho = sl.random_density([4, 4, 4], seed=seed)
+            s_b = sl.von_neumann_entropy(sl.partial_trace(rho, {1}))
+            s_c = sl.von_neumann_entropy(sl.partial_trace(rho, {2}))
+            tracemalloc.start()
+            try:
+                ext = sl.extend(rho)
+                s_a_btilde = sl.von_neumann_entropy(ext.rho_a_btilde)
+                s_a_ctilde = sl.von_neumann_entropy(ext.rho_a_ctilde)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert ext.rho_a_btilde.dims == ext.rho_a_ctilde.dims == (4, 256)
+            assert abs(s_a_btilde - s_c) <= 1e-9
+            assert abs(s_a_ctilde - s_b) <= 1e-9
+            assert peak < 1024 * 1024 * 16
+
     @settings(max_examples=30, derandomize=True, database=None, deadline=None)
     @given(
         dims=st.sampled_from([(2, 2, 2), (2, 3, 2), (3, 2, 2)]),

@@ -697,6 +697,37 @@ class TestScan:
                         sl.qcorr._grid_starts(values, neighbours, limit),
                     )
 
+    @pytest.mark.parametrize(
+        "dims, measured", [((2, 3), 0), ((3, 2), 1), ((4, 2), 1), ((3, 4), 0), ((8, 4), 1)]
+    )
+    def test_narrow_purifier_scores_match_the_square_path(self, dims, measured):
+        # t < a: the scores from the t x t marginals against those of the
+        # a x a marginals, read from the rows zero-padded to t = a
+        d, a = dims[measured], dims[1 - measured]
+        table = sl.qcorr._scan(d)[1]
+        for rank in range(1, a):
+            rho = sl.random_density(list(dims), rank=rank, seed=73000 + rank)
+            rows = _measured_rows(rho, measured)
+            assert rows.shape == (d, a, rank)
+            padded = np.concatenate((rows, np.zeros((d, a, a - rank))), axis=2)
+            scores = sl.qcorr._lattice_scores(rows[None], table)[0]
+            square = sl.qcorr._lattice_scores(padded[None], table)[0]
+            np.testing.assert_allclose(scores, square, rtol=0, atol=1e-14)
+
+    def test_narrow_purifier_scan_memory(self):
+        # a rank-2 64x4 state measured on its d = 4 side: the scan holds
+        # (129 * 4, 2, 2) marginals, where (129 * 4, 64, 64) took 34 MB
+        import tracemalloc
+
+        rho = sl.random_density([64, 4], rank=2, seed=1)
+        tracemalloc.start()
+        try:
+            sl.discord(rho, 1, sl.OptimizerConfig(restarts=6))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 12 * 2**20
+
     def test_flat_table_has_one_run(self):
         # a pure pair's members are pure whatever the basis, so every score
         # is zero and the one run ends at its first evaluation

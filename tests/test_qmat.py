@@ -1,4 +1,6 @@
+import itertools
 import json
+import pickle
 
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ import ssa_lab as sl
 from ssa_lab.cli import CampaignConfig
 from ssa_lab.errors import ConfigError, DimensionError, ParseError, ValidationError
 from ssa_lab.entropy import gap_entropies
-from ssa_lab.qmat import trace_out
+from ssa_lab.qmat import trace_out, trace_out_pure
 
 
 class TestPartialTrace:
@@ -209,6 +211,76 @@ class TestDensityMatrix:
             gap_entropies(stack, (2, 2, 2))
 
 
+def _check_rooted(rho, expected, rooted):
+    # a rooted state's matrix is today's product G G^dag bit for bit, formed
+    # once and read-only; its entropy, read off the root, agrees with the
+    # eigenvalue path on the same matrix
+    assert (rho._root is not None) == rooted
+    assert rho.dim == expected.shape[0]
+    first = rho.data
+    np.testing.assert_array_equal(first, expected)
+    assert rho.data is first and not first.flags.writeable
+    plain = sl.von_neumann_entropy(sl.DensityMatrix(rho.dims, first))
+    assert abs(sl.von_neumann_entropy(rho) - plain) <= 1e-12
+
+
+class TestRootedStates:
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (2, 2, 2), (2, 4, 4)], ids=str)
+    def test_random_density_at_every_rank(self, dims):
+        side = int(np.prod(dims))
+        for rank in range(1, side + 1):
+            psi = sl.random_pure(dims + (rank,), rank)
+            expected = trace_out_pure(psi.amps, psi.dims, range(len(dims)))
+            rho = sl.random_density(dims, rank=rank, seed=rank)
+            _check_rooted(rho, expected, rank < side)
+
+    @pytest.mark.parametrize("dims", [(2, 2, 2), (2, 3, 2), (3, 2, 4), (2, 1, 3)], ids=str)
+    def test_partial_traces_of_pure_states(self, dims):
+        psi = sl.random_pure(dims, seed=11)
+        for k in range(1, len(dims) + 1):
+            for keep in itertools.combinations(range(len(dims)), k):
+                kept = int(np.prod([dims[i] for i in keep]))
+                rho = sl.partial_trace(psi, keep)
+                expected = trace_out_pure(psi.amps, dims, keep)
+                _check_rooted(rho, expected, int(np.prod(dims)) // kept < kept)
+
+    @pytest.mark.parametrize(
+        "dims", [(2, 2, 2), (2, 3, 3), (2, 4, 4), (3, 3, 4), (2, 2, 4)], ids=str
+    )
+    def test_saturating_states(self, dims):
+        for seed in range(4):
+            spec = sl.random_saturating_spec(dims, np.random.default_rng(seed))
+            root = sl.structure._saturating_root(spec)[0]
+            expected = trace_out_pure(root, root.shape, (0, 1, 2))
+            _check_rooted(sl.build_saturating(spec), expected, root.shape[3] < expected.shape[0])
+
+    @pytest.mark.parametrize("dims", [(2, 2, 2), (2, 3, 2), (2, 4, 4)], ids=str)
+    def test_extension_states(self, dims):
+        side = int(np.prod(dims))
+        for rank in (1, 2, side):
+            rho = sl.random_density(dims, rank=rank, seed=rank)
+            psi = sl.purify(rho).psi
+            ext = sl.extend(rho)
+            pairs = ((ext.rho_a_btilde, (0, 1, 3), 2), (ext.rho_a_ctilde, (0, 2, 3), 1))
+            for state, keep, traced in pairs:
+                expected = trace_out_pure(psi.amps, psi.dims, keep)
+                _check_rooted(state, expected, dims[traced] < expected.shape[0])
+
+    def test_root_is_copied_and_frozen(self):
+        root = np.array([[1.0], [0.0]])
+        rho = sl.DensityMatrix((2,), _root=root)
+        root[0, 0] = 0.0
+        np.testing.assert_array_equal(rho.data, [[1, 0], [0, 0]])
+        assert not rho._root.flags.writeable
+        with pytest.raises(AttributeError):
+            rho.dims = (2,)
+        with pytest.raises(AttributeError):
+            rho.data = np.eye(2)
+        copied = pickle.loads(pickle.dumps(rho))
+        assert copied._root is not None
+        np.testing.assert_array_equal(copied.data, rho.data)
+
+
 class TestPureStateVector:
     def test_nan_error(self):
         with pytest.raises(ValidationError, match="finiteness"):
@@ -362,9 +434,10 @@ def _block(**changes):
 
 
 # each non-integer (or out-of-range) value where an integer is due, and the
-# error its owner raises; floats and bools are never coerced.  The last four
-# rows are values of the wrong shape or range that would otherwise surface
-# as raw Python errors (OverflowError, ValueError, TypeError).
+# error its owner raises; floats and bools are never coerced.  The rows from
+# "state-entry-huge-int" on are values of the wrong shape or range that would
+# otherwise surface as raw Python errors (OverflowError, ValueError,
+# TypeError), and the last four are bad roots of a DensityMatrix.
 _BAD_VALUES = {
     "optimizer-restarts-float": (ConfigError, lambda: sl.OptimizerConfig(restarts=2.5)),
     "optimizer-seed-float": (ConfigError, lambda: sl.OptimizerConfig(seed=1.5)),
@@ -409,6 +482,16 @@ _BAD_VALUES = {
     "random-density-seed-negative": (ConfigError, lambda: sl.random_density([2, 2], seed=-1)),
     "random-density-seed-string": (ConfigError, lambda: sl.random_density([2, 2], seed="x")),
     "random-pure-seed-float": (ConfigError, lambda: sl.random_pure([2, 2], seed=1.5)),
+    "density-root-wrong-shape": (
+        DimensionError, lambda: sl.DensityMatrix((2, 2), _root=np.ones((3, 1)))
+    ),
+    "density-root-nan": (
+        ValidationError, lambda: sl.DensityMatrix((2,), _root=[[np.nan], [0.5]])
+    ),
+    "density-data-and-root": (
+        ValidationError, lambda: sl.DensityMatrix((2,), np.eye(2) / 2, _root=np.ones((2, 1)))
+    ),
+    "density-neither-data-nor-root": (ValidationError, lambda: sl.DensityMatrix((2,))),
 }
 
 
