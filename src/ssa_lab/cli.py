@@ -24,8 +24,8 @@ import numpy as np
 from .errors import CapabilityError, ConfigError, SsaLabError
 from .entropy import (
     Ensemble,
+    _state_entropies,
     concavity_check,
-    mutual_information,
     ssa_gap_form1,
     t_gap,
     von_neumann_entropy,
@@ -98,11 +98,9 @@ def _sample_state(cfg: CampaignConfig, seed: int) -> DensityMatrix:
 
 
 def _check_sa(cfg: CampaignConfig, seed: int) -> float:
-    rho = _sample_state(cfg, seed)
-    if len(cfg.dims) == 3:
-        d0, d1, d2 = cfg.dims
-        rho = DensityMatrix((d0, d1 * d2), rho.data)
-    return mutual_information(rho)
+    legs = range(len(cfg.dims))
+    s_a, s_rest, s_all = _state_entropies(_sample_state(cfg, seed), ((0,), legs[1:], legs))
+    return s_a + s_rest - s_all
 
 
 def _check_ssa(cfg: CampaignConfig, seed: int) -> float:

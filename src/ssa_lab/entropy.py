@@ -4,11 +4,15 @@ under mixing.
 
 Everything is in bits (base-2 logarithms), so the tripartite gap of a state
 with a maximally mixed, factorized qubit on the first slot reads exactly 2.0.
+Every entropy, of a whole state or a marginal, of a sweep stack or of
+``qcorr``'s purification rows, is read by ``_entropies``: off the state's
+root when it holds one, else from the marginal traced out of its matrix.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
@@ -19,8 +23,8 @@ from .qmat import (
     DensityMatrix,
     _as_array,
     _as_int,
+    _pure_root,
     _require_arity,
-    partial_trace,
     trace_out,
 )
 
@@ -54,27 +58,39 @@ def _spectrum(mats: np.ndarray) -> np.ndarray:
     return w
 
 
-def _root_entropy(root: np.ndarray) -> float:
-    """Entropy of G G^dag from a root G: its nonzero spectrum is the squared
-    singular values of G."""
-    return float(entropy_of_spectrum(np.linalg.svd(root, compute_uv=False) ** 2))
+def _entropies(dims: tuple[int, ...], legs: Iterable, data=None, root=None) -> np.ndarray:
+    """S of the marginal onto each leg group in ``legs`` of a state on
+    ``dims``, along the last axis.  Given a ``root`` G of the state G G^dag
+    (a pure state's amplitudes are a root of one column), each is read from
+    the squared singular values of G arranged kept x (traced, column) by
+    ``qmat._pure_root``, forming no matrix; else each marginal is traced
+    from ``data``, a (..., side, side) stack, in one pass (``trace_out``, as
+    ``partial_trace`` traces it) and goes through ``_spectrum``."""
+    if root is not None:
+        amps, full = root.reshape(-1), dims + root.shape[1:]
+        roots = (_pure_root(amps, full, keep) for keep in legs)
+        spectra = (np.linalg.svd(g, compute_uv=False) ** 2 for g in roots)
+    else:
+        spectra = (_spectrum(trace_out(data, dims, keep)) for keep in legs)
+    return np.stack([entropy_of_spectrum(w) for w in spectra], axis=-1)
+
+
+def _state_entropies(rho: DensityMatrix, legs: Iterable) -> list[float]:
+    """``_entropies`` of a state, read off its root when it holds one."""
+    return _entropies(rho.dims, legs, rho._data, rho._root).tolist()
 
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:
-    """Entropy in bits, computed from the eigenvalues of the state, or, for a
-    state that holds a root G (``qmat._from_root``), from G's singular values
-    without forming the matrix."""
-    if rho._root is not None:
-        return _root_entropy(rho._root)
-    return float(entropy_of_spectrum(_spectrum(rho.data)))
+    """Entropy in bits, from the eigenvalues of the state or, for a state that
+    holds a root G (``qmat._from_root``), from G's singular values."""
+    return _state_entropies(rho, [range(len(rho.dims))])[0]
 
 
 def mutual_information(rho_ab: DensityMatrix) -> float:
     """S(A) + S(B) - S(AB); zero exactly when the state is a product."""
     _require_arity(rho_ab.dims, 2, "mutual_information")
-    s_a = von_neumann_entropy(partial_trace(rho_ab, {0}))
-    s_b = von_neumann_entropy(partial_trace(rho_ab, {1}))
-    return s_a + s_b - von_neumann_entropy(rho_ab)
+    s_a, s_b, s_ab = _state_entropies(rho_ab, ((0,), (1,), (0, 1)))
+    return s_a + s_b - s_ab
 
 
 def conditional_entropy(rho_ab: DensityMatrix, conditioned_on: int) -> float:
@@ -83,8 +99,8 @@ def conditional_entropy(rho_ab: DensityMatrix, conditioned_on: int) -> float:
     conditioned_on = _as_int(conditioned_on, "conditioned_on", 0)
     if conditioned_on > 1:
         raise DimensionError(f"conditioned_on must be 0 or 1, got {conditioned_on}")
-    s_cond = von_neumann_entropy(partial_trace(rho_ab, {conditioned_on}))
-    return von_neumann_entropy(rho_ab) - s_cond
+    s_ab, s_cond = _state_entropies(rho_ab, ((0, 1), (conditioned_on,)))
+    return s_ab - s_cond
 
 
 @dataclass(frozen=True)
@@ -106,36 +122,22 @@ class TGapReport:
         return {"s_ab": self.s_ab, "s_ac": self.s_ac, "s_b": self.s_b, "s_c": self.s_c}
 
 
-def gap_entropies(data: np.ndarray, dims: tuple[int, int, int]) -> np.ndarray:
-    """S(AB), S(AC), S(B), S(C) along the last axis, for a (..., side, side)
-    stack of tripartite states with subsystem dims ``dims``."""
-    d_a, d_b, d_c = dims
-    ab = trace_out(data, dims, (0, 1))
-    ac = trace_out(data, dims, (0, 2))
-    marginals = (ab, ac, trace_out(ab, (d_a, d_b), (1,)), trace_out(ac, (d_a, d_c), (1,)))
-    return np.stack([entropy_of_spectrum(_spectrum(m)) for m in marginals], axis=-1)
+# The marginals AB, AC, B and C of the tripartite gap, in its term order.
+_GAP_LEGS = ((0, 1), (0, 2), (1,), (2,))
 
 
 def t_gap(rho_abc: DensityMatrix) -> TGapReport:
     """Gap S(AB) + S(AC) - S(B) - S(C) of a tripartite state, in bits."""
     _require_arity(rho_abc.dims, 3, "t_gap")
-    s_ab, s_ac, s_b, s_c = gap_entropies(rho_abc.data, rho_abc.dims).tolist()
-    return TGapReport(
-        t_a=s_ab + s_ac - s_b - s_c,
-        s_ab=s_ab,
-        s_ac=s_ac,
-        s_b=s_b,
-        s_c=s_c,
-    )
+    s_ab, s_ac, s_b, s_c = _state_entropies(rho_abc, _GAP_LEGS)
+    return TGapReport(s_ab + s_ac - s_b - s_c, s_ab, s_ac, s_b, s_c)
 
 
 def ssa_gap_form1(rho_abc: DensityMatrix) -> float:
     """Gap S(AC) + S(BC) - S(ABC) - S(C) of the global form of the inequality."""
     _require_arity(rho_abc.dims, 3, "ssa_gap_form1")
-    s_ac = von_neumann_entropy(partial_trace(rho_abc, {0, 2}))
-    s_bc = von_neumann_entropy(partial_trace(rho_abc, {1, 2}))
-    s_c = von_neumann_entropy(partial_trace(rho_abc, {2}))
-    return s_ac + s_bc - von_neumann_entropy(rho_abc) - s_c
+    s_ac, s_bc, s_abc, s_c = _state_entropies(rho_abc, ((0, 2), (1, 2), (0, 1, 2), (2,)))
+    return s_ac + s_bc - s_abc - s_c
 
 
 @dataclass(frozen=True)
@@ -187,10 +189,5 @@ def concavity_check(ensemble: Ensemble) -> tuple[float, float]:
     """
     _require_arity(ensemble.dims, 3, "concavity_check")
     lhs = t_gap(ensemble.mixture()).t_a
-    rhs = float(
-        sum(
-            p * t_gap(member).t_a
-            for p, member in zip(ensemble.weights, ensemble.members)
-        )
-    )
+    rhs = float(sum(p * t_gap(m).t_a for p, m in zip(ensemble.weights, ensemble.members)))
     return lhs, rhs

@@ -15,7 +15,6 @@ yet reported (ROADMAP item 9).  All quantities are in bits.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -23,7 +22,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import CapabilityError, ConfigError, DimensionError, ValidationError
-from .entropy import _root_entropy, binary_entropy, entropy_of_spectrum, t_gap
+from .entropy import _entropies, binary_entropy, entropy_of_spectrum, t_gap
 from .optimize import OptimizerConfig, _multistart_minimize
 from .purify import purify
 from .qmat import EIG_CLIP, DensityMatrix, PureStateVector, _as_array, _as_int, _require_arity
@@ -189,10 +188,18 @@ def _legs(psi: PureStateVector, first: tuple[int, ...], second: tuple[int, ...])
     return psi.amps.reshape(psi.dims).transpose(first + second + rest).reshape(shape)
 
 
-def _leg_entropy(rows: np.ndarray, leg: int) -> float:
-    """S of one leg group of the rows of ``_legs``: its spectrum is the
-    squared singular values of the rows across that group."""
-    return _root_entropy(np.moveaxis(rows, leg, 0).reshape(rows.shape[leg], -1))
+def _leg_entropies(rows: np.ndarray, legs) -> list[float]:
+    """S of each leg group in ``legs`` of the rows of ``_legs``, read by the
+    entropy reader with the rows as the root of a pure state."""
+    return _entropies(rows.shape, [(leg,) for leg in legs], root=rows.reshape(-1)).tolist()
+
+
+def _narrow(blocks: np.ndarray) -> np.ndarray:
+    """(S, r, a, t) row blocks, the last two axes swapped when t < a: each
+    member's t x t marginal then has the nonzero spectrum of the a x a one."""
+    if blocks.shape[3] < blocks.shape[2]:
+        return np.ascontiguousarray(blocks.swapaxes(2, 3))
+    return blocks
 
 
 def _roof_rows(psi: PureStateVector, purifier: tuple[int, ...]) -> np.ndarray:
@@ -215,8 +222,8 @@ def _member_entropy(iso: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.n
     rows R_j per stacked point, (k, r, a, t), as (k,), and gamma =
     d/d(conj iso), (k, m, r).
 
-    Each block is the ``_legs`` rows of the search the point belongs to;
-    t is the leg group traced out of each member.  E(m_i) = p_i
+    Each block is the ``_narrow`` rows of the search the point belongs
+    to; t is the leg group traced out of each member.  E(m_i) = p_i
     S(rho_i / p_i), with rho_i = m_i m_i^dag the marginal on the rows'
     first factor and p_i = tr rho_i.  With G_i = -log2(rho_i / p_i) the
     value changes by sum_i tr(G_i drho_i) (the terms from dp_i cancel), so
@@ -298,7 +305,7 @@ _GRID_REACH = 0.5 * math.radians(GRID_COVER_DEG)
 # differ by rounding alone (2.0e-15 at most seen on qubit sides), and only the
 # best point is polished.  Random rank >= 2 qubit sides spread by >= 0.04 bits.
 GRID_FLAT = 1e-14
-_SCAN_BLOCK = 4  # points per overlap block: peak RSS +0.4 MB at d = 4, +2.7 MB at 16
+_SCAN_BLOCK = 4  # points per overlap block, a (4 d, P d) complex slab: 0.13 MB at d = 4
 
 
 @lru_cache(maxsize=None)
@@ -308,8 +315,9 @@ def _scan(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
     whose row d p + i holds point p's member i, columns over jk; the
     symmetric boolean neighbour matrix; and a polish run's first step.  p
     and q neighbour when either is among the other's GRID_NEIGHBOURS
-    nearest by the basis distance d - max_pi sum_i |<u_i|u'_pi(i)>|^2, zero
-    between bases that measure alike, and 1 - |n.n'| between Bloch axes (n ~
+    nearest by the basis distance d - sum_ik |<u_i|u'_k>|^4 (half the squared
+    Frobenius distance of the bases' dephasing Choi matrices), zero exactly
+    between bases that measure alike, 1 - (n.n')^2 between Bloch axes (n ~
     -n) at d = 2, so the origin's ring and the neighbours across the rim follow."""
     if d == 2:
         k = np.arange(GRID_POINTS)
@@ -322,14 +330,12 @@ def _scan(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
         points, reach = _restart_points(d, n_basis_params(d), draws), 1.0
     bases = _exp_chart(d, d, points)[0]
     table = np.einsum("pji,pki->pijk", bases.conj(), bases).reshape(-1, d * d)
-    count, pairs = len(points), d * np.arange(d) + np.array([*itertools.permutations(range(d))])
+    count = len(points)
     bras, kets = bases.conj().swapaxes(1, 2).reshape(-1, d), bases.swapaxes(0, 1).reshape(d, -1)
     far = np.empty((count, count))
-    for top in range(0, count, _SCAN_BLOCK):  # |<u_i|u'_k>|^2 as rows (p q, i k)
-        overlap = np.abs(bras[d * top : d * (top + _SCAN_BLOCK)] @ kets) ** 2
-        overlap = overlap.reshape(-1, d, count, d).swapaxes(1, 2).reshape(-1, d * d)
-        matched = overlap[:, pairs].sum(axis=-1).max(axis=-1)
-        far[top : top + _SCAN_BLOCK] = d - matched.reshape(-1, count)
+    for top in range(0, count, _SCAN_BLOCK):  # |<u_i|u'_k>|^4 as (p, i, q, k)
+        overlap = np.abs(bras[d * top : d * (top + _SCAN_BLOCK)] @ kets) ** 4
+        far[top : top + _SCAN_BLOCK] = d - overlap.reshape(-1, d, count, d).sum(axis=(1, 3))
     np.fill_diagonal(far, np.inf)
     near = far <= np.sort(far, axis=1)[:, GRID_NEIGHBOURS - 1, None]
     near |= near.T
@@ -345,12 +351,8 @@ def _lattice_scores(blocks: np.ndarray, table: np.ndarray) -> np.ndarray:
     conj(u_ji) u_ki R_j R_k^dag, affine in the table, so one matmul of the
     table with each side's d^2 products R_j R_k^dag gives every marginal,
     and one eigvalsh their spectra, cut and normalized as in
-    ``_member_entropy``.  When the purifier has fewer levels than the
-    unmeasured side (t < a), the rows are read with their last two axes
-    swapped: the t x t marginals m^T conj(m) have the nonzero spectrum of
-    m m^dag, so the scan holds (P d, t, t) marginals, not (P d, a, a)."""
-    if blocks.shape[3] < blocks.shape[2]:
-        blocks = blocks.swapaxes(2, 3)
+    ``_member_entropy``.  The blocks come in ``_narrow``'s orientation, so
+    the scan holds (P d, t, t) marginals when t < a, not (P d, a, a)."""
     count, d, a, _ = blocks.shape
     flat = blocks.reshape(count, d * a, -1)
     gram = (flat @ flat.conj().swapaxes(1, 2)).reshape(count, d, a, d, a)
@@ -407,7 +409,7 @@ def classical_correlation_at(
         )
     rows = _legs(purify(rho_ab).psi, (measured,), (1 - measured,))
     bras = basis.vectors.conj().T[None]
-    return _leg_entropy(rows, 1) - float(_member_entropy(bras, rows[None])[0][0])
+    return _leg_entropies(rows, (1,))[0] - float(_member_entropy(bras, rows[None])[0][0])
 
 
 @dataclass(frozen=True)
@@ -432,25 +434,26 @@ def _discord_search(blocks: np.ndarray, config: OptimizerConfig) -> list[Discord
     start from the same ``_restart_points``, with a unit first step.  One
     ``_multistart_minimize`` call's first round evaluates every start.
     S(measured), S(other) and S(pair) = S(rest) are the leg entropies of
-    the same rows.
+    the same rows, read before ``_narrow`` turns them for the search.
     """
     count, d = blocks.shape[:2]
+    narrow = _narrow(blocks)
     n = n_basis_params(d)
     grid_evals, starts = 0, [np.zeros((0, n))] * count
     if n == 0:
-        values = _member_entropy(np.ones((count, 1, 1)), blocks)[0].tolist()
+        values = _member_entropy(np.ones((count, 1, 1)), narrow)[0].tolist()
         found = [(value, np.zeros(0), True, 0) for value in values]
     else:
         if d <= SCAN_MAX_DIM:
             points, table, neighbours, reach = _scan(d)
-            grid_evals, scores = len(points), _lattice_scores(blocks, table)
+            grid_evals, scores = len(points), _lattice_scores(narrow, table)
             starts = [points[_grid_starts(row, neighbours, config.restarts)] for row in scores]
         else:
             reach, starts = 1.0, [_restart_points(d, n, config)] * count
-        found = _multistart_minimize(_basis_objective(blocks), starts, config, reach)
+        found = _multistart_minimize(_basis_objective(narrow), starts, config, reach)
     results = []
     for rows, runs, (value, x, converged, nfev) in zip(blocks, starts, found):
-        s_measured, s_other, s_pair = (_leg_entropy(rows, leg) for leg in range(3))
+        s_measured, s_other, s_pair = _leg_entropies(rows, range(3))
         mi, j_best = s_measured + s_other - s_pair, s_other - value
         basis = MeasurementBasis(_exp_chart(d, d, x)[0])
         results.append(
@@ -549,7 +552,8 @@ def _roof_search(blocks: np.ndarray, config: OptimizerConfig) -> list[float]:
     """The convex roofs of S states of one rank r, with the (S, r, d_a, t)
     ``blocks`` of their ``_roof_rows``, in one lockstep from the same
     ``_restart_points``; a pure state (r = 1) is its own only
-    decomposition."""
+    decomposition.  The search reads the blocks ``_narrow`` turns."""
+    blocks = _narrow(blocks)
     count, rank = blocks.shape[:2]
     if rank == 1:
         return _member_entropy(np.ones((count, 1, 1)), blocks)[0].tolist()
@@ -603,7 +607,8 @@ def discord_via_kw(psi: PureStateVector, measured: int) -> float:
         raise CapabilityError(f"complement pair has dims {pair}; the closed form needs (2, 2)")
     rows = _legs(psi, (measured,), (0,))  # (X, A, Y)
     eof = _wootters_eof(_concurrence(psi, (complement,)))
-    return eof - (_leg_entropy(rows, 2) - _leg_entropy(rows, 0))
+    s_y, s_x = _leg_entropies(rows, (2, 0))
+    return eof - (s_y - s_x)
 
 
 @dataclass(frozen=True)
@@ -639,7 +644,8 @@ def kw_gap(
     eof_ab = _wootters_eof(_concurrence(psi, (1,)))
     rows = _legs(psi, (2,), (0,))
     d_ac = _discord_search(rows[None], config)[0].discord
-    ce_ac = _leg_entropy(rows, 2) - _leg_entropy(rows, 0)
+    s_ac, s_c = _leg_entropies(rows, (2, 0))
+    ce_ac = s_ac - s_c
     return KWReport(eof_ab, d_ac, ce_ac, d_ac + ce_ac - eof_ab)
 
 

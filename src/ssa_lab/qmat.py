@@ -12,14 +12,15 @@ tolerance rule (a finite real >= 0, never a bool), and ``_as_array`` is the one
 conversion of array data (strings, ragged nesting and other data numpy
 cannot read as numbers raise ValidationError).  ``_from_root`` is the one
 build of a state G G^dag from its root G, the amplitudes arranged kept x
-traced (``_pure_root``): ``random_density``, the partial trace of a pure
-state, ``purify.extend`` and ``structure.build_saturating`` build through it,
-and it keeps G in the state when G has fewer columns than rows.
-``DensityMatrix`` checks shape only (and a root's finiteness), as states the
-package builds are valid by construction and are not re-checked.
-``validate_density`` checks outside input (state and spec files, arrays a
-caller passes), finiteness included.  ``entropy._spectrum`` guards every
-spectrum, sweep stacks included.  The file parsers check JSON shape only.
+traced (``_pure_root``), and keeps G in the state when G has fewer columns
+than rows.  ``entropy._entropies`` reads each marginal entropy of such a
+state off G arranged by ``_pure_root``, and of any other state off the
+marginal ``trace_out`` takes from its matrix.  ``DensityMatrix`` checks
+shape only (and a root's finiteness): states the package builds are valid
+by construction.  ``validate_density`` checks outside input (state and spec
+files, arrays a caller passes), finiteness included.  ``entropy._spectrum``
+guards every spectrum read from a matrix, sweep stacks included.  The file
+parsers check JSON shape only.
 """
 
 from __future__ import annotations
@@ -124,12 +125,10 @@ class DensityMatrix:
     as the package builds valid states; build from outside data through
     :func:`validate_density`, which enforces hermiticity, trace and positivity.
 
-    A state the package builds as G G^dag, with G of fewer columns than rows
-    (``_from_root``), holds G, its root, in place of ``data``:
-    ``DensityMatrix(dims, _root=G)`` checks G's shape and finiteness, forms
-    ``data`` as G @ G^dag on its first read, once, and
-    ``entropy.von_neumann_entropy`` reads the state's spectrum off G's
-    singular values.  Exactly one of ``data`` and ``_root`` is given.
+    A state built as G G^dag, G of fewer columns than rows (``_from_root``),
+    holds G, its root, in place of ``data``: ``DensityMatrix(dims, _root=G)``
+    checks G's shape and finiteness and forms ``data`` = G @ G^dag on its
+    first read, once.  Exactly one of ``data`` and ``_root`` is given.
     """
 
     def __init__(self, dims: Iterable[int], data: object = None, *, _root: object = None) -> None:

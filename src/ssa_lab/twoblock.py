@@ -23,7 +23,7 @@ from typing import Iterable, TextIO
 import numpy as np
 
 from .errors import ConfigError, ValidationError
-from .entropy import entropy_of_spectrum, gap_entropies
+from .entropy import _GAP_LEGS, _entropies, entropy_of_spectrum
 from .qmat import DensityMatrix, _as_array, _as_int
 
 SWEEPABLE = ("beta2", "lambda1", "b")
@@ -231,8 +231,8 @@ def sweep_gap(
     """Evaluate closed-form and entropic gaps over a 2-parameter grid.  The
     closed form takes the whole broadcast grid in one call.  The entropic
     gap takes a block of max(1, CELLS // axis2.steps) rows at a time: one
-    real _mixture stack, passed unchecked to gap_entropies, whose partial
-    traces each sum their traced legs in one pass."""
+    real _mixture stack, passed unchecked to the entropy reader, which traces
+    each of the four marginals out of it in one pass."""
     if axis1.name == axis2.name:
         raise ConfigError(f"sweep axes must differ, both are {axis1.name!r}")
     values1, values2 = axis1.values()[:, None], axis2.values()
@@ -241,7 +241,7 @@ def sweep_gap(
     rows = max(1, CELLS // axis2.steps)
     for i in range(0, axis1.steps, rows):
         block = replace(fixed, **{axis1.name: values1[i : i + rows], axis2.name: values2})
-        s_ab, s_ac, s_b, s_c = np.moveaxis(gap_entropies(_mixture(block), (2, 4, 4)), -1, 0)
+        s_ab, s_ac, s_b, s_c = np.moveaxis(_entropies((2, 4, 4), _GAP_LEGS, _mixture(block)), -1, 0)
         numeric[i : i + rows] = s_ab + s_ac - s_b - s_c
     return SweepGrid(axis1, axis2, fixed, closed, numeric)
 

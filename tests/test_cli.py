@@ -407,6 +407,27 @@ class TestExitCodes:
         assert res.returncode == 1
         assert res.stdout == ""
 
+    def test_sa_check_reads_a_rooted_sample_off_its_root(self, monkeypatch):
+        # I(A:BC) of a rank-3 2x3x4 sample, read without forming its matrix
+        from ssa_lab import cli
+
+        samples, draw = [], cli._sample_state
+
+        def keep(cfg, seed):
+            samples.append(draw(cfg, seed))
+            return samples[-1]
+
+        monkeypatch.setattr(cli, "_sample_state", keep)
+        cfg = CampaignConfig(
+            samples=1, dims=(2, 3, 4), rank=3, seed=1, tolerance=1e-9, checks=("sa",)
+        )
+        for seed in (1, 2, 3):
+            margin = cli._check_sa(cfg, seed)
+            rho = samples[-1]
+            assert rho._root is not None and rho._data is None
+            regrouped = sl.DensityMatrix((2, 12), rho.data)
+            assert abs(margin - sl.mutual_information(regrouped)) <= 1e-12
+
     @pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
     def test_bad_certify_tolerance_exits_one(self, tmp_path, spec_file, tol):
         state = tmp_path / "state.json"

@@ -9,7 +9,7 @@ import ssa_lab as sl
 from ssa_lab.entropy import entropy_of_spectrum
 from ssa_lab.errors import DimensionError, ValidationError
 
-from conftest import haar_unitary
+from conftest import haar_unitary, random_two_block_params
 
 
 class TestVonNeumannEntropy:
@@ -251,3 +251,80 @@ class TestConcavity:
         e = sl.Ensemble([1.0], [sl.random_density([2, 2], seed=1)])
         with pytest.raises(DimensionError):
             sl.concavity_check(e)
+
+
+def _plain(rho, keep):
+    """S of the reduced state on ``keep``, through a DensityMatrix of its own."""
+    return sl.von_neumann_entropy(sl.partial_trace(rho, keep))
+
+
+def _matrix_states(folder):
+    """States that hold a matrix and no root: full-rank tripartite states,
+    two-block states and validated file states (a rank-2 state written to
+    ``folder`` and read back through ``validate_density``)."""
+    states = [
+        sl.random_density(dims, seed=80 + k)
+        for k, dims in enumerate([(2, 2, 2), (2, 3, 4), (4, 4, 4)])
+    ]
+    rng = np.random.default_rng(81)
+    states += [sl.two_block_state(random_two_block_params(rng)) for _ in range(3)]
+    for k, dims in enumerate([(2, 2, 2), (2, 3, 4)]):
+        path = str(folder / f"state{k}.json")
+        sl.save_state(path, sl.random_density(dims, rank=2, seed=82))
+        states.append(sl.load_density(path))
+    assert all(rho._root is None for rho in states)
+    return states
+
+
+def _rooted_states(dims):
+    """A rooted state on ``dims`` at every rank below the side."""
+    states = [sl.random_density(dims, rank=r, seed=83 + r) for r in range(1, math.prod(dims))]
+    assert all(rho._root is not None and rho._data is None for rho in states)
+    return states
+
+
+class TestOneReader:
+    def test_matrix_states_read_every_marginal_as_partial_trace_does(self, tmp_path):
+        # bit for bit: each entropy is the von Neumann entropy of the
+        # marginal partial_trace builds, the whole state's included
+        for rho in _matrix_states(tmp_path):
+            report = sl.t_gap(rho)
+            for name, keep in zip(("s_ab", "s_ac", "s_b", "s_c"), ({0, 1}, {0, 2}, {1}, {2})):
+                assert report.components[name] == _plain(rho, keep)
+            assert report.t_a == report.s_ab + report.s_ac - report.s_b - report.s_c
+            hermitian = (rho.data + rho.data.conj().T) / 2.0
+            s_abc = float(entropy_of_spectrum(np.linalg.eigvalsh(hermitian)))
+            assert sl.von_neumann_entropy(rho) == s_abc
+            expected = _plain(rho, {0, 2}) + _plain(rho, {1, 2}) - s_abc - _plain(rho, {2})
+            assert sl.ssa_gap_form1(rho) == expected
+            rho_ab = sl.partial_trace(rho, {0, 1})
+            s_ab = sl.von_neumann_entropy(rho_ab)
+            s_a, s_b = _plain(rho_ab, {0}), _plain(rho_ab, {1})
+            assert sl.mutual_information(rho_ab) == s_a + s_b - s_ab
+            assert sl.conditional_entropy(rho_ab, 0) == s_ab - s_a
+            assert sl.conditional_entropy(rho_ab, 1) == s_ab - s_b
+
+    @pytest.mark.parametrize("dims", [(2, 2, 2), (2, 3, 2), (2, 2, 4)])
+    def test_rooted_tripartite_states_stay_rooted(self, dims):
+        for rho in _rooted_states(dims):
+            report, form1 = sl.t_gap(rho), sl.ssa_gap_form1(rho)
+            entropy = sl.von_neumann_entropy(rho)
+            assert rho._data is None
+            plain = sl.DensityMatrix(rho.dims, rho.data)
+            expected = sl.t_gap(plain)
+            for name, value in report.components.items():
+                assert abs(value - expected.components[name]) <= 1e-12
+            assert abs(report.t_a - expected.t_a) <= 1e-12
+            assert abs(form1 - sl.ssa_gap_form1(plain)) <= 1e-12
+            assert abs(entropy - sl.von_neumann_entropy(plain)) <= 1e-12
+
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 4)])
+    def test_rooted_pairs_stay_rooted(self, dims):
+        for rho in _rooted_states(dims):
+            mi = sl.mutual_information(rho)
+            ce = [sl.conditional_entropy(rho, side) for side in (0, 1)]
+            assert rho._data is None
+            plain = sl.DensityMatrix(rho.dims, rho.data)
+            assert abs(mi - sl.mutual_information(plain)) <= 1e-12
+            for side in (0, 1):
+                assert abs(ce[side] - sl.conditional_entropy(plain, side)) <= 1e-12

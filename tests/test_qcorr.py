@@ -12,7 +12,7 @@ from ssa_lab.optimize import _lbfgs, _multistart_minimize
 from ssa_lab.qcorr import (
     _basis_objective,
     _by_shape,
-    _leg_entropy,
+    _leg_entropies,
     _legs,
     _restart_points,
     _roof_objective,
@@ -292,7 +292,7 @@ def _qubit_search(rho, measured):
     """S of the unmeasured side, read from the purification's rows as
     ``discord`` reads it, and the stacked objective over the basis chart."""
     rows = _measured_rows(rho, measured)
-    return _leg_entropy(rows, 1), _basis_objective(rows[None])
+    return _leg_entropies(rows, (1,))[0], _basis_objective(rows[None])
 
 
 def _random_restart_discord(rho, measured, config):
@@ -636,6 +636,20 @@ class TestQubitGrid:
         assert sl.discord(rotated, measured).discord == pytest.approx(base, abs=1e-9)
 
 
+def _narrow_discord_peak(rows):
+    """``tracemalloc`` peak of the discord of a rank-2 (rows x 4) state
+    measured on its d = 4 side, at 6 restarts."""
+    import tracemalloc
+
+    rho = sl.random_density([rows, 4], rank=2, seed=1)
+    tracemalloc.start()
+    try:
+        sl.discord(rho, 1, sl.OptimizerConfig(restarts=6))
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestScan:
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_built_once_and_read_only(self, d):
@@ -649,19 +663,16 @@ class TestScan:
         for part in (points, table, neighbours):
             assert not part.flags.writeable
 
-    @pytest.mark.parametrize("d", [3, 4])
+    @pytest.mark.parametrize("d", [2, 3, 4])
     def test_neighbours_are_the_nearest_bases_both_ways(self, d):
-        # the basis distance d - max_pi sum_i |<u_i|u'_pi(i)>|^2, its best
-        # matching found by the Hungarian method instead of by permutations
-        from scipy.optimize import linear_sum_assignment
-
+        # the basis distance is half the squared Frobenius distance between
+        # the Choi matrices sum_i |u_i><u_i| (x) conj(|u_i><u_i|) of the two
+        # bases' dephasing channels, built here as matrices
         points, _, near, _ = sl.qcorr._scan(d)
         bases = sl.qcorr._exp_chart(d, d, points)[0]
-        overlaps = np.abs(np.einsum("pji,qjk->pqik", bases.conj(), bases)) ** 2
-        far = np.empty(near.shape)
-        for (p, q), overlap in zip(np.ndindex(near.shape), overlaps.reshape(-1, d, d)):
-            rows, cols = linear_sum_assignment(overlap, maximize=True)
-            far[p, q] = d - overlap[rows, cols].sum()
+        vecs = np.einsum("pji,pki->pijk", bases, bases.conj()).reshape(len(points), d, d * d)
+        choi = np.einsum("pia,pib->pab", vecs, vecs.conj())
+        far = 0.5 * (np.abs(choi[:, None] - choi[None]) ** 2).sum(axis=(2, 3))
         assert np.abs(far.diagonal()).max() <= 1e-12
         np.testing.assert_array_equal(near, near.T)
         assert not near.diagonal().any()
@@ -710,23 +721,51 @@ class TestScan:
             rows = _measured_rows(rho, measured)
             assert rows.shape == (d, a, rank)
             padded = np.concatenate((rows, np.zeros((d, a, a - rank))), axis=2)
-            scores = sl.qcorr._lattice_scores(rows[None], table)[0]
+            narrow = sl.qcorr._narrow(rows[None])
+            assert narrow.shape == (1, d, rank, a)
+            scores = sl.qcorr._lattice_scores(narrow, table)[0]
             square = sl.qcorr._lattice_scores(padded[None], table)[0]
             np.testing.assert_allclose(scores, square, rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize(
+        "dims, measured", [((2, 3), 0), ((4, 2), 1), ((3, 4), 0), ((2, 8), 0)]
+    )
+    def test_narrow_purifier_discords_match_the_square_kernel(self, dims, measured, monkeypatch):
+        # t < a: the scan, the polish and the final value read the t x t
+        # marginals; with the rows left unturned every search reads the
+        # a x a ones, and ends at the same discord
+        config = sl.OptimizerConfig(restarts=3, seed=2)
+        for rank in range(1, dims[1 - measured]):
+            rho = sl.random_density(list(dims), rank=rank, seed=74000 + rank)
+            narrow = sl.discord(rho, measured, config)
+            with monkeypatch.context() as patch:
+                patch.setattr(sl.qcorr, "_narrow", lambda blocks: blocks)
+                square = sl.discord(rho, measured, config)
+            assert abs(narrow.discord - square.discord) <= 1e-12
+            assert (narrow.nfev, narrow.restarts_used) == (square.nfev, square.restarts_used)
+
+    @pytest.mark.parametrize("dims", [(3, 2), (4, 2), (8, 2)])
+    def test_narrow_purifier_roofs_match_the_square_kernel(self, dims, monkeypatch):
+        # a roof's rows (r, d_a, d_b) with d_b < d_a turn the same way
+        config = sl.OptimizerConfig(restarts=2, seed=3)
+        for rank in range(1, 4):
+            rho = sl.random_density(list(dims), rank=rank, seed=75000 + rank)
+            narrow = sl.eof_convex_roof(rho, config)
+            with monkeypatch.context() as patch:
+                patch.setattr(sl.qcorr, "_narrow", lambda blocks: blocks)
+                square = sl.eof_convex_roof(rho, config)
+            assert abs(narrow - square) <= 1e-12
 
     def test_narrow_purifier_scan_memory(self):
         # a rank-2 64x4 state measured on its d = 4 side: the scan holds
         # (129 * 4, 2, 2) marginals, where (129 * 4, 64, 64) took 34 MB
-        import tracemalloc
+        assert _narrow_discord_peak(64) <= 12 * 2**20
 
-        rho = sl.random_density([64, 4], rank=2, seed=1)
-        tracemalloc.start()
-        try:
-            sl.discord(rho, 1, sl.OptimizerConfig(restarts=6))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 12 * 2**20
+    def test_narrow_purifier_polish_memory(self):
+        # at 256 rows every polish round eigendecomposes 2 x 2 marginals,
+        # where 256 x 256 ones took 113 MB; what remains is mostly the
+        # purification of the 1024-sided state
+        assert _narrow_discord_peak(256) <= 64 * 2**20
 
     def test_flat_table_has_one_run(self):
         # a pure pair's members are pure whatever the basis, so every score
@@ -1109,7 +1148,7 @@ class TestRootEntropies:
         seed = 100 * dims[0] + 10 * dims[1] + 2 * (rank or 0) + measured
         rho = sl.random_density(list(dims), rank=rank, seed=seed)
         rows = _measured_rows(rho, measured)
-        s_measured, s_other, s_pair = (_leg_entropy(rows, leg) for leg in range(3))
+        s_measured, s_other, s_pair = _leg_entropies(rows, range(3))
         mi = sl.mutual_information(rho)
         assert abs(s_measured + s_other - s_pair - mi) <= 1e-12
         assert abs(s_pair - sl.von_neumann_entropy(rho)) <= 1e-12

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 import ssa_lab as sl
 from ssa_lab.cli import CampaignConfig
 from ssa_lab.errors import ConfigError, DimensionError, ParseError, ValidationError
-from ssa_lab.entropy import gap_entropies
+from ssa_lab.entropy import _GAP_LEGS, _entropies
 from ssa_lab.qmat import trace_out, trace_out_pure
 
 
@@ -200,7 +200,8 @@ class TestValidateDensity:
 class TestDensityMatrix:
     def test_shape_only_so_nan_raises_at_first_entropy(self):
         # DensityMatrix checks shape only; entropy._spectrum guards every
-        # spectrum, a built state's and a real sweep stack's alike
+        # spectrum the reader takes from a matrix, a built state's and a
+        # real sweep stack's alike
         rho = sl.DensityMatrix((2,), [[np.nan, 0], [0, 0.5]])
         assert np.isnan(rho.data[0, 0])
         with pytest.raises(ValidationError, match="finiteness"):
@@ -208,7 +209,7 @@ class TestDensityMatrix:
         stack = np.zeros((3, 8, 8))
         stack[1, 2, 2] = np.nan
         with pytest.raises(ValidationError, match="finiteness"):
-            gap_entropies(stack, (2, 2, 2))
+            _entropies((2, 2, 2), _GAP_LEGS, stack)
 
 
 def _check_rooted(rho, expected, rooted):

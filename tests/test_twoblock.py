@@ -7,7 +7,7 @@ import pytest
 
 import ssa_lab as sl
 from ssa_lab.errors import ConfigError, DimensionError, ValidationError
-from ssa_lab.entropy import gap_entropies
+from ssa_lab.entropy import _GAP_LEGS, _entropies
 
 from conftest import min_eig_partial_transpose, random_two_block_params, reference_states
 
@@ -262,7 +262,7 @@ class TestSweep:
 
     @pytest.mark.parametrize("steps1, steps2", [(13, 64), (3, 600)])
     def test_row_blocks_match_row_by_row(self, steps1, steps2):
-        # oracle: one _mixture stack and one gap_entropies call per row.  At
+        # oracle: one _mixture stack and one stacked-reader call per row.  At
         # 13 x 64 the last block of rows is short; at 3 x 600 a row holds
         # more than CELLS cells, so each block is one row
         rows = max(1, sl.twoblock.CELLS // steps2)
@@ -272,7 +272,8 @@ class TestSweep:
         grid = sl.sweep_gap(axis1, axis2, fixed)
         for i, x1 in enumerate(axis1.values()):
             row = replace(fixed, b=float(x1), lambda1=axis2.values())
-            s_ab, s_ac, s_b, s_c = gap_entropies(sl.twoblock._mixture(row), (2, 4, 4)).T
+            stack = sl.twoblock._mixture(row)
+            s_ab, s_ac, s_b, s_c = _entropies((2, 4, 4), _GAP_LEGS, stack).T
             np.testing.assert_array_equal(grid.numeric[i], s_ab + s_ac - s_b - s_c)
 
     def test_custom_axes(self):
