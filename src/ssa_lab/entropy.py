@@ -4,9 +4,10 @@ under mixing.
 
 Everything is in bits (base-2 logarithms), so the tripartite gap of a state
 with a maximally mixed, factorized qubit on the first slot reads exactly 2.0.
-Every entropy, of a whole state or a marginal, of a sweep stack or of
-``qcorr``'s purification rows, is read by ``_entropies``: off the state's
-root when it holds one, else from the marginal traced out of its matrix.
+Every entropy, of a whole state or a marginal, of a sweep's stack of roots
+or of ``qcorr``'s purification rows, is read by ``_entropies``: off the
+state's root when it holds one, from its Gram on the narrower side, else
+from the marginal traced out of its matrix.
 """
 
 from __future__ import annotations
@@ -58,21 +59,29 @@ def _spectrum(mats: np.ndarray) -> np.ndarray:
     return w
 
 
+def _gram_spectrum(g: np.ndarray) -> np.ndarray:
+    """Eigenvalues of the Gram of a (..., k, t) stack of roots on its
+    narrower side: G G^dag when k <= t, else G^dag G, which has the same
+    nonzero spectrum."""
+    h = g.conj().swapaxes(-1, -2)
+    return np.linalg.eigvalsh(g @ h if g.shape[-2] <= g.shape[-1] else h @ g)
+
+
 def _entropies(dims: tuple[int, ...], legs: Iterable, data=None, root=None) -> np.ndarray:
     """S of the marginal onto each leg group in ``legs`` of a state on
-    ``dims``, along the last axis.  Given a ``root`` G of the state G G^dag
-    (a pure state's amplitudes are a root of one column), each is read from
-    the squared singular values of G arranged kept x (traced, column) by
-    ``qmat._pure_root``, forming no matrix; else each marginal is traced
-    from ``data``, a (..., side, side) stack, in one pass (``trace_out``, as
-    ``partial_trace`` traces it) and goes through ``_spectrum``."""
+    ``dims``, along the first axis.  Given a ``root``, a (..., side, r) stack
+    of roots G of states G G^dag (a pure state's amplitudes are a root of
+    one column), each is read from the Gram of G arranged kept x (traced,
+    column) by ``qmat._pure_root``, on its narrower side; else each
+    marginal is traced from ``data``, a (..., side, side) stack, in one
+    pass (``trace_out``, as ``partial_trace`` traces it) and goes through
+    ``_spectrum``."""
     if root is not None:
-        amps, full = root.reshape(-1), dims + root.shape[1:]
-        roots = (_pure_root(amps, full, keep) for keep in legs)
-        spectra = (np.linalg.svd(g, compute_uv=False) ** 2 for g in roots)
+        lead, full = root.shape[:-2], dims + root.shape[-1:]
+        spectra = (_gram_spectrum(_pure_root(root, full, keep, lead)) for keep in legs)
     else:
         spectra = (_spectrum(trace_out(data, dims, keep)) for keep in legs)
-    return np.stack([entropy_of_spectrum(w) for w in spectra], axis=-1)
+    return np.array([entropy_of_spectrum(w) for w in spectra])
 
 
 def _state_entropies(rho: DensityMatrix, legs: Iterable) -> list[float]:
@@ -82,7 +91,7 @@ def _state_entropies(rho: DensityMatrix, legs: Iterable) -> list[float]:
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:
     """Entropy in bits, from the eigenvalues of the state or, for a state that
-    holds a root G (``qmat._from_root``), from G's singular values."""
+    holds a root G (``qmat._from_root``), from those of G's Gram."""
     return _state_entropies(rho, [range(len(rho.dims))])[0]
 
 

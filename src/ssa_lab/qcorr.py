@@ -190,8 +190,8 @@ def _legs(psi: PureStateVector, first: tuple[int, ...], second: tuple[int, ...])
 
 def _leg_entropies(rows: np.ndarray, legs) -> list[float]:
     """S of each leg group in ``legs`` of the rows of ``_legs``, read by the
-    entropy reader with the rows as the root of a pure state."""
-    return _entropies(rows.shape, [(leg,) for leg in legs], root=rows.reshape(-1)).tolist()
+    entropy reader with the rows as the root, of one column, of a pure state."""
+    return _entropies(rows.shape, [(leg,) for leg in legs], root=rows.reshape(-1, 1)).tolist()
 
 
 def _narrow(blocks: np.ndarray) -> np.ndarray:
@@ -477,7 +477,7 @@ def discord(
     value, ties to the earlier run.  ``nfev`` counts every objective
     evaluation over all runs, each run's start included (0 on a
     one-dimensional side); ``config.max_evals`` caps each run's.  The
-    mutual information is read from the singular values of the same rows.
+    mutual information is read off the same rows by the entropy reader.
 
     On a measured side of dimension d <= 4 (SCAN_MAX_DIM), a fixed set of
     bases (``_scan``: the computational basis, then the GRID_POINTS Bloch
@@ -632,7 +632,7 @@ def kw_gap(
 
     rho_ABC is purified once, to |psi_ABCE>.  E(AB) is Wootters' on the
     root (AB, CE); the C-measured discord of AC runs on the rows (C, A,
-    BE), and S(A|C) = S(AC) - S(C) is read from their singular values.
+    BE), and S(A|C) = S(AC) - S(C) is read off them by the entropy reader.
     """
     _require_arity(rho_abc.dims, 3, "kw_gap")
     if rho_abc.dims[:2] != (2, 2):

@@ -13,13 +13,14 @@ conversion of array data (strings, ragged nesting and other data numpy
 cannot read as numbers raise ValidationError).  ``_from_root`` is the one
 build of a state G G^dag from its root G, the amplitudes arranged kept x
 traced (``_pure_root``), and keeps G in the state when G has fewer columns
-than rows.  ``entropy._entropies`` reads each marginal entropy of such a
-state off G arranged by ``_pure_root``, and of any other state off the
-marginal ``trace_out`` takes from its matrix.  ``DensityMatrix`` checks
-shape only (and a root's finiteness): states the package builds are valid
-by construction.  ``validate_density`` checks outside input (state and spec
+than rows; it takes one root, never a stack.  ``entropy._entropies`` reads
+each marginal entropy of such a state, or of a stack of roots, off the Gram
+of G arranged by ``_pure_root``, and of any other state off the marginal
+``trace_out`` takes from its matrix.  ``DensityMatrix`` checks shape only
+(and a root's finiteness): states the package builds are valid by
+construction.  ``validate_density`` checks outside input (state and spec
 files, arrays a caller passes), finiteness included.  ``entropy._spectrum``
-guards every spectrum read from a matrix, sweep stacks included.  The file
+guards every spectrum read from a matrix, stacks included.  The file
 parsers check JSON shape only.
 """
 
@@ -187,8 +188,14 @@ class DensityMatrix:
 
 def _from_root(dims: tuple[int, ...], root: np.ndarray) -> DensityMatrix:
     """The state G G^dag on ``dims``, for a root G of side rows: holding G
-    when it has fewer columns than rows, else formed at once."""
-    if root.shape[1] < root.shape[0]:
+    when it has fewer columns than rows, else formed at once.  Anything but
+    one side x r matrix, a stack of roots included, raises DimensionError."""
+    side = math.prod(dims)
+    if root.ndim != 2 or root.shape[0] != side:
+        raise DimensionError(
+            f"root shape {root.shape} does not match dims {dims} (expected {side} rows)"
+        )
+    if root.shape[1] < side:
         return DensityMatrix(dims, _root=root)
     return DensityMatrix(dims, root @ root.conj().T)
 
@@ -250,14 +257,19 @@ def trace_out(data: np.ndarray, dims: tuple[int, ...], keep: Iterable[int]) -> n
     return out.reshape(data.shape[:lead] + (side, side))
 
 
-def _pure_root(amps: np.ndarray, dims: tuple[int, ...], keep: Iterable[int]) -> np.ndarray:
+def _pure_root(
+    amps: np.ndarray, dims: tuple[int, ...], keep: Iterable[int], lead: tuple[int, ...] = ()
+) -> np.ndarray:
     """The amplitudes ``amps`` on ``dims`` arranged as kept x traced, the
     kept subsystems in their original relative order: the root G of the
-    partial trace G G^dag onto them."""
+    partial trace G G^dag onto them.  Over a stack of amplitudes with
+    leading axes ``lead``, the (*lead, kept, traced) stack of such roots."""
     kept = sorted(set(keep))
     traced = [i for i in range(len(dims)) if i not in kept]
+    n = len(lead)
     side = math.prod(dims[i] for i in kept)
-    return amps.reshape(dims).transpose(kept + traced).reshape(side, -1)
+    axes = [*range(n), *[n + i for i in kept + traced]]
+    return amps.reshape(lead + dims).transpose(axes).reshape(lead + (side, -1))
 
 
 def trace_out_pure(amps: np.ndarray, dims: tuple[int, ...], keep: Iterable[int]) -> np.ndarray:

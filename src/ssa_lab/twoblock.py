@@ -24,14 +24,14 @@ import numpy as np
 
 from .errors import ConfigError, ValidationError
 from .entropy import _GAP_LEGS, _entropies, entropy_of_spectrum
-from .qmat import DensityMatrix, _as_array, _as_int
+from .qmat import DensityMatrix, _as_array, _as_int, _from_root
 
 SWEEPABLE = ("beta2", "lambda1", "b")
 MAX_SWEEP_STEPS = 1024
-# A sweep builds the states of CELLS cells at a time, and of at least one
-# row: 512 real 32x32 states take 4 MB, so a sweep's memory stays bounded by
-# max(CELLS, steps) cells, never steps^2, and a 64-step figure takes 8
-# stacks in place of one per row.
+# A sweep builds the roots of CELLS cells at a time, and of at least one
+# row: 512 real 32x4 roots take 0.5 MB, so a sweep's working memory stays
+# bounded by max(CELLS, steps) cells, never steps^2, and a 64-step figure
+# takes 8 stacks in place of one per row.
 CELLS = 512
 
 
@@ -90,20 +90,6 @@ class TwoBlockParams:
 DEFAULT_PARAMS = TwoBlockParams()
 
 
-def _place(*blocks) -> np.ndarray:
-    """One zeroed real (..., 32, 32) stack holding the blocks w |psi><psi| (x)
-    diag(d), given as (w, support, psi, d), each written straight into place:
-    entry w d_k psi_i psi_j at row support[k, i] and column support[k, j]."""
-    entries = [
-        (s, (psi[..., None, :, None] * psi[..., None, None, :]) * d[..., :, None, None] * w)
-        for w, s, psi, d in blocks
-    ]
-    out = np.zeros(np.broadcast_shapes(*(e.shape[:-3] for _, e in entries)) + (32, 32))
-    for s, e in entries:
-        out[..., s[:, :, None], s[:, None, :]] = e
-    return out
-
-
 def _vector(*entries) -> np.ndarray:
     """Entries stacked along a new last axis, broadcast over sweep rows."""
     return np.stack(np.broadcast_arrays(*entries), axis=-1)
@@ -111,7 +97,7 @@ def _vector(*entries) -> np.ndarray:
 
 def _blocks(p: TwoBlockParams) -> tuple[tuple, tuple]:
     """The unweighted blocks |psi1_A><psi1_A| (x) rho1_BC and
-    |psi2_AB><psi2_AB| (x) rho2_C as (support, psi, d) terms for _place.  A
+    |psi2_AB><psi2_AB| (x) rho2_C as (support, psi, d) terms for _root.  A
     support holds flat indices 16a + 4b + c, [k, i] for d_k and psi_i."""
     psi1_a = _vector(p.alpha1, p.beta1)  # on |0_A>, |1_A>
     psi2_ab = _vector(p.alpha2, p.beta2 * p.a, p.beta2 * p.b)  # on |00>, |11>, |12>
@@ -122,18 +108,26 @@ def _blocks(p: TwoBlockParams) -> tuple[tuple, tuple]:
     return (support1, psi1_a, rho1_diag), (support2, psi2_ab, rho2_diag)
 
 
-def _mixture(params: TwoBlockParams) -> np.ndarray:
-    """The family density matrix (a stack of them for sweep rows): p1
-    block1 and p2 block2 placed into one real array.  Valid by construction:
-    real amplitudes placed symmetrically, weights >= 0 summing to 1."""
-    block1, block2 = _blocks(params)
-    return _place((params.p1, *block1), (params.p2, *block2))
+def _root(params: TwoBlockParams) -> np.ndarray:
+    """The family's real (..., 32, 4) root G, rho = G G^T (a stack of them
+    for sweep rows).  The column of block w = p1 or p2 and its diagonal
+    entry d_k is sqrt(w d_k) psi, placed at the block's support row k.
+    Valid by construction: real columns, weights >= 0 summing to 1."""
+    entries = [
+        (s, np.sqrt(w * d)[..., :, None] * psi[..., None, :])
+        for w, (s, psi, d) in zip((params.p1, params.p2), _blocks(params))
+    ]
+    out = np.zeros(np.broadcast_shapes(*(e.shape[:-2] for _, e in entries)) + (32, 4))
+    for k, (s, e) in enumerate(entries):  # two columns per block, one per d_k
+        out[..., s, 2 * k + np.arange(2)[:, None]] = e
+    return out
 
 
 def two_block_state(params: TwoBlockParams) -> DensityMatrix:
-    """The family state on dims (2, 4, 4): the real _mixture, cast to complex.
+    """The family state on dims (2, 4, 4), holding its _root (cast to
+    complex) as ``qmat._from_root`` does; sweep rows raise DimensionError.
     Valid by construction, not re-checked."""
-    return DensityMatrix((2, 4, 4), _mixture(params))
+    return _from_root((2, 4, 4), _root(params))
 
 
 def gap_mu_values(params: TwoBlockParams) -> tuple[float, float, float, float]:
@@ -223,26 +217,31 @@ FIGURE_AXES = {
 }
 
 
+def _block_gaps(block: TwoBlockParams) -> tuple[np.ndarray, np.ndarray]:
+    """The closed-form and the entropic gap of each cell of a block of sweep
+    rows; the entropic one is read off the block's real _root stack, which
+    the entropy reader takes as it is, forming no matrix."""
+    s_ab, s_ac, s_b, s_c = _entropies((2, 4, 4), _GAP_LEGS, root=_root(block))
+    return gap_closed_form(block), s_ab + s_ac - s_b - s_c
+
+
 def sweep_gap(
     axis1: SweepAxis,
     axis2: SweepAxis,
     fixed: TwoBlockParams = DEFAULT_PARAMS,
 ) -> SweepGrid:
-    """Evaluate closed-form and entropic gaps over a 2-parameter grid.  The
-    closed form takes the whole broadcast grid in one call.  The entropic
-    gap takes a block of max(1, CELLS // axis2.steps) rows at a time: one
-    real _mixture stack, passed unchecked to the entropy reader, which traces
-    each of the four marginals out of it in one pass."""
+    """Evaluate closed-form and entropic gaps over a 2-parameter grid, both
+    by _block_gaps on a block of max(1, CELLS // axis2.steps) rows at a
+    time."""
     if axis1.name == axis2.name:
         raise ConfigError(f"sweep axes must differ, both are {axis1.name!r}")
     values1, values2 = axis1.values()[:, None], axis2.values()
-    closed = gap_closed_form(replace(fixed, **{axis1.name: values1, axis2.name: values2}))
+    closed = np.zeros((axis1.steps, axis2.steps))
     numeric = np.zeros_like(closed)
     rows = max(1, CELLS // axis2.steps)
     for i in range(0, axis1.steps, rows):
         block = replace(fixed, **{axis1.name: values1[i : i + rows], axis2.name: values2})
-        s_ab, s_ac, s_b, s_c = np.moveaxis(_entropies((2, 4, 4), _GAP_LEGS, _mixture(block)), -1, 0)
-        numeric[i : i + rows] = s_ab + s_ac - s_b - s_c
+        closed[i : i + rows], numeric[i : i + rows] = _block_gaps(block)
     return SweepGrid(axis1, axis2, fixed, closed, numeric)
 
 

@@ -259,15 +259,13 @@ def _plain(rho, keep):
 
 
 def _matrix_states(folder):
-    """States that hold a matrix and no root: full-rank tripartite states,
-    two-block states and validated file states (a rank-2 state written to
-    ``folder`` and read back through ``validate_density``)."""
+    """States that hold a matrix and no root: full-rank tripartite states
+    and validated file states (a rank-2 state written to ``folder`` and
+    read back through ``validate_density``)."""
     states = [
         sl.random_density(dims, seed=80 + k)
         for k, dims in enumerate([(2, 2, 2), (2, 3, 4), (4, 4, 4)])
     ]
-    rng = np.random.default_rng(81)
-    states += [sl.two_block_state(random_two_block_params(rng)) for _ in range(3)]
     for k, dims in enumerate([(2, 2, 2), (2, 3, 4)]):
         path = str(folder / f"state{k}.json")
         sl.save_state(path, sl.random_density(dims, rank=2, seed=82))
@@ -281,6 +279,22 @@ def _rooted_states(dims):
     states = [sl.random_density(dims, rank=r, seed=83 + r) for r in range(1, math.prod(dims))]
     assert all(rho._root is not None and rho._data is None for rho in states)
     return states
+
+
+def _check_rooted_tripartite(states):
+    """Each rooted state's entropies, read off its root without forming its
+    matrix, within 1e-12 of the same state held as a matrix."""
+    for rho in states:
+        report, form1 = sl.t_gap(rho), sl.ssa_gap_form1(rho)
+        entropy = sl.von_neumann_entropy(rho)
+        assert rho._data is None
+        plain = sl.DensityMatrix(rho.dims, rho.data)
+        expected = sl.t_gap(plain)
+        for name, value in report.components.items():
+            assert abs(value - expected.components[name]) <= 1e-12
+        assert abs(report.t_a - expected.t_a) <= 1e-12
+        assert abs(form1 - sl.ssa_gap_form1(plain)) <= 1e-12
+        assert abs(entropy - sl.von_neumann_entropy(plain)) <= 1e-12
 
 
 class TestOneReader:
@@ -306,17 +320,14 @@ class TestOneReader:
 
     @pytest.mark.parametrize("dims", [(2, 2, 2), (2, 3, 2), (2, 2, 4)])
     def test_rooted_tripartite_states_stay_rooted(self, dims):
-        for rho in _rooted_states(dims):
-            report, form1 = sl.t_gap(rho), sl.ssa_gap_form1(rho)
-            entropy = sl.von_neumann_entropy(rho)
-            assert rho._data is None
-            plain = sl.DensityMatrix(rho.dims, rho.data)
-            expected = sl.t_gap(plain)
-            for name, value in report.components.items():
-                assert abs(value - expected.components[name]) <= 1e-12
-            assert abs(report.t_a - expected.t_a) <= 1e-12
-            assert abs(form1 - sl.ssa_gap_form1(plain)) <= 1e-12
-            assert abs(entropy - sl.von_neumann_entropy(plain)) <= 1e-12
+        _check_rooted_tripartite(_rooted_states(dims))
+
+    def test_two_block_states_stay_rooted(self):
+        # the family's states hold their 32 x 4 root
+        rng = np.random.default_rng(81)
+        states = [sl.two_block_state(random_two_block_params(rng)) for _ in range(3)]
+        assert all(rho._root.shape == (32, 4) and rho._data is None for rho in states)
+        _check_rooted_tripartite(states)
 
     @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 4)])
     def test_rooted_pairs_stay_rooted(self, dims):

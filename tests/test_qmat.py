@@ -10,7 +10,7 @@ import ssa_lab as sl
 from ssa_lab.cli import CampaignConfig
 from ssa_lab.errors import ConfigError, DimensionError, ParseError, ValidationError
 from ssa_lab.entropy import _GAP_LEGS, _entropies
-from ssa_lab.qmat import trace_out, trace_out_pure
+from ssa_lab.qmat import _from_root, trace_out, trace_out_pure
 
 
 class TestPartialTrace:
@@ -201,7 +201,7 @@ class TestDensityMatrix:
     def test_shape_only_so_nan_raises_at_first_entropy(self):
         # DensityMatrix checks shape only; entropy._spectrum guards every
         # spectrum the reader takes from a matrix, a built state's and a
-        # real sweep stack's alike
+        # stack's alike
         rho = sl.DensityMatrix((2,), [[np.nan, 0], [0, 0.5]])
         assert np.isnan(rho.data[0, 0])
         with pytest.raises(ValidationError, match="finiteness"):
@@ -266,6 +266,16 @@ class TestRootedStates:
             for state, keep, traced in pairs:
                 expected = trace_out_pure(psi.amps, psi.dims, keep)
                 _check_rooted(state, expected, dims[traced] < expected.shape[0])
+
+    def test_from_root_checks_the_shape_first(self):
+        # a stack of roots, or a root of the wrong row count, is no state:
+        # DimensionError on both sides of the narrow/square branch
+        for root in (np.zeros((3, 8, 2)), np.zeros((3, 8, 9)), np.zeros((4, 2)),
+                     np.zeros((9, 9)), np.zeros(8)):
+            with pytest.raises(DimensionError, match="root shape"):
+                _from_root((2, 2, 2), root)
+        assert _from_root((2, 2, 2), np.eye(8)[:, :3])._root.shape == (8, 3)
+        assert _from_root((2, 2, 2), np.eye(8))._root is None
 
     def test_root_is_copied_and_frozen(self):
         root = np.array([[1.0], [0.0]])

@@ -1,9 +1,11 @@
 import io
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import ssa_lab as sl
 from ssa_lab.errors import ConfigError, DimensionError, ValidationError
@@ -92,7 +94,8 @@ class TestState:
 
     def test_matches_kron_of_defining_kets(self, rng):
         # oracle: the blocks as Kronecker products of one-hot kets; the
-        # builder places the same products, so the states agree exactly
+        # root's columns are the same weighted products, exactly, and the
+        # state G G^T their mixture, to rounding
         def ket(dim, index):
             return np.eye(dim)[index]
 
@@ -101,6 +104,13 @@ class TestState:
             psi1_a = p.alpha1 * ket(2, 0) + p.beta1 * ket(2, 1)
             phi_b = p.a * ket(4, 1) + p.b * ket(4, 2)
             psi2_ab = p.alpha2 * np.kron(ket(2, 0), ket(4, 0)) + p.beta2 * np.kron(ket(2, 1), phi_b)
+            columns = [
+                np.sqrt(p.p1 * p.lambda1) * np.kron(psi1_a, np.kron(ket(4, 2), ket(4, 2))),
+                np.sqrt(p.p1 * (1.0 - p.lambda1)) * np.kron(psi1_a, np.kron(ket(4, 3), ket(4, 3))),
+                np.sqrt(p.p2 * p.lambda2) * np.kron(psi2_ab, ket(4, 0)),
+                np.sqrt(p.p2 * (1.0 - p.lambda2)) * np.kron(psi2_ab, ket(4, 1)),
+            ]
+            np.testing.assert_array_equal(sl.twoblock._root(p), np.stack(columns, axis=1))
             rho1_bc = p.lambda1 * np.diag(np.kron(ket(4, 2), ket(4, 2))) + (
                 1.0 - p.lambda1
             ) * np.diag(np.kron(ket(4, 3), ket(4, 3)))
@@ -108,7 +118,7 @@ class TestState:
             data = p.p1 * np.kron(np.outer(psi1_a, psi1_a), rho1_bc) + p.p2 * np.kron(
                 np.outer(psi2_ab, psi2_ab), rho2_c
             )
-            np.testing.assert_array_equal(sl.two_block_state(p).data, data)
+            np.testing.assert_allclose(sl.two_block_state(p).data, data, rtol=0, atol=1e-15)
 
     def test_invalid_params_rejected(self):
         with pytest.raises(ValidationError):
@@ -166,6 +176,28 @@ class TestClosedForm:
                 # the chart makes gamma generically far from the locus here
                 if params.gamma > 1e-4:
                     assert gap > 1e-10
+
+
+# a parameter in [0, 1] with both edges drawn as such
+_UNIT = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+
+
+class TestRootedFamily:
+    @settings(max_examples=60, derandomize=True, database=None, deadline=None)
+    @given(
+        p1=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+        rest=st.tuples(*[_UNIT] * 5),
+    )
+    def test_state_and_sweep_cell_match_closed_form(self, p1, rest):
+        # over the whole box: the rooted state through t_gap, and the same
+        # point as a one-cell block of the sweep's real root stack
+        p = sl.TwoBlockParams(p1, *rest)
+        closed = sl.gap_closed_form(p)
+        assert abs(sl.t_gap(sl.two_block_state(p)).t_a - closed) <= 1e-9
+        cell_closed, cell_numeric = sl.twoblock._block_gaps(replace(p, beta2=np.array([[p.beta2]])))
+        assert cell_closed.shape == cell_numeric.shape == (1, 1)
+        assert abs(cell_closed[0, 0] - closed) <= 1e-9
+        assert abs(cell_numeric[0, 0] - closed) <= 1e-9
 
 
 class TestReferenceStates:
@@ -262,8 +294,8 @@ class TestSweep:
 
     @pytest.mark.parametrize("steps1, steps2", [(13, 64), (3, 600)])
     def test_row_blocks_match_row_by_row(self, steps1, steps2):
-        # oracle: one _mixture stack and one stacked-reader call per row.  At
-        # 13 x 64 the last block of rows is short; at 3 x 600 a row holds
+        # oracle: one _root stack and one stacked root-reader call per row.
+        # At 13 x 64 the last block of rows is short; at 3 x 600 a row holds
         # more than CELLS cells, so each block is one row
         rows = max(1, sl.twoblock.CELLS // steps2)
         assert rows == 1 or steps1 % rows
@@ -272,9 +304,34 @@ class TestSweep:
         grid = sl.sweep_gap(axis1, axis2, fixed)
         for i, x1 in enumerate(axis1.values()):
             row = replace(fixed, b=float(x1), lambda1=axis2.values())
-            stack = sl.twoblock._mixture(row)
-            s_ab, s_ac, s_b, s_c = _entropies((2, 4, 4), _GAP_LEGS, stack).T
+            stack = sl.twoblock._root(row)
+            s_ab, s_ac, s_b, s_c = _entropies((2, 4, 4), _GAP_LEGS, root=stack)
             np.testing.assert_array_equal(grid.numeric[i], s_ab + s_ac - s_b - s_c)
+
+    def test_every_cell_matches_its_own_state(self):
+        # every cell of a 13 x 64 sweep, whose last block of rows is short,
+        # against t_gap of the complex rooted state of its own parameters
+        fixed = sl.TwoBlockParams(p1=0.3, alpha1=0.8, lambda2=0.2)
+        axis1, axis2 = sl.SweepAxis("beta2", steps=13), sl.SweepAxis("lambda1", steps=64)
+        grid = sl.sweep_gap(axis1, axis2, fixed)
+        for i, x1 in enumerate(axis1.values()):
+            for j, x2 in enumerate(axis2.values()):
+                params = replace(fixed, beta2=float(x1), lambda1=float(x2))
+                numeric = sl.t_gap(sl.two_block_state(params)).t_a
+                assert abs(grid.numeric[i, j] - numeric) <= 1e-14
+
+    @pytest.mark.parametrize("steps, bound_mb", [(64, 2.5), (256, 4.0)])
+    def test_memory_bound(self, steps, bound_mb):
+        # a block of CELLS roots takes 0.5 MB; the grids themselves take
+        # 2 x 8 steps^2 bytes (1 MB at 256 steps)
+        sl.sweep_figure("a", 4)
+        tracemalloc.start()
+        try:
+            sl.sweep_figure("a", steps)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound_mb * 1e6
 
     def test_custom_axes(self):
         grid = sl.sweep_gap(
